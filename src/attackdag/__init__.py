@@ -61,6 +61,7 @@ from .graph import (
 )
 from .features import (
     AttributeTable,
+    BranchFrame,
     SelfBranch,
     branch_features,
     enumerate_candidates,

@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .csp import csp_classify, csp_facts
 from .expr import ExpressionSyntaxError
@@ -91,6 +94,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
+
+
+class InvariantViolation(RuntimeError):
+    """A result broke a property the pipeline guarantees (exit 3)."""
 
 
 def _read_table(path: str) -> AttributeTable:
@@ -194,7 +201,8 @@ def cmd_negatives(args: argparse.Namespace) -> int:
     candidates = generate_negative_candidates(
         dagfile.dag, table, dagfile.blocks, exceptions, thresholds
     )
-    save_labels(args.out, [(c.origin, c.dest, -1) for c in candidates])
+    save_labels(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
+                              repeat(candidates.label)))
     print(f"{len(candidates)} negative candidates written to {args.out} (label -1, unreviewed)")
     return EXIT_OK
 
@@ -310,16 +318,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     training = {(o, d) for o, d, _ in labels}
     candidates = enumerate_candidates(dagfile.dag, table, training)
     expected = search_space_size(len(dagfile.dag.nodes), len(training))
-    assert len(candidates) == expected
-    feats = [c.features for c in candidates]
-    decisions = model.decision_values(feats)
-    rows = []
-    positives = 0
-    for cand, decision in zip(candidates, decisions):
-        label = 1 if decision >= 0.0 else -1
-        positives += label == 1
-        rows.append((cand.origin, cand.dest, label, float(decision)))
-    save_predictions(args.out, rows)
+    if len(candidates) != expected:
+        raise InvariantViolation(
+            f"{len(candidates)} candidate branches, search space is {expected}"
+        )
+    decisions = model.decision_values(candidates.features)
+    labels = np.where(decisions >= 0.0, 1, -1)
+    positives = int(np.count_nonzero(labels == 1))
+    save_predictions(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
+                                   labels.tolist(), decisions.tolist()))
     print(
         f"{len(candidates)} candidate branches, {positives} predicted feasible, "
         f"search-space reduction {format_reduction(positives, len(candidates))}"
@@ -679,7 +686,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (CycleIntroduced, FingerprintMismatch, UnknownNode, UnknownPath, PathExplosion) as exc:
+    except (CycleIntroduced, FingerprintMismatch, InvariantViolation, UnknownNode, UnknownPath,
+            PathExplosion) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (

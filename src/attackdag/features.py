@@ -5,6 +5,9 @@ data/database, generic security weakness, port/gateway, sensor, malware,
 authentication weakness), binary head/leaf markers, and the node's mean
 depth in the dag.  A branch sample is origin attributes followed by
 destination attributes, twenty values.
+
+Candidates over all ordered node pairs come back as one BranchFrame of
+arrays; branch_features, hamming and height_diff define a single pair.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
+
+import numpy as np
 
 from .model import (
     ATTRIBUTE_NAMES,
@@ -147,24 +152,72 @@ def search_space_size(n_nodes: int, n_training: int) -> int:
         )
     return available - n_training
 
+
+@dataclass(frozen=True, eq=False)
+class NodeMatrix:
+    """Attribute rows of a node set as an (n, 10) array, in ascending id order."""
+
+    ids: np.ndarray  # (n,) int64
+    values: np.ndarray  # (n, 10) float64
+
+    @classmethod
+    def build(cls, nodes: Iterable[int], table: AttributeTable) -> "NodeMatrix":
+        ids = sorted(nodes)
+        values = np.array([table[n].vector() for n in ids], dtype=float)
+        return cls(np.array(ids, dtype=np.int64), values.reshape(len(ids), len(ATTRIBUTE_NAMES)))
+
+    def frame(self, keep: np.ndarray, excluded: Iterable[tuple[int, int]],
+              label: Optional[int] = None) -> "BranchFrame":
+        """The pairs the n x n mask keep marks, less self and excluded pairs, in order."""
+        listed = _pair_array(excluded)
+        listed = listed[np.isin(listed, self.ids).all(axis=1)]
+        keep[tuple(np.searchsorted(self.ids, listed).T)] = False
+        np.fill_diagonal(keep, False)
+        rows, cols = np.nonzero(keep)
+        features = np.hstack((self.values[rows], self.values[cols]))
+        return BranchFrame(self.ids[rows], self.ids[cols], features, label)
+
+
+def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class BranchFrame:
+    """Ordered node pairs sharing one label, as parallel arrays in (origin, dest) order.
+
+    len() and iteration give the same BranchSamples a list would, in order.
+    """
+
+    origins: np.ndarray  # (len,) int64
+    dests: np.ndarray  # (len,) int64
+    features: np.ndarray  # (len, 20) float64: origin attributes, then destination's
+    label: Optional[int] = None
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __iter__(self) -> Iterator[BranchSample]:
+        columns = (self.origins.tolist(), self.dests.tolist(), self.features.tolist())
+        for origin, dest, row in zip(*columns):
+            yield BranchSample(origin, dest, tuple(row), self.label)
+
+
 def enumerate_candidates(
     dag: AttackDag, table: AttributeTable, training: Iterable[tuple[int, int]]
-) -> list[BranchSample]:
+) -> BranchFrame:
     """All ordered node pairs not seen in training, unlabeled, sorted.
 
     The result size always equals search_space_size(|nodes|, |training|);
     training pairs must therefore be distinct ordered pairs of dag nodes.
     """
-    training = set(training)
-    for u, v in training:
-        if u == v:
-            raise SelfBranch(f"training branch from node {u} to itself")
-        if u not in dag.nodes or v not in dag.nodes:
-            raise UnknownNode(f"training branch ({u}, {v}) references unknown node")
-    out: list[BranchSample] = []
-    for u in sorted(dag.nodes):
-        for v in sorted(dag.nodes):
-            if u == v or (u, v) in training:
-                continue
-            out.append(BranchSample(origin=u, dest=v, features=branch_features(u, v, table)))
-    return out
+    nodes = NodeMatrix.build(dag.nodes, table)
+    pairs = _pair_array(training)
+    selfs = pairs[pairs[:, 0] == pairs[:, 1]]
+    if len(selfs):
+        raise SelfBranch(f"training branch from node {selfs[0, 0]} to itself")
+    unknown = pairs[~np.isin(pairs, nodes.ids).all(axis=1)]
+    if len(unknown):
+        u, v = unknown[0].tolist()
+        raise UnknownNode(f"training branch ({u}, {v}) references unknown node")
+    return nodes.frame(np.ones((len(nodes.ids),) * 2, dtype=bool), pairs)

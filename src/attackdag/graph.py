@@ -21,6 +21,7 @@ from .model import (
     Concat,
     Star,
     UnionExpr,
+    _degrees,
     find_cycle,
     normalize_description,
 )
@@ -90,11 +91,7 @@ def cdfg_from_expression(expr: AttackExpr, id_for: Callable[[str], int] | None =
     cycle = find_cycle(nodes, edges)
     if cycle:
         raise CycleIntroduced(cycle)
-    indeg = {n: 0 for n in nodes}
-    outdeg = {n: 0 for n in nodes}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    indeg, outdeg = _degrees(nodes, edges)
     return Cdfg(
         nodes=frozenset(nodes),
         edges=frozenset(edges),
@@ -155,11 +152,7 @@ def build_dag(
     missing = edges - set(provenance)
     if missing:
         raise ValueError(f"edges without provenance: {sorted(missing)}")
-    indeg = {n: 0 for n in nodes}
-    outdeg = {n: 0 for n in nodes}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    indeg, outdeg = _degrees(nodes, edges)
     return AttackDag(
         nodes=nodes,
         edges=edges,

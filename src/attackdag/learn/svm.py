@@ -26,6 +26,10 @@ from ..model import BranchSample
 
 KERNELS = ("rbf", "poly", "sigmoid")
 
+# decision_values scores this many rows per kernel block, so scoring holds
+# at most SCORE_BLOCK_ROWS x n_sv kernel entries at a time.
+SCORE_BLOCK_ROWS = 4096
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -113,8 +117,12 @@ class SvmModel:
             raise DimensionMismatch(
                 f"{x.shape[1]} features, model has {self.support_vectors.shape[1]}"
             )
-        k = gram_matrix(self.params.kernel, x, self.support_vectors, self.params.gamma)
-        return k @ self.dual_coefs + self.bias
+        out = np.empty(len(x))
+        for start in range(0, len(x), SCORE_BLOCK_ROWS):
+            block = x[start:start + SCORE_BLOCK_ROWS]
+            k = gram_matrix(self.params.kernel, block, self.support_vectors, self.params.gamma)
+            out[start:start + len(block)] = k @ self.dual_coefs + self.bias
+        return out
 
     def decision_value(self, features: Sequence[float]) -> float:
         return float(self.decision_values([features])[0])
@@ -248,8 +256,7 @@ def fit_svm(x: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
 def full_alphas(model: SvmModel) -> np.ndarray:
     """Multipliers for every training index (zeros where not a support vector)."""
     out = np.zeros(model.n_samples)
-    for pos, a in zip(model.sv_indices, model.sv_alphas):
-        out[pos] = a
+    out[np.array(model.sv_indices, dtype=np.intp)] = model.sv_alphas
     return out
 
 
@@ -265,12 +272,6 @@ def kkt_violation(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
     c = model.params.c
     yf = y * model.decision_values(x)
     bound_eps = 1e-9 * max(1.0, c)
-    worst = 0.0
-    for t in range(len(y)):
-        if alpha[t] <= bound_eps:
-            worst = max(worst, 1.0 - yf[t])
-        elif alpha[t] >= c - bound_eps:
-            worst = max(worst, yf[t] - 1.0)
-        else:
-            worst = max(worst, abs(yf[t] - 1.0))
-    return worst
+    slack = np.where(alpha <= bound_eps, 1.0 - yf,
+                     np.where(alpha >= c - bound_eps, yf - 1.0, np.abs(yf - 1.0)))
+    return float(np.max(slack, initial=0.0))

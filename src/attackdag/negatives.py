@@ -10,6 +10,9 @@ hamming distance, head-to-leaf or leaf-to-leaf shapes).
 Everything produced here is a candidate for review, not ground truth; a
 curated exception list removes pairs that look independent but have a
 documented enabling path.
+
+Each signal is a boolean mask over the n x n grid of ordered node pairs,
+and the candidates come back as one BranchFrame.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .features import AttributeTable, branch_features, hamming, height_diff
+import numpy as np
+
+from .features import AttributeTable, BranchFrame, NodeMatrix, hamming, height_diff
 from .model import (
     AttackDag,
     BasicBlock,
     BranchSample,
     CorpusStats,
+    N_BINARY_ATTRIBUTES,
     VulnerabilityCategory as VC,
 )
 
@@ -65,6 +71,20 @@ def categories_independent(
     if b is VC.WEAK_CRYPTO_AUTH and a in SOCIAL_COMPOSITE and a_socially_delivered:
         return True
     return False
+
+
+# Every (category, socially delivered) pair as a small integer code, and
+# categories_independent decided once for each ordered pair of codes.
+_CATEGORY_CODES = {key: code for code, key in
+                   enumerate((cat, social) for cat in VC for social in (False, True))}
+_INDEPENDENT = np.array([[categories_independent(a, b, a_social, b_social)
+                          for b, b_social in _CATEGORY_CODES]
+                         for a, a_social in _CATEGORY_CODES])
+
+# The nine binary attributes packed into one integer per node, so hamming
+# distance is the popcount of an XOR, read from a 512-entry table.
+_BIT_WEIGHTS = 1 << np.arange(N_BINARY_ATTRIBUTES)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << N_BINARY_ATTRIBUTES)])
 
 
 EXCEPTIONS_CSV_HEADER = ("origin_node_id", "dest_node_id", "note")
@@ -127,53 +147,37 @@ def generate_negative_candidates(
     blocks: Mapping[int, BasicBlock],
     exceptions: ExceptionList | None = None,
     thresholds: NegativeFilterThresholds | None = None,
-) -> list[BranchSample]:
+) -> BranchFrame:
     """Candidate infeasible branches, labeled -1, sorted by (origin, dest).
 
-    Existing dag edges and excepted pairs are never candidates.  The -1
-    labels mark candidates for human confirmation, not verdicts.
+    A pair is a candidate when its categories are independent or any
+    enabled statistical filter fires.  Existing dag edges and excepted
+    pairs are never candidates.  The -1 labels mark candidates for human
+    confirmation, not verdicts.
     """
     if exceptions is None:
         exceptions = ExceptionList.empty()
-    if thresholds is None:
-        thresholds = NegativeFilterThresholds()
-    out: list[BranchSample] = []
-    for u in sorted(dag.nodes):
-        for v in sorted(dag.nodes):
-            if u == v or (u, v) in dag.edges or (u, v) in exceptions:
-                continue
-            if _is_candidate(u, v, dag, table, blocks, thresholds):
-                out.append(
-                    BranchSample(origin=u, dest=v, features=branch_features(u, v, table), label=-1)
-                )
-    return out
-
-
-def _is_candidate(
-    u: int,
-    v: int,
-    dag: AttackDag,
-    table: AttributeTable,
-    blocks: Mapping[int, BasicBlock],
-    th: NegativeFilterThresholds,
-) -> bool:
-    bu, bv = blocks[u], blocks[v]
-    if categories_independent(bu.category, bv.category,
-                              bu.socially_delivered, bv.socially_delivered):
-        return True
-    if th.ht_diff_below is not None or th.ht_diff_above is not None:
-        ht = height_diff(u, v, table)
-        if th.ht_diff_below is not None and ht < th.ht_diff_below:
-            return True
-        if th.ht_diff_above is not None and ht > th.ht_diff_above:
-            return True
-    if th.min_hamming is not None and hamming(u, v, table) >= th.min_hamming:
-        return True
-    if th.head_to_leaf and u in dag.heads and v in dag.leaves:
-        return True
-    if th.leaf_to_leaf and u in dag.leaves and v in dag.leaves:
-        return True
-    return False
+    th = thresholds if thresholds is not None else NegativeFilterThresholds()
+    nodes = NodeMatrix.build(dag.nodes, table)
+    codes = np.array([_CATEGORY_CODES[blocks[n].category, bool(blocks[n].socially_delivered)]
+                      for n in nodes.ids.tolist()], dtype=np.intp)
+    keep = _INDEPENDENT[codes[:, None], codes[None, :]]
+    depth = nodes.values[:, -1]
+    ht = depth[None, :] - depth[:, None]
+    if th.ht_diff_below is not None:
+        keep |= ht < th.ht_diff_below
+    if th.ht_diff_above is not None:
+        keep |= ht > th.ht_diff_above
+    if th.min_hamming is not None:
+        bits = nodes.values[:, :N_BINARY_ATTRIBUTES].astype(np.intp) @ _BIT_WEIGHTS
+        keep |= _POPCOUNT[bits[:, None] ^ bits[None, :]] >= th.min_hamming
+    head = np.isin(nodes.ids, list(dag.heads))
+    leaf = np.isin(nodes.ids, list(dag.leaves))
+    if th.head_to_leaf:
+        keep |= head[:, None] & leaf[None, :]
+    if th.leaf_to_leaf:
+        keep |= leaf[:, None] & leaf[None, :]
+    return nodes.frame(keep, [*dag.edges, *exceptions.notes], label=-1)
 
 
 def corpus_stats(samples: Iterable[BranchSample], table: AttributeTable) -> CorpusStats:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+import attackdag.cli as cli
 from attackdag.cli import main
 from attackdag.storage import (
     EXPLOIT_BUCKETS,
@@ -298,3 +300,19 @@ class TestExitCodes:
         }))
         assert main(["paths", "--dag", str(work["dag"]), "--corpus", str(other)]) == 3
         assert "does not rebuild" in capsys.readouterr().err
+
+    def test_short_candidate_set_is_invariant_error(self, work, tmp_path, monkeypatch, capsys):
+        real = cli.enumerate_candidates
+
+        def one_short(*args):
+            frame = real(*args)
+            return dataclasses.replace(frame, origins=frame.origins[:-1], dests=frame.dests[:-1],
+                                       features=frame.features[:-1])
+
+        monkeypatch.setattr(cli, "enumerate_candidates", one_short)
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--out", str(out)]) == 3
+        assert "search space is" in capsys.readouterr().err
+        assert not out.exists()

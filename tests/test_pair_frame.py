@@ -1,0 +1,147 @@
+"""Array-based candidates and negatives, and corpus statistics, against per-pair loops."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from attackdag.features import (
+    AttributeTable,
+    branch_features,
+    enumerate_candidates,
+    hamming,
+    height_diff,
+)
+from attackdag.graph import build_dag
+from attackdag.model import BasicBlock, BranchSample, NodeAttributes, VulnerabilityCategory
+from attackdag.negatives import (
+    ExceptionList,
+    InsufficientData,
+    NegativeFilterThresholds,
+    categories_independent,
+    corpus_stats,
+    generate_negative_candidates,
+)
+
+DEPTHS = (0.0, 0.5, 1.0, 1.91, 2.0, 3.0, 4.5)
+
+
+@st.composite
+def worlds(draw):
+    """A small dag over sparse ids, a table that need not match it, blocks."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=0, max_size=8, unique=True))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]  # acyclic by order
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    dag = build_dag(ids, edges, {e: {"a"} for e in edges})
+    rows = {
+        n: NodeAttributes(*draw(st.lists(st.integers(0, 1), min_size=9, max_size=9)),
+                          mean_depth=draw(st.sampled_from(DEPTHS)))
+        for n in ids
+    }
+    table = AttributeTable(rows=rows)
+    blocks = {
+        n: BasicBlock(n, f"b{n}", f"b{n}", draw(st.sampled_from(list(VulnerabilityCategory))),
+                      socially_delivered=draw(st.booleans()))
+        for n in ids
+    }
+    return dag, table, blocks
+
+
+def ordered_pairs(dag):
+    nodes = sorted(dag.nodes)
+    return [(u, v) for u in nodes for v in nodes if u != v]
+
+
+def reference_negatives(dag, table, blocks, exceptions, th):
+    out = []
+    for u, v in ordered_pairs(dag):
+        if (u, v) in dag.edges or (u, v) in exceptions:
+            continue
+        bu, bv = blocks[u], blocks[v]
+        ht = height_diff(u, v, table)
+        if (
+            categories_independent(bu.category, bv.category,
+                                   bu.socially_delivered, bv.socially_delivered)
+            or (th.ht_diff_below is not None and ht < th.ht_diff_below)
+            or (th.ht_diff_above is not None and ht > th.ht_diff_above)
+            or (th.min_hamming is not None and hamming(u, v, table) >= th.min_hamming)
+            or (th.head_to_leaf and u in dag.heads and v in dag.leaves)
+            or (th.leaf_to_leaf and u in dag.leaves and v in dag.leaves)
+        ):
+            out.append(BranchSample(u, v, branch_features(u, v, table), label=-1))
+    return out
+
+
+def assert_frame_is(frame, expected):
+    assert len(frame) == len(expected)
+    assert list(frame) == expected
+    assert list(frame) == expected  # a frame iterates more than once
+    assert frame.origins.tolist() == [s.origin for s in expected]
+    assert frame.dests.tolist() == [s.dest for s in expected]
+    assert [tuple(row) for row in frame.features.tolist()] == [s.features for s in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=worlds(), data=st.data())
+def test_negatives_match_per_pair_loop(world, data):
+    dag, table, blocks = world
+    pairs = ordered_pairs(dag)
+    # Each filter is off (None/False) about half the time, and thresholds are
+    # drawn from the height differences and hamming distances that occur, so
+    # pairs sitting exactly on a threshold are common.
+    hts = sorted({height_diff(u, v, table) for u, v in pairs}) or [0.0]
+    hds = sorted({hamming(u, v, table) for u, v in pairs}) or [0]
+    th = NegativeFilterThresholds(
+        ht_diff_below=data.draw(st.none() | st.sampled_from(hts)),
+        ht_diff_above=data.draw(st.none() | st.sampled_from(hts)),
+        min_hamming=data.draw(st.none() | st.sampled_from(hds)),
+        head_to_leaf=data.draw(st.booleans()),
+        leaf_to_leaf=data.draw(st.booleans()),
+    )
+    # Exceptions may name pairs outside the dag; those change nothing.
+    foreign = st.tuples(st.integers(0, 50), st.integers(0, 50))
+    listed = data.draw(st.lists(st.sampled_from(pairs) | foreign if pairs else foreign))
+    exceptions = ExceptionList(notes={p: "x" for p in listed})
+    got = generate_negative_candidates(dag, table, blocks, exceptions, th)
+    assert got.label == -1
+    assert_frame_is(got, reference_negatives(dag, table, blocks, exceptions, th))
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), data=st.data())
+def test_candidates_match_per_pair_loop(world, data):
+    dag, table, _ = world
+    pairs = ordered_pairs(dag)
+    training = set(data.draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+    expected = [BranchSample(u, v, branch_features(u, v, table))
+                for u, v in pairs if (u, v) not in training]
+    got = enumerate_candidates(dag, table, training)
+    assert got.label is None
+    assert_frame_is(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), data=st.data())
+def test_corpus_stats_match_per_pair_loop(world, data):
+    dag, table, _ = world
+    pairs = ordered_pairs(dag)
+    labeled = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([1, -1])))
+                        if pairs else st.just([]))
+    samples = [BranchSample(u, v, branch_features(u, v, table), label) for (u, v), label in labeled]
+    by_label = {1: [], -1: []}
+    for s in samples:
+        o, d = table[s.origin], table[s.dest]
+        by_label[s.label].append((hamming(s.origin, s.dest, table),
+                                  height_diff(s.origin, s.dest, table),
+                                  bool((o.head and d.leaf) or (o.leaf and d.leaf))))
+    if not by_label[1] or not by_label[-1]:
+        with pytest.raises(InsufficientData):
+            corpus_stats(samples, table)
+        return
+    stats = corpus_stats(samples, table)
+    for label, mean_hd, spread in ((1, stats.mean_hd_feasible, stats.ht_diff_feasible),
+                                   (-1, stats.mean_hd_infeasible, stats.ht_diff_infeasible)):
+        hds, hts, _ = zip(*by_label[label])
+        assert mean_hd == sum(hds) / len(hds)
+        assert spread == (min(hts), sum(hts) / len(hts), max(hts))
+    feas_hl = sum(t for _, _, t in by_label[1])
+    infeas_hl = sum(t for _, _, t in by_label[-1])
+    assert stats.headleaf_infeasible_ratio == (infeas_hl / feas_hl if feas_hl else None)

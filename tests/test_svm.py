@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import attackdag.learn.svm as svm_module
 from attackdag.learn import (
     DimensionMismatch,
     NonFiniteFeature,
@@ -284,3 +285,28 @@ class TestModelSurface:
         direct = fit_svm(feats, np.asarray(labels, dtype=float), SvmParams(tolerance=1e-6))
         assert via_samples.sv_indices == direct.sv_indices
         assert via_samples.bias == direct.bias
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("kernel", ["rbf", "poly", "sigmoid"])
+    def test_rows_across_a_block_boundary_match_kernel_eval(self, kernel, monkeypatch):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(8, 20))
+        y = np.array([1.0, -1.0] * 4)
+        model = fit_svm(x, y, SvmParams(kernel=kernel, gamma=0.05))
+        rows = rng.normal(size=(svm_module.SCORE_BLOCK_ROWS + 1, 20))
+        block_rows = []
+        real_gram = svm_module.gram_matrix
+
+        def recording_gram(kind, a, b, gamma):
+            block_rows.append(len(a))
+            return real_gram(kind, a, b, gamma)
+
+        monkeypatch.setattr(svm_module, "gram_matrix", recording_gram)
+        got = model.decision_values(rows)
+        assert block_rows == [svm_module.SCORE_BLOCK_ROWS, 1]
+        for row, value in zip(rows, got):
+            terms = [c * kernel_eval(kernel, sv, row, 0.05)
+                     for c, sv in zip(model.dual_coefs, model.support_vectors)]
+            scale = sum(abs(t) for t in terms) + abs(model.bias)
+            assert abs(value - (sum(terms) + model.bias)) <= 1e-9 * scale
