@@ -64,13 +64,16 @@ def gram_matrix(kind: str, a: np.ndarray, b: np.ndarray, gamma: float) -> np.nda
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"matrices of shape {a.shape} and {b.shape}")
     if kind == "rbf":
-        sq = (
-            np.sum(a * a, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) in place, with one
+        # extra len(a) x len(b) buffer.  The operations run in the formula's
+        # order, so the result is bit-identical to evaluating it directly.
+        ab = a @ b.T
+        ab *= 2.0
+        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+        sq -= ab
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
+        sq *= -gamma
+        return np.exp(sq, out=sq)
     if kind == "poly":
         return (gamma * (a @ b.T) + 1.0) ** 3
     if kind == "sigmoid":

@@ -110,10 +110,15 @@ class ExceptionList:
         if header is None or tuple(header) != EXCEPTIONS_CSV_HEADER:
             raise ValueError(f"bad exception-list header: {header!r}")
         notes: dict[tuple[int, int], str] = {}
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            notes[(int(row[0]), int(row[1]))] = row[2]
+            try:
+                notes[(int(row[0]), int(row[1]))] = row[2]
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"exception list line {lineno}: expected origin,dest,note, got {row!r}"
+                ) from None
         return cls(notes=notes)
 
     def to_csv(self) -> str:

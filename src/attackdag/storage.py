@@ -3,6 +3,19 @@
 All writes are atomic (temp file, then rename) so a crash never leaves a
 half-written artifact, and all serialization is deterministic (sorted keys,
 fixed field order) so reruns produce byte-identical files.
+
+Every JSON artifact is written by ``dump_json``, a small hand-written
+encoder whose output is byte-for-byte ``json.dumps(payload, indent=2,
+sort_keys=True) + "\\n"``.  With ``indent`` set, ``json`` gives up its C
+encoder and walks the payload in pure Python generators; a report with
+tens of thousands of predicted positives spent most of its time there.
+``dump_json`` walks the same values in one loop instead, still encodes
+strings with ``json``'s C ``encode_basestring_ascii``, memoises repeated
+strings, and builds each dict's sorted ``"key": `` prefixes once per key
+tuple and depth.  It keeps ``json``'s type rules: ``isinstance`` checks
+(so ``numpy.float64`` is a float), ``NaN``/``Infinity`` for non-finite
+floats, ``json``'s coercion of non-string keys, and ``TypeError`` for
+anything else.  It does not detect circular references.
 """
 
 from __future__ import annotations
@@ -12,7 +25,9 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -58,6 +73,10 @@ class FingerprintMismatch(ValueError):
     pass
 
 
+class DagLoadError(ValueError):
+    pass
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -65,8 +84,87 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(key) -> str:
+    """A non-string dict key as ``json`` coerces it."""
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        return _FLOAT_SPECIALS.get(text, text)
+    if key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    See the module docstring for why this is not a call to ``json.dumps``.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    strings: dict[str, str] = {}
+    # (keys in insertion order, depth) -> (sorted keys, "{"/"," + newline +
+    # encoded key + ": " for each of them, newline + "}"); only all-str key
+    # tuples are cached, since 1, 1.0 and True compare equal but encode
+    # differently.
+    heads: dict[tuple, tuple[list, list[str], str]] = {}
+
+    def emit(pairs, depth: int) -> None:
+        """Append each (prefix, value) pair's prefix and the value's text."""
+        for prefix, value in pairs:
+            if isinstance(value, str):
+                text = strings.get(value)
+                if text is None:
+                    text = strings[value] = encode_basestring_ascii(value)
+                append(prefix + text)
+            elif value is None:
+                append(prefix + "null")
+            elif value is True:
+                append(prefix + "true")
+            elif value is False:
+                append(prefix + "false")
+            elif isinstance(value, int):
+                append(prefix + int.__repr__(value))
+            elif isinstance(value, float):
+                text = float.__repr__(value)
+                append(prefix + _FLOAT_SPECIALS.get(text, text))
+            elif isinstance(value, (list, tuple)):
+                if not value:
+                    append(prefix + "[]")
+                    continue
+                inner = "\n" + "  " * (depth + 1)
+                append(prefix + "[")
+                emit(zip(chain((inner,), repeat("," + inner)), value), depth + 1)
+                append("\n" + "  " * depth + "]")
+            elif isinstance(value, dict):
+                if not value:
+                    append(prefix + "{}")
+                    continue
+                cache_key = (tuple(value), depth)
+                head = heads.get(cache_key)
+                if head is None:
+                    keys = sorted(value)
+                    inner = "\n" + "  " * (depth + 1)
+                    texts = [k if isinstance(k, str) else _json_key(k) for k in keys]
+                    prefixes = [f",{inner}{encode_basestring_ascii(t)}: " for t in texts]
+                    prefixes[0] = prefixes[0][1:]  # the first entry follows "{"
+                    head = (keys, prefixes, "\n" + "  " * depth + "}")
+                    if all(isinstance(k, str) for k in keys):
+                        heads[cache_key] = head
+                keys, prefixes, close = head
+                append(prefix + "{")
+                emit(zip(prefixes, map(value.__getitem__, keys)), depth + 1)
+                append(close)
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    emit((("", payload),), 0)
+    append("\n")
+    return "".join(chunks)
 
 
 def file_fingerprint(*paths: str | Path) -> str:
@@ -291,16 +389,24 @@ def load_dag(path: str | Path) -> DagFile:
     from .graph import build_dag
 
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise DagLoadError(f"{path}: dag file is not a JSON object")
+    for key in ("nodes", "edges"):
+        if key not in payload:
+            raise DagLoadError(f"{path}: dag file has no {key!r}")
     blocks: dict[int, BasicBlock] = {}
     buckets: dict[int, str] = {}
-    for entry in payload["nodes"]:
-        blk = BasicBlock(
-            id=entry["id"],
-            raw_text=entry["raw_text"],
-            norm_text=entry["norm_text"],
-            category=VulnerabilityCategory(entry["category"]),
-            socially_delivered=entry.get("socially_delivered", False),
-        )
+    for index, entry in enumerate(payload["nodes"]):
+        try:
+            blk = BasicBlock(
+                id=entry["id"],
+                raw_text=entry["raw_text"],
+                norm_text=entry["norm_text"],
+                category=VulnerabilityCategory(entry["category"]),
+                socially_delivered=entry.get("socially_delivered", False),
+            )
+        except KeyError as exc:
+            raise DagLoadError(f"{path}: node {index} has no {exc.args[0]!r}") from None
         blocks[blk.id] = blk
         if "bucket" in entry:
             buckets[blk.id] = entry["bucket"]
@@ -383,15 +489,7 @@ def load_annotations(path: str | Path) -> list[tuple[int, int, str, str, str]]:
 
 def save_model(path: str | Path, model: SvmModel, fingerprint: str) -> None:
     payload = {
-        "params": {
-            "c": model.params.c,
-            "kernel": model.params.kernel,
-            "gamma": model.params.gamma,
-            "tolerance": model.params.tolerance,
-            "shrinking": model.params.shrinking,
-            "max_passes": model.params.max_passes,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "support_vectors": model.support_vectors.tolist(),
         "dual_coefs": model.dual_coefs.tolist(),
         "bias": model.bias,
@@ -436,12 +534,13 @@ PREDICTIONS_HEADER = ("origin", "dest", "label", "decision")
 
 
 def save_predictions(path: str | Path, rows: Iterable[tuple[int, int, int, float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PREDICTIONS_HEADER)
-    for origin, dest, label, decision in rows:
-        writer.writerow([origin, dest, label, repr(float(decision))])
-    write_text_atomic(path, buf.getvalue())
+    """Write rows of Python ints and a float, as ``ndarray.tolist()`` gives them.
+
+    The text is what ``csv.writer`` would write: it never quotes a number,
+    and ``%r`` of a float is its shortest round-trip repr.
+    """
+    header = ",".join(PREDICTIONS_HEADER) + "\n"
+    write_text_atomic(path, header + "".join(["%d,%d,%d,%r\n" % row for row in rows]))
 
 
 def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
@@ -450,4 +549,15 @@ def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
     header = next(reader, None)
     if header is None or tuple(header) != PREDICTIONS_HEADER:
         raise ValueError(f"{path}: bad predictions header: {header!r}")
-    return [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader if r]
+    out: list[tuple[int, int, int, float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            origin, dest, label, decision = row
+            out.append((int(origin), int(dest), int(label), float(decision)))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected origin,dest,label,decision numbers, got {row!r}"
+            ) from None
+    return out

@@ -93,6 +93,17 @@ def reference_decisions(
     return k @ (np.asarray(alphas) * np.asarray(y_train, dtype=float)) + bias
 
 
+def rbf_gram_three_temporaries(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """The RBF Gram matrix as the direct formula, one temporary per step."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
 def knn_scan(x: np.ndarray, y: np.ndarray, probe: np.ndarray, k: int) -> int:
     """k nearest neighbors by repeated linear scan, no sorting library calls.
 

@@ -301,6 +301,28 @@ class TestExitCodes:
         assert main(["paths", "--dag", str(work["dag"]), "--corpus", str(other)]) == 3
         assert "does not rebuild" in capsys.readouterr().err
 
+    def test_short_prediction_row_is_parse_error(self, work, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("origin,dest,label,decision\n1,2,1\n")
+        assert main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--predictions", str(preds), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{preds}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["nodes", "edges"])
+    def test_dag_without_key_is_parse_error(self, tmp_path, capsys, key):
+        dag = tmp_path / "dag.json"
+        dag.write_text(json.dumps({k: [] for k in ("nodes", "edges") if k != key}))
+        assert main(["paths", "--dag", str(dag)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_short_exceptions_row_is_parse_error(self, work, tmp_path, capsys):
+        exceptions = tmp_path / "exceptions.csv"
+        exceptions.write_text("origin_node_id,dest_node_id,note\n26,30\n")
+        assert main(["negatives", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--exceptions", str(exceptions), "--out", str(tmp_path / "neg.csv")]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_short_candidate_set_is_invariant_error(self, work, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_candidates
 

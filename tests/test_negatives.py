@@ -168,6 +168,11 @@ class TestExceptionListCsv:
         with pytest.raises(ValueError):
             ExceptionList.from_csv("a,b\n1,2\n")
 
+    @pytest.mark.parametrize("row", ["1,2", "1,x,note"])
+    def test_malformed_row_names_its_line(self, row):
+        with pytest.raises(ValueError, match="line 3"):
+            ExceptionList.from_csv(f"origin_node_id,dest_node_id,note\n4,31,ok\n{row}\n")
+
 
 def stats_fixture():
     rows = {

@@ -1,14 +1,20 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackdag.learn import SvmParams, fit_svm
 from attackdag.storage import (
     CorpusLoadError,
+    DagLoadError,
     EXPLOIT_BUCKETS,
     ExpressionParseFailure,
     FingerprintMismatch,
+    PREDICTIONS_HEADER,
     append_annotation,
     dag_payload,
     dump_json,
@@ -42,6 +48,25 @@ class TestPrimitives:
         assert a.endswith("\n")
         assert json.loads(a) == {"a": [2, 3], "b": 1}
 
+    def test_dump_json_edge_cases_match_json_dumps(self):
+        cases = [
+            # equal keys of different types must not share a cached key prefix
+            [{1: "a"}, {1.0: "a"}, {True: "a"}, {None: 0}],
+            {2: [], 0.5: {}, False: (), -3: float("nan")},
+            {"b": {"y": [1, (2.5, None)], "x": {}}, "a": "\u00e9\u2603\x00\n\"\\"},
+            {"f": [float("inf"), -float("inf"), -0.0, 5e-324, 1e16, np.float64(0.1)]},
+            "top-level string", 12, None, [], {},
+        ]
+        for case in cases:
+            assert dump_json(case) == json.dumps(case, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", np.int64(3), object(), {(1, 2): 0}])
+    def test_dump_json_rejects_what_json_rejects(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps({"k": [bad]}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json({"k": [bad]})
+
     def test_fingerprint_sensitive_to_content_and_order(self, tmp_path):
         f1 = tmp_path / "a"
         f2 = tmp_path / "b"
@@ -74,6 +99,49 @@ def write_corpus(tmp_path, text):
     path = tmp_path / "corpus.json"
     path.write_text(text)
     return path
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16]),
+    st.text(),
+    st.text(st.characters(exclude_categories=())),  # lone surrogates too
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=JSON_VALUES)
+def test_dump_json_equals_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.lists(st.dictionaries(st.text(max_size=2) | st.integers(0, 3),
+                                      JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3),
+                                      max_size=4), max_size=4))
+def test_dump_json_repeated_and_mixed_keys_match_json(value):
+    """Dicts sharing key tuples reuse cached prefixes; mixed str/int keys raise alike."""
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            dump_json(value)
+    else:
+        assert dump_json(value) == expected
 
 
 class TestCorpusLoader:
@@ -196,6 +264,19 @@ class TestDagFile:
         assert loaded.buckets == buckets
         assert loaded.attrs_ref == "attrs.csv"
 
+    @pytest.mark.parametrize("payload, missing", [
+        ({"edges": []}, "'nodes'"),
+        ({"nodes": []}, "'edges'"),
+        ({"nodes": [{"id": 0, "norm_text": "a", "category": "memory"}], "edges": []},
+         "node 0 has no 'raw_text'"),
+        ([], "not a JSON object"),
+    ])
+    def test_malformed_dag_is_typed_error(self, tmp_path, payload, missing):
+        path = tmp_path / "dag.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DagLoadError, match=missing):
+            load_dag(path)
+
     def test_save_is_deterministic(self, tmp_path, corpus):
         dag = corpus.attack_dag()
         blocks = corpus.blocks_by_id()
@@ -305,4 +386,24 @@ class TestPredictions:
         path = tmp_path / "preds.csv"
         path.write_text("a,b,c,d\n")
         with pytest.raises(ValueError, match="bad predictions header"):
+            load_predictions(path)
+
+    def test_save_matches_csv_writer(self, tmp_path):
+        decisions = np.array([1e-05, 1e16, 5e-324, -0.0, 0.1 + 0.2, -2.5, 123456789.0, 1e-300])
+        rows = list(zip(range(8), range(8, 16), [1, -1] * 4, decisions.tolist()))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(PREDICTIONS_HEADER)
+        for origin, dest, label, decision in rows:
+            writer.writerow([origin, dest, label, repr(float(decision))])
+        path = tmp_path / "preds.csv"
+        save_predictions(path, rows)
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        assert load_predictions(path) == rows
+
+    @pytest.mark.parametrize("row", ["1,2,1", "1,2,x,0.5", "1,2,1,0.5,9"])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)

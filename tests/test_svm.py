@@ -19,7 +19,7 @@ from attackdag.learn import (
 )
 from attackdag.model import BranchSample
 
-from oracles import dual_qp_reference, reference_decisions
+from oracles import dual_qp_reference, rbf_gram_three_temporaries, reference_decisions
 
 
 class TestKernels:
@@ -54,6 +54,15 @@ class TestKernels:
                     assert g[i, j] == pytest.approx(
                         kernel_eval(kind, a[i], b[j], 0.37), abs=1e-12
                     )
+
+    def test_rbf_gram_in_place_equals_direct_formula(self):
+        rng = np.random.default_rng(3)
+        sv = rng.integers(0, 2, size=(300, 20)).astype(float)
+        sv[:, 9::10] = rng.normal(scale=3.0, size=(300, 2))
+        probes = np.vstack([sv[:50], rng.normal(size=(4097, 20))])
+        for gamma in (0.0556, 0.5, 7.0):
+            assert np.array_equal(gram_matrix("rbf", probes, sv, gamma),
+                                  rbf_gram_three_temporaries(probes, sv, gamma))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
