@@ -15,10 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .csp import csp_classify, csp_facts
-from .expr import ExpressionSyntaxError
 from .features import (
     AttributeTable,
-    SelfBranch,
     branch_features,
     enumerate_candidates,
     search_space_size,
@@ -31,15 +29,10 @@ from .graph import (
     discover_unexploited,
     enumerate_attack_paths,
     known_attack_paths,
-    merge_cdfgs,
     project_subgraph,
 )
 from .learn import (
-    EmptyData,
     GridSpec,
-    LengthMismatch,
-    NonFiniteFeature,
-    SingleClassData,
     SvmParams,
     evaluate,
     format_reduction,
@@ -53,8 +46,6 @@ from .learn import (
 from .learn.svm import as_arrays
 from .model import (
     BranchSample,
-    EmptyDescription,
-    InvalidCounts,
     Metrics,
     NodeAttributes,
     format_ratio,
@@ -63,14 +54,12 @@ from .model import (
 )
 from .negatives import (
     ExceptionList,
-    InsufficientData,
     NegativeFilterThresholds,
     REFERENCE_BRANCH_STATS,
     corpus_stats,
     generate_negative_candidates,
 )
 from .storage import (
-    CorpusLoadError,
     EXPLOIT_BUCKETS,
     FingerprintMismatch,
     dag_payload,
@@ -101,7 +90,7 @@ class InvariantViolation(RuntimeError):
 
 
 def _read_table(path: str) -> AttributeTable:
-    return AttributeTable.from_csv(Path(path).read_text(encoding="utf-8"))
+    return AttributeTable.from_csv(Path(path).read_text(encoding="utf-8"), source=path)
 
 
 def _labeled_samples(labels_path: str, table: AttributeTable) -> list[BranchSample]:
@@ -187,7 +176,8 @@ def cmd_negatives(args: argparse.Namespace) -> int:
     table = _read_table(args.attrs)
     exceptions = ExceptionList.empty()
     if args.exceptions:
-        exceptions = ExceptionList.from_csv(Path(args.exceptions).read_text(encoding="utf-8"))
+        exceptions = ExceptionList.from_csv(Path(args.exceptions).read_text(encoding="utf-8"),
+                                            source=args.exceptions)
     if args.independence_only:
         thresholds = NegativeFilterThresholds.disabled()
     else:
@@ -243,7 +233,6 @@ def _svm_params(args: argparse.Namespace) -> SvmParams:
         tolerance=args.tolerance,
         shrinking=not args.no_shrinking,
         max_passes=args.max_passes,
-        seed=args.seed,
     )
 
 
@@ -602,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-3)
         p.add_argument("--no-shrinking", action="store_true")
         p.add_argument("--max-passes", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train the SVM on a labeled branch set")
     p.add_argument("--dag", required=True)
@@ -690,20 +678,7 @@ def main(argv: list[str] | None = None) -> int:
             PathExplosion) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        CorpusLoadError,
-        ExpressionSyntaxError,
-        EmptyDescription,
-        EmptyData,
-        SingleClassData,
-        InsufficientData,
-        InvalidCounts,
-        NonFiniteFeature,
-        SelfBranch,
-        LengthMismatch,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -12,8 +12,6 @@ arrays; branch_features, hamming and height_diff define a single pair.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
@@ -29,6 +27,7 @@ from .model import (
     NodeAttributes,
 )
 from .graph import UnknownNode
+from .storage import csv_text, read_csv
 
 ATTRS_CSV_HEADER = ("node_id",) + ATTRIBUTE_NAMES + ("provenance",)
 
@@ -54,40 +53,30 @@ class AttributeTable:
         return node_id in self.rows
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ATTRS_CSV_HEADER)
-        for node_id in sorted(self.rows):
-            attrs = self.rows[node_id]
-            row = [node_id] + [getattr(attrs, name) for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES]]
-            row.append(repr(attrs.mean_depth))
-            row.append(self.provenance.get(node_id, "reconstructed"))
-            writer.writerow(row)
-        return buf.getvalue()
+        return csv_text(ATTRS_CSV_HEADER, (
+            [node_id, *(getattr(attrs, name) for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES]),
+             repr(attrs.mean_depth), self.provenance.get(node_id, "reconstructed")]
+            for node_id, attrs in sorted(self.rows.items())
+        ))
 
     @classmethod
-    def from_csv(cls, text: str) -> "AttributeTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != ATTRS_CSV_HEADER:
-            raise ValueError(f"bad attribute header: {header!r}")
+    def from_csv(cls, text: str, source: str = "attribute table") -> "AttributeTable":
         rows: dict[int, NodeAttributes] = {}
         provenance: dict[int, str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ATTRS_CSV_HEADER):
-                raise ValueError(f"line {lineno}: expected {len(ATTRS_CSV_HEADER)} fields")
-            node_id = int(row[0])
-            if node_id in rows:
-                raise ValueError(f"line {lineno}: duplicate node {node_id}")
-            bits = [int(x) for x in row[1 : 1 + N_BINARY_ATTRIBUTES]]
-            depth = float(row[1 + N_BINARY_ATTRIBUTES])
-            prov = row[-1]
+
+        def parse(node_id: str, *fields: str) -> None:
+            if len(fields) != len(ATTRS_CSV_HEADER) - 1:
+                raise ValueError(f"expected {len(ATTRS_CSV_HEADER)} fields, got {1 + len(fields)}")
+            node = int(node_id)
+            if node in rows:
+                raise ValueError(f"duplicate node {node}")
+            *bits, depth, prov = fields
             if prov not in PROVENANCE_VALUES:
-                raise ValueError(f"line {lineno}: provenance must be one of {PROVENANCE_VALUES}")
-            rows[node_id] = NodeAttributes(*bits, mean_depth=depth)
-            provenance[node_id] = prov
+                raise ValueError(f"provenance must be one of {PROVENANCE_VALUES}")
+            rows[node] = NodeAttributes(*map(int, bits), mean_depth=float(depth))
+            provenance[node] = prov
+
+        read_csv(text, ATTRS_CSV_HEADER, source, parse, "attribute")
         return cls(rows=rows, provenance=provenance)
 
     def check_against(self, dag: AttackDag, tol: float = 1e-9) -> list[str]:

@@ -201,21 +201,24 @@ def _raw_paths(
         succ[n].sort()
     heads = sorted(n for n in nodes if indeg[n] == 0)
     out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def dfs(node: int) -> None:
-        stack.append(node)
-        if not succ[node]:
+    # Depth-first with an explicit stack, so a path's length is not bounded
+    # by the recursion limit: pending[0] holds the heads and pending[i] the
+    # successors of path[i - 1] not yet visited, in ascending order.
+    path: list[int] = []
+    pending = [iter(heads)]
+    while pending:
+        node = next(pending[-1], None)
+        if node is None:
+            pending.pop()
+            if path:
+                path.pop()
+        elif succ[node]:
+            path.append(node)
+            pending.append(iter(succ[node]))
+        else:
             if len(out) >= cap:
                 raise PathExplosion(cap)
-            out.append(tuple(stack))
-        else:
-            for nxt in succ[node]:
-                dfs(nxt)
-        stack.pop()
-
-    for head in heads:
-        dfs(head)
+            out.append((*path, node))
     out.sort()
     return out
 

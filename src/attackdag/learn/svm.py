@@ -6,8 +6,8 @@ from the "can increase" set against the most violating from the "can
 decrease" set, lowest index on ties), applies the analytic two-variable
 update with box clipping to [0, C], and stops once the KKT violation gap
 falls below the tolerance.  Selection is deterministic, so training is
-bit-reproducible; the seed parameter only exists so experiment configs can
-carry one around uniformly.
+bit-reproducible.  ``SvmParams.seed`` has no effect; it stays because
+stored ``model.json`` files carry it.
 
 Shrinking temporarily drops bound-stuck multipliers from pair selection.
 The full gradient is maintained throughout and convergence is re-verified

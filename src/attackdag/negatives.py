@@ -17,8 +17,6 @@ and the candidates come back as one BranchFrame.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -33,6 +31,7 @@ from .model import (
     N_BINARY_ATTRIBUTES,
     VulnerabilityCategory as VC,
 )
+from .storage import csv_text, read_csv
 
 # Unordered category pairs with no believed enabling relation.  The fourth
 # pair is conditional: weak crypto/auth on one side, and on the other a
@@ -104,30 +103,16 @@ class ExceptionList:
         return cls(notes={})
 
     @classmethod
-    def from_csv(cls, text: str) -> "ExceptionList":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != EXCEPTIONS_CSV_HEADER:
-            raise ValueError(f"bad exception-list header: {header!r}")
-        notes: dict[tuple[int, int], str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                notes[(int(row[0]), int(row[1]))] = row[2]
-            except (IndexError, ValueError):
-                raise ValueError(
-                    f"exception list line {lineno}: expected origin,dest,note, got {row!r}"
-                ) from None
-        return cls(notes=notes)
+    def from_csv(cls, text: str, source: str = "exception list") -> "ExceptionList":
+        def parse(origin: str, dest: str, note: str, *extra: str) -> tuple[tuple[int, int], str]:
+            return (int(origin), int(dest)), note
+
+        return cls(notes=dict(read_csv(text, EXCEPTIONS_CSV_HEADER, source, parse,
+                                       "exception-list")))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(EXCEPTIONS_CSV_HEADER)
-        for (u, v), note in sorted(self.notes.items()):
-            writer.writerow([u, v, note])
-        return buf.getvalue()
+        return csv_text(EXCEPTIONS_CSV_HEADER,
+                        ((u, v, note) for (u, v), note in sorted(self.notes.items())))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,27 @@
-"""On-disk formats: corpus JSON, dag JSON, labels/annotations CSV, model JSON.
+"""On-disk formats: corpus JSON, dag JSON, headed CSV tables, model JSON.
 
 All writes are atomic (temp file, then rename) so a crash never leaves a
 half-written artifact, and all serialization is deterministic (sorted keys,
 fixed field order) so reruns produce byte-identical files.
+
+Five tables are headed CSV, with these header rows:
+
+- labels: ``origin,dest,label`` (label 1 or -1, one row per pair); the
+  negative candidates are written in the same format
+- annotations: ``origin,dest,verdict,annotator,note`` (an append-only log)
+- predictions: ``origin,dest,label,decision``
+- attributes (``features.AttributeTable``): ``node_id``, the ten attribute
+  names, ``provenance``
+- exceptions (``negatives.ExceptionList``): ``origin_node_id,dest_node_id,note``,
+  extra columns ignored
+
+``read_csv`` reads every one of them by one rule: the first row must be the
+header, blank rows are skipped, and each other row's fields go to a parser
+as positional arguments.  A row with a field count the parser does not take,
+a field it cannot convert, or a value it rejects raises ``ValueError``
+starting with ``<source>:<line>:``, which the CLI reports as exit 2.
+``csv_text`` writes them all through ``csv.writer``; ``save_predictions``,
+the largest table, is the one exception and %-formats its rows (same bytes).
 
 Every JSON artifact is written by ``dump_json``, a small hand-written
 encoder whose output is byte-for-byte ``json.dumps(payload, indent=2,
@@ -29,7 +48,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -419,69 +438,95 @@ def load_dag(path: str | Path) -> DagFile:
     return DagFile(dag=dag, blocks=blocks, buckets=buckets, attrs_ref=payload.get("attrs_ref"))
 
 
-# --- labels / annotations ----------------------------------------------------------
+# --- headed CSV tables -------------------------------------------------------------
 
-LABELS_HEADER = ("origin", "dest", "label")
-ANNOTATIONS_HEADER = ("origin", "dest", "verdict", "annotator", "note")
+T = TypeVar("T")
 
 
-def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
-    text = Path(path).read_text(encoding="utf-8")
+def read_csv(
+    text: str, header: Sequence[str], source: str, parse: Callable[..., T], kind: str
+) -> list[T]:
+    """``parse(*fields)`` for each non-blank row after the header row.
+
+    See the module docstring for the rule; ``source`` (a path, or a name for
+    text that did not come from a file) and the line open each error, and
+    ``kind`` names the table in a header error.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != LABELS_HEADER:
-        raise ValueError(f"{path}: bad labels header: {header!r}")
-    out: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        origin, dest, label = int(row[0]), int(row[1]), int(row[2])
-        if label not in (1, -1):
-            raise ValueError(f"{path}:{lineno}: label must be 1 or -1")
-        if (origin, dest) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate pair ({origin}, {dest})")
-        seen.add((origin, dest))
-        out.append((origin, dest, label))
+    out: list[T] = []
+    try:
+        first = next(reader, None)
+        if first is None or tuple(first) != tuple(header):
+            raise ValueError(f"bad {kind} header: {first!r}, expected {','.join(header)}")
+        for row in reader:
+            if row:
+                out.append(parse(*row))
+    except TypeError:
+        raise ValueError(
+            f"{source}:{reader.line_num}: expected {len(header)} fields "
+            f"({','.join(header)}), got {row!r}"
+        ) from None
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
     return out
 
 
-def save_labels(path: str | Path, rows: Iterable[tuple[int, int, int]]) -> None:
+def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """The header row, then ``rows``, as ``csv.writer`` writes them with ``\\n`` line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LABELS_HEADER)
-    for origin, dest, label in rows:
-        writer.writerow([origin, dest, label])
-    write_text_atomic(path, buf.getvalue())
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+LABELS_HEADER = ("origin", "dest", "label")
+ANNOTATIONS_HEADER = ("origin", "dest", "verdict", "annotator", "note")
+VERDICTS = ("feasible", "infeasible")
+
+
+def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
+    seen: set[tuple[int, int]] = set()
+
+    def parse(origin: str, dest: str, label: str) -> tuple[int, int, int]:
+        row = int(origin), int(dest), int(label)
+        if row[2] not in (1, -1):
+            raise ValueError("label must be 1 or -1")
+        if row[:2] in seen:
+            raise ValueError(f"duplicate pair {row[:2]}")
+        seen.add(row[:2])
+        return row
+
+    return read_csv(Path(path).read_text(encoding="utf-8"), LABELS_HEADER, str(path), parse,
+                    "labels")
+
+
+def save_labels(path: str | Path, rows: Iterable[tuple[int, int, int]]) -> None:
+    write_text_atomic(path, csv_text(LABELS_HEADER, rows))
 
 
 def append_annotation(
     path: str | Path, origin: int, dest: int, verdict: str, annotator: str, note: str = ""
 ) -> None:
     """Append one verdict row; the annotation log is never rewritten."""
-    if verdict not in ("feasible", "infeasible"):
+    if verdict not in VERDICTS:
         raise ValueError(f"verdict must be feasible or infeasible, got {verdict!r}")
     path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
+    text = csv_text(ANNOTATIONS_HEADER, [(origin, dest, verdict, annotator, note)])
+    if path.exists() and path.stat().st_size > 0:
+        text = text.partition("\n")[2]  # the header row opens the log only
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(ANNOTATIONS_HEADER)
-        writer.writerow([origin, dest, verdict, annotator, note])
+        fh.write(text)
 
 
 def load_annotations(path: str | Path) -> list[tuple[int, int, str, str, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != ANNOTATIONS_HEADER:
-        raise ValueError(f"{path}: bad annotations header: {header!r}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        out.append((int(row[0]), int(row[1]), row[2], row[3], row[4]))
-    return out
+    def parse(origin: str, dest: str, verdict: str, annotator: str, note: str):
+        if verdict not in VERDICTS:
+            raise ValueError(f"verdict must be feasible or infeasible, got {verdict!r}")
+        return int(origin), int(dest), verdict, annotator, note
+
+    return read_csv(Path(path).read_text(encoding="utf-8"), ANNOTATIONS_HEADER, str(path), parse,
+                    "annotations")
 
 
 # --- model ---------------------------------------------------------------------------
@@ -507,25 +552,31 @@ def load_model(
     path: str | Path, expected_fingerprint: Optional[str] = None, force: bool = False
 ) -> SvmModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: model file is not a JSON object")
     stored = payload.get("corpus_fingerprint", "")
     if expected_fingerprint is not None and stored != expected_fingerprint and not force:
         raise FingerprintMismatch(
             f"{path}: model was trained on corpus {stored[:12]}..., "
             f"inputs hash to {expected_fingerprint[:12]}... (use --force to override)"
         )
-    params = SvmParams(**payload["params"])
-    return SvmModel(
-        params=params,
-        support_vectors=np.asarray(payload["support_vectors"], dtype=float),
-        dual_coefs=np.asarray(payload["dual_coefs"], dtype=float),
-        bias=float(payload["bias"]),
-        sv_indices=tuple(payload["sv_indices"]),
-        sv_alphas=np.asarray(payload["sv_alphas"], dtype=float),
-        sv_labels=np.asarray(payload["sv_labels"], dtype=float),
-        n_samples=int(payload["n_samples"]),
-        converged=bool(payload["converged"]),
-        fingerprint=stored,
-    )
+    try:
+        return SvmModel(
+            params=SvmParams(**payload["params"]),
+            support_vectors=np.asarray(payload["support_vectors"], dtype=float),
+            dual_coefs=np.asarray(payload["dual_coefs"], dtype=float),
+            bias=float(payload["bias"]),
+            sv_indices=tuple(payload["sv_indices"]),
+            sv_alphas=np.asarray(payload["sv_alphas"], dtype=float),
+            sv_labels=np.asarray(payload["sv_labels"], dtype=float),
+            n_samples=int(payload["n_samples"]),
+            converged=bool(payload["converged"]),
+            fingerprint=stored,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file has no {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # e.g. an unknown params field
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- predictions -----------------------------------------------------------------------
@@ -536,28 +587,18 @@ PREDICTIONS_HEADER = ("origin", "dest", "label", "decision")
 def save_predictions(path: str | Path, rows: Iterable[tuple[int, int, int, float]]) -> None:
     """Write rows of Python ints and a float, as ``ndarray.tolist()`` gives them.
 
-    The text is what ``csv.writer`` would write: it never quotes a number,
-    and ``%r`` of a float is its shortest round-trip repr.
+    The one table not written by ``csv_text``: %-formatting is faster on
+    tens of thousands of rows, and the text is what ``csv.writer`` would
+    write, since it never quotes a number and ``%r`` of a float is its
+    shortest round-trip repr.
     """
     header = ",".join(PREDICTIONS_HEADER) + "\n"
     write_text_atomic(path, header + "".join(["%d,%d,%d,%r\n" % row for row in rows]))
 
 
 def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != PREDICTIONS_HEADER:
-        raise ValueError(f"{path}: bad predictions header: {header!r}")
-    out: list[tuple[int, int, int, float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            origin, dest, label, decision = row
-            out.append((int(origin), int(dest), int(label), float(decision)))
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: expected origin,dest,label,decision numbers, got {row!r}"
-            ) from None
-    return out
+    def parse(origin: str, dest: str, label: str, decision: str) -> tuple[int, int, int, float]:
+        return int(origin), int(dest), int(label), float(decision)
+
+    return read_csv(Path(path).read_text(encoding="utf-8"), PREDICTIONS_HEADER, str(path), parse,
+                    "predictions")

@@ -232,6 +232,9 @@ class TestExitCodes:
         assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--labels", str(work["labels"]), "--out", "m.json",
                      "--kernel", "quantum"]) == 1
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", "m.json",
+                     "--seed", "0"]) == 1  # retired: training is deterministic
 
     def test_help_exits_zero(self):
         # argparse raises SystemExit(0) for --help; main converts that to 0
@@ -321,7 +324,42 @@ class TestExitCodes:
         exceptions.write_text("origin_node_id,dest_node_id,note\n26,30\n")
         assert main(["negatives", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--exceptions", str(exceptions), "--out", str(tmp_path / "neg.csv")]) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"{exceptions}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["labels", "annotations", "attrs"])
+    def test_short_table_row_is_located_parse_error(self, work, tmp_path, capsys, table):
+        short = tmp_path / f"{table}.csv"
+        header, row = work["attrs"].read_text().splitlines()[:2]
+        short.write_text({
+            "labels": "origin,dest,label\n40,4\n",
+            "annotations": "origin,dest,verdict,annotator,note\n40,4,feasible\n",
+            "attrs": f"{header}\n{row.rsplit(',', 1)[0]}\n",  # no provenance field
+        }[table])
+        argv = {
+            "labels": ["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                       "--labels", str(short), "--out", str(tmp_path / "m.json")],
+            "annotations": ["annotate", "fold", "--annotations", str(short),
+                            "--labels", str(work["labels"]), "--out", str(tmp_path / "l.csv")],
+            "attrs": ["csp", "--dag", str(work["dag"]), "--attrs", str(short),
+                      "--labels", str(work["labels"])],
+        }[table]
+        assert main(argv) == 2
+        assert f"error: {short}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda payload: payload.pop("bias"), "'bias'"),
+        (lambda payload: payload["params"].update(colour="blue"), "'colour'"),
+    ], ids=["no-bias", "unknown-param"])
+    def test_malformed_model_is_parse_error(self, work, tmp_path, capsys, edit, key):
+        payload = json.loads(work["model"].read_text())
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(model), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--force"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and key in err
 
     def test_short_candidate_set_is_invariant_error(self, work, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_candidates

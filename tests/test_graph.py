@@ -200,6 +200,16 @@ class TestPathEnumeration:
         dag = build_dag(nodes, edges, {e: {"a"} for e in edges})
         with pytest.raises(PathExplosion):
             enumerate_attack_paths(dag, cap=1000)
+        # 2^12 paths: a cap of exactly that many still enumerates them all
+        assert len(enumerate_attack_paths(dag, cap=4096)) == 4096
+        with pytest.raises(PathExplosion):
+            enumerate_attack_paths(dag, cap=4095)
+
+    def test_long_chain_is_one_path(self):
+        # deeper than the interpreter's recursion limit
+        edges = {(i, i + 1) for i in range(2999)}
+        dag = build_dag(set(range(3000)), edges, {e: {"a"} for e in edges})
+        assert [p.nodes for p in enumerate_attack_paths(dag)] == [tuple(range(3000))]
 
     def test_known_plus_unexploited_partition(self, corpus, dag):
         total = enumerate_attack_paths(dag)

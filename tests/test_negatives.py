@@ -170,7 +170,7 @@ class TestExceptionListCsv:
 
     @pytest.mark.parametrize("row", ["1,2", "1,x,note"])
     def test_malformed_row_names_its_line(self, row):
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="^exception list:3: "):
             ExceptionList.from_csv(f"origin_node_id,dest_node_id,note\n4,31,ok\n{row}\n")
 
 

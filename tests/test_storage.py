@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.learn import SvmParams, fit_svm
+from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
+    ANNOTATIONS_HEADER,
+    LABELS_HEADER,
     CorpusLoadError,
     DagLoadError,
     EXPLOIT_BUCKETS,
@@ -407,3 +411,68 @@ class TestPredictions:
         path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)
+
+
+# Each headed-CSV loader with its header and the source its errors name
+# (None: the path it was given).  The two tables parsed from text get it
+# undecoded by universal newlines, so a lone "\r" reaches the CSV reader.
+CSV_LOADERS = {
+    "labels": (load_labels, LABELS_HEADER, None),
+    "annotations": (load_annotations, ANNOTATIONS_HEADER, None),
+    "predictions": (load_predictions, PREDICTIONS_HEADER, None),
+    "attributes": (lambda p: AttributeTable.from_csv(p.read_bytes().decode("utf-8")),
+                   ATTRS_CSV_HEADER, "attribute table"),
+    "exceptions": (lambda p: ExceptionList.from_csv(p.read_bytes().decode("utf-8")),
+                   EXCEPTIONS_CSV_HEADER, "exception list"),
+}
+
+# Valid values of every table's columns, numbers that break a range or a
+# type, and text with CSV metacharacters and non-ASCII letters.
+CSV_FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "1e999", "nan", "-0.0", "", " ", "x",
+                     "feasible", "infeasible", "published", "reconstructed",
+                     "a,b", 'say "no"', "two\nlines", "été", "攻撃"]),
+    st.integers(-5, 60).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_fuzz")
+
+
+class TestCsvLoadersFuzz:
+    """Every input either loads or raises a ValueError naming source and line."""
+
+    @staticmethod
+    def check(name, text, directory):
+        load, _, source = CSV_LOADERS[name]
+        path = directory / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load(path)
+        except ValueError as exc:
+            located = re.match(rf"{re.escape(source or str(path))}:(\d+): ", str(exc))
+            assert located, str(exc)
+            assert 2 <= int(located.group(1)) <= len(re.split(r"\r\n|\r|\n", text))
+
+    @pytest.mark.parametrize("name", CSV_LOADERS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_written_rows(self, fuzz_dir, name, data):
+        width = len(CSV_LOADERS[name][1])
+        rows = data.draw(st.lists(st.one_of(
+            st.just([]),  # a blank line
+            st.lists(CSV_FIELDS, min_size=max(width - 2, 1), max_size=width + 2),
+        ), max_size=6))
+        body = io.StringIO()
+        csv.writer(body, lineterminator="\n").writerows([CSV_LOADERS[name][1], *rows])
+        self.check(name, body.getvalue(), fuzz_dir)
+
+    @pytest.mark.parametrize("name", CSV_LOADERS)
+    @settings(max_examples=150, deadline=None)
+    @given(body=st.text(st.sampled_from('01-x.,"\n\r é'), max_size=40))
+    def test_raw_text(self, fuzz_dir, name, body):
+        self.check(name, ",".join(CSV_LOADERS[name][1]) + "\n" + body, fuzz_dir)
