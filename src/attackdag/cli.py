@@ -29,6 +29,7 @@ from .graph import (
     discover_unexploited,
     enumerate_attack_paths,
     known_attack_paths,
+    merge_cdfgs,
     project_subgraph,
 )
 from .learn import (
@@ -43,8 +44,9 @@ from .learn import (
     train_svm,
     train_tree,
 )
-from .learn.svm import as_arrays
+from .learn.svm import SvmModel, as_arrays
 from .model import (
+    AttackDag,
     BranchSample,
     Metrics,
     NodeAttributes,
@@ -99,6 +101,25 @@ def _labeled_samples(labels_path: str, table: AttributeTable) -> list[BranchSamp
         BranchSample(origin=o, dest=d, features=branch_features(o, d, table), label=l)
         for o, d, l in rows
     ]
+
+
+def _resubstitution(model: SvmModel, samples: list[BranchSample]) -> Metrics:
+    """Metrics of ``model`` scored on ``samples``, the branches it was trained on."""
+    x, y = as_arrays(samples)
+    return evaluate([int(p) for p in model.predict_many(x)], [int(t) for t in y])
+
+
+def _known_and_unexploited(dag: AttackDag, corpus_path: str):
+    """The dag's known and unexploited paths, or None if the corpus does not rebuild the dag.
+
+    Each attack's CDFG is compiled once, for the rebuild and for the known paths.
+    """
+    named = load_corpus(corpus_path).record_cdfgs()
+    rebuilt = merge_cdfgs(named)
+    if rebuilt.nodes != dag.nodes or rebuilt.edges != dag.edges:
+        return None
+    known = known_attack_paths(dag, named)
+    return known, discover_unexploited(dag, known)
 
 
 def _print_metrics(metrics: Metrics) -> None:
@@ -242,9 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = train_svm(samples, _svm_params(args))
     fingerprint = file_fingerprint(args.dag, args.attrs, args.labels)
     save_model(args.out, model, fingerprint)
-    x, y = as_arrays(samples)
-    preds = model.predict_many(x)
-    metrics = evaluate([int(p) for p in preds], [int(t) for t in y])
+    metrics = _resubstitution(model, samples)
     print(
         f"trained on {len(samples)} branches: {len(model.sv_indices)} support vectors, "
         f"{model.iterations} iterations, converged={model.converged}"
@@ -327,28 +346,23 @@ def cmd_paths(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
     paths = enumerate_attack_paths(dagfile.dag, cap=args.cap)
     payload: dict = {"total": len(paths)}
+    novel_set: set[tuple[int, ...]] = set()
     if args.corpus:
-        corpus = load_corpus(args.corpus)
-        rebuilt = corpus.attack_dag()
-        if rebuilt.nodes != dagfile.dag.nodes or rebuilt.edges != dagfile.dag.edges:
+        split = _known_and_unexploited(dagfile.dag, args.corpus)
+        if split is None:
             print("corpus does not rebuild this dag", file=sys.stderr)
             return EXIT_INVARIANT
-        known = known_attack_paths(dagfile.dag, corpus.record_cdfgs())
-        novel = discover_unexploited(dagfile.dag, known)
+        known, novel = split
         payload["known"] = len(known)
         payload["unexploited"] = len(novel)
-        known_set = {p.nodes for p in known}
-        payload["paths"] = [
-            {
-                "nodes": list(p.nodes),
-                "provenance": "known" if p.nodes in known_set else "unexploited",
-            }
-            for p in paths
-        ]
+        novel_set = {p.nodes for p in novel}
         print(f"{len(paths)} head-to-leaf paths: {len(known)} known, {len(novel)} unexploited")
     else:
-        payload["paths"] = [{"nodes": list(p.nodes), "provenance": "known"} for p in paths]
         print(f"{len(paths)} head-to-leaf paths")
+    payload["paths"] = [
+        {"nodes": list(p.nodes), "provenance": "unexploited" if p.nodes in novel_set else "known"}
+        for p in paths
+    ]
     if args.out:
         write_text_atomic(args.out, dump_json(payload))
     return EXIT_OK
@@ -412,13 +426,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
     table = _read_table(args.attrs)
     samples = _labeled_samples(args.labels, table)
-    x, y = as_arrays(samples)
-    preds = model.predict_many(x)
-    metrics = evaluate([int(p) for p in preds], [int(t) for t in y])
     print("svm:")
-    _print_metrics(metrics)
+    _print_metrics(_resubstitution(model, samples))
     if args.baselines:
-        truths = [int(t) for t in y]
+        truths = [s.label for s in samples]
         for k in (2, 3, 4, 5):
             preds_k = [knn_predict(samples, s.features, k) for s in samples]
             m = evaluate(preds_k, truths)
@@ -440,9 +451,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
     samples = _labeled_samples(args.labels, table)
-    x, y = as_arrays(samples)
-    preds = model.predict_many(x)
-    metrics = evaluate([int(p) for p in preds], [int(t) for t in y])
+    metrics = _resubstitution(model, samples)
 
     predictions = load_predictions(args.predictions)
     positives = [(o, d, dec) for o, d, label, dec in predictions if label == 1]
@@ -508,11 +517,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
 
     if args.corpus:
-        corpus = load_corpus(args.corpus)
-        rebuilt = corpus.attack_dag()
-        if rebuilt.nodes == dagfile.dag.nodes and rebuilt.edges == dagfile.dag.edges:
-            known = known_attack_paths(dagfile.dag, corpus.record_cdfgs())
-            novel = discover_unexploited(dagfile.dag, known)
+        split = _known_and_unexploited(dagfile.dag, args.corpus)
+        if split is None:
+            print("corpus does not rebuild this dag; skipping path section", file=sys.stderr)
+        else:
+            known, novel = split
             payload["paths"] = {
                 "total": len(known) + len(novel),
                 "known": len(known),
@@ -521,8 +530,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                     [dagfile.blocks[n].raw_text for n in p.nodes] for p in novel
                 ],
             }
-        else:
-            print("corpus does not rebuild this dag; skipping path section", file=sys.stderr)
 
     write_text_atomic(args.out, dump_json(payload))
     print(f"report written to {args.out}")

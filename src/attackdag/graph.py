@@ -21,7 +21,6 @@ from .model import (
     Concat,
     Star,
     UnionExpr,
-    _degrees,
     find_cycle,
     normalize_description,
 )
@@ -88,49 +87,57 @@ def cdfg_from_expression(expr: AttackExpr, id_for: Callable[[str], int] | None =
         return nodes, edges, lentry | rentry, lexit | rexit
 
     nodes, edges, _, _ = walk(expr)
-    cycle = find_cycle(nodes, edges)
-    if cycle:
-        raise CycleIntroduced(cycle)
-    indeg, outdeg = _degrees(nodes, edges)
+    _topological(nodes, edges)  # raises CycleIntroduced on a cycle
     return Cdfg(
         nodes=frozenset(nodes),
         edges=frozenset(edges),
-        heads=frozenset(n for n in nodes if indeg[n] == 0),
-        leaves=frozenset(n for n in nodes if outdeg[n] == 0),
+        heads=frozenset(nodes - {v for _, v in edges}),
+        leaves=frozenset(nodes - {u for u, _ in edges}),
     )
 
 
-def _mean_depths(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, float]:
-    """Mean length over all distinct head-to-node paths, per node.
-
-    In a DAG every such path decomposes uniquely over a node's
-    predecessors, so path count and total length accumulate in
-    topological order.  Heads sit at depth 0.
-    """
-    nodes = set(nodes)
+def _topological(
+    nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> tuple[dict[int, list[int]], list[int]]:
+    """Sorted successor lists and a Kahn order, which opens with the heads in id order;
+    CycleIntroduced names a cycle when the sweep cannot order every node."""
     succ: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
+    indeg = dict.fromkeys(succ, 0)
     for u, v in edges:
         succ[u].append(v)
         indeg[v] += 1
-    order: list[int] = sorted(n for n in nodes if indeg[n] == 0)
-    count = {n: (1 if indeg[n] == 0 else 0) for n in nodes}
-    total = {n: 0 for n in nodes}
-    pending = dict(indeg)
-    queue = list(order)
-    seen = 0
-    while queue:
-        u = queue.pop(0)
-        seen += 1
+    for targets in succ.values():
+        targets.sort()
+    order = sorted(n for n, d in indeg.items() if d == 0)
+    for u in order:  # the list grows while it is read, as a FIFO queue
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) != len(succ):
+        raise CycleIntroduced(find_cycle(succ, [(u, v) for u in succ for v in succ[u]]))
+    return succ, order
+
+
+def _head_paths(
+    succ: Mapping[int, list[int]], order: Sequence[int]
+) -> tuple[dict[int, int], dict[int, float]]:
+    """Per node, the number of distinct head-to-node paths and their mean length.
+
+    In a DAG every such path decomposes uniquely over a node's
+    predecessors, so the count and the summed length accumulate in
+    topological order.  Both are integers, so the mean is the same float in
+    any visit order.  Heads sit at depth 0.
+    """
+    count = dict.fromkeys(order, 0)
+    total = dict.fromkeys(order, 0)
+    for u in order:
+        if not count[u]:  # no path reaches u from before it: u is a head
+            count[u] = 1
         for v in succ[u]:
             count[v] += count[u]
             total[v] += total[u] + count[u]
-            pending[v] -= 1
-            if pending[v] == 0:
-                queue.append(v)
-    if seen != len(nodes):
-        raise CycleIntroduced(find_cycle(nodes, edges))
-    return {n: (total[n] / count[n] if count[n] else 0.0) for n in nodes}
+    return count, {n: total[n] / count[n] for n in succ}
 
 
 def build_dag(
@@ -146,20 +153,17 @@ def build_dag(
             raise CycleIntroduced([u, u])
         if u not in nodes or v not in nodes:
             raise UnknownNode((u, v))
-    cycle = find_cycle(nodes, edges)
-    if cycle:
-        raise CycleIntroduced(cycle)
+    succ, order = _topological(nodes, edges)
     missing = edges - set(provenance)
     if missing:
         raise ValueError(f"edges without provenance: {sorted(missing)}")
-    indeg, outdeg = _degrees(nodes, edges)
     return AttackDag(
         nodes=nodes,
         edges=edges,
         edge_provenance={e: frozenset(provenance[e]) for e in edges},
-        heads=frozenset(n for n in nodes if indeg[n] == 0),
-        leaves=frozenset(n for n in nodes if outdeg[n] == 0),
-        mean_depth=_mean_depths(nodes, edges),
+        heads=nodes - {v for _, v in edges},
+        leaves=nodes - {u for u, _ in edges},
+        mean_depth=_head_paths(succ, order)[1],
     )
 
 
@@ -180,7 +184,7 @@ def merge_cdfgs(named: Sequence[tuple[str, Cdfg]]) -> AttackDag:
 
 
 def compute_mean_depths(dag: AttackDag) -> dict[int, float]:
-    return _mean_depths(dag.nodes, dag.edges)
+    return _head_paths(*_topological(dag.nodes, dag.edges))[1]
 
 
 def enumerate_attack_paths(dag: AttackDag, cap: int = 1_000_000) -> list[AttackPath]:
@@ -191,21 +195,18 @@ def enumerate_attack_paths(dag: AttackDag, cap: int = 1_000_000) -> list[AttackP
 def _raw_paths(
     nodes: Iterable[int], edges: Iterable[tuple[int, int]], cap: int = 1_000_000
 ) -> list[tuple[int, ...]]:
-    nodes = set(nodes)
-    succ: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    for n in succ:
-        succ[n].sort()
-    heads = sorted(n for n in nodes if indeg[n] == 0)
+    """Every head-to-leaf path in lexicographic order; PathExplosion before any is built."""
+    succ, order = _topological(nodes, edges)
+    count, depth = _head_paths(succ, order)
+    if sum(count[n] for n in order if not succ[n]) > cap:
+        raise PathExplosion(cap)
     out: list[tuple[int, ...]] = []
     # Depth-first with an explicit stack, so a path's length is not bounded
     # by the recursion limit: pending[0] holds the heads and pending[i] the
-    # successors of path[i - 1] not yet visited, in ascending order.
+    # successors of path[i - 1] not yet visited.  Both ascend, so the paths
+    # come out in lexicographic order.
     path: list[int] = []
-    pending = [iter(heads)]
+    pending = [iter([n for n in order if not depth[n]])]  # the heads, in id order
     while pending:
         node = next(pending[-1], None)
         if node is None:
@@ -216,10 +217,7 @@ def _raw_paths(
             path.append(node)
             pending.append(iter(succ[node]))
         else:
-            if len(out) >= cap:
-                raise PathExplosion(cap)
             out.append((*path, node))
-    out.sort()
     return out
 
 
@@ -229,12 +227,14 @@ def known_attack_paths(dag: AttackDag, named: Sequence[tuple[str, Cdfg]]) -> lis
     A merged-graph path only counts as known when it is a complete
     head-to-leaf path of one attack's own CDFG; paths that splice steps
     from different attacks are exactly the novel vectors the merge exposes.
+    A CDFG path is a dag path when it starts at a dag head, ends at a dag
+    leaf and every step is a dag edge.
     """
-    dag_paths = {p.nodes for p in enumerate_attack_paths(dag)}
     covered: set[tuple[int, ...]] = set()
     for _, cdfg in named:
         covered.update(_raw_paths(cdfg.nodes, cdfg.edges))
-    return [AttackPath(nodes=p) for p in sorted(covered & dag_paths)]
+    return [AttackPath(nodes=p) for p in sorted(covered)
+            if p[0] in dag.heads and p[-1] in dag.leaves and dag.edges.issuperset(zip(p, p[1:]))]
 
 
 def discover_unexploited(dag: AttackDag, known: Iterable[AttackPath]) -> list[AttackPath]:

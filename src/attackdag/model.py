@@ -199,17 +199,6 @@ class AttackDag:
 PREDICTED_TAG = "predicted"
 
 
-def _degrees(
-    nodes: Iterable[int], edges: Iterable[tuple[int, int]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    indeg = {n: 0 for n in nodes}
-    outdeg = {n: 0 for n in nodes}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    return indeg, outdeg
-
-
 def find_cycle(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[int]:
     """Return one cycle as a node list, or [] if the graph is acyclic."""
     succ: dict[int, list[int]] = {n: [] for n in nodes}
@@ -255,12 +244,12 @@ def validate_dag(dag: AttackDag) -> list[str]:
             violations.append(f"self-loop at node {u}")
         if u not in dag.nodes or v not in dag.nodes:
             violations.append(f"edge ({u}, {v}) references unknown node")
-    cycle = find_cycle(dag.nodes, (e for e in dag.edges if e[0] != e[1]))
+    between_nodes = [(u, v) for u, v in dag.edges if u != v and u in dag.nodes and v in dag.nodes]
+    cycle = find_cycle(dag.nodes, between_nodes)
     if cycle:
         violations.append("cycle: " + " -> ".join(str(n) for n in cycle))
-    indeg, outdeg = _degrees(dag.nodes, dag.edges)
-    true_heads = {n for n in dag.nodes if indeg.get(n, 0) == 0}
-    true_leaves = {n for n in dag.nodes if outdeg.get(n, 0) == 0}
+    true_heads = dag.nodes - {v for _, v in dag.edges}
+    true_leaves = dag.nodes - {u for u, _ in dag.edges}
     if set(dag.heads) != true_heads:
         violations.append(f"stale head set: stored {sorted(dag.heads)}, actual {sorted(true_heads)}")
     if set(dag.leaves) != true_leaves:

@@ -44,6 +44,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -203,11 +204,8 @@ class Corpus:
 
     records: tuple[AttackRecord, ...]
     blocks: tuple[BasicBlock, ...]
-    category_map: Mapping[str, VulnerabilityCategory]
-    socially_delivered: frozenset[str]
     bucket_map: Mapping[str, str]
     fingerprint: str
-    path: str = ""
 
     def block_ids(self) -> dict[str, int]:
         return {b.norm_text: b.id for b in self.blocks}
@@ -352,11 +350,8 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(
         records=tuple(records),
         blocks=tuple(blocks),
-        category_map=category_map,
-        socially_delivered=social_set,
         bucket_map=bucket_map,
         fingerprint=hashlib.sha256(raw_file.encode("utf-8")).hexdigest(),
-        path=str(path),
     )
 
 
@@ -404,36 +399,80 @@ def save_dag(path: str | Path, payload: dict) -> None:
     write_text_atomic(path, dump_json(payload))
 
 
+# A node entry's fields with their JSON types; an optional "bucket" names
+# one of EXPLOIT_BUCKETS.
+_NODE_FIELDS = (("id", int), ("raw_text", str), ("norm_text", str), ("category", str),
+                ("socially_delivered", bool))
+_PROVENANCE_KEY = re.compile(r"(-?[0-9]+)->(-?[0-9]+)")
+
+
 def load_dag(path: str | Path) -> DagFile:
+    """Read a dag file, checking every entry before the dag is built.
+
+    A malformed entry raises DagLoadError naming the file and the entry; a
+    cycle still raises CycleIntroduced from ``build_dag``.
+    """
     from .graph import build_dag
 
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DagLoadError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DagLoadError(f"{path}: dag file is not a JSON object")
     for key in ("nodes", "edges"):
         if key not in payload:
             raise DagLoadError(f"{path}: dag file has no {key!r}")
+    for key, kind in (("nodes", list), ("edges", list), ("provenance", dict)):
+        if type(payload.get(key, kind())) is not kind:
+            raise DagLoadError(f"{path}: {key!r} is not a {kind.__name__}")
     blocks: dict[int, BasicBlock] = {}
     buckets: dict[int, str] = {}
     for index, entry in enumerate(payload["nodes"]):
+        if type(entry) is not dict:
+            raise DagLoadError(f"{path}: node {index} is not a dict: {entry!r}")
+        entry = {"socially_delivered": False, **entry}
+        for key, kind in _NODE_FIELDS:
+            if key not in entry:
+                raise DagLoadError(f"{path}: node {index} has no {key!r}")
+            if type(entry[key]) is not kind:
+                raise DagLoadError(f"{path}: node {index}: {key!r} is not a {kind.__name__}: "
+                                   f"{entry[key]!r}")
+        if entry["id"] in blocks:
+            raise DagLoadError(f"{path}: node {index} repeats id {entry['id']}")
+        if "bucket" in entry and entry["bucket"] not in EXPLOIT_BUCKETS:
+            raise DagLoadError(f"{path}: node {index}: unknown bucket {entry['bucket']!r}")
         try:
-            blk = BasicBlock(
-                id=entry["id"],
-                raw_text=entry["raw_text"],
-                norm_text=entry["norm_text"],
-                category=VulnerabilityCategory(entry["category"]),
-                socially_delivered=entry.get("socially_delivered", False),
-            )
-        except KeyError as exc:
-            raise DagLoadError(f"{path}: node {index} has no {exc.args[0]!r}") from None
-        blocks[blk.id] = blk
+            category = VulnerabilityCategory(entry["category"])
+        except ValueError:
+            raise DagLoadError(
+                f"{path}: node {index}: unknown category {entry['category']!r}") from None
+        blocks[entry["id"]] = BasicBlock(
+            id=entry["id"],
+            raw_text=entry["raw_text"],
+            norm_text=entry["norm_text"],
+            category=category,
+            socially_delivered=entry["socially_delivered"],
+        )
         if "bucket" in entry:
-            buckets[blk.id] = entry["bucket"]
-    edges = [tuple(edge) for edge in payload["edges"]]
+            buckets[entry["id"]] = entry["bucket"]
     provenance: dict[tuple[int, int], set[str]] = {}
-    for key, namelist in payload.get("provenance", {}).items():
-        u, v = key.split("->")
-        provenance[(int(u), int(v))] = set(namelist)
+    for key, names in payload.get("provenance", {}).items():
+        match = _PROVENANCE_KEY.fullmatch(key)
+        if match is None:
+            raise DagLoadError(f"{path}: provenance key {key!r} is not '<origin>-><dest>'")
+        if type(names) is not list or not all(type(name) is str for name in names):
+            raise DagLoadError(f"{path}: provenance {key!r} is not a list of attack names: "
+                               f"{names!r}")
+        provenance[(int(match[1]), int(match[2]))] = set(names)
+    edges: list[tuple[int, int]] = []
+    for index, edge in enumerate(payload["edges"]):
+        if (type(edge) is not list or len(edge) != 2
+                or not all(type(n) is int and n in blocks for n in edge)):
+            raise DagLoadError(f"{path}: edge {index} is not a pair of known node ids: {edge!r}")
+        if tuple(edge) not in provenance:
+            raise DagLoadError(f"{path}: edge {index} {edge!r} has no provenance")
+        edges.append(tuple(edge))
     dag = build_dag(blocks.keys(), edges, provenance)
     return DagFile(dag=dag, blocks=blocks, buckets=buckets, attrs_ref=payload.get("attrs_ref"))
 

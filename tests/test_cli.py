@@ -319,6 +319,24 @@ class TestExitCodes:
         assert main(["paths", "--dag", str(dag)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, entry", [
+        ({"edges": [5]}, "edge 0"),
+        ({"edges": [[0, 1, 2]]}, "edge 0"),
+        ({"nodes": [3]}, "node 0"),
+        ({"nodes": 5}, "'nodes'"),
+        ({"provenance": {"0->1": "x"}}, "'0->1'"),
+        ({"provenance": {"0-1": ["x"]}}, "'0-1'"),
+    ])
+    def test_malformed_dag_entry_is_located_parse_error(self, tmp_path, capsys, edit, entry):
+        dag = tmp_path / "dag.json"
+        nodes = [{"id": i, "raw_text": t, "norm_text": t, "category": "memory"}
+                 for i, t in enumerate("ab")]
+        dag.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1]],
+                                   "provenance": {"0->1": ["x"]}, **edit}))
+        assert main(["paths", "--dag", str(dag)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dag}: " in err and entry in err, err
+
     def test_short_exceptions_row_is_parse_error(self, work, tmp_path, capsys):
         exceptions = tmp_path / "exceptions.csv"
         exceptions.write_text("origin_node_id,dest_node_id,note\n26,30\n")

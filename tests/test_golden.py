@@ -1,7 +1,8 @@
-"""The bundled run reproduces the tracked out/ artifacts byte for byte.
+"""The bundled runs reproduce the tracked out/ artifacts byte for byte.
 
-The nine commands are the ones scripts/run_pipeline.py runs, pointed at a
-temporary directory instead of out/.
+The nine commands are the ones scripts/run_pipeline.py runs, and the CAN
+case study is scripts/can_case_study.py; each is pointed at a temporary
+directory instead of out/ or out/can/.
 """
 
 import importlib.util
@@ -12,7 +13,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 TRACKED = REPO / "out"
-IDENTICAL = ("candidates.csv", "model.json", "predictions.csv", "paths.json")
+IDENTICAL = ("dag.json", "candidates.csv", "model.json", "predictions.csv", "paths.json")
+CAN_FILES = ("dag.json", "can_dag.json", "can_attrs.csv", "can_labels.csv", "can_model.json",
+             "can_predictions.csv", "can_paths.json")
 _TIMESTAMP = re.compile(rb'\n *"timestamp": "[^"]*",?')
 
 
@@ -22,15 +25,18 @@ def _without_timestamp(data: bytes) -> bytes:
     return stripped
 
 
+def _run_script(name, out):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = out
+    assert script.main_script() == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def rerun(tmp_path_factory):
-    spec = importlib.util.spec_from_file_location(
-        "run_pipeline", REPO / "scripts" / "run_pipeline.py")
-    pipeline = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pipeline)
-    pipeline.OUT = tmp_path_factory.mktemp("golden")
-    assert pipeline.main_script() == 0
-    return pipeline.OUT
+    return _run_script("run_pipeline", tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("name", IDENTICAL)
@@ -41,3 +47,9 @@ def test_artifact_byte_identical(rerun, name):
 def test_report_identical_except_timestamp(rerun):
     got = _without_timestamp((rerun / "report.json").read_bytes())
     assert got == _without_timestamp((TRACKED / "report.json").read_bytes())
+
+
+def test_can_case_study_byte_identical(tmp_path):
+    out = _run_script("can_case_study", tmp_path / "can")
+    for name in CAN_FILES:
+        assert (out / name).read_bytes() == (TRACKED / "can" / name).read_bytes(), name

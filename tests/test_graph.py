@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,6 +40,15 @@ def oracle_paths(nodes, edges):
     for h in heads:
         walk(h, [h])
     return sorted(out)
+
+
+def diamond_chain(n):
+    """n diamonds in a row: 3n + 1 nodes and 2^n head-to-leaf paths."""
+    edges = set()
+    for i in range(n):
+        top, left, right, join = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges.update({(top, left), (top, right), (left, join), (right, join)})
+    return build_dag(set(range(3 * n + 1)), edges, {e: {"a"} for e in edges})
 
 
 def random_dag(rng, max_nodes=12):
@@ -205,6 +215,17 @@ class TestPathEnumeration:
         with pytest.raises(PathExplosion):
             enumerate_attack_paths(dag, cap=4095)
 
+    def test_path_explosion_is_raised_before_any_path_is_built(self):
+        dag = diamond_chain(40)  # 2^40 paths
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathExplosion):
+                enumerate_attack_paths(dag, cap=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_long_chain_is_one_path(self):
         # deeper than the interpreter's recursion limit
         edges = {(i, i + 1) for i in range(2999)}
@@ -218,6 +239,20 @@ class TestPathEnumeration:
         assert len(known) + len(novel) == len(total)
         assert {p.nodes for p in known}.isdisjoint({p.nodes for p in novel})
         assert all(p.provenance == "unexploited" for p in novel)
+
+    def test_known_paths_match_cdfg_paths_that_are_dag_paths(self):
+        # the definition: a complete path of one attack's CDFG that is also
+        # a head-to-leaf path of the merged dag
+        rng = random.Random(5)
+        for _ in range(100):
+            named = []
+            for i in range(rng.randint(1, 4)):
+                nodes, edges = random_dag(rng, 8)
+                named.append((f"a{i}", build_dag(nodes, edges, {e: {"a"} for e in edges})))
+            dag = merge_cdfgs(named)
+            covered = set().union(*(oracle_paths(g.nodes, g.edges) for _, g in named))
+            want = sorted(covered & set(oracle_paths(dag.nodes, dag.edges)))
+            assert [p.nodes for p in known_attack_paths(dag, named)] == want
 
     def test_discover_rejects_stray_path(self, dag):
         from attackdag.model import AttackPath

@@ -92,6 +92,10 @@ class TestValidateDag:
         dag = self._dag([0], [(0, 0)], [0], [0])
         assert any("self-loop" in v for v in validate_dag(dag))
 
+    def test_unknown_endpoint_reported(self):
+        dag = self._dag([1, 2], [(1, 3)], [1, 2], [2])
+        assert validate_dag(dag) == ["edge (1, 3) references unknown node"]
+
     def test_stale_heads_reported(self):
         dag = self._dag([0, 1], [(0, 1)], [1], [1])
         assert any("stale head" in v for v in validate_dag(dag))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
+from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, fit_svm
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
@@ -476,3 +477,64 @@ class TestCsvLoadersFuzz:
     @given(body=st.text(st.sampled_from('01-x.,"\n\r é'), max_size=40))
     def test_raw_text(self, fuzz_dir, name, body):
         self.check(name, ",".join(CSV_LOADERS[name][1]) + "\n" + body, fuzz_dir)
+
+
+# Any JSON value, with a few that are nearly right for a dag.json entry.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["memory", EXPLOIT_BUCKETS[0], "0->1", "1->0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+NODE_KEYS = ("id", "raw_text", "norm_text", "category", "socially_delivered", "bucket")
+
+
+@st.composite
+def dag_bodies(draw):
+    """A well-formed dag.json body over up to four nodes, with at most one part
+    (a whole list, an entry, a node field, a provenance key or its names)
+    replaced by a JSON value."""
+    n = draw(st.integers(1, 4))
+    nodes = [{"id": i, "raw_text": "x", "norm_text": "x", "category": "memory"}
+             for i in range(n)]
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=5))
+    body = {"nodes": nodes, "edges": edges, "provenance": {f"{u}->{v}": ["a"] for u, v in edges}}
+    value = draw(JSON_VALUES)
+    part = draw(st.sampled_from(["none", "list", "node", "field", "edge", "key", "names"]))
+    if part == "list":
+        body[draw(st.sampled_from(sorted(body)))] = value
+    elif part == "node":
+        nodes[draw(st.integers(0, n - 1))] = value
+    elif part == "field":
+        nodes[draw(st.integers(0, n - 1))][draw(st.sampled_from(NODE_KEYS))] = value
+    elif part == "edge" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))] = value
+    elif part in ("key", "names") and edges:
+        key = draw(st.sampled_from(sorted(body["provenance"])))
+        names = body["provenance"].pop(key)
+        if part == "key":
+            body["provenance"][value if isinstance(value, str) else json.dumps(value)] = names
+        else:
+            body["provenance"][key] = value
+    return body
+
+
+class TestDagLoaderFuzz:
+    """Every dag.json either loads or raises a ValueError opening with its path.
+
+    The one other outcome is a cycle among well-formed entries, which is an
+    invariant violation (CycleIntroduced, exit 3), not a malformed file.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=dag_bodies())
+    def test_entries(self, fuzz_dir, body):
+        path = fuzz_dir / "dag.json"
+        path.write_text(json.dumps(body))
+        try:
+            load_dag(path)
+        except CycleIntroduced:
+            pass
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
