@@ -34,6 +34,9 @@ from attackdag import (  # noqa: E402
 from attackdag.learn.svm import as_arrays  # noqa: E402
 from attackdag.storage import save_labels, write_text_atomic  # noqa: E402
 
+DATA = ROOT / "data"
+OUT = DATA  # where attributes.csv and labels.csv are written
+
 # Facet bits per node description, in attribute order:
 # memory, data_db, security_vuln, port_gateway, sensor, malware, auth_vuln.
 FACETS: dict[str, tuple[int, int, int, int, int, int, int]] = {
@@ -114,7 +117,7 @@ def curate_labels(dag, table, corpus) -> list[BranchSample]:
         BranchSample(origin=u, dest=v, features=branch_features(u, v, table), label=1)
         for u, v in sorted(dag.edges)
     ]
-    exceptions = ExceptionList.from_csv((ROOT / "data" / "exceptions.csv").read_text())
+    exceptions = ExceptionList.from_csv((DATA / "exceptions.csv").read_text())
     pool = generate_pool(dag, table, corpus, exceptions, positives)
 
     # Evenly spaced picks keep the subset spread over the candidate space.
@@ -159,8 +162,8 @@ def generate_pool(dag, table, corpus, exceptions, positives):
     return [s for s in pool if tuple(s.features) not in positive_vectors]
 
 
-def main() -> int:
-    corpus = load_corpus(ROOT / "data" / "corpus.json")
+def main_script() -> int:
+    corpus = load_corpus(DATA / "corpus.json")
     dag = corpus.attack_dag()
     table = build_table(corpus, dag)
     problems = table.check_against(dag)
@@ -168,15 +171,16 @@ def main() -> int:
         for p in problems:
             print("inconsistent:", p, file=sys.stderr)
         return 1
-    write_text_atomic(ROOT / "data" / "attributes.csv", table.to_csv())
+    OUT.mkdir(exist_ok=True)
+    write_text_atomic(OUT / "attributes.csv", table.to_csv())
     print(f"wrote attributes.csv ({len(corpus.blocks)} nodes)")
 
     labeled = curate_labels(dag, table, corpus)
-    save_labels(ROOT / "data" / "labels.csv", [(s.origin, s.dest, s.label) for s in labeled])
+    save_labels(OUT / "labels.csv", [(s.origin, s.dest, s.label) for s in labeled])
     n_pos = sum(1 for s in labeled if s.label == 1)
     print(f"wrote labels.csv ({n_pos} positive, {len(labeled) - n_pos} negative)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main_script())

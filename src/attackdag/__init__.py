@@ -11,7 +11,6 @@ from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
     AttackExpr,
-    AttackPath,
     AttackRecord,
     BasicBlock,
     Block,
@@ -52,7 +51,6 @@ from .graph import (
     UnknownPath,
     build_dag,
     cdfg_from_expression,
-    compute_mean_depths,
     discover_unexploited,
     enumerate_attack_paths,
     known_attack_paths,

@@ -109,8 +109,9 @@ def _resubstitution(model: SvmModel, samples: list[BranchSample]) -> Metrics:
     return evaluate([int(p) for p in model.predict_many(x)], [int(t) for t in y])
 
 
-def _known_and_unexploited(dag: AttackDag, corpus_path: str):
-    """The dag's known and unexploited paths, or None if the corpus does not rebuild the dag.
+def _known_and_unexploited(dag: AttackDag, paths: list[tuple[int, ...]], corpus_path: str):
+    """The known and unexploited ones among the dag's enumerated ``paths``, or None
+    if the corpus does not rebuild the dag.
 
     Each attack's CDFG is compiled once, for the rebuild and for the known paths.
     """
@@ -119,7 +120,7 @@ def _known_and_unexploited(dag: AttackDag, corpus_path: str):
     if rebuilt.nodes != dag.nodes or rebuilt.edges != dag.edges:
         return None
     known = known_attack_paths(dag, named)
-    return known, discover_unexploited(dag, known)
+    return known, discover_unexploited(paths, known)
 
 
 def _print_metrics(metrics: Metrics) -> None:
@@ -346,21 +347,21 @@ def cmd_paths(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
     paths = enumerate_attack_paths(dagfile.dag, cap=args.cap)
     payload: dict = {"total": len(paths)}
-    novel_set: set[tuple[int, ...]] = set()
+    novel: set[tuple[int, ...]] = set()
     if args.corpus:
-        split = _known_and_unexploited(dagfile.dag, args.corpus)
+        split = _known_and_unexploited(dagfile.dag, paths, args.corpus)
         if split is None:
             print("corpus does not rebuild this dag", file=sys.stderr)
             return EXIT_INVARIANT
-        known, novel = split
+        known, unexploited = split
+        novel = set(unexploited)
         payload["known"] = len(known)
         payload["unexploited"] = len(novel)
-        novel_set = {p.nodes for p in novel}
         print(f"{len(paths)} head-to-leaf paths: {len(known)} known, {len(novel)} unexploited")
     else:
         print(f"{len(paths)} head-to-leaf paths")
     payload["paths"] = [
-        {"nodes": list(p.nodes), "provenance": "unexploited" if p.nodes in novel_set else "known"}
+        {"nodes": list(p), "provenance": "unexploited" if p in novel else "known"}
         for p in paths
     ]
     if args.out:
@@ -434,15 +435,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             preds_k = [knn_predict(samples, s.features, k) for s in samples]
             m = evaluate(preds_k, truths)
             print(f"knn k={k}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
-        gnb = train_gnb(samples)
-        m = evaluate([gnb.predict(s.features) for s in samples], truths)
-        print(f"gaussian nb: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
-        tree = train_tree(samples)
-        m = evaluate([tree.predict(s.features) for s in samples], truths)
-        print(f"decision tree: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
-        sgd = train_sgd_svm(samples)
-        m = evaluate([sgd.predict(s.features) for s in samples], truths)
-        print(f"sgd linear svm: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
+        for name, train in (("gaussian nb", train_gnb), ("decision tree", train_tree),
+                            ("sgd linear svm", train_sgd_svm)):
+            fitted = train(samples)
+            m = evaluate([fitted.predict(s.features) for s in samples], truths)
+            print(f"{name}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
     return EXIT_OK
 
 
@@ -517,7 +514,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
 
     if args.corpus:
-        split = _known_and_unexploited(dagfile.dag, args.corpus)
+        paths = enumerate_attack_paths(dagfile.dag)
+        split = _known_and_unexploited(dagfile.dag, paths, args.corpus)
         if split is None:
             print("corpus does not rebuild this dag; skipping path section", file=sys.stderr)
         else:
@@ -527,7 +525,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "known": len(known),
                 "unexploited": len(novel),
                 "unexploited_paths": [
-                    [dagfile.blocks[n].raw_text for n in p.nodes] for p in novel
+                    [dagfile.blocks[n].raw_text for n in p] for p in novel
                 ],
             }
 

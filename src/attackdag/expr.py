@@ -53,6 +53,10 @@ PLUS = "+"
 DOT = "."
 TEXT = "text"
 
+# Each group costs the recursive-descent parser four frames, so nesting is
+# capped well inside the interpreter's recursion limit.
+MAX_GROUP_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class ExprToken:
@@ -143,6 +147,7 @@ class _Parser:
         self.src = src
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> ExprToken | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -204,8 +209,13 @@ class _Parser:
             return block(text.text)
         if tok.kind == LPAREN:
             open_tok = tok
+            if self.depth == MAX_GROUP_DEPTH:
+                raise ExpressionSyntaxError(
+                    f"groups nested deeper than {MAX_GROUP_DEPTH}", tok.start)
             self.pos += 1
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if closing is None or closing.kind != RPAREN:
                 raise UnbalancedParens("unclosed group", open_tok.start)

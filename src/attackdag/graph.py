@@ -15,12 +15,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .model import (
     AttackDag,
     AttackExpr,
-    AttackPath,
     Block,
     Cdfg,
     Concat,
     Star,
-    UnionExpr,
     find_cycle,
     normalize_description,
 )
@@ -71,29 +69,35 @@ def cdfg_from_expression(expr: AttackExpr, id_for: Callable[[str], int] | None =
     if id_for is None:
         id_for = _local_interner()
 
-    def walk(node: AttackExpr) -> tuple[set[int], set[tuple[int, int]], set[int], set[int]]:
+    # Post-order over an explicit stack, so an expression's depth is not
+    # bounded by the recursion limit.  Each finished part leaves its
+    # (entries, exits) on `done`; nodes and edges accumulate globally.
+    nodes: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    done: list[tuple[set[int], set[int]]] = []
+    stack: list[tuple[AttackExpr, bool]] = [(expr, False)]
+    while stack:
+        node, visited = stack.pop()
         if isinstance(node, Block):
             nid = id_for(node.description)
-            return {nid}, set(), {nid}, {nid}
-        if isinstance(node, Star):
-            return walk(node.inner)
-        ln, le, lentry, lexit = walk(node.left)
-        rn, re_, rentry, rexit = walk(node.right)
-        nodes = ln | rn
-        edges = le | re_
-        if isinstance(node, Concat):
-            edges |= {(u, v) for u in lexit for v in rentry if u != v}
-            return nodes, edges, lentry, rexit
-        return nodes, edges, lentry | rentry, lexit | rexit
-
-    nodes, edges, _, _ = walk(expr)
+            nodes.add(nid)
+            done.append(({nid}, {nid}))
+        elif isinstance(node, Star):
+            stack.append((node.inner, False))
+        elif not visited:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+        else:
+            rentry, rexit = done.pop()
+            lentry, lexit = done.pop()
+            if isinstance(node, Concat):
+                edges.update((u, v) for u in lexit for v in rentry if u != v)
+                done.append((lentry, rexit))
+            else:
+                done.append((lentry | rentry, lexit | rexit))
     _topological(nodes, edges)  # raises CycleIntroduced on a cycle
-    return Cdfg(
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
-        heads=frozenset(nodes - {v for _, v in edges}),
-        leaves=frozenset(nodes - {u for u, _ in edges}),
-    )
+    return Cdfg(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
 def _topological(
@@ -183,13 +187,9 @@ def merge_cdfgs(named: Sequence[tuple[str, Cdfg]]) -> AttackDag:
     return build_dag(nodes, provenance.keys(), provenance)
 
 
-def compute_mean_depths(dag: AttackDag) -> dict[int, float]:
-    return _head_paths(*_topological(dag.nodes, dag.edges))[1]
-
-
-def enumerate_attack_paths(dag: AttackDag, cap: int = 1_000_000) -> list[AttackPath]:
+def enumerate_attack_paths(dag: AttackDag, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """Every head-to-leaf path, each exactly once, in lexicographic order."""
-    return [AttackPath(nodes=p) for p in _raw_paths(dag.nodes, dag.edges, cap)]
+    return _raw_paths(dag.nodes, dag.edges, cap)
 
 
 def _raw_paths(
@@ -221,7 +221,9 @@ def _raw_paths(
     return out
 
 
-def known_attack_paths(dag: AttackDag, named: Sequence[tuple[str, Cdfg]]) -> list[AttackPath]:
+def known_attack_paths(
+    dag: AttackDag, named: Sequence[tuple[str, Cdfg]]
+) -> list[tuple[int, ...]]:
     """Dag paths that some single documented attack covers end to end.
 
     A merged-graph path only counts as known when it is a complete
@@ -233,23 +235,19 @@ def known_attack_paths(dag: AttackDag, named: Sequence[tuple[str, Cdfg]]) -> lis
     covered: set[tuple[int, ...]] = set()
     for _, cdfg in named:
         covered.update(_raw_paths(cdfg.nodes, cdfg.edges))
-    return [AttackPath(nodes=p) for p in sorted(covered)
+    return [p for p in sorted(covered)
             if p[0] in dag.heads and p[-1] in dag.leaves and dag.edges.issuperset(zip(p, p[1:]))]
 
 
-def discover_unexploited(dag: AttackDag, known: Iterable[AttackPath]) -> list[AttackPath]:
-    """All dag paths not in the known set, tagged unexploited."""
-    all_paths = enumerate_attack_paths(dag)
-    enumerated = {p.nodes for p in all_paths}
-    known_nodes = {p.nodes for p in known}
-    stray = known_nodes - enumerated
+def discover_unexploited(
+    paths: Sequence[tuple[int, ...]], known: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The enumerated dag paths not in the known set, in their given order."""
+    known = set(known)
+    stray = known.difference(paths)
     if stray:
         raise UnknownPath(f"known paths absent from the dag: {sorted(stray)[:3]}")
-    return [
-        AttackPath(nodes=p.nodes, provenance="unexploited")
-        for p in all_paths
-        if p.nodes not in known_nodes
-    ]
+    return [p for p in paths if p not in known]
 
 
 def project_subgraph(dag: AttackDag, keep: Iterable[int]) -> AttackDag:

@@ -44,7 +44,7 @@ def knn_predict(samples: Sequence[BranchSample], features: Sequence[float], k: i
         raise ValueError(f"k={k} outside 1..{len(samples)}")
     probe = np.asarray(features, dtype=float)
     dists = np.sqrt(np.sum((x - probe) ** 2, axis=1))
-    order = sorted(range(len(samples)), key=lambda i: (dists[i], i))
+    order = np.argsort(dists, kind="stable")  # ties go to the lower index
     votes = sum(int(y[i]) for i in order[:k])
     if votes > 0:
         return 1

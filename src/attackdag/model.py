@@ -167,15 +167,13 @@ class AttackRecord:
 class Cdfg:
     """Control/data-flow graph compiled from a single attack expression.
 
-    Nodes are block ids.  Heads/leaves are derived from degrees, not from
-    the expression's entry/exit sets (a union arm can feed another arm's
-    entry once identical descriptions collapse to one node).
+    Nodes are block ids.  Its heads and leaves follow from the degrees, not
+    from the expression's entry/exit sets (a union arm can feed another
+    arm's entry once identical descriptions collapse to one node).
     """
 
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    heads: frozenset[int]
-    leaves: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -263,14 +261,6 @@ def validate_dag(dag: AttackDag) -> list[str]:
         if edge not in dag.edge_provenance:
             violations.append(f"edge {edge} missing provenance entry")
     return violations
-
-
-@dataclass(frozen=True)
-class AttackPath:
-    """A head-to-leaf node sequence through the attack dag."""
-
-    nodes: tuple[int, ...]
-    provenance: str = "known"  # "known" or "unexploited"
 
 
 # --- features ----------------------------------------------------------------

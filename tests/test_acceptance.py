@@ -140,12 +140,12 @@ def test_criterion_04_path_discovery(criterion):
     with criterion(4):
         corpus = load_corpus(DATA / "aggregation_demo.json")
         dag = corpus.attack_dag()
+        paths = enumerate_attack_paths(dag)
         known = known_attack_paths(dag, corpus.record_cdfgs())
-        novel = discover_unexploited(dag, known)
+        novel = discover_unexploited(paths, known)
         assert len(novel) == 5
-        assert all(p.provenance == "unexploited" for p in novel)
-        known_set = {p.nodes for p in known}
-        assert all(p.nodes not in known_set for p in novel)
+        assert set(novel) == set(paths) - set(known)
+        assert novel == sorted(novel)
 
         rng = random.Random(20260819)
         for _ in range(200):
@@ -158,7 +158,7 @@ def test_criterion_04_path_discovery(criterion):
                 if rng.random() < 0.3
             }
             dag = build_dag(nodes, edges, {e: {"r"} for e in edges})
-            got = [p.nodes for p in enumerate_attack_paths(dag)]
+            got = enumerate_attack_paths(dag)
             assert got == _oracle_paths(nodes, edges)
 
 

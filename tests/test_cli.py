@@ -263,6 +263,31 @@ class TestExitCodes:
         assert "broken" in err
         assert str(bad) in err
 
+    @pytest.mark.parametrize("expression", [
+        ".".join(f"bb_{i}(step {i})" for i in range(3000)),
+        "+".join(f"bb_{i}(arm {i})" for i in range(3000)),
+    ], ids=["chain", "union"])
+    def test_long_expression_ingests(self, tmp_path, expression):
+        corpus = tmp_path / "long.json"
+        corpus.write_text(json.dumps({
+            "category_map": {"x": "memory"},
+            "attacks": [{"name": "long", "categories": ["x"], "expression": expression}],
+        }))
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "d.json")]) == 0
+        assert len(load_dag(tmp_path / "d.json").dag.nodes) == 3000
+
+    def test_deep_nesting_is_located_parse_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({
+            "category_map": {"x": "memory"},
+            "attacks": [{"name": "nested", "categories": ["x"],
+                         "expression": "(" * 1000 + "bb_i(p)" + ")" * 1000}],
+        }))
+        assert main(["ingest", "--corpus", str(deep), "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'nested'" in err and "nested deeper than" in err
+        assert str(deep) in err
+
     def test_cross_attack_cycle_is_invariant_error(self, tmp_path, capsys):
         cyclic = tmp_path / "cyclic.json"
         cyclic.write_text(json.dumps({

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from attackdag.expr import (
+    MAX_GROUP_DEPTH,
     EmptyBlockDescription,
     ExpressionSyntaxError,
     UnbalancedParens,
@@ -106,6 +107,13 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse_expression("bb_i(a).+bb_j(b)")
         assert exc.value.position == 8
+
+    def test_group_depth_is_capped(self):
+        deepest = "(" * MAX_GROUP_DEPTH + "bb_i(a)" + ")" * MAX_GROUP_DEPTH
+        assert parse_expression(deepest) == Block("a")
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("(" + deepest + ")")
+        assert exc.value.position == MAX_GROUP_DEPTH  # the first group too deep
 
 
 class TestRender:

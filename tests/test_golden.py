@@ -1,8 +1,9 @@
-"""The bundled runs reproduce the tracked out/ artifacts byte for byte.
+"""The bundled runs reproduce the tracked artifacts byte for byte.
 
-The nine commands are the ones scripts/run_pipeline.py runs, and the CAN
-case study is scripts/can_case_study.py; each is pointed at a temporary
-directory instead of out/ or out/can/.
+The nine commands are the ones scripts/run_pipeline.py runs, the CAN case
+study is scripts/can_case_study.py, and scripts/build_corpus_artifacts.py
+writes data/attributes.csv and data/labels.csv; each is pointed at a
+temporary directory instead of out/, out/can/ or data/.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 TRACKED = REPO / "out"
+DATA = REPO / "data"
 IDENTICAL = ("dag.json", "candidates.csv", "model.json", "predictions.csv", "paths.json")
 CAN_FILES = ("dag.json", "can_dag.json", "can_attrs.csv", "can_labels.csv", "can_model.json",
              "can_predictions.csv", "can_paths.json")
@@ -53,3 +55,9 @@ def test_can_case_study_byte_identical(tmp_path):
     out = _run_script("can_case_study", tmp_path / "can")
     for name in CAN_FILES:
         assert (out / name).read_bytes() == (TRACKED / "can" / name).read_bytes(), name
+
+
+def test_corpus_artifacts_byte_identical(tmp_path):
+    out = _run_script("build_corpus_artifacts", tmp_path / "data")
+    for name in ("attributes.csv", "labels.csv"):
+        assert (out / name).read_bytes() == (DATA / name).read_bytes(), name

@@ -11,7 +11,6 @@ from attackdag.graph import (
     UnknownPath,
     build_dag,
     cdfg_from_expression,
-    compute_mean_depths,
     discover_unexploited,
     enumerate_attack_paths,
     known_attack_paths,
@@ -51,6 +50,11 @@ def diamond_chain(n):
     return build_dag(set(range(3 * n + 1)), edges, {e: {"a"} for e in edges})
 
 
+def cdfg_paths(cdfg):
+    """Head-to-leaf paths of one compiled CDFG."""
+    return enumerate_attack_paths(merge_cdfgs([("a", cdfg)]))
+
+
 def random_dag(rng, max_nodes=12):
     n = rng.randint(1, max_nodes)
     nodes = list(range(n))
@@ -65,8 +69,7 @@ class TestCdfgFromExpression:
     def test_chain(self):
         cdfg = cdfg_from_expression(parse_expression("bb_i(a)*.bb_j(b).bb_k(c)"))
         assert cdfg.edges == frozenset({(0, 1), (1, 2)})
-        assert cdfg.heads == frozenset({0})
-        assert cdfg.leaves == frozenset({2})
+        assert cdfg_paths(cdfg) == [(0, 1, 2)]
 
     def test_star_adds_no_edges(self):
         cdfg = cdfg_from_expression(parse_expression("(bb_i(a).bb_j(b))*"))
@@ -75,7 +78,12 @@ class TestCdfgFromExpression:
     def test_union_disjoint(self):
         cdfg = cdfg_from_expression(parse_expression("bb_i(a)+bb_j(b)"))
         assert cdfg.edges == frozenset()
-        assert cdfg.heads == cdfg.leaves == frozenset({0, 1})
+        assert cdfg_paths(cdfg) == [(0,), (1,)]
+
+    def test_union_arm_feeding_another_arm_is_no_head(self):
+        # b enters the second arm but the first arm's exit feeds it
+        cdfg = cdfg_from_expression(parse_expression("bb_i(a).bb_j(b)+bb_k(b).bb_l(c)"))
+        assert cdfg_paths(cdfg) == [(0, 1, 2)]
 
     def test_concat_of_unions_is_cross_product(self):
         cdfg = cdfg_from_expression(
@@ -170,9 +178,6 @@ class TestBuildAndMerge:
     def test_merged_dag_validates(self, dag):
         assert validate_dag(dag) == []
 
-    def test_compute_mean_depths_matches_stored(self, dag):
-        assert compute_mean_depths(dag) == dict(dag.mean_depth)
-
 
 class TestPathEnumeration:
     def test_matches_oracle_on_200_random_dags(self):
@@ -180,13 +185,13 @@ class TestPathEnumeration:
         for _ in range(200):
             nodes, edges = random_dag(rng, 12)
             dag = build_dag(nodes, edges, {e: {"a"} for e in edges})
-            got = [p.nodes for p in enumerate_attack_paths(dag)]
+            got = enumerate_attack_paths(dag)
             assert got == oracle_paths(nodes, edges)
 
     def test_lexicographic_order(self):
         edges = {(0, 2), (1, 2), (2, 3), (2, 4)}
         dag = build_dag(set(range(5)), edges, {e: {"a"} for e in edges})
-        got = [p.nodes for p in enumerate_attack_paths(dag)]
+        got = enumerate_attack_paths(dag)
         assert got == [(0, 2, 3), (0, 2, 4), (1, 2, 3), (1, 2, 4)]
 
     def test_cap_raises_path_explosion(self):
@@ -230,15 +235,15 @@ class TestPathEnumeration:
         # deeper than the interpreter's recursion limit
         edges = {(i, i + 1) for i in range(2999)}
         dag = build_dag(set(range(3000)), edges, {e: {"a"} for e in edges})
-        assert [p.nodes for p in enumerate_attack_paths(dag)] == [tuple(range(3000))]
+        assert enumerate_attack_paths(dag) == [tuple(range(3000))]
 
     def test_known_plus_unexploited_partition(self, corpus, dag):
         total = enumerate_attack_paths(dag)
         known = known_attack_paths(dag, corpus.record_cdfgs())
-        novel = discover_unexploited(dag, known)
-        assert len(known) + len(novel) == len(total)
-        assert {p.nodes for p in known}.isdisjoint({p.nodes for p in novel})
-        assert all(p.provenance == "unexploited" for p in novel)
+        novel = discover_unexploited(total, known)
+        known_set = set(known)
+        assert len(known_set) + len(novel) == len(total)
+        assert novel == [p for p in total if p not in known_set]  # in enumeration order
 
     def test_known_paths_match_cdfg_paths_that_are_dag_paths(self):
         # the definition: a complete path of one attack's CDFG that is also
@@ -252,13 +257,11 @@ class TestPathEnumeration:
             dag = merge_cdfgs(named)
             covered = set().union(*(oracle_paths(g.nodes, g.edges) for _, g in named))
             want = sorted(covered & set(oracle_paths(dag.nodes, dag.edges)))
-            assert [p.nodes for p in known_attack_paths(dag, named)] == want
+            assert known_attack_paths(dag, named) == want
 
     def test_discover_rejects_stray_path(self, dag):
-        from attackdag.model import AttackPath
-
         with pytest.raises(UnknownPath):
-            discover_unexploited(dag, [AttackPath(nodes=(999, 1000))])
+            discover_unexploited(enumerate_attack_paths(dag), [(999, 1000)])
 
 
 class TestProjection:
