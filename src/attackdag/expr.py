@@ -235,21 +235,28 @@ _PREC = {UnionExpr: 0, Concat: 1, Star: 2, Block: 3}
 
 
 def render_expression(expr: AttackExpr) -> str:
-    counter = [0]
-
-    def walk(node: AttackExpr, min_prec: int) -> str:
-        prec = _PREC[type(node)]
+    # An explicit stack of pending nodes (with the precedence their position
+    # demands) and literal text, popped left to right, so blocks are numbered
+    # in text order and chains of any length render without recursion.
+    pieces: list[str] = []
+    count = 0
+    stack: list[str | tuple[AttackExpr, int]] = [(expr, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, min_prec = item
         if isinstance(node, Block):
-            counter[0] += 1
-            text = f"bb_{counter[0]}({node.description})"
+            count += 1
+            parts: list[str | tuple[AttackExpr, int]] = [f"bb_{count}({node.description})"]
         elif isinstance(node, Star):
-            text = walk(node.inner, 3) + "*"
+            parts = [(node.inner, 3), "*"]
         elif isinstance(node, Concat):
-            text = walk(node.left, 1) + "." + walk(node.right, 2)
+            parts = [(node.left, 1), ".", (node.right, 2)]
         else:
-            text = walk(node.left, 0) + "+" + walk(node.right, 1)
-        if prec < min_prec:
-            return "(" + text + ")"
-        return text
-
-    return walk(expr, 0)
+            parts = [(node.left, 0), "+", (node.right, 1)]
+        if _PREC[type(node)] < min_prec:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(pieces)

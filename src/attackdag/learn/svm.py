@@ -13,6 +13,21 @@ Shrinking temporarily drops bound-stuck multipliers from pair selection.
 The full gradient is maintained throughout and convergence is re-verified
 on the complete index set before stopping, so shrinking can only change
 how fast the fixed point is reached, never where it is.
+
+Each iteration does O(1) Python work and a fixed handful of numpy calls
+on length-n vectors.  The "can increase"/"can decrease" masks persist
+across iterations, and only entries i and j are refreshed after a step,
+since only those two multipliers moved; so are the same masks restricted
+to the active (unshrunk) set.  Selection copies the violation values
+under a mask into a buffer filled with -inf (or +inf) and takes its
+argmax (argmin), which gives the same extreme and the same lowest-index
+tie as reducing over the masked values.  ``q`` is stored column-major so
+the gradient update reads two contiguous columns.  One ordering is
+load-bearing: the shrink step judges every index against the masks and
+extremes from the top of its iteration, so the i/j mask refresh comes
+after it.  ``tests/oracles.py::reference_smo`` keeps the loop that
+recomputes everything each iteration, and the tests require the two to
+give bit-identical multipliers, bias, iteration counts and ``converged``.
 """
 
 from __future__ import annotations
@@ -104,7 +119,6 @@ class SvmParams:
 class SvmModel:
     params: SvmParams
     support_vectors: np.ndarray  # (n_sv, n_features)
-    dual_coefs: np.ndarray  # alpha_i * y_i per support vector
     bias: float
     sv_indices: tuple[int, ...]  # positions in the training set
     sv_alphas: np.ndarray
@@ -114,6 +128,11 @@ class SvmModel:
     fingerprint: str = ""
     iterations: int = field(default=0, compare=False)
 
+    @property
+    def dual_coefs(self) -> np.ndarray:
+        """alpha_i * y_i per support vector (exact, since y_i is +1 or -1)."""
+        return self.sv_alphas * self.sv_labels
+
     def decision_values(self, features: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
         if x.shape[1] != self.support_vectors.shape[1]:
@@ -121,10 +140,11 @@ class SvmModel:
                 f"{x.shape[1]} features, model has {self.support_vectors.shape[1]}"
             )
         out = np.empty(len(x))
+        coefs = self.dual_coefs
         for start in range(0, len(x), SCORE_BLOCK_ROWS):
             block = x[start:start + SCORE_BLOCK_ROWS]
             k = gram_matrix(self.params.kernel, block, self.support_vectors, self.params.gamma)
-            out[start:start + len(block)] = k @ self.dual_coefs + self.bias
+            out[start:start + len(block)] = k @ coefs + self.bias
         return out
 
     def decision_value(self, features: Sequence[float]) -> float:
@@ -152,6 +172,16 @@ def train_svm(samples: Sequence[BranchSample], params: SvmParams | None = None) 
     return fit_svm(x, y, params)
 
 
+def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the indices whose y * alpha can still rise / fall inside [0, C]."""
+    below_c = alpha < c - bound_eps
+    above_0 = alpha > bound_eps
+    can_up = ((y > 0) & below_c) | ((y < 0) & above_0)
+    can_down = ((y > 0) & above_0) | ((y < 0) & below_c)
+    return can_up, can_down
+
+
 def fit_svm(x: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,74 +198,108 @@ def fit_svm(x: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     c = params.c
     tol = params.tolerance
     k = gram_matrix(params.kernel, x, x, params.gamma)
-    q = (y[:, None] * y[None, :]) * k
+    # Column-major, so the gradient update reads q[:, i] contiguously.
+    q = np.multiply(y[:, None] * y[None, :], k, order="F")
+    labels = y.tolist()
+    neg_y = -y
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
     bound_eps = 1e-12 * max(1.0, c)
+    c_inner = c - bound_eps  # a multiplier at or above this sits at C
+    can_up, can_down = _movable(alpha, y, c, bound_eps)
     active = np.ones(n, dtype=bool)
+    all_active = True
+    up = can_up.copy()  # can_up & active
+    down = can_down.copy()  # can_down & active
+    viol = np.empty(n)  # per-index optimal-bias estimate, -y * grad
+    up_viol = np.empty(n)
+    down_viol = np.empty(n)
+    step = np.empty(n)
+    step_j = np.empty(n)
     converged = False
     iterations = 0
     shrink_period = 100
 
     while iterations < params.max_passes:
-        viol = -y * grad  # per-index optimal-bias estimate
-        can_up = ((y > 0) & (alpha < c - bound_eps)) | ((y < 0) & (alpha > bound_eps))
-        can_down = ((y > 0) & (alpha > bound_eps)) | ((y < 0) & (alpha < c - bound_eps))
-        up = can_up & active
-        down = can_down & active
-        m_val = np.max(viol[up]) if up.any() else -np.inf
-        m_low = np.min(viol[down]) if down.any() else np.inf
+        np.multiply(neg_y, grad, out=viol)
+        up_viol.fill(-np.inf)
+        np.copyto(up_viol, viol, where=up)
+        down_viol.fill(np.inf)
+        np.copyto(down_viol, viol, where=down)
+        i = int(up_viol.argmax())
+        j = int(down_viol.argmin())
+        m_val = up_viol.item(i)
+        m_low = down_viol.item(j)
         if m_val - m_low <= tol:
-            if active.all():
+            if all_active:
                 converged = True
                 break
             # Shrunk set converged: reactivate everything and re-verify.
-            active[:] = True
+            active.fill(True)
+            all_active = True
+            np.copyto(up, can_up)
+            np.copyto(down, can_down)
             continue
-        i = int(np.argmax(np.where(up, viol, -np.inf)))
-        j = int(np.argmin(np.where(down, viol, np.inf)))
 
         # Analytic two-variable step on (i, j).
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        eta = k.item(i, i) + k.item(j, j) - 2.0 * k.item(i, j)
         if eta < 1e-12:
             eta = 1e-12
-        diff = y[i] * grad[i] - y[j] * grad[j]  # E_i - E_j, bias-free
-        aj_old, ai_old = alpha[j], alpha[i]
-        aj = aj_old + y[j] * diff / eta
-        if y[i] != y[j]:
+        yi, yj = labels[i], labels[j]
+        diff = yi * grad.item(i) - yj * grad.item(j)  # E_i - E_j, bias-free
+        aj_old, ai_old = alpha.item(j), alpha.item(i)
+        aj = aj_old + yj * diff / eta
+        if yi != yj:
             lo = max(0.0, aj_old - ai_old)
             hi = min(c, c + aj_old - ai_old)
         else:
             lo = max(0.0, ai_old + aj_old - c)
             hi = min(c, ai_old + aj_old)
         aj = min(max(aj, lo), hi)
-        ai = ai_old + y[i] * y[j] * (aj_old - aj)
+        ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        grad += q[:, i] * (ai - ai_old) + q[:, j] * (aj - aj_old)
+        np.multiply(q[:, i], ai - ai_old, out=step)
+        np.multiply(q[:, j], aj - aj_old, out=step_j)
+        step += step_j
+        grad += step
         iterations += 1
 
         if params.shrinking and iterations % shrink_period == 0:
             # Keep every free multiplier; drop bound-stuck indices whose
             # violation value sits strictly inside the current extremes.
-            viol = -y * grad
-            at_bound = (alpha <= bound_eps) | (alpha >= c - bound_eps)
+            # The masks and extremes are still those this iteration selected
+            # with: entries i and j are refreshed only below.
+            np.multiply(neg_y, grad, out=viol)
+            at_bound = (alpha <= bound_eps) | (alpha >= c_inner)
             up_only = can_up & ~can_down
             down_only = can_down & ~can_up
             stuck = at_bound & (
                 (up_only & (viol < m_low)) | (down_only & (viol > m_val))
             )
-            active = ~stuck
+            np.logical_not(stuck, out=active)
             if not active.any():
-                active[:] = True
+                active.fill(True)
+            all_active = bool(active.all())
+            np.logical_and(can_up, active, out=up)
+            np.logical_and(can_down, active, out=down)
+
+        # Only alpha[i] and alpha[j] moved, so only their mask entries change.
+        for t, a in ((i, ai), (j, aj)):
+            rise, fall = a < c_inner, a > bound_eps
+            if labels[t] < 0:
+                rise, fall = fall, rise
+            can_up[t] = rise
+            can_down[t] = fall
+            up[t] = rise and active[t]
+            down[t] = fall and active[t]
 
     np.clip(alpha, 0.0, c, out=alpha)
-    viol = -y * grad
-    free = (alpha > bound_eps) & (alpha < c - bound_eps)
+    np.multiply(neg_y, grad, out=viol)
+    free = (alpha > bound_eps) & (alpha < c_inner)
     if free.any():
         bias = float(np.mean(viol[free]))
     else:
-        can_up = ((y > 0) & (alpha < c - bound_eps)) | ((y < 0) & (alpha > bound_eps))
-        can_down = ((y > 0) & (alpha > bound_eps)) | ((y < 0) & (alpha < c - bound_eps))
+        can_up, can_down = _movable(alpha, y, c, bound_eps)
         hi = np.max(viol[can_up]) if can_up.any() else 0.0
         lo = np.min(viol[can_down]) if can_down.any() else 0.0
         bias = float((hi + lo) / 2.0)
@@ -245,7 +309,6 @@ def fit_svm(x: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
     return SvmModel(
         params=params,
         support_vectors=x[sv].copy(),
-        dual_coefs=(alpha * y)[sv].copy(),
         bias=bias,
         sv_indices=idx,
         sv_alphas=alpha[sv].copy(),

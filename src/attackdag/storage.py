@@ -43,9 +43,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -94,6 +95,10 @@ class FingerprintMismatch(ValueError):
 
 
 class DagLoadError(ValueError):
+    pass
+
+
+class ModelLoadError(ValueError):
     pass
 
 
@@ -587,35 +592,120 @@ def save_model(path: str | Path, model: SvmModel, fingerprint: str) -> None:
     write_text_atomic(path, dump_json(payload))
 
 
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# Each SvmParams field's annotated type, as a name: "float", "str", "bool" or "int".
+_PARAM_TYPES = {f.name: f.type for f in fields(SvmParams)}
+
+
 def load_model(
     path: str | Path, expected_fingerprint: Optional[str] = None, force: bool = False
 ) -> SvmModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: model file is not a JSON object")
+    """Read a model file, checking every entry before the model is built.
+
+    A malformed entry raises ModelLoadError naming the file and the key:
+    a missing or mistyped key, a non-finite number, arrays whose lengths
+    disagree, a label other than +1/-1, a multiplier outside (0, C],
+    support-vector indices that are not distinct in [0, n_samples), or
+    stored ``dual_coefs`` other than ``sv_alphas * sv_labels``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelLoadError(f"{path}: not valid JSON: {exc}") from None
+    if type(payload) is not dict:
+        raise ModelLoadError(f"{path}: model file is not a JSON object")
     stored = payload.get("corpus_fingerprint", "")
+    if type(stored) is not str:
+        raise ModelLoadError(f"{path}: 'corpus_fingerprint' is not a string: {stored!r}")
     if expected_fingerprint is not None and stored != expected_fingerprint and not force:
         raise FingerprintMismatch(
             f"{path}: model was trained on corpus {stored[:12]}..., "
             f"inputs hash to {expected_fingerprint[:12]}... (use --force to override)"
         )
+
+    def entry(key: str):
+        if key not in payload:
+            raise ModelLoadError(f"{path}: model file has no {key!r}")
+        return payload[key]
+
+    def bad(key: str, message: str) -> ModelLoadError:
+        return ModelLoadError(f"{path}: {key!r} {message}")
+
+    stored_params = entry("params")
+    if type(stored_params) is not dict:
+        raise bad("params", f"is not an object: {stored_params!r}")
+    unknown = sorted(stored_params.keys() - _PARAM_TYPES.keys())
+    if unknown:
+        raise bad("params", f"has unknown field {unknown[0]!r}")
+    for key, kind in _PARAM_TYPES.items():
+        if key not in stored_params:
+            raise bad("params", f"has no field {key!r}")
+        value = stored_params[key]
+        if not (_finite(value) if kind == "float" else type(value).__name__ == kind):
+            kind_name = "finite number" if kind == "float" else kind
+            raise bad("params", f"field {key!r} is not a {kind_name}: {value!r}")
     try:
-        return SvmModel(
-            params=SvmParams(**payload["params"]),
-            support_vectors=np.asarray(payload["support_vectors"], dtype=float),
-            dual_coefs=np.asarray(payload["dual_coefs"], dtype=float),
-            bias=float(payload["bias"]),
-            sv_indices=tuple(payload["sv_indices"]),
-            sv_alphas=np.asarray(payload["sv_alphas"], dtype=float),
-            sv_labels=np.asarray(payload["sv_labels"], dtype=float),
-            n_samples=int(payload["n_samples"]),
-            converged=bool(payload["converged"]),
-            fingerprint=stored,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: model file has no {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # e.g. an unknown params field
-        raise ValueError(f"{path}: {exc}") from None
+        params = SvmParams(**stored_params)
+    except ValueError as exc:
+        raise bad("params", str(exc)) from None
+
+    def numbers(key: str, length: int) -> np.ndarray:
+        values = entry(key)
+        if type(values) is not list or not all(_finite(v) for v in values):
+            raise bad(key, "is not a list of finite numbers")
+        if len(values) != length:
+            raise bad(key, f"has {len(values)} entries, expected {length}, "
+                           "one per support vector")
+        return np.asarray(values, dtype=float)
+
+    rows = entry("support_vectors")
+    if type(rows) is not list or not rows or not all(type(r) is list and r for r in rows):
+        raise bad("support_vectors", "is not a non-empty list of non-empty rows")
+    if len({len(r) for r in rows}) != 1 or not all(_finite(v) for r in rows for v in r):
+        raise bad("support_vectors", "rows are not all finite numbers of one length")
+    support_vectors = np.asarray(rows, dtype=float)
+    n_sv = len(rows)
+    sv_alphas = numbers("sv_alphas", n_sv)
+    sv_labels = numbers("sv_labels", n_sv)
+    dual_coefs = numbers("dual_coefs", n_sv)
+    if not np.isin(sv_labels, (1.0, -1.0)).all():
+        raise bad("sv_labels", "has a label other than 1 or -1")
+    if not ((sv_alphas > 0.0) & (sv_alphas <= params.c)).all():
+        raise bad("sv_alphas", f"has a multiplier outside (0, C = {params.c}]")
+    if not np.array_equal(dual_coefs, sv_alphas * sv_labels):
+        raise bad("dual_coefs", "differs from sv_alphas * sv_labels")
+    n_samples = entry("n_samples")
+    if type(n_samples) is not int or n_samples < 1:
+        raise bad("n_samples", f"is not a positive integer: {n_samples!r}")
+    indices = entry("sv_indices")
+    if (type(indices) is not list or len(indices) != n_sv
+            or not all(type(i) is int and 0 <= i < n_samples for i in indices)
+            or len(set(indices)) != n_sv):
+        raise bad("sv_indices", f"is not {n_sv} distinct integers in [0, n_samples)")
+    bias = entry("bias")
+    if not _finite(bias):
+        raise bad("bias", f"is not a finite number: {bias!r}")
+    converged = entry("converged")
+    if type(converged) is not bool:
+        raise bad("converged", f"is not true or false: {converged!r}")
+    return SvmModel(
+        params=params,
+        support_vectors=support_vectors,
+        bias=float(bias),
+        sv_indices=tuple(indices),
+        sv_alphas=sv_alphas,
+        sv_labels=sv_labels,
+        n_samples=n_samples,
+        converged=converged,
+        fingerprint=stored,
+    )
 
 
 # --- predictions -----------------------------------------------------------------------

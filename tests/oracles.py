@@ -1,8 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is written for clarity over speed and shares no code with
-the package internals beyond kernel evaluation (reusing the kernel is fine:
-the quantity under test is the optimizer, not the kernel arithmetic).
+the package internals beyond kernel evaluation and the expression AST types
+(reusing the kernel is fine: the quantity under test is the optimizer, not
+the kernel arithmetic).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from attackdag.learn.svm import SvmParams, gram_matrix
+from attackdag.model import AttackExpr, Block, Concat, Star
 
 
 def dual_qp_reference(
@@ -77,6 +79,97 @@ def dual_qp_reference(
         lo = float(np.min(slack[can_down])) if can_down.any() else 0.0
         bias = (hi + lo) / 2.0
     return alphas, bias, objective(alphas)
+
+
+def reference_smo(
+    x: np.ndarray, y: np.ndarray, params: SvmParams
+) -> tuple[np.ndarray, float, int, bool]:
+    """The SMO loop as first written: every mask and reduction recomputed in
+    full on every iteration.
+
+    ``fit_svm`` must reproduce it bit for bit.  Returns (alphas, bias,
+    iterations, converged), with the multipliers at or below the bound
+    tolerance set to zero, as the model keeps them.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.shape[0]
+    c = params.c
+    tol = params.tolerance
+    k = gram_matrix(params.kernel, x, x, params.gamma)
+    q = (y[:, None] * y[None, :]) * k
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    bound_eps = 1e-12 * max(1.0, c)
+    active = np.ones(n, dtype=bool)
+    converged = False
+    iterations = 0
+    shrink_period = 100
+
+    while iterations < params.max_passes:
+        viol = -y * grad  # per-index optimal-bias estimate
+        can_up = ((y > 0) & (alpha < c - bound_eps)) | ((y < 0) & (alpha > bound_eps))
+        can_down = ((y > 0) & (alpha > bound_eps)) | ((y < 0) & (alpha < c - bound_eps))
+        up = can_up & active
+        down = can_down & active
+        m_val = np.max(viol[up]) if up.any() else -np.inf
+        m_low = np.min(viol[down]) if down.any() else np.inf
+        if m_val - m_low <= tol:
+            if active.all():
+                converged = True
+                break
+            # Shrunk set converged: reactivate everything and re-verify.
+            active[:] = True
+            continue
+        i = int(np.argmax(np.where(up, viol, -np.inf)))
+        j = int(np.argmin(np.where(down, viol, np.inf)))
+
+        # Analytic two-variable step on (i, j).
+        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        if eta < 1e-12:
+            eta = 1e-12
+        diff = y[i] * grad[i] - y[j] * grad[j]  # E_i - E_j, bias-free
+        aj_old, ai_old = alpha[j], alpha[i]
+        aj = aj_old + y[j] * diff / eta
+        if y[i] != y[j]:
+            lo = max(0.0, aj_old - ai_old)
+            hi = min(c, c + aj_old - ai_old)
+        else:
+            lo = max(0.0, ai_old + aj_old - c)
+            hi = min(c, ai_old + aj_old)
+        aj = min(max(aj, lo), hi)
+        ai = ai_old + y[i] * y[j] * (aj_old - aj)
+        alpha[i], alpha[j] = ai, aj
+        grad += q[:, i] * (ai - ai_old) + q[:, j] * (aj - aj_old)
+        iterations += 1
+
+        if params.shrinking and iterations % shrink_period == 0:
+            # Keep every free multiplier; drop bound-stuck indices whose
+            # violation value sits strictly inside the current extremes.
+            viol = -y * grad
+            at_bound = (alpha <= bound_eps) | (alpha >= c - bound_eps)
+            up_only = can_up & ~can_down
+            down_only = can_down & ~can_up
+            stuck = at_bound & (
+                (up_only & (viol < m_low)) | (down_only & (viol > m_val))
+            )
+            active = ~stuck
+            if not active.any():
+                active[:] = True
+
+    np.clip(alpha, 0.0, c, out=alpha)
+    viol = -y * grad
+    free = (alpha > bound_eps) & (alpha < c - bound_eps)
+    if free.any():
+        bias = float(np.mean(viol[free]))
+    else:
+        can_up = ((y > 0) & (alpha < c - bound_eps)) | ((y < 0) & (alpha > bound_eps))
+        can_down = ((y > 0) & (alpha > bound_eps)) | ((y < 0) & (alpha < c - bound_eps))
+        hi = np.max(viol[can_up]) if can_up.any() else 0.0
+        lo = np.min(viol[can_down]) if can_down.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    alpha[alpha <= bound_eps] = 0.0
+    return alpha, bias, iterations, converged
 
 
 def reference_decisions(
@@ -196,3 +289,29 @@ def tree_predict(node, probe) -> int:
         _, f, thr, left, right = node
         node = left if probe[f] <= thr else right
     return node[1]
+
+
+def render_expression_recursive(expr: AttackExpr) -> str:
+    """The DSL text of an expression by direct recursion, one frame per operator.
+
+    Minimal parentheses: union binds loosest, then concatenation, then star;
+    a right operand of the same precedence is parenthesized.
+    """
+    prec = {Concat: 1, Star: 2, Block: 3}
+    counter = [0]
+
+    def walk(node: AttackExpr, min_prec: int) -> str:
+        if isinstance(node, Block):
+            counter[0] += 1
+            text = f"bb_{counter[0]}({node.description})"
+        elif isinstance(node, Star):
+            text = walk(node.inner, 3) + "*"
+        elif isinstance(node, Concat):
+            text = walk(node.left, 1) + "." + walk(node.right, 2)
+        else:
+            text = walk(node.left, 0) + "+" + walk(node.right, 1)
+        if prec.get(type(node), 0) < min_prec:
+            return "(" + text + ")"
+        return text
+
+    return walk(expr, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -392,7 +393,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit, key", [
         (lambda payload: payload.pop("bias"), "'bias'"),
         (lambda payload: payload["params"].update(colour="blue"), "'colour'"),
-    ], ids=["no-bias", "unknown-param"])
+        (lambda payload: payload.update(bias="nan"), "'bias'"),
+        (lambda payload: payload.update(bias=math.nan), "'bias'"),
+        (lambda payload: payload.update(converged="false"), "'converged'"),
+        (lambda payload: payload["dual_coefs"].pop(), "'dual_coefs'"),
+        (lambda payload: payload["dual_coefs"].__setitem__(0, 0.5), "'dual_coefs'"),
+        (lambda payload: payload["sv_labels"].__setitem__(0, 5.0), "'sv_labels'"),
+        (lambda payload: payload["sv_alphas"].__setitem__(0, 1e9), "'sv_alphas'"),
+        (lambda payload: payload["sv_alphas"].__setitem__(0, 0.0), "'sv_alphas'"),
+        (lambda payload: payload.update(sv_indices="ab"), "'sv_indices'"),
+        (lambda payload: payload["sv_indices"].__setitem__(1, payload["sv_indices"][0]),
+         "'sv_indices'"),
+        (lambda payload: payload.update(n_samples=-1), "'n_samples'"),
+        (lambda payload: payload["support_vectors"][0].pop(), "'support_vectors'"),
+    ], ids=["no-bias", "unknown-param", "nan-bias-string", "nan-bias", "converged-string",
+            "short-dual-coefs", "dual-coef-not-product", "label-5", "alpha-above-c", "alpha-0",
+            "indices-string", "repeated-index", "negative-n-samples", "short-sv-row"])
     def test_malformed_model_is_parse_error(self, work, tmp_path, capsys, edit, key):
         payload = json.loads(work["model"].read_text())
         edit(payload)

@@ -14,6 +14,8 @@ from attackdag.expr import (
 )
 from attackdag.model import Block, Concat, Star, UnionExpr, block, concat, star, union
 
+from oracles import render_expression_recursive
+
 
 class TestTokenize:
     def test_operators_inside_description_are_literal(self):
@@ -176,6 +178,18 @@ class TestRoundTrip:
             once = render_expression(ast)
             again = render_expression(parse_expression(once))
             assert again == once
+
+    def test_render_matches_recursive_reference(self):
+        rng = random.Random(41)
+        for _ in range(1000):
+            ast = random_ast(rng, rng.randint(0, 8))
+            assert render_expression(ast) == render_expression_recursive(ast)
+
+    def test_long_chain_renders_and_reparses(self):
+        src = ".".join(f"bb_{i}(step {i})" for i in range(1, 3001))
+        rendered = render_expression(parse_expression(src))
+        assert rendered == src
+        assert render_expression(parse_expression(rendered)) == rendered
 
     def test_bundled_corpus_round_trips(self, corpus):
         for record in corpus.records:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from attackdag.storage import (
     EXPLOIT_BUCKETS,
     ExpressionParseFailure,
     FingerprintMismatch,
+    ModelLoadError,
     PREDICTIONS_HEADER,
     append_annotation,
     dag_payload,
@@ -538,3 +540,74 @@ class TestDagLoaderFuzz:
             pass
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: "), str(exc)
+
+
+MODEL_ARRAYS = ("support_vectors", "dual_coefs", "sv_indices", "sv_alphas", "sv_labels")
+# JSON values, and as often values near the edges of what a model entry allows.
+MODEL_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 5, 0.0, -0.5, 0.5, 1.0, 3.0, 1e300, math.nan, math.inf, True,
+                     "1"]),
+    JSON_VALUES,
+)
+
+
+@pytest.fixture(scope="module")
+def model_body(fuzz_dir):
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
+    y = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+    path = fuzz_dir / "model_seed.json"
+    save_model(path, fit_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), "f" * 64)
+    return path.read_text()
+
+
+class TestModelLoaderFuzz:
+    """Every model.json either loads a model that keeps the file's invariants
+    or raises ModelLoadError naming the file."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_entries(self, fuzz_dir, model_body, data):
+        body = json.loads(model_body)
+        value = data.draw(MODEL_VALUES)
+        part = data.draw(st.sampled_from(["none", "key", "drop", "param", "entry", "row",
+                                          "append", "pop"]))
+        if part == "key":
+            body[data.draw(st.sampled_from(sorted(body)))] = value
+        elif part == "drop":
+            del body[data.draw(st.sampled_from(sorted(body)))]
+        elif part == "param":
+            body["params"][data.draw(st.sampled_from(sorted(body["params"]) + ["extra"]))] = value
+        elif part in ("entry", "append", "pop"):
+            values = body[data.draw(st.sampled_from(MODEL_ARRAYS))]
+            if part == "entry":
+                values[data.draw(st.integers(0, len(values) - 1))] = value
+            elif part == "append":
+                values.append(value)
+            else:
+                values.pop()
+        elif part == "row":
+            rows = body["support_vectors"]
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = value
+        alphas, labels = body.get("sv_alphas"), body.get("sv_labels")
+        if (data.draw(st.booleans()) and type(alphas) is list and type(labels) is list
+                and all(type(v) in (int, float) for v in alphas + labels)):
+            # Keep dual_coefs the product, so a bad alpha or label meets its own check.
+            body["dual_coefs"] = [a * label for a, label in zip(alphas, labels)]
+        path = fuzz_dir / "model.json"
+        path.write_text(json.dumps(body))
+        try:
+            model = load_model(path)
+        except ModelLoadError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+        n_sv = len(model.sv_indices)
+        assert model.support_vectors.shape[0] == n_sv >= 1
+        assert model.sv_alphas.shape == model.sv_labels.shape == model.dual_coefs.shape == (n_sv,)
+        assert np.isfinite(model.support_vectors).all() and math.isfinite(model.bias)
+        assert set(model.sv_labels.tolist()) <= {1.0, -1.0}
+        assert ((model.sv_alphas > 0.0) & (model.sv_alphas <= model.params.c)).all()
+        assert len(set(model.sv_indices)) == n_sv
+        assert all(type(i) is int and 0 <= i < model.n_samples for i in model.sv_indices)
+        assert type(model.converged) is bool
+        assert np.array_equal(np.asarray(body["dual_coefs"], dtype=float), model.dual_coefs)

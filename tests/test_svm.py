@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import attackdag.learn.svm as svm_module
 from attackdag.learn import (
     DimensionMismatch,
+    GridSpec,
     NonFiniteFeature,
     SingleClassData,
     SvmModel,
@@ -19,7 +21,12 @@ from attackdag.learn import (
 )
 from attackdag.model import BranchSample
 
-from oracles import dual_qp_reference, rbf_gram_three_temporaries, reference_decisions
+from oracles import (
+    dual_qp_reference,
+    rbf_gram_three_temporaries,
+    reference_decisions,
+    reference_smo,
+)
 
 
 class TestKernels:
@@ -238,6 +245,85 @@ class TestOptimizerProperties:
         assert a.iterations == b.iterations
 
 
+def assert_same_fit(x, y, params):
+    """fit_svm against the full-recompute loop in oracles, bit for bit."""
+    model = fit_svm(x, y, params)
+    alphas, bias, iterations, converged = reference_smo(x, y, params)
+    assert np.array_equal(full_alphas(model), alphas), params
+    assert model.bias == bias, params
+    assert model.iterations == iterations, params
+    assert model.converged == converged, params
+    return model
+
+
+class TestBitIdentityWithReferenceLoop:
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_bundled_grid_cells(self, labeled, shrinking):
+        x, y = svm_module.as_arrays(labeled)
+        iterations = [
+            assert_same_fit(x, y, dataclasses.replace(params, shrinking=shrinking)).iterations
+            for params in GridSpec().cells()
+        ]
+        assert len(iterations) == 45
+        assert max(iterations) >= 200  # the shrink step runs more than once
+
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_random_problems(self, shrinking):
+        rng = np.random.default_rng(20261018)
+        kernels = ("rbf", "poly", "sigmoid")
+        for trial in range(24):
+            x, y = random_problem(rng, int(rng.integers(4, 60)), int(rng.integers(2, 5)))
+            params = SvmParams(
+                c=float(rng.choice([0.5, 1.0, 5.0, 20.0])),
+                kernel=kernels[trial % 3],
+                gamma=float(rng.choice([0.1, 0.5, 2.0])),
+                tolerance=float(rng.choice([1e-3, 1e-6])),
+                shrinking=shrinking,
+            )
+            assert_same_fit(x, y, params)
+
+    def test_tiny_c_puts_every_multiplier_at_the_bound(self):
+        rng = np.random.default_rng(5)
+        x, y = random_problem(rng, 40, 3)
+        params = SvmParams(c=1e-4, gamma=0.5)
+        alphas = full_alphas(assert_same_fit(x, y, params))
+        assert np.all((alphas == 0.0) | (alphas == params.c))
+
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_duplicate_rows_tie_in_violation(self, shrinking):
+        rng = np.random.default_rng(8)
+        base, labels = random_problem(rng, 12, 2)
+        x = np.vstack([base, base, base[:6]])
+        y = np.concatenate([labels, labels, labels[:6]])
+        for c in (0.5, 10.0):
+            assert_same_fit(x, y, SvmParams(c=c, gamma=1.0, tolerance=1e-6,
+                                            shrinking=shrinking))
+
+    @pytest.mark.parametrize("seed, c, gamma", [(1000195, 1.0, 2.0), (1002703, 0.1, 0.05)])
+    def test_shrink_step_reads_the_masks_it_selected_with(self, seed, c, gamma):
+        # In these sigmoid problems i or j lands on a bound at a shrink step.
+        # Judged with its refreshed (one-sided) masks it would be shrunk, and
+        # the iteration count changes; judged with the masks of the top of the
+        # iteration, as the reference does, it stays active.
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(10, 150)), int(rng.integers(1, 5))
+        x = np.round(rng.uniform(-2, 2, size=(n, dim)))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        model = assert_same_fit(x, y, SvmParams(c=c, kernel="sigmoid", gamma=gamma,
+                                                tolerance=1e-8, max_passes=3000))
+        assert model.iterations >= 100
+
+    def test_max_passes_cutoff(self):
+        rng = np.random.default_rng(13)
+        x, y = random_problem(rng, 50, 2)
+        for max_passes in (1, 7, 150):
+            model = assert_same_fit(x, y, SvmParams(c=100.0, gamma=2.0, tolerance=1e-9,
+                                                    max_passes=max_passes))
+            assert model.iterations == max_passes
+            assert not model.converged
+
+
 class TestModelSurface:
     def make_model(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.5, 1.5]])
@@ -264,7 +350,6 @@ class TestModelSurface:
         model = SvmModel(
             params=SvmParams(),
             support_vectors=np.array([[0.0]]),
-            dual_coefs=np.array([0.0]),
             bias=0.0,
             sv_indices=(0,),
             sv_alphas=np.array([0.0]),
