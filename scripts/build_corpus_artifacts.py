@@ -28,7 +28,9 @@ from attackdag import (  # noqa: E402
     NodeAttributes,
     SvmParams,
     branch_features,
+    generate_negative_candidates,
     load_corpus,
+    structural_columns,
     train_svm,
 )
 from attackdag.learn.svm import as_arrays  # noqa: E402
@@ -98,18 +100,9 @@ DROP_PER_MISS = 1
 
 
 def build_table(corpus, dag) -> AttributeTable:
-    rows = {}
-    provenance = {}
-    for blk in corpus.blocks:
-        facets = FACETS[blk.norm_text]
-        rows[blk.id] = NodeAttributes(
-            *facets,
-            head=int(blk.id in dag.heads),
-            leaf=int(blk.id in dag.leaves),
-            mean_depth=dag.mean_depth[blk.id],
-        )
-        provenance[blk.id] = "reconstructed"
-    return AttributeTable(rows=rows, provenance=provenance)
+    rows = {blk.id: NodeAttributes(*FACETS[blk.norm_text], *structural_columns(dag, blk.id))
+            for blk in corpus.blocks}
+    return AttributeTable(rows=rows, provenance=dict.fromkeys(rows, "reconstructed"))
 
 
 def curate_labels(dag, table, corpus) -> list[BranchSample]:
@@ -124,7 +117,7 @@ def curate_labels(dag, table, corpus) -> list[BranchSample]:
     step = len(pool) / N_NEGATIVES_TARGET
     negatives = [pool[int(i * step)] for i in range(min(N_NEGATIVES_TARGET, len(pool)))]
 
-    params = SvmParams()  # default cell: c=1.0, rbf, gamma=0.0556
+    params = SvmParams()  # the default cell
     for round_no in range(MAX_CURATION_ROUNDS):
         labeled = positives + negatives
         model = train_svm(labeled, params)
@@ -151,8 +144,6 @@ def curate_labels(dag, table, corpus) -> list[BranchSample]:
 
 
 def generate_pool(dag, table, corpus, exceptions, positives):
-    from attackdag import generate_negative_candidates
-
     pool = generate_negative_candidates(
         dag, table, corpus.blocks_by_id(), exceptions
     )

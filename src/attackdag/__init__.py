@@ -23,7 +23,6 @@ from .model import (
     Metrics,
     N_BINARY_ATTRIBUTES,
     NodeAttributes,
-    PREDICTED_TAG,
     Star,
     UnionExpr,
     VulnerabilityCategory,
@@ -67,6 +66,7 @@ from .features import (
     height_diff,
     node_features,
     search_space_size,
+    structural_columns,
 )
 from .negatives import (
     ExceptionList,

@@ -20,6 +20,7 @@ from .features import (
     branch_features,
     enumerate_candidates,
     search_space_size,
+    structural_columns,
 )
 from .graph import (
     CycleIntroduced,
@@ -44,7 +45,7 @@ from .learn import (
     train_svm,
     train_tree,
 )
-from .learn.svm import SvmModel, as_arrays
+from .learn.svm import KERNELS, SvmModel, as_arrays
 from .model import (
     AttackDag,
     BranchSample,
@@ -164,21 +165,12 @@ def cmd_attrs(args: argparse.Namespace) -> int:
     if args.refresh_structural:
         # The input table may be structurally stale (e.g. after a projection),
         # so only the facet bits are trusted; head/leaf/depth come from the dag.
-        refreshed_rows = {}
-        provenance = {}
-        for node in sorted(dagfile.dag.nodes):
-            old = table[node]
-            refreshed_rows[node] = NodeAttributes(
-                *old.binary_bits()[:7],
-                head=int(node in dagfile.dag.heads),
-                leaf=int(node in dagfile.dag.leaves),
-                mean_depth=dagfile.dag.mean_depth[node],
-            )
-            provenance[node] = table.provenance[node]
-        new_table = AttributeTable(rows=refreshed_rows, provenance=provenance)
+        nodes = sorted(dagfile.dag.nodes)
+        rows = {n: NodeAttributes(*table[n].binary_bits()[:7],
+                                  *structural_columns(dagfile.dag, n)) for n in nodes}
+        new_table = AttributeTable(rows=rows, provenance={n: table.provenance[n] for n in nodes})
         write_text_atomic(args.refresh_structural, new_table.to_csv())
-        print(f"wrote refreshed table for {len(refreshed_rows)} nodes "
-              f"to {args.refresh_structural}")
+        print(f"wrote refreshed table for {len(rows)} nodes to {args.refresh_structural}")
         return EXIT_OK
     problems = table.check_against(dagfile.dag)
     if problems:
@@ -193,25 +185,27 @@ def cmd_attrs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _thresholds(args: argparse.Namespace) -> NegativeFilterThresholds:
+    if args.independence_only:
+        return NegativeFilterThresholds.disabled()
+    return NegativeFilterThresholds(
+        ht_diff_below=args.ht_below,
+        ht_diff_above=args.ht_above,
+        min_hamming=args.min_hamming,
+        head_to_leaf=not args.no_head_to_leaf,
+        leaf_to_leaf=not args.no_leaf_to_leaf,
+    )
+
+
 def cmd_negatives(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
-    exceptions = ExceptionList.empty()
+    exceptions = None
     if args.exceptions:
         exceptions = ExceptionList.from_csv(Path(args.exceptions).read_text(encoding="utf-8"),
                                             source=args.exceptions)
-    if args.independence_only:
-        thresholds = NegativeFilterThresholds.disabled()
-    else:
-        thresholds = NegativeFilterThresholds(
-            ht_diff_below=args.ht_below,
-            ht_diff_above=args.ht_above,
-            min_hamming=args.min_hamming,
-            head_to_leaf=not args.no_head_to_leaf,
-            leaf_to_leaf=not args.no_leaf_to_leaf,
-        )
     candidates = generate_negative_candidates(
-        dagfile.dag, table, dagfile.blocks, exceptions, thresholds
+        dagfile.dag, table, dagfile.blocks, exceptions, _thresholds(args)
     )
     save_labels(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
                               repeat(candidates.label)))
@@ -273,40 +267,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_grid_search(args: argparse.Namespace) -> int:
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
-    grid = GridSpec(
+def _grid_spec(args: argparse.Namespace) -> GridSpec:
+    return GridSpec(
         c_values=tuple(float(v) for v in args.c_values.split(",")),
         kernels=tuple(args.kernels.split(",")),
         gamma_values=tuple(float(v) for v in args.gamma_values.split(",")),
     )
-    best, surface = grid_search_min_fn(samples, grid)
-    rows = []
-    for cell in surface:
-        rows.append(
-            {
-                "c": cell.params.c,
-                "kernel": cell.params.kernel,
-                "gamma": cell.params.gamma,
-                "fn": cell.fn,
-                "fp": cell.fp,
-                "error": cell.error,
-            }
-        )
+
+
+def _cell(params: SvmParams) -> dict:
+    """The grid coordinates of a cell, as surface.json records them."""
+    return {"c": params.c, "kernel": params.kernel, "gamma": params.gamma}
+
+
+def cmd_grid_search(args: argparse.Namespace) -> int:
+    table = _read_table(args.attrs)
+    samples = _labeled_samples(args.labels, table)
+    best, surface = grid_search_min_fn(samples, _grid_spec(args))
     if args.out:
-        write_text_atomic(
-            args.out,
-            dump_json(
-                {"best": {"c": best.c, "kernel": best.kernel, "gamma": best.gamma},
-                 "cells": rows}
-            ),
-        )
+        rows = [{**_cell(cell.params), "fn": cell.fn, "fp": cell.fp, "error": cell.error}
+                for cell in surface]
+        write_text_atomic(args.out, dump_json({"best": _cell(best), "cells": rows}))
     failed = sum(1 for cell in surface if cell.fn is None)
-    best_cell = next(
-        c for c in surface
-        if (c.params.c, c.params.kernel, c.params.gamma) == (best.c, best.kernel, best.gamma)
-    )
+    best_cell = next(cell for cell in surface if cell.params == best)
     print(
         f"best cell: c={best.c} kernel={best.kernel} gamma={best.gamma} "
         f"(fn={best_cell.fn}, fp={best_cell.fp}; {len(surface)} cells, {failed} failed)"
@@ -541,6 +524,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every default comes from the library's dataclasses, and each option that
+    # several subcommands share is declared once, in a parent parser.
+    svm, grid, filters = SvmParams(), GridSpec(), NegativeFilterThresholds()
+    dag_opt = argparse.ArgumentParser(add_help=False)
+    dag_opt.add_argument("--dag", required=True)
+    table_opts = argparse.ArgumentParser(add_help=False, parents=[dag_opt])
+    table_opts.add_argument("--attrs", required=True)
+    labeled_opts = argparse.ArgumentParser(add_help=False, parents=[table_opts])
+    labeled_opts.add_argument("--labels", required=True)
+    model_opts = argparse.ArgumentParser(add_help=False)
+    model_opts.add_argument("--model", required=True)
+    model_opts.add_argument("--force", action="store_true",
+                            help="run even if inputs do not match the model fingerprint")
+
     parser = _Parser(prog="attackdag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -550,23 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attrs-ref", default=None)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("attrs", help="check an attribute table against a dag")
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
+    p = sub.add_parser("attrs", parents=[table_opts],
+                       help="check an attribute table against a dag")
     p.add_argument("--check", action="store_true", help="verify only (default behavior)")
     p.add_argument("--attach", action="store_true", help="record the table path in the dag file")
     p.add_argument("--refresh-structural", metavar="OUT",
                    help="rewrite head/leaf/mean_depth from the dag into OUT")
     p.set_defaults(func=cmd_attrs)
 
-    p = sub.add_parser("negatives", help="generate candidate infeasible branches")
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
+    p = sub.add_parser("negatives", parents=[table_opts],
+                       help="generate candidate infeasible branches")
     p.add_argument("--out", required=True)
     p.add_argument("--exceptions", default=None)
-    p.add_argument("--ht-below", type=float, default=-0.09)
-    p.add_argument("--ht-above", type=float, default=2.0)
-    p.add_argument("--min-hamming", type=int, default=4)
+    p.add_argument("--ht-below", type=float, default=filters.ht_diff_below)
+    p.add_argument("--ht-above", type=float, default=filters.ht_diff_above)
+    p.add_argument("--min-hamming", type=int, default=filters.min_hamming)
     p.add_argument("--no-head-to-leaf", action="store_true")
     p.add_argument("--no-leaf-to-leaf", action="store_true")
     p.add_argument("--independence-only", action="store_true",
@@ -589,83 +584,59 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_annotate_fold)
 
-    def add_svm_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--kernel", default="rbf", choices=("rbf", "poly", "sigmoid"))
-        p.add_argument("--gamma", type=float, default=0.0556)
-        p.add_argument("--tolerance", type=float, default=1e-3)
-        p.add_argument("--no-shrinking", action="store_true")
-        p.add_argument("--max-passes", type=int, default=100_000)
-
-    p = sub.add_parser("train", help="train the SVM on a labeled branch set")
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("train", parents=[labeled_opts],
+                       help="train the SVM on a labeled branch set")
     p.add_argument("--out", required=True)
-    add_svm_args(p)
+    p.add_argument("--c", type=float, default=svm.c)
+    p.add_argument("--kernel", default=svm.kernel, choices=KERNELS)
+    p.add_argument("--gamma", type=float, default=svm.gamma)
+    p.add_argument("--tolerance", type=float, default=svm.tolerance)
+    p.add_argument("--no-shrinking", action="store_true")
+    p.add_argument("--max-passes", type=int, default=svm.max_passes)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid-search", help="sweep C/kernel/gamma minimizing FN")
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("grid-search", parents=[labeled_opts],
+                       help="sweep C/kernel/gamma minimizing FN")
     p.add_argument("--out", default=None)
-    p.add_argument("--c-values", default="1,2,3")
-    p.add_argument("--kernels", default="rbf,poly,sigmoid")
-    p.add_argument("--gamma-values", default="0.01,0.0556,0.1,0.5,1.0")
+    p.add_argument("--c-values", default=",".join(map(str, grid.c_values)))
+    p.add_argument("--kernels", default=",".join(grid.kernels))
+    p.add_argument("--gamma-values", default=",".join(map(str, grid.gamma_values)))
     p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("predict", help="score every unseen branch")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("predict", parents=[model_opts, labeled_opts],
+                       help="score every unseen branch")
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true",
-                   help="run even if inputs do not match the model fingerprint")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("paths", help="enumerate head-to-leaf attack paths")
-    p.add_argument("--dag", required=True)
+    p = sub.add_parser("paths", parents=[dag_opt], help="enumerate head-to-leaf attack paths")
     p.add_argument("--corpus", default=None,
                    help="tag paths as known/unexploited using the source corpus")
     p.add_argument("--out", default=None)
     p.add_argument("--cap", type=int, default=1_000_000)
     p.set_defaults(func=cmd_paths)
 
-    p = sub.add_parser("project", help="induced subgraph on a node keep-list")
-    p.add_argument("--dag", required=True)
+    p = sub.add_parser("project", parents=[dag_opt], help="induced subgraph on a node keep-list")
     p.add_argument("--keep", default=None, help="comma-separated ids or descriptions")
     p.add_argument("--keep-file", default=None, help="one id or description per line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("csp", help="rule-based classification of labeled branches")
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("csp", parents=[labeled_opts],
+                       help="rule-based classification of labeled branches")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_csp)
 
-    p = sub.add_parser("eval", help="score a trained model on labeled branches")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--force", action="store_true")
+    p = sub.add_parser("eval", parents=[model_opts, labeled_opts],
+                       help="score a trained model on labeled branches")
     p.add_argument("--baselines", action="store_true",
                    help="also fit and score the baseline classifiers")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="assemble the full run report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dag", required=True)
-    p.add_argument("--attrs", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("report", parents=[model_opts, labeled_opts],
+                       help="assemble the full run report")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -2,7 +2,7 @@
 
 Three hard rules, each sufficient on its own to call a branch infeasible:
 
-    R1  height difference outside the plausible band:
+    R1  height difference outside the plausible band, HEIGHT_BAND:
         ht_diff <= -0.09 (climbs too far against the flow) or
         ht_diff >  2     (skips too far down it)
     R2  hamming distance over 5: endpoints share almost no attributes
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .features import AttributeTable, hamming, height_diff
+from .features import HEIGHT_BAND, AttributeTable, hamming, height_diff
 from .model import AttackDag
 
 
@@ -46,7 +46,8 @@ def csp_facts(origin: int, dest: int, dag: AttackDag, table: AttributeTable) -> 
 
 def csp_classify(facts: CspFacts) -> CspVerdict:
     fired: list[str] = []
-    if facts.ht_diff <= -0.09 or facts.ht_diff > 2.0:
+    low, high = HEIGHT_BAND
+    if facts.ht_diff <= low or facts.ht_diff > high:
         fired.append("R1")
     if facts.hamming > 5:
         fired.append("R2")

@@ -8,6 +8,8 @@ destination attributes, twenty values.
 
 Candidates over all ordered node pairs come back as one BranchFrame of
 arrays; branch_features, hamming and height_diff define a single pair.
+structural_columns is the one place a node's head, leaf and mean depth
+are read off a dag.
 """
 
 from __future__ import annotations
@@ -90,18 +92,21 @@ class AttributeTable:
                 problems.append(f"attribute row for unknown node {node}")
         for node in sorted(dag.nodes & set(self.rows)):
             attrs = self.rows[node]
-            head = int(node in dag.heads)
-            leaf = int(node in dag.leaves)
+            head, leaf, depth = structural_columns(dag, node)
             if attrs.head != head:
                 problems.append(f"node {node}: head bit {attrs.head}, dag says {head}")
             if attrs.leaf != leaf:
                 problems.append(f"node {node}: leaf bit {attrs.leaf}, dag says {leaf}")
-            depth = dag.mean_depth[node]
             if not math.isclose(attrs.mean_depth, depth, rel_tol=0.0, abs_tol=tol):
                 problems.append(
                     f"node {node}: mean_depth {attrs.mean_depth!r}, dag says {depth!r}"
                 )
         return problems
+
+
+def structural_columns(dag: AttackDag, node: int) -> tuple[int, int, float]:
+    """The node's head bit, leaf bit and mean depth, as the dag gives them."""
+    return int(node in dag.heads), int(node in dag.leaves), dag.mean_depth[node]
 
 
 def node_features(node_id: int, table: AttributeTable) -> tuple[float, ...]:
@@ -128,6 +133,12 @@ def hamming(origin: int, dest: int, table: AttributeTable) -> int:
 def height_diff(origin: int, dest: int, table: AttributeTable) -> float:
     """Destination mean depth minus origin mean depth (positive = downhill)."""
     return table[dest].mean_depth - table[origin].mean_depth
+
+
+# The (low, high) band of plausible height differences.  The rule system's
+# R1 fires outside (low, high]; the default negative filters flag a pair
+# below low or above high.
+HEIGHT_BAND = (-0.09, 2.0)
 
 
 def search_space_size(n_nodes: int, n_training: int) -> int:

@@ -32,6 +32,7 @@ give bit-identical multipliers, bias, iteration counts and ``converged``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -113,6 +114,11 @@ class SvmParams:
             raise ValueError("c must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        for name in ("c", "gamma", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be at least 1, got {self.max_passes!r}")
 
 
 @dataclass(frozen=True)

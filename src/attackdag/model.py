@@ -154,10 +154,8 @@ class AttackRecord:
     """One documented attack: a name, its category labels, an expression."""
 
     name: str
-    category_text: str
     categories: tuple[str, ...]
     expression: AttackExpr
-    source: str = ""
 
 
 # --- graphs ------------------------------------------------------------------
@@ -181,7 +179,7 @@ class AttackDag:
     """Aggregated attack graph with per-edge provenance.
 
     edge_provenance maps each edge to the set of attack names that
-    contributed it; the tag "predicted" marks machine-added branches.
+    contributed it.
     heads/leaves/mean_depth are recomputed whenever a dag is built, never
     carried over stale.
     """
@@ -192,9 +190,6 @@ class AttackDag:
     heads: frozenset[int]
     leaves: frozenset[int]
     mean_depth: Mapping[int, float]
-
-
-PREDICTED_TAG = "predicted"
 
 
 def find_cycle(nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -254,7 +249,7 @@ def validate_dag(dag: AttackDag) -> list[str]:
         violations.append(f"stale leaf set: stored {sorted(dag.leaves)}, actual {sorted(true_leaves)}")
     for edge, names in sorted(dag.edge_provenance.items()):
         if not names:
-            violations.append(f"edge {edge} has empty provenance and no '{PREDICTED_TAG}' tag")
+            violations.append(f"edge {edge} has empty provenance")
         if edge not in dag.edges:
             violations.append(f"provenance for missing edge {edge}")
     for edge in sorted(dag.edges):

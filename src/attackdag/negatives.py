@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .features import AttributeTable, BranchFrame, NodeMatrix, hamming, height_diff
+from .features import (HEIGHT_BAND, AttributeTable, BranchFrame, NodeMatrix, hamming,
+                       height_diff)
 from .model import (
     AttackDag,
     BasicBlock,
@@ -119,8 +120,8 @@ class ExceptionList:
 class NegativeFilterThresholds:
     """Statistical filters; None (or False) disables a filter entirely."""
 
-    ht_diff_below: Optional[float] = -0.09  # candidate when ht_diff < this
-    ht_diff_above: Optional[float] = 2.0  # candidate when ht_diff > this
+    ht_diff_below: Optional[float] = HEIGHT_BAND[0]  # candidate when ht_diff < this
+    ht_diff_above: Optional[float] = HEIGHT_BAND[1]  # candidate when ht_diff > this
     min_hamming: Optional[int] = 4  # candidate when hamming >= this
     head_to_leaf: bool = True
     leaf_to_leaf: bool = True

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .expr import ExpressionSyntaxError, line_col, parse_expression
-from .graph import cdfg_from_expression, merge_cdfgs
+from .graph import build_dag, cdfg_from_expression, merge_cdfgs
 from .learn.svm import SvmModel, SvmParams
 from .model import (
     AttackDag,
@@ -210,7 +210,6 @@ class Corpus:
     records: tuple[AttackRecord, ...]
     blocks: tuple[BasicBlock, ...]
     bucket_map: Mapping[str, str]
-    fingerprint: str
 
     def block_ids(self) -> dict[str, int]:
         return {b.norm_text: b.id for b in self.blocks}
@@ -293,15 +292,7 @@ def load_corpus(path: str | Path) -> Corpus:
         except ExpressionSyntaxError as exc:
             line, col = _locate_expression(raw_file, source_text, exc.position)
             raise ExpressionParseFailure(str(exc), name, str(path), line, col) from exc
-        records.append(
-            AttackRecord(
-                name=name,
-                category_text=entry.get("category_text", ""),
-                categories=categories,
-                expression=expression,
-                source=entry.get("source", ""),
-            )
-        )
+        records.append(AttackRecord(name=name, categories=categories, expression=expression))
 
     overrides: dict[str, VulnerabilityCategory] = {}
     for norm, value in overrides_raw.items():
@@ -352,12 +343,7 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusLoadError(f"{path}: bucket_map lists unknown node {norm!r}")
         bucket_map[norm] = bucket
 
-    return Corpus(
-        records=tuple(records),
-        blocks=tuple(blocks),
-        bucket_map=bucket_map,
-        fingerprint=hashlib.sha256(raw_file.encode("utf-8")).hexdigest(),
-    )
+    return Corpus(records=tuple(records), blocks=tuple(blocks), bucket_map=bucket_map)
 
 
 # --- dag file --------------------------------------------------------------------
@@ -417,8 +403,6 @@ def load_dag(path: str | Path) -> DagFile:
     A malformed entry raises DagLoadError naming the file and the entry; a
     cycle still raises CycleIntroduced from ``build_dag``.
     """
-    from .graph import build_dag
-
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
 import attackdag.cli as cli
-from attackdag.cli import main
+from attackdag.cli import build_parser, main
+from attackdag.learn import GridSpec, SvmParams
+from attackdag.learn.svm import KERNELS
+from attackdag.negatives import NegativeFilterThresholds
 from attackdag.storage import (
     EXPLOIT_BUCKETS,
     load_dag,
@@ -163,6 +168,41 @@ class TestPipeline:
         assert a == b
 
 
+class TestParser:
+    INPUTS = ("--dag", "d.json", "--attrs", "a.csv", "--labels", "l.csv")
+
+    @pytest.mark.parametrize("argv, build, default", [
+        (("train", *INPUTS, "--out", "m.json"), cli._svm_params, SvmParams()),
+        (("grid-search", *INPUTS), cli._grid_spec, GridSpec()),
+        (("negatives", *INPUTS[:4], "--out", "n.csv"), cli._thresholds,
+         NegativeFilterThresholds()),
+    ], ids=["train", "grid-search", "negatives"])
+    def test_defaults_are_the_library_defaults(self, argv, build, default):
+        built = build(build_parser().parse_args(argv))
+        for field in dataclasses.fields(default):
+            assert getattr(built, field.name) == getattr(default, field.name), field.name
+
+    def test_kernel_choices_are_the_library_kernels(self):
+        for kernel in KERNELS:
+            args = build_parser().parse_args(["train", *self.INPUTS, "--out", "m.json",
+                                              "--kernel", kernel])
+            assert cli._svm_params(args).kernel == kernel
+
+    def test_readme_walkthrough_commands_parse(self):
+        text = (REPO / "README.md").read_text().replace("\\\n", " ")
+        commands = re.findall(r"^python3 -m attackdag (.+)$", text, flags=re.MULTILINE)
+        covered = set()
+        for command in commands:
+            argv = shlex.split(command)
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
+            covered.add(args.func)
+        every = {cmd for name, cmd in vars(cli).items() if name.startswith("cmd_")}
+        assert covered == every
+
+
 class TestProjection:
     def test_project_then_refresh(self, work, capsys):
         sub_dag = work["root"] / "sub.json"
@@ -236,6 +276,29 @@ class TestExitCodes:
         assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--labels", str(work["labels"]), "--out", "m.json",
                      "--seed", "0"]) == 1  # retired: training is deterministic
+
+    @pytest.mark.parametrize("option", [
+        ("--gamma", "nan"), ("--c", "inf"), ("--tolerance", "nan"), ("--max-passes", "0"),
+    ], ids=["gamma-nan", "c-inf", "tolerance-nan", "max-passes-0"])
+    def test_unusable_svm_param_is_parse_error(self, work, tmp_path, capsys, option):
+        out = tmp_path / "model.json"
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", str(out), *option]) == 2
+        assert f"error: {option[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gammas", ["nan", "0.1,inf"])
+    def test_non_finite_grid_gamma_is_parse_error(self, work, tmp_path, capsys, gammas):
+        out = tmp_path / "surface.json"
+        assert main(["grid-search", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", str(out),
+                     "--gamma-values", gammas]) == 2
+        assert "error: gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_grid_list_is_parse_error(self, work, tmp_path):
+        assert main(["grid-search", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--c-values", "1,x"]) == 2
 
     def test_help_exits_zero(self):
         # argparse raises SystemExit(0) for --help; main converts that to 0

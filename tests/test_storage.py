@@ -162,9 +162,6 @@ class TestCorpusLoader:
         from attackdag.model import expr_blocks, normalize_description
         first_norm = normalize_description(next(iter(expr_blocks(first.expression))).description)
         assert corpus.block_ids()[first_norm] == 0
-        import hashlib
-        raw = (data_dir / "corpus.json").read_text()
-        assert corpus.fingerprint == hashlib.sha256(raw.encode()).hexdigest()
 
     def test_not_json(self, tmp_path):
         path = write_corpus(tmp_path, "{nope")

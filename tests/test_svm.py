@@ -103,6 +103,15 @@ class TestParams:
         with pytest.raises(ValueError):
             SvmParams(tolerance=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c", math.nan), ("c", math.inf), ("gamma", math.nan), ("gamma", math.inf),
+        ("gamma", -math.inf), ("tolerance", math.nan), ("tolerance", math.inf),
+        ("max_passes", 0), ("max_passes", -3),
+    ])
+    def test_rejects_non_finite_values_and_no_passes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SvmParams(**{field: value})
+
 
 class TestFitValidation:
     def test_single_class_rejected(self):
