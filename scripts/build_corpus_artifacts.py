@@ -23,17 +23,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from attackdag import (  # noqa: E402
     AttributeTable,
-    BranchSample,
     ExceptionList,
     NodeAttributes,
     SvmParams,
-    branch_features,
     generate_negative_candidates,
+    labeled_frame,
     load_corpus,
     structural_columns,
     train_svm,
 )
-from attackdag.learn.svm import as_arrays  # noqa: E402
 from attackdag.storage import save_labels, write_text_atomic  # noqa: E402
 
 DATA = ROOT / "data"
@@ -105,11 +103,9 @@ def build_table(corpus, dag) -> AttributeTable:
     return AttributeTable(rows=rows, provenance=dict.fromkeys(rows, "reconstructed"))
 
 
-def curate_labels(dag, table, corpus) -> list[BranchSample]:
-    positives = [
-        BranchSample(origin=u, dest=v, features=branch_features(u, v, table), label=1)
-        for u, v in sorted(dag.edges)
-    ]
+def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:
+    """(origin, dest, label) rows sorted by pair."""
+    positives = [(u, v, 1) for u, v in sorted(dag.edges)]
     exceptions = ExceptionList.from_csv((DATA / "exceptions.csv").read_text())
     pool = generate_pool(dag, table, corpus, exceptions, positives)
 
@@ -119,25 +115,23 @@ def curate_labels(dag, table, corpus) -> list[BranchSample]:
 
     params = SvmParams()  # the default cell
     for round_no in range(MAX_CURATION_ROUNDS):
-        labeled = positives + negatives
-        model = train_svm(labeled, params)
-        x, y = as_arrays(labeled)
-        preds = model.predict_many(x)
-        missed = [s for s, p, t in zip(labeled, preds, y) if t == 1 and p == -1]
-        if not missed:
+        rows = positives + negatives
+        labeled = labeled_frame(rows, table)
+        x, y = labeled.features, labeled.labels
+        missed = x[(y == 1) & (train_svm(x, y, params).predict_many(x) == -1)]
+        if not len(missed):
             print(f"curation converged after {round_no} drop rounds: "
                   f"{len(positives)} positive, {len(negatives)} negative")
-            return sorted(labeled, key=lambda s: (s.origin, s.dest))
+            return sorted(rows)
+        negative_x = x[len(positives):]
         drop: set[tuple[int, int]] = set()
-        for miss in missed:
-            mv = np.asarray(miss.features)
+        for mv in missed:
             by_dist = sorted(
-                negatives,
-                key=lambda s: (float(np.sum((np.asarray(s.features) - mv) ** 2)),
-                               s.origin, s.dest),
+                range(len(negatives)),
+                key=lambda i: (float(np.sum((negative_x[i] - mv) ** 2)), *negatives[i][:2]),
             )
-            drop.update((s.origin, s.dest) for s in by_dist[:DROP_PER_MISS])
-        negatives = [s for s in negatives if (s.origin, s.dest) not in drop]
+            drop.update(negatives[i][:2] for i in by_dist[:DROP_PER_MISS])
+        negatives = [row for row in negatives if row[:2] not in drop]
         if not negatives:
             raise RuntimeError("curation dropped every negative; facet bits too entangled")
     raise RuntimeError("curation did not reach zero false negatives")
@@ -149,8 +143,10 @@ def generate_pool(dag, table, corpus, exceptions, positives):
     )
     # A negative whose feature vector collides with a positive's would make
     # zero false negatives unreachable for any classifier.
-    positive_vectors = {tuple(p.features) for p in positives}
-    return [s for s in pool if tuple(s.features) not in positive_vectors]
+    positive_vectors = set(map(tuple, labeled_frame(positives, table).features.tolist()))
+    return [(o, d, -1) for o, d, row in zip(pool.origins.tolist(), pool.dests.tolist(),
+                                             pool.features.tolist())
+            if tuple(row) not in positive_vectors]
 
 
 def main_script() -> int:
@@ -167,8 +163,8 @@ def main_script() -> int:
     print(f"wrote attributes.csv ({len(corpus.blocks)} nodes)")
 
     labeled = curate_labels(dag, table, corpus)
-    save_labels(OUT / "labels.csv", [(s.origin, s.dest, s.label) for s in labeled])
-    n_pos = sum(1 for s in labeled if s.label == 1)
+    save_labels(OUT / "labels.csv", labeled)
+    n_pos = sum(1 for _, _, label in labeled if label == 1)
     print(f"wrote labels.csv ({n_pos} positive, {len(labeled) - n_pos} negative)")
     return 0
 

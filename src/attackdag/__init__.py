@@ -14,7 +14,6 @@ from .model import (
     AttackRecord,
     BasicBlock,
     Block,
-    BranchSample,
     Cdfg,
     Concat,
     CorpusStats,
@@ -64,6 +63,7 @@ from .features import (
     enumerate_candidates,
     hamming,
     height_diff,
+    labeled_frame,
     node_features,
     search_space_size,
     structural_columns,
@@ -97,7 +97,7 @@ from .learn import (
     train_svm,
     train_tree,
 )
-from .csp import CspFacts, CspVerdict, csp_classify, csp_evaluate, csp_facts
+from .csp import CspFacts, CspVerdict, csp_classify, csp_facts
 from .storage import (
     Corpus,
     CorpusLoadError,

@@ -7,9 +7,9 @@ violation (cycles, stale attributes, fingerprint mismatches).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,9 @@ import numpy as np
 from .csp import csp_classify, csp_facts
 from .features import (
     AttributeTable,
-    branch_features,
+    BranchFrame,
     enumerate_candidates,
+    labeled_frame,
     search_space_size,
     structural_columns,
 )
@@ -45,10 +46,9 @@ from .learn import (
     train_svm,
     train_tree,
 )
-from .learn.svm import KERNELS, SvmModel, as_arrays
+from .learn.svm import KERNELS, SvmModel
 from .model import (
     AttackDag,
-    BranchSample,
     Metrics,
     NodeAttributes,
     format_ratio,
@@ -96,18 +96,15 @@ def _read_table(path: str) -> AttributeTable:
     return AttributeTable.from_csv(Path(path).read_text(encoding="utf-8"), source=path)
 
 
-def _labeled_samples(labels_path: str, table: AttributeTable) -> list[BranchSample]:
-    rows = load_labels(labels_path)
-    return [
-        BranchSample(origin=o, dest=d, features=branch_features(o, d, table), label=l)
-        for o, d, l in rows
-    ]
+def _labeled(args: argparse.Namespace) -> tuple[AttributeTable, BranchFrame]:
+    """The attribute table and the labeled branches the --attrs and --labels files give."""
+    table = _read_table(args.attrs)
+    return table, labeled_frame(load_labels(args.labels), table)
 
 
-def _resubstitution(model: SvmModel, samples: list[BranchSample]) -> Metrics:
-    """Metrics of ``model`` scored on ``samples``, the branches it was trained on."""
-    x, y = as_arrays(samples)
-    return evaluate([int(p) for p in model.predict_many(x)], [int(t) for t in y])
+def _resubstitution(model: SvmModel, branches: BranchFrame) -> Metrics:
+    """Metrics of ``model`` scored on ``branches``, the branches it was trained on."""
+    return evaluate(model.predict_many(branches.features).tolist(), branches.labels.tolist())
 
 
 def _known_and_unexploited(dag: AttackDag, paths: list[tuple[int, ...]], corpus_path: str):
@@ -208,7 +205,7 @@ def cmd_negatives(args: argparse.Namespace) -> int:
         dagfile.dag, table, dagfile.blocks, exceptions, _thresholds(args)
     )
     save_labels(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
-                              repeat(candidates.label)))
+                              candidates.labels.tolist()))
     print(f"{len(candidates)} negative candidates written to {args.out} (label -1, unreviewed)")
     return EXIT_OK
 
@@ -253,14 +250,13 @@ def _svm_params(args: argparse.Namespace) -> SvmParams:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
-    model = train_svm(samples, _svm_params(args))
+    _, branches = _labeled(args)
+    model = train_svm(branches.features, branches.labels, _svm_params(args))
     fingerprint = file_fingerprint(args.dag, args.attrs, args.labels)
     save_model(args.out, model, fingerprint)
-    metrics = _resubstitution(model, samples)
+    metrics = _resubstitution(model, branches)
     print(
-        f"trained on {len(samples)} branches: {len(model.sv_indices)} support vectors, "
+        f"trained on {len(branches)} branches: {len(model.sv_indices)} support vectors, "
         f"{model.iterations} iterations, converged={model.converged}"
     )
     _print_metrics(metrics)
@@ -281,9 +277,8 @@ def _cell(params: SvmParams) -> dict:
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
-    best, surface = grid_search_min_fn(samples, _grid_spec(args))
+    _, branches = _labeled(args)
+    best, surface = grid_search_min_fn(branches.features, branches.labels, _grid_spec(args))
     if args.out:
         rows = [{**_cell(cell.params), "fn": cell.fn, "fp": cell.fp, "error": cell.error}
                 for cell in surface]
@@ -388,10 +383,10 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def cmd_csp(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
-    verdicts = [csp_classify(csp_facts(s.origin, s.dest, dagfile.dag, table)) for s in samples]
-    metrics = evaluate([v.label for v in verdicts], [s.label for s in samples])
+    table, branches = _labeled(args)
+    pairs = list(zip(branches.origins.tolist(), branches.dests.tolist()))
+    verdicts = [csp_classify(csp_facts(o, d, dagfile.dag, table)) for o, d in pairs]
+    metrics = evaluate([v.label for v in verdicts], branches.labels.tolist())
     fire_counts: dict[str, int] = {"R1": 0, "R2": 0, "R3": 0}
     for v in verdicts:
         for rule in v.fired:
@@ -400,28 +395,27 @@ def cmd_csp(args: argparse.Namespace) -> int:
     print("rule fires: " + " ".join(f"{k}={v}" for k, v in sorted(fire_counts.items())))
     if args.out:
         lines = ["origin,dest,label,rules"]
-        for s, v in zip(samples, verdicts):
-            lines.append(f"{s.origin},{s.dest},{v.label},{';'.join(v.fired)}")
+        for (origin, dest), v in zip(pairs, verdicts):
+            lines.append(f"{origin},{dest},{v.label},{';'.join(v.fired)}")
         write_text_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
+    _, branches = _labeled(args)
     print("svm:")
-    _print_metrics(_resubstitution(model, samples))
+    _print_metrics(_resubstitution(model, branches))
     if args.baselines:
-        truths = [s.label for s in samples]
+        x, y = branches.features, branches.labels
+        truths = y.tolist()
         for k in (2, 3, 4, 5):
-            preds_k = [knn_predict(samples, s.features, k) for s in samples]
-            m = evaluate(preds_k, truths)
+            m = evaluate([knn_predict(x, y, row, k) for row in x], truths)
             print(f"knn k={k}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
         for name, train in (("gaussian nb", train_gnb), ("decision tree", train_tree),
                             ("sgd linear svm", train_sgd_svm)):
-            fitted = train(samples)
-            m = evaluate([fitted.predict(s.features) for s in samples], truths)
+            fitted = train(x, y)
+            m = evaluate([fitted.predict(row) for row in x], truths)
             print(f"{name}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
     return EXIT_OK
 
@@ -429,9 +423,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
-    table = _read_table(args.attrs)
-    samples = _labeled_samples(args.labels, table)
-    metrics = _resubstitution(model, samples)
+    _, branches = _labeled(args)
+    metrics = _resubstitution(model, branches)
 
     predictions = load_predictions(args.predictions)
     positives = [(o, d, dec) for o, d, label, dec in predictions if label == 1]
@@ -452,7 +445,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             }
         )
 
-    stats = corpus_stats(samples, table)
+    stats = corpus_stats(branches)
     payload: dict = {
         "run": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -642,10 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process.  Each func=cmd_* binding reads the module's names
+# when it runs, so a command still sees a name that was patched after this.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

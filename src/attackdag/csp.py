@@ -54,12 +54,3 @@ def csp_classify(facts: CspFacts) -> CspVerdict:
     if 4 <= facts.hamming <= 5 and (facts.head_to_leaf or facts.leaf_to_leaf):
         fired.append("R3")
     return CspVerdict(label=-1 if fired else 1, fired=tuple(fired))
-
-
-def csp_evaluate(samples, dag: AttackDag, table: AttributeTable):
-    """Classify labeled samples; returns (Metrics, verdicts in sample order)."""
-    from .learn.evaluation import evaluate
-
-    verdicts = [csp_classify(csp_facts(s.origin, s.dest, dag, table)) for s in samples]
-    metrics = evaluate([v.label for v in verdicts], [s.label for s in samples])
-    return metrics, verdicts

@@ -3,11 +3,12 @@
 Each node carries ten attributes: seven binary facet flags (memory,
 data/database, generic security weakness, port/gateway, sensor, malware,
 authentication weakness), binary head/leaf markers, and the node's mean
-depth in the dag.  A branch sample is origin attributes followed by
+depth in the dag.  A branch's features are origin attributes followed by
 destination attributes, twenty values.
 
-Candidates over all ordered node pairs come back as one BranchFrame of
-arrays; branch_features, hamming and height_diff define a single pair.
+Every set of branches is one BranchFrame of arrays: candidates over all
+ordered node pairs, negative candidates, and labeled branches read from a
+labels file.  branch_features, hamming and height_diff define a single pair.
 structural_columns is the one place a node's head, leaf and mean depth
 are read off a dag.
 """
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
-    BranchSample,
     InvalidCounts,
     N_BINARY_ATTRIBUTES,
     NodeAttributes,
@@ -175,7 +175,8 @@ class NodeMatrix:
         np.fill_diagonal(keep, False)
         rows, cols = np.nonzero(keep)
         features = np.hstack((self.values[rows], self.values[cols]))
-        return BranchFrame(self.ids[rows], self.ids[cols], features, label)
+        labels = None if label is None else np.full(len(rows), label)
+        return BranchFrame(self.ids[rows], self.ids[cols], features, labels)
 
 
 def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -184,23 +185,32 @@ def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BranchFrame:
-    """Ordered node pairs sharing one label, as parallel arrays in (origin, dest) order.
-
-    len() and iteration give the same BranchSamples a list would, in order.
-    """
+    """Ordered node pairs as parallel arrays, one row per branch."""
 
     origins: np.ndarray  # (len,) int64
     dests: np.ndarray  # (len,) int64
     features: np.ndarray  # (len, 20) float64: origin attributes, then destination's
-    label: Optional[int] = None
+    labels: Optional[np.ndarray] = None  # (len,) int64 of +1/-1, or None when unlabeled
 
     def __len__(self) -> int:
         return len(self.origins)
 
-    def __iter__(self) -> Iterator[BranchSample]:
-        columns = (self.origins.tolist(), self.dests.tolist(), self.features.tolist())
-        for origin, dest, row in zip(*columns):
-            yield BranchSample(origin, dest, tuple(row), self.label)
+
+def labeled_frame(rows: Sequence[tuple[int, int, int]], table: AttributeTable) -> BranchFrame:
+    """(origin, dest, label) rows as one frame, in row order.
+
+    The first row that is a self pair or names a node without an attribute
+    row raises what branch_features raises for it.
+    """
+    pairs = _pair_array((o, d) for o, d, _ in rows)
+    nodes = NodeMatrix.build(table.rows, table)
+    bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, nodes.ids).all(axis=1)
+    if bad.any():
+        branch_features(*pairs[bad.argmax()].tolist(), table)
+    at = np.searchsorted(nodes.ids, pairs)
+    features = np.hstack((nodes.values[at[:, 0]], nodes.values[at[:, 1]]))
+    labels = np.array([label for _, _, label in rows], dtype=np.int64)
+    return BranchFrame(pairs[:, 0], pairs[:, 1], features, labels)
 
 
 def enumerate_candidates(

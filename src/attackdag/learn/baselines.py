@@ -15,38 +15,20 @@ from typing import Sequence
 
 import numpy as np
 
-from ..model import BranchSample
-from .svm import NonFiniteFeature, as_arrays
-
-
-class EmptyData(ValueError):
-    pass
-
-
-def _check_labeled(samples: Sequence[BranchSample]) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise EmptyData("no training samples")
-    for s in samples:
-        if s.label not in (1, -1):
-            raise ValueError(f"unlabeled sample ({s.origin}, {s.dest})")
-    x, y = as_arrays(samples)
-    if not np.isfinite(x).all():
-        raise NonFiniteFeature("features contain NaN or infinity")
-    return x, y
+from .svm import EmptyData, check_labeled
 
 
 # --- k nearest neighbors ------------------------------------------------------
 
 
-def knn_predict(samples: Sequence[BranchSample], features: Sequence[float], k: int) -> int:
-    x, y = _check_labeled(samples)
-    if not 1 <= k <= len(samples):
-        raise ValueError(f"k={k} outside 1..{len(samples)}")
+def knn_predict(x: np.ndarray, y: np.ndarray, features: Sequence[float], k: int) -> int:
+    x, y = check_labeled(x, y)
+    if not 1 <= k <= len(y):
+        raise ValueError(f"k={k} outside 1..{len(y)}")
     probe = np.asarray(features, dtype=float)
     dists = np.sqrt(np.sum((x - probe) ** 2, axis=1))
     order = np.argsort(dists, kind="stable")  # ties go to the lower index
-    votes = sum(int(y[i]) for i in order[:k])
-    if votes > 0:
+    if y[order[:k]].sum() > 0:
         return 1
     return -1
 
@@ -75,8 +57,8 @@ class GaussianNbModel:
         return 1 if pos > neg else -1
 
 
-def train_gnb(samples: Sequence[BranchSample]) -> GaussianNbModel:
-    x, y = _check_labeled(samples)
+def train_gnb(x: np.ndarray, y: np.ndarray) -> GaussianNbModel:
+    x, y = check_labeled(x, y)
     log_priors: dict[int, float] = {}
     means: dict[int, np.ndarray] = {}
     variances: dict[int, np.ndarray] = {}
@@ -130,12 +112,12 @@ def _majority(y: np.ndarray) -> int:
     return -1
 
 
-def train_tree(samples: Sequence[BranchSample]) -> TreeModel:
+def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
     """Gini-impurity CART with midpoint thresholds and no depth limit.
 
     Growth stops at pure nodes or when no split improves impurity.
     """
-    x, y = _check_labeled(samples)
+    x, y = check_labeled(x, y)
 
     def build(idx: np.ndarray) -> TreeModel:
         labels = y[idx]
@@ -181,13 +163,14 @@ class SgdSvmModel:
 
 
 def train_sgd_svm(
-    samples: Sequence[BranchSample],
+    x: np.ndarray,
+    y: np.ndarray,
     epochs: int = 20,
     c: float = 1.0,
     seed: int = 0,
 ) -> SgdSvmModel:
     """Hinge loss + L2, lambda = 1/(c*n), step 1/(lambda*t), shuffled epochs."""
-    x, y = _check_labeled(samples)
+    x, y = check_labeled(x, y)
     n = len(y)
     lam = 1.0 / (c * n)
     w = np.zeros(x.shape[1])
@@ -209,10 +192,10 @@ def train_sgd_svm(
 
 
 def hinge_objective(
-    weights: np.ndarray, bias: float, samples: Sequence[BranchSample], c: float = 1.0
+    weights: np.ndarray, bias: float, x: np.ndarray, y: np.ndarray, c: float = 1.0
 ) -> float:
     """Regularized mean hinge loss the SGD trainer descends."""
-    x, y = _check_labeled(samples)
+    x, y = check_labeled(x, y)
     lam = 1.0 / (c * len(y))
     margins = 1.0 - y * (x @ weights + bias)
     return float(lam / 2.0 * (weights @ weights) + np.mean(np.maximum(margins, 0.0)))

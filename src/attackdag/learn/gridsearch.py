@@ -9,11 +9,12 @@ combination must not sink the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..model import BranchSample
+import numpy as np
+
 from .evaluation import evaluate
-from .svm import SvmParams, as_arrays, train_svm
+from .svm import SvmParams, train_svm
 
 
 @dataclass(frozen=True)
@@ -40,28 +41,27 @@ class CellResult:
 
 
 def grid_search_min_fn(
-    data: Sequence[BranchSample],
+    x: np.ndarray,
+    y: np.ndarray,
     grid: GridSpec | None = None,
-    eval_data: Sequence[BranchSample] | None = None,
+    eval_data: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SvmParams, list[CellResult]]:
-    """Train every cell on `data`, score FN/FP on `eval_data` (default: data).
+    """Train every cell on (x, y), score FN/FP on eval_data (default: (x, y)).
 
     Returns the winning cell's params plus the full surface so the caller
     can inspect or plot all of it.
     """
     if grid is None:
         grid = GridSpec()
-    if eval_data is None:
-        eval_data = data
-    eval_x, eval_y = as_arrays(eval_data)
+    eval_x, eval_y = (x, y) if eval_data is None else eval_data
+    truth = [int(t) for t in eval_y]
     surface: list[CellResult] = []
     best: tuple[int, int, int] | None = None  # (fn, fp, cell order)
     best_params: SvmParams | None = None
     for order, params in enumerate(grid.cells()):
         try:
-            model = train_svm(data, params)
-            preds = model.predict_many(eval_x)
-            metrics = evaluate([int(p) for p in preds], [int(t) for t in eval_y])
+            model = train_svm(x, y, params)
+            metrics = evaluate(model.predict_many(eval_x).tolist(), truth)
         except Exception as exc:  # record and keep sweeping
             surface.append(CellResult(params=params, fn=None, fp=None, error=str(exc)))
             continue

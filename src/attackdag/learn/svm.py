@@ -38,8 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..model import BranchSample
-
 KERNELS = ("rbf", "poly", "sigmoid")
 
 # decision_values scores this many rows per kernel block, so scoring holds
@@ -57,6 +55,28 @@ class SingleClassData(ValueError):
 
 class NonFiniteFeature(ValueError):
     pass
+
+
+class EmptyData(ValueError):
+    pass
+
+
+def check_labeled(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; raises unless they are a non-empty, finite, +1/-1 labeled set.
+
+    Every learner, the SVM and the baselines, checks its training data here.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise DimensionMismatch(f"features {x.shape} vs labels {y.shape}")
+    if not len(y):
+        raise EmptyData("no training samples")
+    if not np.isfinite(x).all():
+        raise NonFiniteFeature("features contain NaN or infinity")
+    if not np.isin(y, (1.0, -1.0)).all():
+        raise ValueError("labels must be +1 or -1")
+    return x, y
 
 
 def kernel_eval(kind: str, x: Sequence[float], y: Sequence[float], gamma: float) -> float:
@@ -165,19 +185,6 @@ class SvmModel:
         return np.where(self.decision_values(features) >= 0.0, 1, -1)
 
 
-def as_arrays(samples: Sequence[BranchSample]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray([s.features for s in samples], dtype=float)
-    y = np.asarray([s.label for s in samples], dtype=float)
-    return x, y
-
-
-def train_svm(samples: Sequence[BranchSample], params: SvmParams | None = None) -> SvmModel:
-    if params is None:
-        params = SvmParams()
-    x, y = as_arrays(samples)
-    return fit_svm(x, y, params)
-
-
 def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the indices whose y * alpha can still rise / fall inside [0, C]."""
@@ -188,15 +195,11 @@ def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
     return can_up, can_down
 
 
-def fit_svm(x: np.ndarray, y: np.ndarray, params: SvmParams) -> SvmModel:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"features {x.shape} vs labels {y.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteFeature("features contain NaN or infinity")
-    if not np.all(np.isin(y, (1.0, -1.0))):
-        raise ValueError("labels must be +1 or -1")
+def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> SvmModel:
+    """Fit the SVM to feature rows x labeled y (+1/-1)."""
+    if params is None:
+        params = SvmParams()
+    x, y = check_labeled(x, y)
     if len(np.unique(y)) < 2:
         raise SingleClassData("training data has only one class")
 

@@ -306,25 +306,6 @@ class NodeAttributes:
         return tuple(int(getattr(self, name)) for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES])
 
 
-@dataclass(frozen=True)
-class BranchSample:
-    """A candidate branch (origin, dest) with its 20-value feature vector.
-
-    label: +1 feasible, -1 infeasible, None unlabeled.
-    """
-
-    origin: int
-    dest: int
-    features: tuple[float, ...]
-    label: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if len(self.features) != 2 * len(ATTRIBUTE_NAMES):
-            raise ValueError(f"expected {2 * len(ATTRIBUTE_NAMES)} features, got {len(self.features)}")
-        if self.label not in (1, -1, None):
-            raise ValueError(f"label must be +1, -1 or None, got {self.label!r}")
-
-
 # --- evaluation --------------------------------------------------------------
 
 

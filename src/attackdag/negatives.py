@@ -17,17 +17,17 @@ and the candidates come back as one BranchFrame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .features import (HEIGHT_BAND, AttributeTable, BranchFrame, NodeMatrix, hamming,
-                       height_diff)
+from .features import HEIGHT_BAND, AttributeTable, BranchFrame, NodeMatrix
 from .model import (
+    ATTRIBUTE_NAMES,
     AttackDag,
     BasicBlock,
-    BranchSample,
     CorpusStats,
     N_BINARY_ATTRIBUTES,
     VulnerabilityCategory as VC,
@@ -126,6 +126,15 @@ class NegativeFilterThresholds:
     head_to_leaf: bool = True
     leaf_to_leaf: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("ht_diff_below", "ht_diff_above"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.min_hamming is not None and not 0 <= self.min_hamming <= N_BINARY_ATTRIBUTES:
+            raise ValueError(f"min_hamming must be in 0..{N_BINARY_ATTRIBUTES}, "
+                             f"got {self.min_hamming!r}")
+
     @classmethod
     def disabled(cls) -> "NegativeFilterThresholds":
         return cls(ht_diff_below=None, ht_diff_above=None, min_hamming=None,
@@ -171,44 +180,37 @@ def generate_negative_candidates(
     return nodes.frame(keep, [*dag.edges, *exceptions.notes], label=-1)
 
 
-def corpus_stats(samples: Iterable[BranchSample], table: AttributeTable) -> CorpusStats:
-    """Branch-population statistics split by label.
+def corpus_stats(branches: BranchFrame) -> CorpusStats:
+    """Branch-population statistics split by label, read off the feature columns.
 
-    Needs at least one feasible and one infeasible sample.  The head/leaf
+    Needs at least one feasible and one infeasible branch.  The head/leaf
     ratio counts branches that start at a head and end at a leaf, or join
     two leaves; it is None when no feasible branch has that shape.
     """
-    feas_hd: list[int] = []
-    infeas_hd: list[int] = []
-    feas_ht: list[float] = []
-    infeas_ht: list[float] = []
-    feas_hl = 0
-    infeas_hl = 0
-    for sample in samples:
-        if sample.label not in (1, -1):
-            raise InsufficientData(f"unlabeled sample ({sample.origin}, {sample.dest})")
-        hd = hamming(sample.origin, sample.dest, table)
-        ht = height_diff(sample.origin, sample.dest, table)
-        o, d = table[sample.origin], table[sample.dest]
-        terminal = bool((o.head and d.leaf) or (o.leaf and d.leaf))
-        if sample.label == 1:
-            feas_hd.append(hd)
-            feas_ht.append(ht)
-            feas_hl += terminal
-        else:
-            infeas_hd.append(hd)
-            infeas_ht.append(ht)
-            infeas_hl += terminal
-    if not feas_hd or not infeas_hd:
-        raise InsufficientData("need at least one sample of each label")
+    labels = branches.labels
+    if labels is None or not np.isin(labels, (1, -1)).all():
+        raise InsufficientData("every branch needs a +1 or -1 label")
+    width = len(ATTRIBUTE_NAMES)
+    origin, dest = branches.features[:, :width], branches.features[:, width:]
+    hd = (origin[:, :N_BINARY_ATTRIBUTES] != dest[:, :N_BINARY_ATTRIBUTES]).sum(axis=1)
+    ht = dest[:, -1] - origin[:, -1]
+    head, leaf = ATTRIBUTE_NAMES.index("head"), ATTRIBUTE_NAMES.index("leaf")
+    terminal = ((origin[:, head] == 1) | (origin[:, leaf] == 1)) & (dest[:, leaf] == 1)
+    feasible = labels == 1
+    if feasible.all() or not feasible.any():
+        raise InsufficientData("need at least one branch of each label")
+
+    def mean(values: list) -> float:
+        return sum(values) / len(values)
 
     def spread(values: list[float]) -> tuple[float, float, float]:
-        return (min(values), sum(values) / len(values), max(values))
+        return (min(values), mean(values), max(values))
 
+    feas_hl = int(terminal[feasible].sum())
     return CorpusStats(
-        mean_hd_feasible=sum(feas_hd) / len(feas_hd),
-        mean_hd_infeasible=sum(infeas_hd) / len(infeas_hd),
-        ht_diff_feasible=spread(feas_ht),
-        ht_diff_infeasible=spread(infeas_ht),
-        headleaf_infeasible_ratio=(infeas_hl / feas_hl if feas_hl else None),
+        mean_hd_feasible=mean(hd[feasible].tolist()),
+        mean_hd_infeasible=mean(hd[~feasible].tolist()),
+        ht_diff_feasible=spread(ht[feasible].tolist()),
+        ht_diff_infeasible=spread(ht[~feasible].tolist()),
+        headleaf_infeasible_ratio=(int(terminal[~feasible].sum()) / feas_hl if feas_hl else None),
     )

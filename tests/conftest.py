@@ -1,8 +1,12 @@
+import io
+import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from attackdag import AttributeTable, BranchSample, branch_features, load_corpus
+from attackdag import AttributeTable, labeled_frame, load_corpus
+from attackdag.cli import main
 from attackdag.storage import load_labels
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,11 +30,26 @@ def table():
 
 @pytest.fixture(scope="session")
 def labeled(table):
-    rows = load_labels(DATA / "labels.csv")
-    return [
-        BranchSample(origin=o, dest=d, features=branch_features(o, d, table), label=l)
-        for o, d, l in rows
-    ]
+    return labeled_frame(load_labels(DATA / "labels.csv"), table)
+
+
+@pytest.fixture(scope="session")
+def csp_run(tmp_path_factory):
+    """`csp --out` on the bundled data: its (origin, dest, label, fired rules) rows
+    and its printed (tp, fp, tn, fn) counts."""
+    root = tmp_path_factory.mktemp("csp")
+    dag, out = root / "dag.json", root / "csp.csv"
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        assert main(["ingest", "--corpus", str(DATA / "corpus.json"), "--out", str(dag)]) == 0
+        assert main(["csp", "--dag", str(dag), "--attrs", str(DATA / "attributes.csv"),
+                     "--labels", str(DATA / "labels.csv"), "--out", str(out)]) == 0
+    rows = []
+    for line in out.read_text().splitlines()[1:]:
+        origin, dest, label, rules = line.split(",")
+        rows.append((int(origin), int(dest), int(label), tuple(filter(None, rules.split(";")))))
+    counts = re.search(r"counts: tp=(\d+) fp=(\d+) tn=(\d+) fn=(\d+)", printed.getvalue())
+    return rows, tuple(map(int, counts.groups()))
 
 
 @pytest.fixture(scope="session")

@@ -87,7 +87,7 @@ def reference_smo(
     """The SMO loop as first written: every mask and reduction recomputed in
     full on every iteration.
 
-    ``fit_svm`` must reproduce it bit for bit.  Returns (alphas, bias,
+    ``train_svm`` must reproduce it bit for bit.  Returns (alphas, bias,
     iterations, converged), with the multipliers at or below the bound
     tolerance set to zero, as the model keeps them.
     """

@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attackdag.csp import CspFacts, csp_classify, csp_evaluate, csp_facts
+from attackdag.csp import CspFacts, csp_classify, csp_facts
 from attackdag.expr import parse_expression, render_expression
 from attackdag.features import (
     AttributeTable,
     branch_features,
     hamming,
     height_diff,
+    labeled_frame,
     search_space_size,
 )
 from attackdag.graph import (
@@ -29,7 +30,7 @@ from attackdag.graph import (
 from attackdag.learn import (
     GridSpec,
     SvmParams,
-    fit_svm,
+    train_svm,
     full_alphas,
     grid_search_min_fn,
     kkt_violation,
@@ -39,7 +40,7 @@ from attackdag.learn import (
     train_sgd_svm,
     train_tree,
 )
-from attackdag.model import BranchSample, Metrics, NodeAttributes
+from attackdag.model import Metrics, NodeAttributes
 from attackdag.negatives import REFERENCE_BRANCH_STATS, corpus_stats
 from attackdag.storage import load_corpus
 
@@ -79,11 +80,6 @@ def criterion(pytestconfig):
                 print(line, flush=True)
 
     return check
-
-
-def mk(vec, label, i=0):
-    features = tuple(float(v) for v in vec) + (0.0,) * (N_FEATURES - len(vec))
-    return BranchSample(origin=i, dest=i + 1000, features=features, label=label)
 
 
 def pad(vec):
@@ -177,7 +173,7 @@ def test_criterion_05_svm_against_reference_qp(criterion):
                 gamma=float(rng.choice([0.1, 0.5])),
                 tolerance=1e-6,
             )
-            model = fit_svm(x, y, params)
+            model = train_svm(x, y, params)
             alphas = full_alphas(model)
             assert abs(float(alphas @ y)) <= 1e-6
             assert kkt_violation(model, x, y) <= params.tolerance + 1e-9
@@ -191,7 +187,7 @@ def test_criterion_05_svm_against_reference_qp(criterion):
 
 def test_criterion_06_grid_search_finds_zero_fn_cell(criterion, labeled):
     with criterion(6):
-        best, surface = grid_search_min_fn(labeled, GridSpec())
+        best, surface = grid_search_min_fn(labeled.features, labeled.labels, GridSpec())
         by_params = {
             (c.params.c, c.params.kernel, c.params.gamma): c for c in surface
         }
@@ -211,13 +207,12 @@ def test_criterion_07_baselines_against_oracles(criterion):
         x = rng.uniform(0, 4, size=(40, N_FEATURES))
         y = np.where(rng.random(40) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        samples = [mk(x[i], int(y[i]), i) for i in range(40)]
         for _ in range(100):
             probe = rng.uniform(0, 4, size=N_FEATURES)
             k = int(rng.integers(1, 8))
-            assert knn_predict(samples, probe, k) == knn_scan(x, y, probe, k)
+            assert knn_predict(x, y, probe, k) == knn_scan(x, y, probe, k)
 
-        gnb = train_gnb(samples)
+        gnb = train_gnb(x, y)
         for _ in range(20):
             probe = rng.uniform(0, 4, size=N_FEATURES)
             for label in (1, -1):
@@ -230,25 +225,26 @@ def test_criterion_07_baselines_against_oracles(criterion):
             tx = np.round(rng.uniform(0, 3, size=(n, dim)), 1)
             ty = np.where(rng.random(n) < 0.5, 1, -1)
             ty[0], ty[1] = 1, -1
-            tsamples = [mk(tx[i], int(ty[i]), i) for i in range(n)]
-            got = train_tree(tsamples)
-            want = exhaustive_tree(np.hstack([tx, np.zeros((n, N_FEATURES - dim))]), ty)
+            padded = np.hstack([tx, np.zeros((n, N_FEATURES - dim))])
+            got = train_tree(padded, ty)
+            want = exhaustive_tree(padded, ty)
             for i in range(n):
                 assert got.predict(pad(tx[i])) == tree_predict(want, pad(tx[i]))
             for _ in range(20):
                 probe = pad(rng.uniform(-0.5, 3.5, size=dim))
                 assert got.predict(probe) == tree_predict(want, probe)
 
-        line = [mk([v], 1 if v > 0 else -1, i)
-                for i, v in enumerate([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])]
-        sgd = train_sgd_svm(line, epochs=20, c=1.0, seed=0)
-        assert all(sgd.predict(s.features) == s.label for s in line)
-        again = train_sgd_svm(line, epochs=20, c=1.0, seed=0)
+        values = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
+        lx = np.array([pad([v]) for v in values])
+        ly = np.array([1 if v > 0 else -1 for v in values])
+        sgd = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
+        assert [sgd.predict(row) for row in lx] == ly.tolist()
+        again = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
         assert np.array_equal(sgd.weights, again.weights)
         assert sgd.bias == again.bias
 
 
-def test_criterion_08_rule_classifier_boundaries(criterion, dag, table, labeled):
+def test_criterion_08_rule_classifier_boundaries(criterion, dag, table, labeled, csp_run):
     with criterion(8):
         cases = [
             # (facts, expected fired rules)
@@ -267,23 +263,27 @@ def test_criterion_08_rule_classifier_boundaries(criterion, dag, table, labeled)
             assert verdict.fired == fired
             assert verdict.label == (-1 if fired else 1)
 
-        metrics, verdicts = csp_evaluate(labeled, dag, table)
+        # `csp --out` rows and printed counts on the bundled labels
+        rows, counts = csp_run
+        assert [(o, d) for o, d, _, _ in rows] == list(
+            zip(labeled.origins.tolist(), labeled.dests.tolist()))
         tp = fp = tn = fn = 0
-        for sample, verdict in zip(labeled, verdicts):
-            hd = hamming(sample.origin, sample.dest, table)
-            ht = height_diff(sample.origin, sample.dest, table)
-            hl = sample.origin in dag.heads and sample.dest in dag.leaves
-            ll = sample.origin in dag.leaves and sample.dest in dag.leaves
+        for (origin, dest, label, fired), truth in zip(rows, labeled.labels.tolist()):
+            hd = hamming(origin, dest, table)
+            ht = height_diff(origin, dest, table)
+            hl = origin in dag.heads and dest in dag.leaves
+            ll = origin in dag.leaves and dest in dag.leaves
             infeasible = (ht <= -0.09 or ht > 2.0) or hd > 5 or (4 <= hd <= 5 and (hl or ll))
-            assert verdict.label == (-1 if infeasible else 1)
-            assert verdict == csp_classify(csp_facts(sample.origin, sample.dest, dag, table))
-            if sample.label == 1:
-                tp += verdict.label == 1
-                fn += verdict.label == -1
+            assert label == (-1 if infeasible else 1)
+            verdict = csp_classify(csp_facts(origin, dest, dag, table))
+            assert (label, fired) == (verdict.label, verdict.fired)
+            if truth == 1:
+                tp += label == 1
+                fn += label == -1
             else:
-                fp += verdict.label == 1
-                tn += verdict.label == -1
-        assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (tp, fp, tn, fn)
+                fp += label == 1
+                tn += label == -1
+        assert counts == (tp, fp, tn, fn)
 
 
 def test_criterion_09_expression_round_trips(criterion, corpus):
@@ -312,7 +312,7 @@ def test_criterion_10_branch_feature_vector(criterion):
         assert height_diff(0, 1, table) == 2.75
 
 
-def test_criterion_11_branch_statistics(criterion, labeled, table):
+def test_criterion_11_branch_statistics(criterion, labeled):
     with criterion(11):
         rows = {
             0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
@@ -324,27 +324,22 @@ def test_criterion_11_branch_statistics(criterion, labeled, table):
             rows=rows, provenance={n: "reconstructed" for n in rows}
         )
 
-        def sample(o, d, label):
-            return BranchSample(
-                origin=o, dest=d, features=branch_features(o, d, fixture_table), label=label
-            )
-
-        fixture = [
-            sample(0, 1, 1),   # hd 4, ht +2.0, head->leaf
-            sample(2, 3, 1),   # hd 5, ht +3.0, head->leaf
-            sample(0, 3, -1),  # hd 4, ht +3.0, head->leaf
-            sample(1, 3, -1),  # hd 2, ht +1.0, leaf->leaf
-            sample(2, 1, -1),  # hd 5, ht +2.0, head->leaf
-            sample(3, 0, -1),  # hd 4, ht -3.0, not terminal
-        ]
-        stats = corpus_stats(fixture, fixture_table)
+        fixture = labeled_frame([
+            (0, 1, 1),   # hd 4, ht +2.0, head->leaf
+            (2, 3, 1),   # hd 5, ht +3.0, head->leaf
+            (0, 3, -1),  # hd 4, ht +3.0, head->leaf
+            (1, 3, -1),  # hd 2, ht +1.0, leaf->leaf
+            (2, 1, -1),  # hd 5, ht +2.0, head->leaf
+            (3, 0, -1),  # hd 4, ht -3.0, not terminal
+        ], fixture_table)
+        stats = corpus_stats(fixture)
         assert stats.mean_hd_feasible == 4.5
         assert stats.mean_hd_infeasible == 3.75
         assert stats.ht_diff_feasible == (2.0, 2.5, 3.0)
         assert stats.ht_diff_infeasible == (-3.0, 0.75, 3.0)
         assert stats.headleaf_infeasible_ratio == 1.5
 
-        bundled = corpus_stats(labeled, table)
+        bundled = corpus_stats(labeled)
         assert bundled.mean_hd_feasible > 0.0
         assert bundled.mean_hd_infeasible > 0.0
         lo, mean, hi = bundled.ht_diff_feasible

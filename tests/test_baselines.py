@@ -13,76 +13,73 @@ from attackdag.learn import (
     train_tree,
 )
 from attackdag.learn.baselines import VAR_FLOOR
-from attackdag.model import BranchSample
 
 from oracles import exhaustive_tree, gnb_log_posterior, knn_scan, tree_predict
 
 N_FEATURES = 20
 
 
-def mk(vec, label, i=0):
-    """Wrap a short vector into a zero-padded 20-feature sample."""
-    features = tuple(float(v) for v in vec) + (0.0,) * (N_FEATURES - len(vec))
-    return BranchSample(origin=i, dest=i + 1000, features=features, label=label)
-
-
 def pad(vec):
     return tuple(float(v) for v in vec) + (0.0,) * (N_FEATURES - len(vec))
 
 
-def random_samples(rng, n, dim=N_FEATURES):
-    x = rng.uniform(0, 4, size=(n, dim))
+def arrays(*rows):
+    """(x, y) of (short vector, label) rows, each vector zero-padded to 20 features."""
+    return np.array([pad(v) for v, _ in rows]).reshape(-1, N_FEATURES), np.array([l for _, l in rows])
+
+
+def random_samples(rng, n):
+    x = rng.uniform(0, 4, size=(n, N_FEATURES))
     y = np.where(rng.random(n) < 0.5, 1, -1)
     y[0], y[1] = 1, -1
-    return [mk(x[i][:dim], int(y[i]), i) for i in range(n)], x, y
+    return x, y
 
 
 class TestKnn:
     def test_matches_scan_oracle_on_100_queries(self):
         rng = np.random.default_rng(20260819)
-        samples, x, y = random_samples(rng, 40)
+        x, y = random_samples(rng, 40)
         for _ in range(100):
             probe = rng.uniform(0, 4, size=N_FEATURES)
             k = int(rng.integers(1, 8))
-            assert knn_predict(samples, probe, k) == knn_scan(x, y, probe, k)
+            assert knn_predict(x, y, probe, k) == knn_scan(x, y, probe, k)
 
     def test_distance_tie_prefers_lower_index(self):
         # probe equidistant from samples 0 (+1) and 1 (-1); k=1 must pick 0
-        samples = [mk([0.0], 1, 0), mk([2.0], -1, 1), mk([9.0], -1, 2)]
-        assert knn_predict(samples, pad([1.0]), 1) == 1
+        x, y = arrays(([0.0], 1), ([2.0], -1), ([9.0], -1))
+        assert knn_predict(x, y, pad([1.0]), 1) == 1
         # same geometry with labels swapped picks the new index-0 label
-        flipped = [mk([0.0], -1, 0), mk([2.0], 1, 1), mk([9.0], 1, 2)]
-        assert knn_predict(flipped, pad([1.0]), 1) == -1
+        assert knn_predict(x, -y, pad([1.0]), 1) == -1
 
     def test_vote_tie_resolves_to_infeasible(self):
-        samples = [mk([0.0], 1, 0), mk([2.0], -1, 1)]
-        assert knn_predict(samples, pad([1.0]), 2) == -1
+        x, y = arrays(([0.0], 1), ([2.0], -1))
+        assert knn_predict(x, y, pad([1.0]), 2) == -1
 
     def test_k_bounds(self):
-        samples = [mk([0.0], 1, 0), mk([1.0], -1, 1)]
+        x, y = arrays(([0.0], 1), ([1.0], -1))
         with pytest.raises(ValueError):
-            knn_predict(samples, pad([0.5]), 0)
+            knn_predict(x, y, pad([0.5]), 0)
         with pytest.raises(ValueError):
-            knn_predict(samples, pad([0.5]), 3)
+            knn_predict(x, y, pad([0.5]), 3)
 
     def test_rejects_unlabeled_and_empty(self):
         with pytest.raises(EmptyData):
-            knn_predict([], pad([0.0]), 1)
-        samples = [mk([0.0], 1, 0), mk([1.0], None, 1)]
+            knn_predict(*arrays(), pad([0.0]), 1)
+        x, y = arrays(([0.0], 1), ([1.0], 0))
         with pytest.raises(ValueError):
-            knn_predict(samples, pad([0.5]), 1)
+            knn_predict(x, y, pad([0.5]), 1)
 
     def test_rejects_nonfinite_features(self):
-        bad = BranchSample(0, 1, (float("nan"),) + (0.0,) * 19, 1)
+        x, y = arrays(([float("nan")], 1), ([1.0], -1))
         with pytest.raises(NonFiniteFeature):
-            knn_predict([bad, mk([1.0], -1, 1)], pad([0.0]), 1)
+            knn_predict(x, y, pad([0.0]), 1)
 
 
 class TestGaussianNb:
     def test_log_posteriors_match_hand_computation(self):
         rng = np.random.default_rng(5)
-        samples, x, y = random_samples(rng, 30)
-        model = train_gnb(samples)
+        x, y = random_samples(rng, 30)
+        model = train_gnb(x, y)
         for _ in range(20):
             probe = rng.uniform(0, 4, size=N_FEATURES)
             for label in (1, -1):
@@ -91,8 +88,7 @@ class TestGaussianNb:
 
     def test_variance_floor_on_constant_feature(self):
         # every feature constant per class: variances must floor, not divide by zero
-        samples = [mk([1.0], 1, 0), mk([1.0], 1, 1), mk([3.0], -1, 2), mk([3.0], -1, 3)]
-        model = train_gnb(samples)
+        model = train_gnb(*arrays(([1.0], 1), ([1.0], 1), ([3.0], -1), ([3.0], -1)))
         assert np.all(model.variances[1] == VAR_FLOOR)
         assert math.isfinite(model.log_posterior(pad([2.0]), 1))
         assert model.predict(pad([1.0])) == 1
@@ -100,8 +96,7 @@ class TestGaussianNb:
 
     def test_posterior_tie_resolves_to_infeasible(self):
         # symmetric classes around the probe: equal priors, equal likelihoods
-        samples = [mk([0.0], 1, 0), mk([2.0], -1, 1)]
-        model = train_gnb(samples)
+        model = train_gnb(*arrays(([0.0], 1), ([2.0], -1)))
         probe = pad([1.0])
         assert model.log_posterior(probe, 1) == pytest.approx(
             model.log_posterior(probe, -1), abs=1e-12
@@ -109,14 +104,13 @@ class TestGaussianNb:
         assert model.predict(probe) == -1
 
     def test_priors_reflect_class_balance(self):
-        samples = [mk([0.0], 1, 0), mk([0.1], 1, 1), mk([0.2], 1, 2), mk([5.0], -1, 3)]
-        model = train_gnb(samples)
+        model = train_gnb(*arrays(([0.0], 1), ([0.1], 1), ([0.2], 1), ([5.0], -1)))
         assert model.log_priors[1] == pytest.approx(math.log(0.75))
         assert model.log_priors[-1] == pytest.approx(math.log(0.25))
 
     def test_single_class_rejected(self):
         with pytest.raises(EmptyData):
-            train_gnb([mk([0.0], 1, 0), mk([1.0], 1, 1)])
+            train_gnb(*arrays(([0.0], 1), ([1.0], 1)))
 
 
 class TestDecisionTree:
@@ -128,11 +122,9 @@ class TestDecisionTree:
             x = np.round(rng.uniform(0, 3, size=(n, dim)), 1)
             y = np.where(rng.random(n) < 0.5, 1, -1)
             y[0], y[1] = 1, -1
-            samples = [mk(x[i], int(y[i]), i) for i in range(n)]
-            got = train_tree(samples)
-            want = exhaustive_tree(
-                np.hstack([x, np.zeros((n, N_FEATURES - dim))]), y
-            )
+            padded = np.hstack([x, np.zeros((n, N_FEATURES - dim))])
+            got = train_tree(padded, y)
+            want = exhaustive_tree(padded, y)
             for i in range(n):
                 assert got.predict(pad(x[i])) == tree_predict(want, pad(x[i]))
             for _ in range(30):
@@ -142,8 +134,7 @@ class TestDecisionTree:
     def test_pure_set_is_single_leaf(self):
         # purity check happens before class validation elsewhere; tree only
         # needs labels, so a one-class set is legal here
-        samples = [mk([0.0], 1, 0), mk([5.0], 1, 1)]
-        tree = train_tree(samples)
+        tree = train_tree(*arrays(([0.0], 1), ([5.0], 1)))
         assert tree.feature == -1
         assert tree.label == 1
         assert tree.depth() == 0
@@ -151,14 +142,12 @@ class TestDecisionTree:
     def test_unsplittable_set_majority_to_infeasible(self):
         # identical feature vectors with opposing labels: no split candidates,
         # 1 vs 1 majority tie falls to -1
-        samples = [mk([1.0], 1, 0), mk([1.0], -1, 1)]
-        tree = train_tree(samples)
+        tree = train_tree(*arrays(([1.0], 1), ([1.0], -1)))
         assert tree.feature == -1
         assert tree.label == -1
 
     def test_separable_line_produces_midpoint_split(self):
-        samples = [mk([0.0], -1, 0), mk([1.0], -1, 1), mk([3.0], 1, 2), mk([4.0], 1, 3)]
-        tree = train_tree(samples)
+        tree = train_tree(*arrays(([0.0], -1), ([1.0], -1), ([3.0], 1), ([4.0], 1)))
         assert tree.feature == 0
         assert tree.threshold == pytest.approx(2.0)
         assert tree.depth() == 1
@@ -167,13 +156,12 @@ class TestDecisionTree:
 
     def test_equal_gain_prefers_lowest_feature(self):
         # two features carry identical separations; the split must use feature 0
-        samples = [
-            mk([0.0, 0.0], -1, 0),
-            mk([0.0, 0.0], -1, 1),
-            mk([2.0, 2.0], 1, 2),
-            mk([2.0, 2.0], 1, 3),
-        ]
-        tree = train_tree(samples)
+        tree = train_tree(*arrays(
+            ([0.0, 0.0], -1),
+            ([0.0, 0.0], -1),
+            ([2.0, 2.0], 1),
+            ([2.0, 2.0], 1),
+        ))
         assert tree.feature == 0
         assert tree.threshold == pytest.approx(1.0)
 
@@ -181,28 +169,28 @@ class TestDecisionTree:
 class TestSgdSvm:
     def separable_samples(self):
         xs = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
-        return [mk([v], 1 if v > 0 else -1, i) for i, v in enumerate(xs)]
+        return arrays(*(([v], 1 if v > 0 else -1) for v in xs))
 
     def test_perfect_accuracy_on_separable_line(self):
-        samples = self.separable_samples()
-        model = train_sgd_svm(samples, epochs=20, c=1.0, seed=0)
-        assert all(model.predict(s.features) == s.label for s in samples)
+        x, y = self.separable_samples()
+        model = train_sgd_svm(x, y, epochs=20, c=1.0, seed=0)
+        assert [model.predict(row) for row in x] == y.tolist()
 
     def test_bit_reproducible_under_fixed_seed(self):
-        samples = self.separable_samples()
-        a = train_sgd_svm(samples, epochs=15, c=1.0, seed=42)
-        b = train_sgd_svm(samples, epochs=15, c=1.0, seed=42)
+        x, y = self.separable_samples()
+        a = train_sgd_svm(x, y, epochs=15, c=1.0, seed=42)
+        b = train_sgd_svm(x, y, epochs=15, c=1.0, seed=42)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
     def test_objective_near_coarse_grid_optimum(self):
         # 1-D problem: sweep (w, b) on a fine grid and require the trained
         # objective within 5% of the best grid cell
-        samples = self.separable_samples()
-        model = train_sgd_svm(samples, epochs=200, c=1.0, seed=0)
-        trained = hinge_objective(model.weights, model.bias, samples, c=1.0)
+        x, y = self.separable_samples()
+        model = train_sgd_svm(x, y, epochs=200, c=1.0, seed=0)
+        trained = hinge_objective(model.weights, model.bias, x, y, c=1.0)
         best = min(
-            hinge_objective(np.asarray([w] + [0.0] * (N_FEATURES - 1)), b, samples, c=1.0)
+            hinge_objective(np.asarray([w] + [0.0] * (N_FEATURES - 1)), b, x, y, c=1.0)
             for w in np.linspace(0.0, 3.0, 121)
             for b in np.linspace(-1.5, 1.5, 61)
         )
@@ -210,11 +198,11 @@ class TestSgdSvm:
 
     def test_objective_beats_zero_model(self):
         rng = np.random.default_rng(8)
-        samples, _, _ = random_samples(rng, 30)
-        model = train_sgd_svm(samples, epochs=20, c=1.0, seed=1)
-        at_zero = hinge_objective(np.zeros(N_FEATURES), 0.0, samples, c=1.0)
-        assert hinge_objective(model.weights, model.bias, samples, c=1.0) < at_zero
+        x, y = random_samples(rng, 30)
+        model = train_sgd_svm(x, y, epochs=20, c=1.0, seed=1)
+        at_zero = hinge_objective(np.zeros(N_FEATURES), 0.0, x, y, c=1.0)
+        assert hinge_objective(model.weights, model.bias, x, y, c=1.0) < at_zero
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyData):
-            train_sgd_svm([])
+            train_sgd_svm(*arrays())

@@ -287,6 +287,43 @@ class TestExitCodes:
         assert f"error: {option[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        (("--ht-below", "nan"), "ht_diff_below must be finite"),
+        (("--ht-above=inf",), "ht_diff_above must be finite"),
+        (("--min-hamming", "99"), "min_hamming must be in 0..9"),
+    ], ids=["ht-below-nan", "ht-above-inf", "min-hamming-99"])
+    def test_unusable_filter_threshold_is_parse_error(self, work, tmp_path, capsys, option,
+                                                      message):
+        out = tmp_path / "negatives.csv"
+        assert main(["negatives", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--out", str(out), *option]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "csp", "report"])
+    @pytest.mark.parametrize("rows, code, message", [
+        (["40,40,1"], 2, "branch from node 40 to itself"),
+        (["40,999,-1"], 3, "no attribute row for node 999"),
+        (["40,40,1", "40,999,-1"], 2, "branch from node 40 to itself"),
+        (["999,40,-1", "40,40,1"], 3, "no attribute row for node 999"),
+    ], ids=["self-pair", "unknown-node", "self-pair-first", "unknown-node-first"])
+    def test_bad_labeled_branch_exit_code(self, work, tmp_path, capsys, command, rows, code,
+                                          message):
+        # The bad rows follow the bundled labels; the first of them decides.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(work["labels"].read_text() + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = {
+            "train": [],
+            "csp": [],
+            "report": ["--model", str(work["model"]), "--predictions", str(work["preds"]),
+                       "--force"],
+        }[command]
+        assert main([command, "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(labels), "--out", str(out), *extra]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("gammas", ["nan", "0.1,inf"])
     def test_non_finite_grid_gamma_is_parse_error(self, work, tmp_path, capsys, gammas):
         out = tmp_path / "surface.json"

@@ -1,6 +1,6 @@
 import pytest
 
-from attackdag.csp import CspFacts, CspVerdict, csp_classify, csp_evaluate, csp_facts
+from attackdag.csp import CspFacts, CspVerdict, csp_classify, csp_facts
 from attackdag.features import hamming, height_diff
 from attackdag.graph import build_dag
 from attackdag.model import NodeAttributes
@@ -86,16 +86,19 @@ class TestFactsFromGraph:
 
 
 class TestEvaluateOnCorpus:
-    def test_matches_independent_rule_application(self, dag, table, labeled):
-        metrics, verdicts = csp_evaluate(labeled, dag, table)
-        assert len(verdicts) == len(labeled)
+    """`csp --out` rows and printed counts against an independent rule application."""
+
+    def test_matches_independent_rule_application(self, dag, table, labeled, csp_run):
+        rows, counts = csp_run
+        assert [(o, d) for o, d, _, _ in rows] == list(
+            zip(labeled.origins.tolist(), labeled.dests.tolist()))
 
         tp = fp = tn = fn = 0
-        for sample, verdict in zip(labeled, verdicts):
-            hd = hamming(sample.origin, sample.dest, table)
-            ht = height_diff(sample.origin, sample.dest, table)
-            hl = sample.origin in dag.heads and sample.dest in dag.leaves
-            ll = sample.origin in dag.leaves and sample.dest in dag.leaves
+        for (origin, dest, label, fired), truth in zip(rows, labeled.labels.tolist()):
+            hd = hamming(origin, dest, table)
+            ht = height_diff(origin, dest, table)
+            hl = origin in dag.heads and dest in dag.leaves
+            ll = origin in dag.leaves and dest in dag.leaves
             expect_fired = []
             if ht <= -0.09 or ht > 2.0:
                 expect_fired.append("R1")
@@ -103,21 +106,21 @@ class TestEvaluateOnCorpus:
                 expect_fired.append("R2")
             if 4 <= hd <= 5 and (hl or ll):
                 expect_fired.append("R3")
-            assert verdict.fired == tuple(expect_fired)
-            assert verdict.label == (-1 if expect_fired else 1)
-            if sample.label == 1:
-                if verdict.label == 1:
+            assert fired == tuple(expect_fired)
+            assert label == (-1 if expect_fired else 1)
+            if truth == 1:
+                if label == 1:
                     tp += 1
                 else:
                     fn += 1
             else:
-                if verdict.label == 1:
+                if label == 1:
                     fp += 1
                 else:
                     tn += 1
-        assert (metrics.tp, metrics.fp, metrics.tn, metrics.fn) == (tp, fp, tn, fn)
+        assert counts == (tp, fp, tn, fn)
 
-    def test_explanations_accompany_every_infeasible_verdict(self, dag, table, labeled):
-        _, verdicts = csp_evaluate(labeled, dag, table)
-        for v in verdicts:
-            assert (v.label == -1) == bool(v.fired)
+    def test_explanations_accompany_every_infeasible_verdict(self, csp_run):
+        rows, _ = csp_run
+        for _, _, label, fired in rows:
+            assert (label == -1) == bool(fired)

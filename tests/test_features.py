@@ -149,16 +149,16 @@ class TestCheckAgainst:
 
 class TestEnumerateCandidates:
     def test_count_formula(self, dag, table, labeled):
-        training = {(s.origin, s.dest) for s in labeled}
+        training = set(zip(labeled.origins.tolist(), labeled.dests.tolist()))
         cands = enumerate_candidates(dag, table, training)
         assert len(cands) == search_space_size(len(dag.nodes), len(training))
 
     def test_sorted_unlabeled_and_disjoint_from_training(self, dag, table, labeled):
-        training = {(s.origin, s.dest) for s in labeled}
+        training = set(zip(labeled.origins.tolist(), labeled.dests.tolist()))
         cands = enumerate_candidates(dag, table, training)
-        pairs = [(c.origin, c.dest) for c in cands]
+        pairs = list(zip(cands.origins.tolist(), cands.dests.tolist()))
         assert pairs == sorted(pairs)
-        assert all(c.label is None for c in cands)
+        assert cands.labels is None
         assert not training & set(pairs)
 
     def test_small_dag_by_hand(self):
@@ -171,7 +171,7 @@ class TestEnumerateCandidates:
         }
         t = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
         cands = enumerate_candidates(dag, t, {(0, 1)})
-        assert [(c.origin, c.dest) for c in cands] == [
+        assert list(zip(cands.origins.tolist(), cands.dests.tolist())) == [
             (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
         ]
 

@@ -3,19 +3,20 @@ import pytest
 
 import attackdag.learn.gridsearch as gridsearch
 from attackdag.learn import GridSpec, SvmParams, grid_search_min_fn
-from attackdag.model import BranchSample
 
 N_FEATURES = 20
 
 
-def mk(vec, label, i=0):
-    features = tuple(float(v) for v in vec) + (0.0,) * (N_FEATURES - len(vec))
-    return BranchSample(origin=i, dest=i + 1000, features=features, label=label)
+def arrays(values, labels):
+    """(x, y) of one-feature rows zero-padded to 20 features."""
+    x = np.zeros((len(values), N_FEATURES))
+    x[:, 0] = values
+    return x, np.array(labels)
 
 
 def separable():
     xs = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
-    return [mk([v], 1 if v > 0 else -1, i) for i, v in enumerate(xs)]
+    return arrays(xs, [1 if v > 0 else -1 for v in xs])
 
 
 class TestGridSpec:
@@ -58,7 +59,7 @@ class StubModel:
 def stub_trainer(table):
     """train_svm stand-in returning canned predictions keyed by cell params."""
 
-    def train(data, params):
+    def train(x, y, params):
         key = (params.c, params.kernel, params.gamma)
         if table[key] == "fail":
             raise RuntimeError("synthetic failure")
@@ -69,12 +70,12 @@ def stub_trainer(table):
 
 class TestSelection:
     # truth for four eval samples
-    SAMPLES = [mk([0.0], 1, 0), mk([1.0], 1, 1), mk([2.0], -1, 2), mk([3.0], -1, 3)]
+    SAMPLES = arrays([0.0, 1.0, 2.0, 3.0], [1, 1, -1, -1])
     GRID = GridSpec(c_values=(1.0,), kernels=("rbf", "poly", "sigmoid"), gamma_values=(0.1,))
 
     def run(self, monkeypatch, table):
         monkeypatch.setattr(gridsearch, "train_svm", stub_trainer(table))
-        return grid_search_min_fn(self.SAMPLES, self.GRID)
+        return grid_search_min_fn(*self.SAMPLES, self.GRID)
 
     def test_fewest_false_negatives_wins(self, monkeypatch):
         best, surface = self.run(monkeypatch, {
@@ -122,33 +123,32 @@ class TestSelection:
         }
         monkeypatch.setattr(gridsearch, "train_svm", stub_trainer(table))
         with pytest.raises(RuntimeError):
-            grid_search_min_fn(self.SAMPLES, self.GRID)
+            grid_search_min_fn(*self.SAMPLES, self.GRID)
 
     def test_scores_on_eval_data_not_train(self, monkeypatch):
         # canned predictions are all +1; swapping eval truth flips fn/fp
-        eval_pos = [mk([0.0], 1, 0), mk([1.0], 1, 1)]
-        eval_neg = [mk([0.0], -1, 0), mk([1.0], -1, 1)]
+        eval_pos = arrays([0.0, 1.0], [1, 1])
+        eval_neg = arrays([0.0, 1.0], [-1, -1])
         grid = GridSpec(c_values=(1.0,), kernels=("rbf",), gamma_values=(0.1,))
         monkeypatch.setattr(
             gridsearch, "train_svm", stub_trainer({(1.0, "rbf", 0.1): [1, 1]})
         )
-        _, on_pos = grid_search_min_fn(self.SAMPLES, grid, eval_data=eval_pos)
-        _, on_neg = grid_search_min_fn(self.SAMPLES, grid, eval_data=eval_neg)
+        _, on_pos = grid_search_min_fn(*self.SAMPLES, grid, eval_data=eval_pos)
+        _, on_neg = grid_search_min_fn(*self.SAMPLES, grid, eval_data=eval_neg)
         assert (on_pos[0].fn, on_pos[0].fp) == (0, 0)
         assert (on_neg[0].fn, on_neg[0].fp) == (0, 2)
 
 
 class TestRealTraining:
     def test_separable_data_all_cells_clean_first_wins(self):
-        samples = separable()
         grid = GridSpec(c_values=(1.0, 2.0), kernels=("rbf",), gamma_values=(0.5, 1.0))
-        best, surface = grid_search_min_fn(samples, grid)
+        best, surface = grid_search_min_fn(*separable(), grid)
         assert all((c.fn, c.fp) == (0, 0) for c in surface)
         assert (best.c, best.kernel, best.gamma) == (1.0, "rbf", 0.5)
 
     def test_default_eval_is_training_data(self):
         samples = separable()
         grid = GridSpec(c_values=(1.0,), kernels=("rbf",), gamma_values=(0.5,))
-        _, implicit = grid_search_min_fn(samples, grid)
-        _, explicit = grid_search_min_fn(samples, grid, eval_data=samples)
+        _, implicit = grid_search_min_fn(*samples, grid)
+        _, explicit = grid_search_min_fn(*samples, grid, eval_data=samples)
         assert [(c.fn, c.fp) for c in implicit] == [(c.fn, c.fp) for c in explicit]

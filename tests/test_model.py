@@ -4,7 +4,6 @@ import pytest
 
 from attackdag.model import (
     AttackDag,
-    BranchSample,
     CorpusStats,
     EmptyDescription,
     InvalidCounts,
@@ -126,17 +125,6 @@ class TestNodeAttributes:
     def test_rejects_nan_depth(self):
         with pytest.raises(ValueError):
             NodeAttributes(0, 0, 0, 0, 0, 0, 0, 0, 0, math.nan)
-
-
-class TestBranchSample:
-    def test_requires_twenty_features(self):
-        with pytest.raises(ValueError):
-            BranchSample(origin=0, dest=1, features=(0.0,) * 10, label=1)
-
-    def test_label_domain(self):
-        with pytest.raises(ValueError):
-            BranchSample(origin=0, dest=1, features=(0.0,) * 20, label=0)
-        BranchSample(origin=0, dest=1, features=(0.0,) * 20, label=None)
 
 
 class TestMetrics:

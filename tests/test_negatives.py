@@ -1,7 +1,7 @@
 import pytest
 
-from attackdag.features import AttributeTable, branch_features
-from attackdag.model import BasicBlock, BranchSample, NodeAttributes
+from attackdag.features import AttributeTable, BranchFrame, labeled_frame
+from attackdag.model import BasicBlock, NodeAttributes
 from attackdag.model import VulnerabilityCategory as VC
 from attackdag.negatives import (
     ExceptionList,
@@ -12,6 +12,10 @@ from attackdag.negatives import (
     generate_negative_candidates,
 )
 from attackdag.graph import build_dag
+
+
+def pairs_of(frame):
+    return list(zip(frame.origins.tolist(), frame.dests.tolist()))
 
 
 class TestIndependence:
@@ -69,15 +73,14 @@ class TestGenerateNegatives:
     def test_dag_edges_never_candidates(self):
         dag, table, blocks = tiny_world()
         got = generate_negative_candidates(dag, table, blocks)
-        assert (0, 1) not in {(s.origin, s.dest) for s in got}
+        assert (0, 1) not in set(pairs_of(got))
 
     def test_exceptions_removed(self):
         dag, table, blocks = tiny_world()
-        baseline = {(s.origin, s.dest) for s in generate_negative_candidates(dag, table, blocks)}
+        baseline = set(pairs_of(generate_negative_candidates(dag, table, blocks)))
         assert (1, 0) in baseline  # memory x network, reverse direction
         exceptions = ExceptionList(notes={(1, 0): "observed downstream"})
-        got = {(s.origin, s.dest)
-               for s in generate_negative_candidates(dag, table, blocks, exceptions)}
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, exceptions)))
         assert got == baseline - {(1, 0)}
 
     def test_independence_only_mode(self):
@@ -85,7 +88,7 @@ class TestGenerateNegatives:
         got = generate_negative_candidates(
             dag, table, blocks, thresholds=NegativeFilterThresholds.disabled()
         )
-        pairs = {(s.origin, s.dest) for s in got}
+        pairs = set(pairs_of(got))
         # memory(0) x network(1) both ways minus the dag edge; wca(2) x
         # socially delivered malware(3) both ways
         assert pairs == {(1, 0), (2, 3), (3, 2)}
@@ -93,21 +96,21 @@ class TestGenerateNegatives:
     def test_all_labeled_minus_one_and_sorted(self):
         dag, table, blocks = tiny_world()
         got = generate_negative_candidates(dag, table, blocks)
-        assert all(s.label == -1 for s in got)
-        pairs = [(s.origin, s.dest) for s in got]
+        assert got.labels.tolist() == [-1] * len(got)
+        pairs = pairs_of(got)
         assert pairs == sorted(pairs)
 
     def test_head_to_leaf_filter(self):
         dag, table, blocks = tiny_world()
         # node 0 is a head, node 3 a leaf, same-category pressure absent
-        got = {(s.origin, s.dest) for s in generate_negative_candidates(dag, table, blocks)}
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks)))
         assert (0, 3) in got
-        relaxed = {(s.origin, s.dest) for s in generate_negative_candidates(
+        relaxed = set(pairs_of(generate_negative_candidates(
             dag, table, blocks,
             thresholds=NegativeFilterThresholds(
                 ht_diff_below=None, ht_diff_above=None, min_hamming=None,
                 head_to_leaf=False, leaf_to_leaf=True),
-        )}
+        )))
         assert (0, 3) not in relaxed  # 0 is not a leaf
 
     def test_hamming_threshold_boundary(self):
@@ -119,16 +122,15 @@ class TestGenerateNegatives:
         strict = NegativeFilterThresholds(
             ht_diff_below=None, ht_diff_above=None, min_hamming=7,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = {(s.origin, s.dest)
-               for s in generate_negative_candidates(dag, table, blocks, thresholds=strict)}
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, thresholds=strict)))
         assert (0, 2) not in got  # 6 < 7; independence pairs alone survive
         assert got == {(1, 0), (2, 3), (3, 2)}
 
         at_boundary = NegativeFilterThresholds(
             ht_diff_below=None, ht_diff_above=None, min_hamming=6,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = {(s.origin, s.dest)
-               for s in generate_negative_candidates(dag, table, blocks, thresholds=at_boundary)}
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks,
+                                                        thresholds=at_boundary)))
         # hamming == 6 pairs pass a >= 6 threshold in both directions
         assert {(0, 2), (2, 0), (1, 2), (2, 1)} <= got
         assert (3, 1) not in got  # hamming 3, no independence
@@ -138,8 +140,8 @@ class TestGenerateNegatives:
         thresholds = NegativeFilterThresholds(
             ht_diff_below=-0.09, ht_diff_above=2.0, min_hamming=None,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = {(s.origin, s.dest)
-               for s in generate_negative_candidates(dag, table, blocks, thresholds=thresholds)}
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks,
+                                                        thresholds=thresholds)))
         # (1, 2): ht = 0.0 - 1.0 = -1.0 < -0.09 -> candidate
         assert (1, 2) in got
         # (2, 1): ht = 1.0, inside [-0.09, 2.0] and wca x network is not an
@@ -149,7 +151,7 @@ class TestGenerateNegatives:
     def test_generated_set_matches_bundled_regeneration(self, dag, table, corpus, data_dir):
         exceptions = ExceptionList.from_csv((data_dir / "exceptions.csv").read_text())
         got = generate_negative_candidates(dag, table, corpus.blocks_by_id(), exceptions)
-        pairs = {(s.origin, s.dest) for s in got}
+        pairs = set(pairs_of(got))
         assert not pairs & dag.edges
         assert (26, 30) not in pairs and (4, 31) not in pairs
         # bundled labels' negatives are a curated subset of this pool
@@ -183,24 +185,21 @@ def stats_fixture():
     }
     table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
 
-    def sample(o, d, label):
-        return BranchSample(origin=o, dest=d, features=branch_features(o, d, table), label=label)
-
-    samples = [
-        sample(0, 1, 1),   # hd 4, ht +2.0, head->leaf
-        sample(2, 3, 1),   # hd 5, ht +3.0, head->leaf
-        sample(0, 3, -1),  # hd 4, ht +3.0, head->leaf
-        sample(1, 3, -1),  # hd 2, ht +1.0, leaf->leaf
-        sample(2, 1, -1),  # hd 5, ht +2.0, head->leaf
-        sample(3, 0, -1),  # hd 4, ht -3.0, not terminal
+    rows = [
+        (0, 1, 1),   # hd 4, ht +2.0, head->leaf
+        (2, 3, 1),   # hd 5, ht +3.0, head->leaf
+        (0, 3, -1),  # hd 4, ht +3.0, head->leaf
+        (1, 3, -1),  # hd 2, ht +1.0, leaf->leaf
+        (2, 1, -1),  # hd 5, ht +2.0, head->leaf
+        (3, 0, -1),  # hd 4, ht -3.0, not terminal
     ]
-    return samples, table
+    return rows, table
 
 
 class TestCorpusStats:
     def test_hand_computed_fixture(self):
-        samples, table = stats_fixture()
-        stats = corpus_stats(samples, table)
+        rows, table = stats_fixture()
+        stats = corpus_stats(labeled_frame(rows, table))
         assert stats.mean_hd_feasible == 4.5
         assert stats.mean_hd_infeasible == 3.75
         assert stats.ht_diff_feasible == (2.0, 2.5, 3.0)
@@ -208,16 +207,15 @@ class TestCorpusStats:
         assert stats.headleaf_infeasible_ratio == 1.5
 
     def test_single_class_raises(self):
-        samples, table = stats_fixture()
+        rows, table = stats_fixture()
         with pytest.raises(InsufficientData):
-            corpus_stats([s for s in samples if s.label == 1], table)
+            corpus_stats(labeled_frame([r for r in rows if r[2] == 1], table))
 
     def test_unlabeled_sample_raises(self):
-        samples, table = stats_fixture()
-        unlabeled = BranchSample(origin=0, dest=2,
-                                 features=branch_features(0, 2, table), label=None)
+        rows, table = stats_fixture()
+        frame = labeled_frame(rows, table)
         with pytest.raises(InsufficientData):
-            corpus_stats(samples + [unlabeled], table)
+            corpus_stats(BranchFrame(frame.origins, frame.dests, frame.features))
 
     def test_ratio_none_when_no_feasible_terminal(self):
         rows = {
@@ -226,14 +224,11 @@ class TestCorpusStats:
             2: NodeAttributes(0, 0, 1, 0, 0, 0, 0, 1, 1, 0.0),
         }
         table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
-        samples = [
-            BranchSample(0, 1, branch_features(0, 1, table), 1),
-            BranchSample(1, 0, branch_features(1, 0, table), -1),
-        ]
-        assert corpus_stats(samples, table).headleaf_infeasible_ratio is None
+        frame = labeled_frame([(0, 1, 1), (1, 0, -1)], table)
+        assert corpus_stats(frame).headleaf_infeasible_ratio is None
 
-    def test_bundled_corpus_emits_all_four(self, labeled, table):
-        stats = corpus_stats(labeled, table)
+    def test_bundled_corpus_emits_all_four(self, labeled):
+        stats = corpus_stats(labeled)
         assert stats.mean_hd_feasible > 0
         assert stats.mean_hd_infeasible > 0
         assert stats.ht_diff_feasible[0] <= stats.ht_diff_feasible[1] <= stats.ht_diff_feasible[2]

@@ -1,17 +1,22 @@
-"""Array-based candidates and negatives, and corpus statistics, against per-pair loops."""
+"""Array-based candidates, negatives, labeled frames and corpus statistics, against
+per-pair loops."""
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from attackdag.features import (
     AttributeTable,
+    SelfBranch,
     branch_features,
     enumerate_candidates,
     hamming,
     height_diff,
+    labeled_frame,
 )
-from attackdag.graph import build_dag
-from attackdag.model import BasicBlock, BranchSample, NodeAttributes, VulnerabilityCategory
+from attackdag.graph import UnknownNode, build_dag
+from attackdag.model import BasicBlock, NodeAttributes, VulnerabilityCategory
 from attackdag.negatives import (
     ExceptionList,
     InsufficientData,
@@ -66,17 +71,17 @@ def reference_negatives(dag, table, blocks, exceptions, th):
             or (th.head_to_leaf and u in dag.heads and v in dag.leaves)
             or (th.leaf_to_leaf and u in dag.leaves and v in dag.leaves)
         ):
-            out.append(BranchSample(u, v, branch_features(u, v, table), label=-1))
+            out.append((u, v))
     return out
 
 
-def assert_frame_is(frame, expected):
+def assert_frame_is(frame, expected, table):
+    """frame holds the ordered pairs expected, with branch_features' rows."""
     assert len(frame) == len(expected)
-    assert list(frame) == expected
-    assert list(frame) == expected  # a frame iterates more than once
-    assert frame.origins.tolist() == [s.origin for s in expected]
-    assert frame.dests.tolist() == [s.dest for s in expected]
-    assert [tuple(row) for row in frame.features.tolist()] == [s.features for s in expected]
+    assert frame.origins.tolist() == [u for u, _ in expected]
+    assert frame.dests.tolist() == [v for _, v in expected]
+    assert [tuple(row) for row in frame.features.tolist()] == [
+        branch_features(u, v, table) for u, v in expected]
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,8 +106,8 @@ def test_negatives_match_per_pair_loop(world, data):
     listed = data.draw(st.lists(st.sampled_from(pairs) | foreign if pairs else foreign))
     exceptions = ExceptionList(notes={p: "x" for p in listed})
     got = generate_negative_candidates(dag, table, blocks, exceptions, th)
-    assert got.label == -1
-    assert_frame_is(got, reference_negatives(dag, table, blocks, exceptions, th))
+    assert got.labels.tolist() == [-1] * len(got)
+    assert_frame_is(got, reference_negatives(dag, table, blocks, exceptions, th), table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,11 +116,30 @@ def test_candidates_match_per_pair_loop(world, data):
     dag, table, _ = world
     pairs = ordered_pairs(dag)
     training = set(data.draw(st.lists(st.sampled_from(pairs))) if pairs else [])
-    expected = [BranchSample(u, v, branch_features(u, v, table))
-                for u, v in pairs if (u, v) not in training]
     got = enumerate_candidates(dag, table, training)
-    assert got.label is None
-    assert_frame_is(got, expected)
+    assert got.labels is None
+    assert_frame_is(got, [p for p in pairs if p not in training], table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=worlds(), data=st.data())
+def test_labeled_frame_matches_branch_features(world, data):
+    _, table, _ = world
+    # Rows may be self pairs or name a node without an attribute row.
+    node = st.integers(0, 50)
+    if table.rows:
+        node |= st.sampled_from(sorted(table.rows))
+    rows = data.draw(st.lists(st.tuples(node, node, st.sampled_from([1, -1]))))
+    try:
+        for u, v, _ in rows:
+            branch_features(u, v, table)
+    except (SelfBranch, UnknownNode) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            labeled_frame(rows, table)
+        return
+    got = labeled_frame(rows, table)
+    assert got.labels.tolist() == [label for _, _, label in rows]
+    assert_frame_is(got, [(u, v) for u, v, _ in rows], table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,18 +149,17 @@ def test_corpus_stats_match_per_pair_loop(world, data):
     pairs = ordered_pairs(dag)
     labeled = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([1, -1])))
                         if pairs else st.just([]))
-    samples = [BranchSample(u, v, branch_features(u, v, table), label) for (u, v), label in labeled]
+    frame = labeled_frame([(u, v, label) for (u, v), label in labeled], table)
     by_label = {1: [], -1: []}
-    for s in samples:
-        o, d = table[s.origin], table[s.dest]
-        by_label[s.label].append((hamming(s.origin, s.dest, table),
-                                  height_diff(s.origin, s.dest, table),
-                                  bool((o.head and d.leaf) or (o.leaf and d.leaf))))
+    for (u, v), label in labeled:
+        o, d = table[u], table[v]
+        by_label[label].append((hamming(u, v, table), height_diff(u, v, table),
+                                bool((o.head and d.leaf) or (o.leaf and d.leaf))))
     if not by_label[1] or not by_label[-1]:
         with pytest.raises(InsufficientData):
-            corpus_stats(samples, table)
+            corpus_stats(frame)
         return
-    stats = corpus_stats(samples, table)
+    stats = corpus_stats(frame)
     for label, mean_hd, spread in ((1, stats.mean_hd_feasible, stats.ht_diff_feasible),
                                    (-1, stats.mean_hd_infeasible, stats.ht_diff_infeasible)):
         hds, hts, _ = zip(*by_label[label])

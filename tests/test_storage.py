@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
-from attackdag.learn import SvmParams, fit_svm
+from attackdag.learn import SvmParams, train_svm
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
     ANNOTATIONS_HEADER,
@@ -341,7 +341,7 @@ class TestModelFile:
     def make_model(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        return fit_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6))
+        return train_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6))
 
     def test_round_trip(self, tmp_path):
         model = self.make_model()
@@ -553,7 +553,7 @@ def model_body(fuzz_dir):
     x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
     y = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
     path = fuzz_dir / "model_seed.json"
-    save_model(path, fit_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), "f" * 64)
+    save_model(path, train_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), "f" * 64)
     return path.read_text()
 
 

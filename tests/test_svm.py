@@ -12,14 +12,12 @@ from attackdag.learn import (
     SingleClassData,
     SvmModel,
     SvmParams,
-    fit_svm,
     full_alphas,
     gram_matrix,
     kernel_eval,
     kkt_violation,
     train_svm,
 )
-from attackdag.model import BranchSample
 
 from oracles import (
     dual_qp_reference,
@@ -117,21 +115,21 @@ class TestFitValidation:
     def test_single_class_rejected(self):
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(SingleClassData):
-            fit_svm(x, np.array([1.0, 1.0, 1.0]), SvmParams())
+            train_svm(x, np.array([1.0, 1.0, 1.0]), SvmParams())
 
     def test_nan_rejected(self):
         x = np.array([[0.0], [np.nan]])
         with pytest.raises(NonFiniteFeature):
-            fit_svm(x, np.array([1.0, -1.0]), SvmParams())
+            train_svm(x, np.array([1.0, -1.0]), SvmParams())
 
     def test_bad_labels_rejected(self):
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            fit_svm(x, np.array([1.0, 0.0]), SvmParams())
+            train_svm(x, np.array([1.0, 0.0]), SvmParams())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            fit_svm(np.zeros((3, 2)), np.array([1.0, -1.0]), SvmParams())
+            train_svm(np.zeros((3, 2)), np.array([1.0, -1.0]), SvmParams())
 
 
 class TestTwoPointAnalytic:
@@ -146,7 +144,7 @@ class TestTwoPointAnalytic:
 
     def test_free_solution(self):
         params = SvmParams(c=2.0, kernel="rbf", gamma=1.0, tolerance=1e-8)
-        model = fit_svm(self.X, self.Y, params)
+        model = train_svm(self.X, self.Y, params)
         k12 = math.exp(-4.0)
         expected = 2.0 / (2.0 - 2.0 * k12)
         alphas = full_alphas(model)
@@ -158,7 +156,7 @@ class TestTwoPointAnalytic:
 
     def test_clipped_solution(self):
         params = SvmParams(c=0.5, kernel="rbf", gamma=1.0, tolerance=1e-8)
-        model = fit_svm(self.X, self.Y, params)
+        model = train_svm(self.X, self.Y, params)
         alphas = full_alphas(model)
         assert alphas == pytest.approx([0.5, 0.5], abs=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
@@ -168,7 +166,7 @@ class TestTwoPointAnalytic:
 
     def test_midpoint_ties_to_positive(self):
         params = SvmParams(c=2.0, kernel="rbf", gamma=1.0, tolerance=1e-8)
-        model = fit_svm(self.X, self.Y, params)
+        model = train_svm(self.X, self.Y, params)
         assert abs(model.decision_value([1.0])) < 1e-9
         assert model.predict([1.0]) == 1
 
@@ -193,7 +191,7 @@ class TestOptimizerProperties:
                 gamma=float(rng.choice([0.1, 0.5, 1.0])),
                 tolerance=1e-6,
             )
-            model = fit_svm(x, y, params)
+            model = train_svm(x, y, params)
             alphas = full_alphas(model)
             assert np.all(alphas >= 0.0) and np.all(alphas <= params.c + 1e-12)
             assert abs(float(alphas @ y)) <= 1e-6
@@ -212,7 +210,7 @@ class TestOptimizerProperties:
                 gamma=float(rng.choice([0.1, 0.5])),
                 tolerance=1e-6,
             )
-            model = fit_svm(x, y, params)
+            model = train_svm(x, y, params)
             ref_alphas, ref_bias, ref_obj = dual_qp_reference(x, y, params)
 
             probes = np.vstack([x, rng.uniform(-2.5, 2.5, size=(5, x.shape[1]))])
@@ -235,8 +233,8 @@ class TestOptimizerProperties:
         ])
         y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
         base = dict(c=5.0, kernel="rbf", gamma=0.5, tolerance=1e-6)
-        shrunk = fit_svm(x, y, SvmParams(shrinking=True, **base))
-        plain = fit_svm(x, y, SvmParams(shrinking=False, **base))
+        shrunk = train_svm(x, y, SvmParams(shrinking=True, **base))
+        plain = train_svm(x, y, SvmParams(shrinking=False, **base))
         assert shrunk.converged and plain.converged
         assert max(shrunk.iterations, plain.iterations) >= 100  # shrink path exercised
         probes = np.vstack([x, rng.uniform(-2, 3, size=(10, 2))])
@@ -246,8 +244,8 @@ class TestOptimizerProperties:
         rng = np.random.default_rng(3)
         x, y = random_problem(rng, 8, 3)
         params = SvmParams(tolerance=1e-6)
-        a = fit_svm(x, y, params)
-        b = fit_svm(x, y, params)
+        a = train_svm(x, y, params)
+        b = train_svm(x, y, params)
         assert a.sv_indices == b.sv_indices
         assert np.array_equal(a.sv_alphas, b.sv_alphas)
         assert a.bias == b.bias
@@ -255,8 +253,8 @@ class TestOptimizerProperties:
 
 
 def assert_same_fit(x, y, params):
-    """fit_svm against the full-recompute loop in oracles, bit for bit."""
-    model = fit_svm(x, y, params)
+    """train_svm against the full-recompute loop in oracles, bit for bit."""
+    model = train_svm(x, y, params)
     alphas, bias, iterations, converged = reference_smo(x, y, params)
     assert np.array_equal(full_alphas(model), alphas), params
     assert model.bias == bias, params
@@ -268,7 +266,7 @@ def assert_same_fit(x, y, params):
 class TestBitIdentityWithReferenceLoop:
     @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
     def test_bundled_grid_cells(self, labeled, shrinking):
-        x, y = svm_module.as_arrays(labeled)
+        x, y = labeled.features, labeled.labels
         iterations = [
             assert_same_fit(x, y, dataclasses.replace(params, shrinking=shrinking)).iterations
             for params in GridSpec().cells()
@@ -337,7 +335,7 @@ class TestModelSurface:
     def make_model(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.5, 1.5]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        return fit_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), x
+        return train_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), x
 
     def test_decision_value_matches_batch(self):
         model, x = self.make_model()
@@ -376,19 +374,6 @@ class TestModelSurface:
             assert alphas[pos] == a
         assert all(alphas[i] == 0.0 for i in range(len(x)) if i not in model.sv_indices)
 
-    def test_train_svm_accepts_branch_samples(self):
-        rng = np.random.default_rng(11)
-        feats = rng.uniform(0, 1, size=(6, 20))
-        labels = [1, 1, 1, -1, -1, -1]
-        samples = [
-            BranchSample(origin=i, dest=i + 100, features=tuple(feats[i]), label=labels[i])
-            for i in range(6)
-        ]
-        via_samples = train_svm(samples, SvmParams(tolerance=1e-6))
-        direct = fit_svm(feats, np.asarray(labels, dtype=float), SvmParams(tolerance=1e-6))
-        assert via_samples.sv_indices == direct.sv_indices
-        assert via_samples.bias == direct.bias
-
 
 class TestBlockedScoring:
     @pytest.mark.parametrize("kernel", ["rbf", "poly", "sigmoid"])
@@ -396,7 +381,7 @@ class TestBlockedScoring:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(8, 20))
         y = np.array([1.0, -1.0] * 4)
-        model = fit_svm(x, y, SvmParams(kernel=kernel, gamma=0.05))
+        model = train_svm(x, y, SvmParams(kernel=kernel, gamma=0.05))
         rows = rng.normal(size=(svm_module.SCORE_BLOCK_ROWS + 1, 20))
         block_rows = []
         real_gram = svm_module.gram_matrix
