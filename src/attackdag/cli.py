@@ -46,6 +46,7 @@ from .learn import (
     train_svm,
     train_tree,
 )
+from .learn import svm as svm_module
 from .learn.svm import KERNELS, SvmModel
 from .model import (
     AttackDag,
@@ -301,19 +302,30 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
-    labels = load_labels(args.labels)
-    training = {(o, d) for o, d, _ in labels}
+    training = {(o, d) for o, d, _ in load_labels(args.labels)}
     candidates = enumerate_candidates(dagfile.dag, table, training)
     expected = search_space_size(len(dagfile.dag.nodes), len(training))
     if len(candidates) != expected:
         raise InvariantViolation(
             f"{len(candidates)} candidate branches, search space is {expected}"
         )
-    decisions = model.decision_values(candidates.features)
-    labels = np.where(decisions >= 0.0, 1, -1)
-    positives = int(np.count_nonzero(labels == 1))
-    save_predictions(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
-                                   labels.tolist(), decisions.tolist()))
+    positives = 0
+
+    def scored_windows():
+        # One SCORE_BLOCK_ROWS window of features, kernel entries and rows at a
+        # time.  decision_values scores a whole frame in the same windows, so
+        # every decision is the value it would give.
+        nonlocal positives
+        block = svm_module.SCORE_BLOCK_ROWS
+        for start in range(0, len(candidates), block):
+            window = candidates.window(start, start + block)
+            decisions = model.decision_values(window.features)
+            labels = np.where(decisions >= 0.0, 1, -1)
+            positives += int(np.count_nonzero(labels == 1))
+            yield zip(window.origins.tolist(), window.dests.tolist(), labels.tolist(),
+                      decisions.tolist())
+
+    save_predictions(args.out, scored_windows())
     print(
         f"{len(candidates)} candidate branches, {positives} predicted feasible, "
         f"search-space reduction {format_reduction(positives, len(candidates))}"

@@ -106,23 +106,24 @@ def tokenize(src: str) -> list[ExprToken]:
             open_pos = i
             tokens.append(ExprToken(LPAREN, "(", i, i + 1))
             i += 1
+            # The matching ")" is the first one by which the "(" seen so far
+            # are all closed: jump from ")" to ")" and count the "(" between.
             depth = 0
             j = i
-            while j < n:
-                if src[j] == "(":
-                    depth += 1
-                elif src[j] == ")":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                j += 1
-            if j >= n:
-                raise UnbalancedParens("unclosed block description", open_pos)
-            if not src[i:j].strip():
+            while True:
+                close = src.find(")", j)
+                if close < 0:
+                    raise UnbalancedParens("unclosed block description", open_pos)
+                depth += src.count("(", j, close)
+                if depth == 0:
+                    break
+                depth -= 1
+                j = close + 1
+            if not src[i:close].strip():
                 raise EmptyBlockDescription(i)
-            tokens.append(ExprToken(TEXT, src[i:j], i, j))
-            tokens.append(ExprToken(RPAREN, ")", j, j + 1))
-            i = j + 1
+            tokens.append(ExprToken(TEXT, src[i:close], i, close))
+            tokens.append(ExprToken(RPAREN, ")", close, close + 1))
+            i = close + 1
             continue
         if ch == "(":
             tokens.append(ExprToken(LPAREN, "(", i, i + 1))

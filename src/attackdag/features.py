@@ -6,11 +6,11 @@ authentication weakness), binary head/leaf markers, and the node's mean
 depth in the dag.  A branch's features are origin attributes followed by
 destination attributes, twenty values.
 
-Every set of branches is one BranchFrame of arrays: candidates over all
-ordered node pairs, negative candidates, and labeled branches read from a
-labels file.  branch_features, hamming and height_diff define a single pair.
-structural_columns is the one place a node's head, leaf and mean depth
-are read off a dag.
+Every set of branches is one BranchFrame, pairs of row positions in a
+NodeMatrix: candidates over all ordered node pairs, negative candidates,
+and labeled branches read from a labels file.  branch_features, hamming
+and height_diff define a single pair.  structural_columns is the one place
+a node's head, leaf and mean depth are read off a dag.
 """
 
 from __future__ import annotations
@@ -173,10 +173,9 @@ class NodeMatrix:
         listed = listed[np.isin(listed, self.ids).all(axis=1)]
         keep[tuple(np.searchsorted(self.ids, listed).T)] = False
         np.fill_diagonal(keep, False)
-        rows, cols = np.nonzero(keep)
-        features = np.hstack((self.values[rows], self.values[cols]))
-        labels = None if label is None else np.full(len(rows), label)
-        return BranchFrame(self.ids[rows], self.ids[cols], features, labels)
+        at = np.argwhere(keep)
+        labels = None if label is None else np.full(len(at), label)
+        return BranchFrame(self, at, labels)
 
 
 def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -185,15 +184,40 @@ def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BranchFrame:
-    """Ordered node pairs as parallel arrays, one row per branch."""
+    """Ordered node pairs, one row per branch, as row positions in a NodeMatrix.
 
-    origins: np.ndarray  # (len,) int64
-    dests: np.ndarray  # (len,) int64
-    features: np.ndarray  # (len, 20) float64: origin attributes, then destination's
+    Ids and features are gathered from the node rows when asked for, so a
+    frame of all n^2 candidate pairs holds an (n^2, 2) index array, not an
+    (n^2, 20) feature matrix, and ``window`` lets a caller gather one block
+    of rows at a time.
+    """
+
+    nodes: NodeMatrix
+    at: np.ndarray  # (len, 2) intp: positions in nodes of each origin and destination
     labels: Optional[np.ndarray] = None  # (len,) int64 of +1/-1, or None when unlabeled
 
     def __len__(self) -> int:
-        return len(self.origins)
+        return len(self.at)
+
+    def window(self, start: int, stop: int) -> "BranchFrame":
+        """The frame of rows start to stop (a view, clipped like a slice)."""
+        labels = None if self.labels is None else self.labels[start:stop]
+        return BranchFrame(self.nodes, self.at[start:stop], labels)
+
+    @property
+    def origins(self) -> np.ndarray:
+        """(len,) int64 origin ids."""
+        return self.nodes.ids[self.at[:, 0]]
+
+    @property
+    def dests(self) -> np.ndarray:
+        """(len,) int64 destination ids."""
+        return self.nodes.ids[self.at[:, 1]]
+
+    @property
+    def features(self) -> np.ndarray:
+        """(len, 20) float64: origin attributes, then destination's."""
+        return self.nodes.values[self.at].reshape(len(self.at), 2 * self.nodes.values.shape[1])
 
 
 def labeled_frame(rows: Sequence[tuple[int, int, int]], table: AttributeTable) -> BranchFrame:
@@ -207,10 +231,8 @@ def labeled_frame(rows: Sequence[tuple[int, int, int]], table: AttributeTable) -
     bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, nodes.ids).all(axis=1)
     if bad.any():
         branch_features(*pairs[bad.argmax()].tolist(), table)
-    at = np.searchsorted(nodes.ids, pairs)
-    features = np.hstack((nodes.values[at[:, 0]], nodes.values[at[:, 1]]))
     labels = np.array([label for _, _, label in rows], dtype=np.int64)
-    return BranchFrame(pairs[:, 0], pairs[:, 1], features, labels)
+    return BranchFrame(nodes, np.searchsorted(nodes.ids, pairs), labels)
 
 
 def enumerate_candidates(

@@ -68,24 +68,85 @@ class BasicBlock:
 # code so that parse/render round-trips are exact.
 
 
-@dataclass(frozen=True)
-class Block:
+class _ExprNode:
+    """Structural ==, hash() and repr() of an expression, as a frozen dataclass
+    would define them, each walking the tree with an explicit stack, so an
+    expression of any depth compares, hashes and prints without recursion.
+
+    A node's fields are its ``__match_args__``; a field holding a node is
+    walked, any other is compared, hashed or repr'd as it is.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _ExprNode):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # The pre-order sequence of node classes and leaf values determines
+        # the tree, since each class has a fixed number of fields.
+        items: list = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _ExprNode):
+                items.append(item.__class__)
+                stack.extend(getattr(item, name) for name in reversed(item.__match_args__))
+            else:
+                items.append(item)
+        return hash(tuple(items))
+
+    def __repr__(self) -> str:
+        pieces: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            parts: list = [f"{item.__class__.__qualname__}("]
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts.append(f"{', ' if k else ''}{name}=")
+                parts.append(value if isinstance(value, _ExprNode) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(pieces)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Block(_ExprNode):
     description: str
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False, repr=False)
+class Star(_ExprNode):
     inner: "AttackExpr"
 
 
-@dataclass(frozen=True)
-class Concat:
+@dataclass(frozen=True, eq=False, repr=False)
+class Concat(_ExprNode):
     left: "AttackExpr"
     right: "AttackExpr"
 
 
-@dataclass(frozen=True)
-class UnionExpr:
+@dataclass(frozen=True, eq=False, repr=False)
+class UnionExpr(_ExprNode):
     left: "AttackExpr"
     right: "AttackExpr"
 

@@ -191,7 +191,8 @@ def corpus_stats(branches: BranchFrame) -> CorpusStats:
     if labels is None or not np.isin(labels, (1, -1)).all():
         raise InsufficientData("every branch needs a +1 or -1 label")
     width = len(ATTRIBUTE_NAMES)
-    origin, dest = branches.features[:, :width], branches.features[:, width:]
+    features = branches.features
+    origin, dest = features[:, :width], features[:, width:]
     hd = (origin[:, :N_BINARY_ATTRIBUTES] != dest[:, :N_BINARY_ATTRIBUTES]).sum(axis=1)
     ht = dest[:, -1] - origin[:, -1]
     head, leaf = ATTRIBUTE_NAMES.index("head"), ATTRIBUTE_NAMES.index("leaf")

@@ -21,7 +21,8 @@ as positional arguments.  A row with a field count the parser does not take,
 a field it cannot convert, or a value it rejects raises ``ValueError``
 starting with ``<source>:<line>:``, which the CLI reports as exit 2.
 ``csv_text`` writes them all through ``csv.writer``; ``save_predictions``,
-the largest table, is the one exception and %-formats its rows (same bytes).
+the largest table, is the one exception: it %-formats its rows (same bytes)
+and takes them in blocks, joining each block's lines as it arrives.
 
 Every JSON artifact is written by ``dump_json``, a small hand-written
 encoder whose output is byte-for-byte ``json.dumps(payload, indent=2,
@@ -31,7 +32,11 @@ tens of thousands of predicted positives spent most of its time there.
 ``dump_json`` walks the same values in one loop instead, still encodes
 strings with ``json``'s C ``encode_basestring_ascii``, memoises repeated
 strings, and builds each dict's sorted ``"key": `` prefixes once per key
-tuple and depth.  It keeps ``json``'s type rules: ``isinstance`` checks
+tuple and depth.  A list of at least two dicts that share one all-str key
+tuple, and whose values under each key are one kind of scalar (str and
+None, int, or float), such as the report's predicted positives, is
+encoded column by column instead: each key's values in one pass, then one
+%-template per row.  It keeps ``json``'s type rules: ``isinstance`` checks
 (so ``numpy.float64`` is a float), ``NaN``/``Infinity`` for non-finite
 floats, ``json``'s coercion of non-string keys, and ``TypeError`` for
 anything else.  It does not detect circular references.
@@ -124,6 +129,53 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _scalar_texts(column: list) -> Optional[list[str]]:
+    """Each value's JSON text if the column holds one kind of scalar (str and
+    None, int, or float), else None."""
+    kinds = set(map(type, column))
+    if kinds <= {str, type(None)}:  # no str equals None, so one text per distinct value
+        texts = {v: "null" if v is None else encode_basestring_ascii(v) for v in set(column)}
+        return list(map(texts.__getitem__, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    if all(issubclass(kind, float) for kind in kinds):
+        reprs = list(map(float.__repr__, column))
+        return list(map(_FLOAT_SPECIALS.get, reprs, reprs))
+    return None
+
+
+def _flat_records(items: list | tuple, depth: int) -> Optional[str]:
+    """The JSON text of a list of at least two dicts at ``depth`` that share one
+    all-str key tuple and whose values, key by key, are one kind of scalar;
+    None for any other list.
+
+    Each key's column of values is encoded in one pass, and each row is a
+    %-template of its sorted keys' prefixes filled with its column texts.
+    """
+    if len(items) < 2 or set(map(type, items)) != {dict}:
+        return None
+    key_tuples = set(map(tuple, items))
+    if len(key_tuples) != 1:
+        return None
+    keys = key_tuples.pop()
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    ordered = sorted(keys)
+    columns = []
+    for key in ordered:
+        texts = _scalar_texts([item[key] for item in items])
+        if texts is None:
+            return None
+        columns.append(texts)
+    outer = "\n" + "  " * (depth + 1)
+    inner = "\n" + "  " * (depth + 2)
+    template = "{" + ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered
+    ) + outer + "}"
+    rows = [template % row for row in zip(*columns)]
+    return "[" + outer + ("," + outer).join(rows) + "\n" + "  " * depth + "]"
+
+
 def dump_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
@@ -160,6 +212,10 @@ def dump_json(payload) -> str:
             elif isinstance(value, (list, tuple)):
                 if not value:
                     append(prefix + "[]")
+                    continue
+                records = _flat_records(value, depth)
+                if records is not None:
+                    append(prefix + records)
                     continue
                 inner = "\n" + "  " * (depth + 1)
                 append(prefix + "[")
@@ -697,16 +753,23 @@ def load_model(
 PREDICTIONS_HEADER = ("origin", "dest", "label", "decision")
 
 
-def save_predictions(path: str | Path, rows: Iterable[tuple[int, int, int, float]]) -> None:
-    """Write rows of Python ints and a float, as ``ndarray.tolist()`` gives them.
+def save_predictions(path: str | Path,
+                     blocks: Iterable[Iterable[tuple[int, int, int, float]]]) -> None:
+    """Write blocks of rows of Python ints and a float, as ``ndarray.tolist()`` gives them.
 
     The one table not written by ``csv_text``: %-formatting is faster on
     tens of thousands of rows, and the text is what ``csv.writer`` would
     write, since it never quotes a number and ``%r`` of a float is its
-    shortest round-trip repr.
+    shortest round-trip repr.  Each block's lines are joined into one
+    string as the block arrives, so a caller that yields blocks lazily
+    never holds more than one block's row objects.
     """
-    header = ",".join(PREDICTIONS_HEADER) + "\n"
-    write_text_atomic(path, header + "".join(["%d,%d,%d,%r\n" % row for row in rows]))
+    parts = [",".join(PREDICTIONS_HEADER) + "\n"]
+    for rows in blocks:
+        parts.append("".join(["%d,%d,%d,%r\n" % row for row in rows]))
+    text = "".join(parts)
+    del parts  # the blocks' text is no longer needed while the file is written
+    write_text_atomic(path, text)
 
 
 def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:

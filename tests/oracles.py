@@ -1,9 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is written for clarity over speed and shares no code with
-the package internals beyond kernel evaluation and the expression AST types
-(reusing the kernel is fine: the quantity under test is the optimizer, not
-the kernel arithmetic).
+the package internals beyond kernel evaluation and the expression AST,
+token and error types (reusing the kernel is fine: the quantity under test
+is the optimizer, not the kernel arithmetic).
 """
 
 from __future__ import annotations
@@ -13,6 +13,20 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from attackdag.expr import (
+    BLOCK_OPEN,
+    DOT,
+    IDENT,
+    LPAREN,
+    PLUS,
+    RPAREN,
+    STAR,
+    TEXT,
+    EmptyBlockDescription,
+    ExprToken,
+    ExpressionSyntaxError,
+    UnbalancedParens,
+)
 from attackdag.learn.svm import SvmParams, gram_matrix
 from attackdag.model import AttackExpr, Block, Concat, Star
 
@@ -315,3 +329,67 @@ def render_expression_recursive(expr: AttackExpr) -> str:
         return text
 
     return walk(expr, 0)
+
+
+def tokenize_by_character(src: str) -> list[ExprToken]:
+    """The expression scanner that walks a block description one character
+    at a time to find its matching close paren."""
+    tokens: list[ExprToken] = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if src.startswith(BLOCK_OPEN, i):
+            tokens.append(ExprToken(BLOCK_OPEN, BLOCK_OPEN, i, i + 3))
+            i += 3
+            j = i
+            while j < n and src[j].isalnum():
+                j += 1
+            if j == i:
+                raise ExpressionSyntaxError("expected block identifier", i, frozenset({IDENT}))
+            tokens.append(ExprToken(IDENT, src[i:j], i, j))
+            i = j
+            while i < n and src[i].isspace():
+                i += 1
+            if i >= n or src[i] != "(":
+                raise ExpressionSyntaxError("expected '(' after block identifier", i, frozenset({LPAREN}))
+            open_pos = i
+            tokens.append(ExprToken(LPAREN, "(", i, i + 1))
+            i += 1
+            depth = 0
+            j = i
+            while j < n:
+                if src[j] == "(":
+                    depth += 1
+                elif src[j] == ")":
+                    if depth == 0:
+                        break
+                    depth -= 1
+                j += 1
+            if j >= n:
+                raise UnbalancedParens("unclosed block description", open_pos)
+            if not src[i:j].strip():
+                raise EmptyBlockDescription(i)
+            tokens.append(ExprToken(TEXT, src[i:j], i, j))
+            tokens.append(ExprToken(RPAREN, ")", j, j + 1))
+            i = j + 1
+            continue
+        if ch == "(":
+            tokens.append(ExprToken(LPAREN, "(", i, i + 1))
+        elif ch == ")":
+            tokens.append(ExprToken(RPAREN, ")", i, i + 1))
+        elif ch == "*":
+            tokens.append(ExprToken(STAR, "*", i, i + 1))
+        elif ch == "+":
+            tokens.append(ExprToken(PLUS, "+", i, i + 1))
+        elif ch == ".":
+            tokens.append(ExprToken(DOT, ".", i, i + 1))
+        else:
+            raise ExpressionSyntaxError(
+                f"unexpected character {ch!r}", i, frozenset({BLOCK_OPEN, LPAREN})
+            )
+        i += 1
+    return tokens

@@ -6,10 +6,13 @@ import shlex
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attackdag.cli as cli
+import attackdag.learn.svm as svm_module
 from attackdag.cli import build_parser, main
+from attackdag.features import AttributeTable, enumerate_candidates
 from attackdag.learn import GridSpec, SvmParams
 from attackdag.learn.svm import KERNELS
 from attackdag.negatives import NegativeFilterThresholds
@@ -17,6 +20,7 @@ from attackdag.storage import (
     EXPLOIT_BUCKETS,
     load_dag,
     load_labels,
+    load_model,
     load_predictions,
 )
 
@@ -520,13 +524,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(model) in err and key in err
 
+    def test_predict_in_small_windows_matches_whole_frame_scoring(self, work, tmp_path,
+                                                                  monkeypatch):
+        out = tmp_path / "preds.csv"
+        monkeypatch.setattr(svm_module, "SCORE_BLOCK_ROWS", 7)
+        assert main(["predict", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--out", str(out)]) == 0
+        monkeypatch.undo()
+        training = {(o, d) for o, d, _ in load_labels(work["labels"])}
+        frame = enumerate_candidates(load_dag(work["dag"]).dag,
+                                     AttributeTable.from_csv(work["attrs"].read_text()), training)
+        whole = load_model(work["model"], None).decision_values(frame.features)
+        rows = load_predictions(out)
+        assert len(frame) > 7
+        assert [(o, d) for o, d, _, _ in rows] == list(zip(frame.origins.tolist(),
+                                                          frame.dests.tolist()))
+        assert [label for _, _, label, _ in rows] == np.where(whole >= 0.0, 1, -1).tolist()
+        np.testing.assert_allclose([dec for _, _, _, dec in rows], whole, rtol=1e-12, atol=0)
+
     def test_short_candidate_set_is_invariant_error(self, work, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_candidates
 
         def one_short(*args):
             frame = real(*args)
-            return dataclasses.replace(frame, origins=frame.origins[:-1], dests=frame.dests[:-1],
-                                       features=frame.features[:-1])
+            return frame.window(0, len(frame) - 1)
 
         monkeypatch.setattr(cli, "enumerate_candidates", one_short)
         out = tmp_path / "preds.csv"

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackdag.expr import (
     MAX_GROUP_DEPTH,
@@ -14,7 +16,7 @@ from attackdag.expr import (
 )
 from attackdag.model import Block, Concat, Star, UnionExpr, block, concat, star, union
 
-from oracles import render_expression_recursive
+from oracles import render_expression_recursive, tokenize_by_character
 
 
 class TestTokenize:
@@ -171,6 +173,36 @@ class TestRoundTrip:
             rendered = render_expression(ast)
             assert parse_expression(rendered) == ast
 
+    def test_long_chain_compares_hashes_and_prints(self):
+        src = ".".join(f"bb_{i}(step {i})" for i in range(3000))
+        chain, again = parse_expression(src), parse_expression(src)
+        assert chain == again and chain is not again
+        assert hash(chain) == hash(again)
+        other = parse_expression(src.replace("step 0)", "step zero)"))
+        assert chain != other and hash(chain) != hash(other)
+        assert repr(chain).startswith("Concat(left=Concat(left=Concat(")
+        assert repr(chain).endswith(", right=Block(description='step 2999'))")
+
+    def test_eq_hash_repr_match_generated_dataclass_methods(self):
+        # The same tree built from plain frozen dataclasses, whose generated
+        # methods recurse, is the reference at depths that recursion handles.
+        plain = {cls: dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+                 for cls in (Block, Star, Concat, UnionExpr)}
+
+        def rebuilt(node):
+            if isinstance(node, Block):
+                return plain[Block](node.description)
+            return plain[type(node)](*(rebuilt(getattr(node, f)) for f in node.__match_args__))
+
+        rng = random.Random(5)
+        asts = [random_ast(rng, rng.randint(0, 6)) for _ in range(300)]
+        for a, b in zip(asts, asts[1:] + asts[:1]):
+            assert repr(a) == repr(rebuilt(a))
+            assert (a == b) == (rebuilt(a) == rebuilt(b))
+            if a == b:
+                assert hash(a) == hash(b)
+        assert Block("x") != "x" and Block("x") != Star(Block("x"))
+
     def test_render_parse_render_idempotent(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -204,3 +236,33 @@ class TestLineCol:
     def test_after_newline(self):
         assert line_col("ab\ncd", 3) == (2, 1)
         assert line_col("ab\ncd", 4) == (2, 2)
+
+
+# Source text built from the DSL's own pieces, so most draws reach the parser,
+# with blocks whose descriptions nest parentheses, balanced or not.
+DSL_PIECES = st.sampled_from(["bb_", "bb_x", "(", ")", "*", "+", ".", " ", "\n", "a", "(x)",
+                              "\u00e9", "&", "_", "\t"])
+DSL_BLOCKS = st.builds("bb_{}{}({})".format, st.sampled_from(["x", "1", ""]),
+                       st.sampled_from(["", " "]), st.text(st.sampled_from("()a .+*"), max_size=8))
+DSL_SOURCES = st.lists(DSL_BLOCKS | DSL_PIECES, max_size=12).map("".join) | st.text()
+
+
+def outcome(scan, src):
+    """The tokens a scanner gives, or the type, message, position and expected set it raises."""
+    try:
+        return scan(src)
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.position, exc.expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(src=DSL_SOURCES)
+def test_parse_expression_fuzz(src):
+    """Every string parses or raises the typed parse error; tokens and errors match
+    the character-at-a-time scanner's."""
+    assert outcome(tokenize, src) == outcome(tokenize_by_character, src)
+    try:
+        ast = parse_expression(src)
+    except ExpressionSyntaxError:
+        return
+    assert parse_expression(render_expression(ast)) == ast

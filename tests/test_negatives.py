@@ -215,7 +215,7 @@ class TestCorpusStats:
         rows, table = stats_fixture()
         frame = labeled_frame(rows, table)
         with pytest.raises(InsufficientData):
-            corpus_stats(BranchFrame(frame.origins, frame.dests, frame.features))
+            corpus_stats(BranchFrame(frame.nodes, frame.at))
 
     def test_ratio_none_when_no_feasible_terminal(self):
         rows = {

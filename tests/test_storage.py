@@ -38,6 +38,7 @@ from attackdag.storage import (
     save_predictions,
     write_text_atomic,
 )
+from attackdag.storage import _flat_records
 
 
 class TestPrimitives:
@@ -149,6 +150,58 @@ def test_dump_json_repeated_and_mixed_keys_match_json(value):
             dump_json(value)
     else:
         assert dump_json(value) == expected
+
+
+# Column values for flat records: each kind alone (the one-type column paths),
+# any mix of them, and a nested list, which sends the whole list to the walk.
+FLAT_COLUMNS = [
+    st.text(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.floats().map(np.float64),
+    st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none(), st.floats(),
+              st.floats().map(np.float64)),
+    st.one_of(st.integers(), st.lists(st.integers(), max_size=2)),
+]
+
+
+@st.composite
+def flat_record_lists(draw):
+    """A list of at least two dicts sharing one key tuple, maybe reordered or
+    with non-str keys, nested at some depth."""
+    key = draw(st.sampled_from([st.text(max_size=3)] * 3 + [st.integers(0, 3)]))
+    keys = draw(st.lists(key, min_size=1, max_size=5, unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        keys.append(draw(st.integers(0, 3) | st.text(max_size=1)))
+    values = {k: draw(st.sampled_from(FLAT_COLUMNS)) for k in keys}
+    reorder = draw(st.integers(0, 4)) == 0
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        order = draw(st.permutations(keys)) if reorder else keys
+        rows.append({k: draw(values[k]) for k in order})
+    return draw(st.sampled_from([rows, {"rows": rows, "n": 1}, [[rows], "x"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=flat_record_lists())
+def test_dump_json_flat_records_match_json(value):
+    """Mixed str and int keys cannot be sorted: both raise TypeError."""
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            dump_json(value)
+    else:
+        assert dump_json(value) == expected
+
+
+def test_flat_records_take_the_column_path():
+    rows = [{"b": "x%s", "a": 1.5, "%": None}, {"b": "y", "a": np.float64(-0.0), "%": "z"}]
+    assert _flat_records(rows, 1) is not None
+    assert _flat_records(rows + [{"b": "z", "a": [1], "%": "z"}], 1) is None  # nested list
+    assert _flat_records(rows + [{"b": "z", "a": 1, "%": "z"}], 1) is None  # int among floats
+    assert _flat_records([rows[0]], 1) is None
+    assert dump_json({"rows": rows}) == json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 class TestCorpusLoader:
@@ -383,7 +436,7 @@ class TestPredictions:
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         rows = [(0, 1, 1, 0.1 + 0.2), (2, 3, -1, -1.2345678901234567e-05)]
         path = tmp_path / "preds.csv"
-        save_predictions(path, rows)
+        save_predictions(path, [rows])
         assert load_predictions(path) == rows
 
     def test_bad_header(self, tmp_path):
@@ -401,7 +454,7 @@ class TestPredictions:
         for origin, dest, label, decision in rows:
             writer.writerow([origin, dest, label, repr(float(decision))])
         path = tmp_path / "preds.csv"
-        save_predictions(path, rows)
+        save_predictions(path, [rows[:3], [], rows[3:]])
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
         assert load_predictions(path) == rows
 

@@ -64,10 +64,15 @@ class TestKernels:
         rng = np.random.default_rng(3)
         sv = rng.integers(0, 2, size=(300, 20)).astype(float)
         sv[:, 9::10] = rng.normal(scale=3.0, size=(300, 2))
-        probes = np.vstack([sv[:50], rng.normal(size=(4097, 20))])
-        for gamma in (0.0556, 0.5, 7.0):
-            assert np.array_equal(gram_matrix("rbf", probes, sv, gamma),
-                                  rbf_gram_three_temporaries(probes, sv, gamma))
+        chunk = svm_module.RBF_CHUNK_ROWS
+        # Row counts on each side of the chunk boundary; probes start with
+        # support vectors, so some distances are exactly zero.
+        for rows in (0, 1, chunk - 1, chunk, chunk + 1, 4097):
+            probes = np.vstack([sv[:50], rng.normal(size=(4097, 20))])[:rows]
+            for gamma in (0.0556, 0.5, 7.0):
+                got = gram_matrix("rbf", probes, sv, gamma)
+                assert got.shape == (rows, len(sv))
+                assert np.array_equal(got, rbf_gram_three_temporaries(probes, sv, gamma))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
