@@ -2,8 +2,10 @@
 
 A missed feasible exploit is the expensive mistake here, so cells are
 ranked by false negatives first, false positives second, grid order last.
-A cell that fails to train is recorded and skipped; one bad kernel/gamma
-combination must not sink the sweep.
+A cell whose training or scoring raises a ``ValueError`` (every typed error
+of ``train_svm`` and ``evaluate`` is one) is recorded and skipped; one bad
+kernel/gamma combination must not sink the sweep.  Any other exception is a
+fault, not a failed cell, and propagates.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def grid_search_min_fn(
     """Train every cell on (x, y), score FN/FP on eval_data (default: (x, y)).
 
     Returns the winning cell's params plus the full surface so the caller
-    can inspect or plot all of it.
+    can inspect or plot all of it.  If every cell failed, raises the first
+    cell's error.
     """
     if grid is None:
         grid = GridSpec()
@@ -58,12 +61,14 @@ def grid_search_min_fn(
     surface: list[CellResult] = []
     best: tuple[int, int, int] | None = None  # (fn, fp, cell order)
     best_params: SvmParams | None = None
+    first_error: ValueError | None = None
     for order, params in enumerate(grid.cells()):
         try:
             model = train_svm(x, y, params)
             metrics = evaluate(model.predict_many(eval_x).tolist(), truth)
-        except Exception as exc:  # record and keep sweeping
+        except ValueError as exc:  # record and keep sweeping
             surface.append(CellResult(params=params, fn=None, fp=None, error=str(exc)))
+            first_error = first_error or exc
             continue
         surface.append(CellResult(params=params, fn=metrics.fn, fp=metrics.fp))
         key = (metrics.fn, metrics.fp, order)
@@ -71,5 +76,5 @@ def grid_search_min_fn(
             best = key
             best_params = params
     if best_params is None:
-        raise RuntimeError("every grid cell failed to train")
+        raise first_error or ValueError("the grid has no cells")
     return best_params, surface

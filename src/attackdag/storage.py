@@ -24,22 +24,15 @@ starting with ``<source>:<line>:``, which the CLI reports as exit 2.
 the largest table, is the one exception: it %-formats its rows (same bytes)
 and takes them in blocks, joining each block's lines as it arrives.
 
-Every JSON artifact is written by ``dump_json``, a small hand-written
-encoder whose output is byte-for-byte ``json.dumps(payload, indent=2,
-sort_keys=True) + "\\n"``.  With ``indent`` set, ``json`` gives up its C
-encoder and walks the payload in pure Python generators; a report with
-tens of thousands of predicted positives spent most of its time there.
-``dump_json`` walks the same values in one loop instead, still encodes
-strings with ``json``'s C ``encode_basestring_ascii``, memoises repeated
-strings, and builds each dict's sorted ``"key": `` prefixes once per key
-tuple and depth.  A list of at least two dicts that share one all-str key
-tuple, and whose values under each key are one kind of scalar (str and
-None, int, or float), such as the report's predicted positives, is
-encoded column by column instead: each key's values in one pass, then one
-%-template per row.  It keeps ``json``'s type rules: ``isinstance`` checks
-(so ``numpy.float64`` is a float), ``NaN``/``Infinity`` for non-finite
-floats, ``json``'s coercion of non-string keys, and ``TypeError`` for
-anything else.  It does not detect circular references.
+Every JSON artifact is written by ``dump_json``, which is
+``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.  With ``indent``
+set, ``json`` encodes in pure Python, and the report's tens of thousands of
+predicted positives took twice as long there as column by column.  So a
+top-level list of at least two dicts that share one all-str key tuple, and
+whose values under each key are one kind of scalar (str and None, int, or
+float), is encoded by ``_flat_records`` instead: each key's values in one
+pass, then one %-template per row.  Its text is spliced into ``json``'s
+output in place of a ``null``, with the same bytes ``json`` would write.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
@@ -117,18 +109,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_key(key) -> str:
-    """A non-string dict key as ``json`` coerces it."""
-    if isinstance(key, float):
-        text = float.__repr__(key)
-        return _FLOAT_SPECIALS.get(text, text)
-    if key is True or key is False or key is None:
-        return json.dumps(key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _scalar_texts(column: list) -> Optional[list[str]]:
     """Each value's JSON text if the column holds one kind of scalar (str and
     None, int, or float), else None."""
@@ -144,10 +124,10 @@ def _scalar_texts(column: list) -> Optional[list[str]]:
     return None
 
 
-def _flat_records(items: list | tuple, depth: int) -> Optional[str]:
-    """The JSON text of a list of at least two dicts at ``depth`` that share one
-    all-str key tuple and whose values, key by key, are one kind of scalar;
-    None for any other list.
+def _flat_records(items: list | tuple) -> Optional[str]:
+    """The JSON text, as the value of a top-level key, of a list of at least two
+    dicts that share one all-str key tuple and whose values, key by key, are one
+    kind of scalar; None for any other list.
 
     Each key's column of values is encoded in one pass, and each row is a
     %-template of its sorted keys' prefixes filled with its column texts.
@@ -167,85 +147,35 @@ def _flat_records(items: list | tuple, depth: int) -> Optional[str]:
         if texts is None:
             return None
         columns.append(texts)
-    outer = "\n" + "  " * (depth + 1)
-    inner = "\n" + "  " * (depth + 2)
     template = "{" + ",".join(
-        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered
-    ) + outer + "}"
+        "\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered
+    ) + "\n    }"
     rows = [template % row for row in zip(*columns)]
-    return "[" + outer + ("," + outer).join(rows) + "\n" + "  " * depth + "]"
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def dump_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    See the module docstring for why this is not a call to ``json.dumps``.
+    A top-level value that ``_flat_records`` encodes is encoded by it instead:
+    ``json.dumps`` writes ``null`` in its place, which is then replaced by its text.
     """
-    chunks: list[str] = []
-    append = chunks.append
-    strings: dict[str, str] = {}
-    # (keys in insertion order, depth) -> (sorted keys, "{"/"," + newline +
-    # encoded key + ": " for each of them, newline + "}"); only all-str key
-    # tuples are cached, since 1, 1.0 and True compare equal but encode
-    # differently.
-    heads: dict[tuple, tuple[list, list[str], str]] = {}
-
-    def emit(pairs, depth: int) -> None:
-        """Append each (prefix, value) pair's prefix and the value's text."""
-        for prefix, value in pairs:
-            if isinstance(value, str):
-                text = strings.get(value)
-                if text is None:
-                    text = strings[value] = encode_basestring_ascii(value)
-                append(prefix + text)
-            elif value is None:
-                append(prefix + "null")
-            elif value is True:
-                append(prefix + "true")
-            elif value is False:
-                append(prefix + "false")
-            elif isinstance(value, int):
-                append(prefix + int.__repr__(value))
-            elif isinstance(value, float):
-                text = float.__repr__(value)
-                append(prefix + _FLOAT_SPECIALS.get(text, text))
-            elif isinstance(value, (list, tuple)):
-                if not value:
-                    append(prefix + "[]")
-                    continue
-                records = _flat_records(value, depth)
+    spliced = {}
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if isinstance(key, str) and isinstance(value, (list, tuple)):
+                records = _flat_records(value)
                 if records is not None:
-                    append(prefix + records)
-                    continue
-                inner = "\n" + "  " * (depth + 1)
-                append(prefix + "[")
-                emit(zip(chain((inner,), repeat("," + inner)), value), depth + 1)
-                append("\n" + "  " * depth + "]")
-            elif isinstance(value, dict):
-                if not value:
-                    append(prefix + "{}")
-                    continue
-                cache_key = (tuple(value), depth)
-                head = heads.get(cache_key)
-                if head is None:
-                    keys = sorted(value)
-                    inner = "\n" + "  " * (depth + 1)
-                    texts = [k if isinstance(k, str) else _json_key(k) for k in keys]
-                    prefixes = [f",{inner}{encode_basestring_ascii(t)}: " for t in texts]
-                    prefixes[0] = prefixes[0][1:]  # the first entry follows "{"
-                    head = (keys, prefixes, "\n" + "  " * depth + "}")
-                    if all(isinstance(k, str) for k in keys):
-                        heads[cache_key] = head
-                keys, prefixes, close = head
-                append(prefix + "{")
-                emit(zip(prefixes, map(value.__getitem__, keys)), depth + 1)
-                append(close)
-            else:
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    emit((("", payload),), 0)
-    append("\n")
-    return "".join(chunks)
+                    spliced[key] = records
+        if spliced:
+            payload = {**payload, **dict.fromkeys(spliced)}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    # ``json`` escapes every newline inside a string, so a line that starts with
+    # two spaces and a quote is a top-level entry, and each key has one.
+    for key, records in spliced.items():
+        line = "\n  " + encode_basestring_ascii(key) + ": "
+        text = text.replace(line + "null", line + records, 1)
+    return text + "\n"
 
 
 def file_fingerprint(*paths: str | Path) -> str:

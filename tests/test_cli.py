@@ -4,10 +4,12 @@ import math
 import re
 import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import attackdag.cli as cli
 import attackdag.learn.svm as svm_module
@@ -283,7 +285,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option", [
         ("--gamma", "nan"), ("--c", "inf"), ("--tolerance", "nan"), ("--max-passes", "0"),
-    ], ids=["gamma-nan", "c-inf", "tolerance-nan", "max-passes-0"])
+        ("--gamma", "-inf"), ("--c", "-1e5"), ("--gamma", "-Infinity"),
+    ], ids=["gamma-nan", "c-inf", "tolerance-nan", "max-passes-0", "gamma-minus-inf",
+            "c-minus-exponent", "gamma-minus-infinity"])
     def test_unusable_svm_param_is_parse_error(self, work, tmp_path, capsys, option):
         out = tmp_path / "model.json"
         assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
@@ -295,7 +299,11 @@ class TestExitCodes:
         (("--ht-below", "nan"), "ht_diff_below must be finite"),
         (("--ht-above=inf",), "ht_diff_above must be finite"),
         (("--min-hamming", "99"), "min_hamming must be in 0..9"),
-    ], ids=["ht-below-nan", "ht-above-inf", "min-hamming-99"])
+        (("--ht-below", "-inf"), "ht_diff_below must be finite"),
+        (("--ht-above", "-NaN"), "ht_diff_above must be finite"),
+        (("--ht-below", "-1e400"), "ht_diff_below must be finite"),
+    ], ids=["ht-below-nan", "ht-above-inf", "min-hamming-99", "ht-below-minus-inf",
+            "ht-above-minus-nan", "ht-below-minus-overflow"])
     def test_unusable_filter_threshold_is_parse_error(self, work, tmp_path, capsys, option,
                                                       message):
         out = tmp_path / "negatives.csv"
@@ -335,6 +343,23 @@ class TestExitCodes:
                      "--labels", str(work["labels"]), "--out", str(out),
                      "--gamma-values", gammas]) == 2
         assert "error: gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    @pytest.mark.parametrize("keep, message", [
+        ("1", "training data has only one class"),
+        (None, "no training samples"),
+    ], ids=["single-class", "header-only"])
+    def test_unfittable_labels_are_parse_error(self, work, tmp_path, capsys, command, keep,
+                                               message):
+        header, *rows = work["labels"].read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([header, *(r for r in rows if r.split(",")[2] == keep)])
+                          + "\n")
+        out = tmp_path / "out.json"
+        assert main([command, "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(labels), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_malformed_grid_list_is_parse_error(self, work, tmp_path):
@@ -557,3 +582,60 @@ class TestExitCodes:
                      "--out", str(out)]) == 3
         assert "search space is" in capsys.readouterr().err
         assert not out.exists()
+
+
+# One mutation of a labels file each: keep the first k rows, keep one class,
+# duplicate a row, append an odd row, or relabel a row to an invalid label.
+LABEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 98)),
+    st.tuples(st.just("one-class"), st.sampled_from(["1", "-1"])),
+    st.tuples(st.just("duplicate"), st.integers(0, 97)),
+    st.tuples(st.just("append"), st.integers(0, 48).map(lambda n: f"{n},{n},1")
+              | st.sampled_from(["40,999,-1", "999,40,1", "40,x,1", "40,41", "4.5,41,1"])),
+    st.tuples(st.just("relabel"), st.integers(0, 97), st.sampled_from(["0", "2"])),
+)
+
+
+def mutate_labels(text: str, mutations) -> str:
+    header, *rows = text.splitlines()
+    for kind, *arg in mutations:
+        if kind == "truncate":
+            rows = rows[:arg[0]]
+        elif kind == "one-class":
+            rows = [r for r in rows if r.split(",")[2:3] == arg]
+        elif kind == "append":
+            rows.append(arg[0])
+        elif rows:
+            i = arg[0] % len(rows)
+            if kind == "duplicate":
+                rows.insert(i, rows[i])
+            else:
+                rows[i] = ",".join(rows[i].split(",")[:2] + [arg[1]])
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["train", "grid-search", "csp", "eval", "report"])
+@settings(max_examples=25, deadline=None)
+@example(mutations=[("one-class", "1")])
+@example(mutations=[("truncate", 0)])
+@given(mutations=st.lists(LABEL_MUTATIONS, min_size=1, max_size=3))
+def test_labeled_commands_on_mutated_labels(work, command, mutations):
+    """Every labeled command ends in exit 0, 2 or 3 on a mutated labels file, and
+    one that fails writes no --out file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        labels, out = Path(scratch) / "labels.csv", Path(scratch) / "out"
+        labels.write_text(mutate_labels(work["labels"].read_text(), mutations))
+        scored = [command, "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                  "--labels", str(labels)]
+        extra = {
+            "train": ["--out", str(out)],
+            "grid-search": ["--out", str(out), "--c-values", "1", "--kernels", "rbf",
+                            "--gamma-values", "0.5"],
+            "csp": ["--out", str(out)],
+            "eval": ["--model", str(work["model"]), "--force"],
+            "report": ["--model", str(work["model"]), "--predictions", str(work["preds"]),
+                       "--force", "--out", str(out)],
+        }[command]
+        code = main(scored + extra)
+        assert code in (0, 2, 3)
+        assert code == 0 or not out.exists()

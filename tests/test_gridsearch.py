@@ -56,13 +56,20 @@ class StubModel:
         return self.preds
 
 
+class SyntheticFailure(ValueError):
+    """A typed training error, as train_svm raises for data it cannot fit."""
+
+
 def stub_trainer(table):
-    """train_svm stand-in returning canned predictions keyed by cell params."""
+    """train_svm stand-in returning canned predictions keyed by cell params;
+    "fail" raises a typed error, "crash" a fault that is not a ValueError."""
 
     def train(x, y, params):
         key = (params.c, params.kernel, params.gamma)
         if table[key] == "fail":
-            raise RuntimeError("synthetic failure")
+            raise SyntheticFailure(f"synthetic failure in {params.kernel}")
+        if table[key] == "crash":
+            raise TypeError("synthetic fault")
         return StubModel(table[key])
 
     return train
@@ -122,7 +129,17 @@ class TestSelection:
             (1.0, "sigmoid", 0.1): "fail",
         }
         monkeypatch.setattr(gridsearch, "train_svm", stub_trainer(table))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SyntheticFailure, match="synthetic failure in rbf"):
+            grid_search_min_fn(*self.SAMPLES, self.GRID)
+
+    def test_fault_that_is_not_a_value_error_propagates(self, monkeypatch):
+        table = {
+            (1.0, "rbf", 0.1): "fail",
+            (1.0, "poly", 0.1): "crash",
+            (1.0, "sigmoid", 0.1): [1, 1, -1, -1],
+        }
+        monkeypatch.setattr(gridsearch, "train_svm", stub_trainer(table))
+        with pytest.raises(TypeError, match="synthetic fault"):
             grid_search_min_fn(*self.SAMPLES, self.GRID)
 
     def test_scores_on_eval_data_not_train(self, monkeypatch):

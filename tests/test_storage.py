@@ -57,16 +57,36 @@ class TestPrimitives:
         assert json.loads(a) == {"a": [2, 3], "b": 1}
 
     def test_dump_json_edge_cases_match_json_dumps(self):
+        rows = [{"b": "x", "a": 1.5}, {"b": None, "a": -0.0}]
         cases = [
-            # equal keys of different types must not share a cached key prefix
+            # equal keys of different types encode differently
             [{1: "a"}, {1.0: "a"}, {True: "a"}, {None: 0}],
             {2: [], 0.5: {}, False: (), -3: float("nan")},
             {"b": {"y": [1, (2.5, None)], "x": {}}, "a": "\u00e9\u2603\x00\n\"\\"},
             {"f": [float("inf"), -float("inf"), -0.0, 5e-324, 1e16, np.float64(0.1)]},
             "top-level string", 12, None, [], {},
+            # the flat-records splice must land only on its own top-level entry
+            {"rows": rows, "a": 'x\n  "rows": null', "n": {"rows": None}},
+            {"n": {"rows": None}, "rows": rows},
+            {"rows": rows, "more": rows[::-1]},
+            {"rows": tuple(rows)},
         ]
         for case in cases:
             assert dump_json(case) == json.dumps(case, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("container", [list, dict])
+    def test_dump_json_rejects_circular_payloads(self, container):
+        if container is list:
+            loop = [1]
+            loop.append(loop)
+        else:
+            loop = {"a": 1}
+            loop["self"] = loop
+        for payload in ({"k": loop}, loop):
+            with pytest.raises(ValueError, match="Circular reference"):
+                json.dumps(payload, indent=2, sort_keys=True)
+            with pytest.raises(ValueError, match="Circular reference"):
+                dump_json(payload)
 
     @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", np.int64(3), object(), {(1, 2): 0}])
     def test_dump_json_rejects_what_json_rejects(self, bad):
@@ -142,7 +162,8 @@ def test_dump_json_equals_json_dumps(value):
                                       JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3),
                                       max_size=4), max_size=4))
 def test_dump_json_repeated_and_mixed_keys_match_json(value):
-    """Dicts sharing key tuples reuse cached prefixes; mixed str/int keys raise alike."""
+    """Dicts sharing key tuples, with or without list values, encode alike; mixed
+    str/int keys raise alike."""
     try:
         expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     except TypeError:
@@ -197,10 +218,10 @@ def test_dump_json_flat_records_match_json(value):
 
 def test_flat_records_take_the_column_path():
     rows = [{"b": "x%s", "a": 1.5, "%": None}, {"b": "y", "a": np.float64(-0.0), "%": "z"}]
-    assert _flat_records(rows, 1) is not None
-    assert _flat_records(rows + [{"b": "z", "a": [1], "%": "z"}], 1) is None  # nested list
-    assert _flat_records(rows + [{"b": "z", "a": 1, "%": "z"}], 1) is None  # int among floats
-    assert _flat_records([rows[0]], 1) is None
+    assert _flat_records(rows) is not None
+    assert _flat_records(rows + [{"b": "z", "a": [1], "%": "z"}]) is None  # nested list
+    assert _flat_records(rows + [{"b": "z", "a": 1, "%": "z"}]) is None  # int among floats
+    assert _flat_records([rows[0]]) is None
     assert dump_json({"rows": rows}) == json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
