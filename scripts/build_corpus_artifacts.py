@@ -24,7 +24,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from attackdag import (  # noqa: E402
     AttributeTable,
     ExceptionList,
-    NodeAttributes,
     SvmParams,
     generate_negative_candidates,
     labeled_frame,
@@ -98,9 +97,8 @@ DROP_PER_MISS = 1
 
 
 def build_table(corpus, dag) -> AttributeTable:
-    rows = {blk.id: NodeAttributes(*FACETS[blk.norm_text], *structural_columns(dag, blk.id))
-            for blk in corpus.blocks}
-    return AttributeTable(rows=rows, provenance=dict.fromkeys(rows, "reconstructed"))
+    return AttributeTable.from_rows(
+        {blk.id: (*FACETS[blk.norm_text], *structural_columns(dag, blk.id)) for blk in corpus.blocks})
 
 
 def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:

@@ -21,7 +21,6 @@ from .model import (
     InvalidCounts,
     Metrics,
     N_BINARY_ATTRIBUTES,
-    NodeAttributes,
     Star,
     UnionExpr,
     VulnerabilityCategory,
@@ -64,7 +63,6 @@ from .features import (
     hamming,
     height_diff,
     labeled_frame,
-    node_features,
     search_space_size,
     structural_columns,
 )

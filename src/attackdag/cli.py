@@ -52,7 +52,6 @@ from .learn.svm import KERNELS, SvmModel
 from .model import (
     AttackDag,
     Metrics,
-    NodeAttributes,
     format_ratio,
     normalize_description,
     validate_dag,
@@ -164,12 +163,11 @@ def cmd_attrs(args: argparse.Namespace) -> int:
     if args.refresh_structural:
         # The input table may be structurally stale (e.g. after a projection),
         # so only the facet bits are trusted; head/leaf/depth come from the dag.
-        nodes = sorted(dagfile.dag.nodes)
-        rows = {n: NodeAttributes(*table[n].binary_bits()[:7],
-                                  *structural_columns(dagfile.dag, n)) for n in nodes}
-        new_table = AttributeTable(rows=rows, provenance={n: table.provenance[n] for n in nodes})
-        write_text_atomic(args.refresh_structural, new_table.to_csv())
-        print(f"wrote refreshed table for {len(rows)} nodes to {args.refresh_structural}")
+        kept = table.select(dagfile.dag.nodes)
+        for row, node in zip(kept.values, kept.ids.tolist()):
+            row[-3:] = structural_columns(dagfile.dag, node)
+        write_text_atomic(args.refresh_structural, kept.to_csv())
+        print(f"wrote refreshed table for {len(kept.ids)} nodes to {args.refresh_structural}")
         return EXIT_OK
     problems = table.check_against(dagfile.dag)
     if problems:
@@ -527,9 +525,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only -1 and -1.5 for negative numbers, so "--gamma -inf"
-        # would read the value as an option; exponents, inf and nan are values too.
+        # would read the value as an option; exponents, inf and nan are values
+        # too, and so is a comma-separated list of numbers such as "-1,2".
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-{number}(,[-+]?{number})*$", re.IGNORECASE)
 
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)

@@ -3,11 +3,12 @@
 Each node carries ten attributes: seven binary facet flags (memory,
 data/database, generic security weakness, port/gateway, sensor, malware,
 authentication weakness), binary head/leaf markers, and the node's mean
-depth in the dag.  A branch's features are origin attributes followed by
-destination attributes, twenty values.
+depth in the dag.  An AttributeTable holds them as one (n, 10) array, a row
+per node in ascending id order.  A branch's features are origin attributes
+followed by destination attributes, twenty values.
 
-Every set of branches is one BranchFrame, pairs of row positions in a
-NodeMatrix: candidates over all ordered node pairs, negative candidates,
+Every set of branches is one BranchFrame, pairs of row positions in an
+AttributeTable: candidates over all ordered node pairs, negative candidates,
 and labeled branches read from a labels file.  branch_features, hamming
 and height_diff define a single pair.  structural_columns is the one place
 a node's head, leaf and mean depth are read off a dag.
@@ -16,18 +17,12 @@ a node's head, leaf and mean depth are read off a dag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    ATTRIBUTE_NAMES,
-    AttackDag,
-    InvalidCounts,
-    N_BINARY_ATTRIBUTES,
-    NodeAttributes,
-)
+from .model import ATTRIBUTE_NAMES, AttackDag, InvalidCounts, N_BINARY_ATTRIBUTES
 from .graph import UnknownNode
 from .storage import csv_text, read_csv
 
@@ -40,30 +35,45 @@ class SelfBranch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+def _attribute_row(values: Sequence[float], provenance: str) -> list[float]:
+    """One node's ten attributes, checked: nine 0/1 bits, then a finite mean depth >= 0."""
+    if provenance not in PROVENANCE_VALUES:
+        raise ValueError(f"provenance must be one of {PROVENANCE_VALUES}")
+    *bits, depth = values
+    for name, bit in zip(ATTRIBUTE_NAMES, bits):
+        if bit not in (0, 1):
+            raise ValueError(f"attribute {name} must be 0 or 1, got {bit!r}")
+    if not math.isfinite(depth) or depth < 0:
+        raise ValueError(f"mean_depth must be finite and >= 0, got {depth!r}")
+    return [*bits, depth]
+
+
+@dataclass(frozen=True, eq=False)
 class AttributeTable:
-    rows: Mapping[int, NodeAttributes]
-    provenance: Mapping[int, str] = field(default_factory=dict)
+    """The attribute rows of a node set, in ascending id order, and each row's provenance.
 
-    def __getitem__(self, node_id: int) -> NodeAttributes:
-        try:
-            return self.rows[node_id]
-        except KeyError:
-            raise UnknownNode(f"no attribute row for node {node_id}") from None
+    ``from_rows`` and ``from_csv`` check every row; ``select`` restricts a table
+    to a node set.
+    """
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.rows
+    ids: np.ndarray  # (n,) int64, ascending
+    values: np.ndarray  # (n, 10) float64, columns in ATTRIBUTE_NAMES order
+    provenance: tuple[str, ...]  # one of PROVENANCE_VALUES per row
 
-    def to_csv(self) -> str:
-        return csv_text(ATTRS_CSV_HEADER, (
-            [node_id, *(getattr(attrs, name) for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES]),
-             repr(attrs.mean_depth), self.provenance.get(node_id, "reconstructed")]
-            for node_id, attrs in sorted(self.rows.items())
-        ))
+    @classmethod
+    def from_rows(cls, rows: Mapping[int, Sequence[float]],
+                  provenance: Optional[Mapping[int, str]] = None) -> "AttributeTable":
+        """The table of ``rows`` (node id to its ten attributes); a node that
+        ``provenance`` does not name is "reconstructed"."""
+        ids = sorted(rows)
+        prov = tuple((provenance or {}).get(n, "reconstructed") for n in ids)
+        values = [_attribute_row(rows[n], p) for n, p in zip(ids, prov)]
+        return cls(np.array(ids, dtype=np.int64),
+                   np.array(values, dtype=float).reshape(len(ids), len(ATTRIBUTE_NAMES)), prov)
 
     @classmethod
     def from_csv(cls, text: str, source: str = "attribute table") -> "AttributeTable":
-        rows: dict[int, NodeAttributes] = {}
+        rows: dict[int, list[float]] = {}
         provenance: dict[int, str] = {}
 
         def parse(node_id: str, *fields: str) -> None:
@@ -73,34 +83,63 @@ class AttributeTable:
             if node in rows:
                 raise ValueError(f"duplicate node {node}")
             *bits, depth, prov = fields
-            if prov not in PROVENANCE_VALUES:
-                raise ValueError(f"provenance must be one of {PROVENANCE_VALUES}")
-            rows[node] = NodeAttributes(*map(int, bits), mean_depth=float(depth))
+            # Checked here as well as in from_rows, so that a bad row names its line.
+            rows[node] = _attribute_row([*map(int, bits), float(depth)], prov)
             provenance[node] = prov
 
         read_csv(text, ATTRS_CSV_HEADER, source, parse, "attribute")
-        return cls(rows=rows, provenance=provenance)
+        return cls.from_rows(rows, provenance)
+
+    def to_csv(self) -> str:
+        bits = self.values[:, :N_BINARY_ATTRIBUTES].astype(np.int64).tolist()
+        return csv_text(ATTRS_CSV_HEADER, (
+            [node, *row, depth, prov] for node, row, depth, prov
+            in zip(self.ids.tolist(), bits, self.values[:, -1].tolist(), self.provenance)
+        ))
+
+    def row(self, node: int) -> np.ndarray:
+        """The node's ten attributes (a view)."""
+        at = int(self.ids.searchsorted(node))
+        if at == len(self.ids) or self.ids[at] != node:
+            raise UnknownNode(f"no attribute row for node {node}")
+        return self.values[at]
+
+    def select(self, nodes: Iterable[int]) -> "AttributeTable":
+        """A copy of ``nodes``' rows; the least node without a row raises UnknownNode."""
+        ids = np.array(sorted(nodes), dtype=np.int64)
+        missing = ids[~np.isin(ids, self.ids)]
+        if len(missing):
+            raise UnknownNode(f"no attribute row for node {missing[0]}")
+        at = self.ids.searchsorted(ids)
+        return AttributeTable(ids, self.values[at],
+                              tuple(map(self.provenance.__getitem__, at.tolist())))
+
+    def frame(self, keep: np.ndarray, excluded: Iterable[tuple[int, int]],
+              label: Optional[int] = None) -> "BranchFrame":
+        """The pairs the n x n mask keep marks, less self and excluded pairs, in order."""
+        listed = _pair_array(excluded)
+        listed = listed[np.isin(listed, self.ids).all(axis=1)]
+        keep[tuple(np.searchsorted(self.ids, listed).T)] = False
+        np.fill_diagonal(keep, False)
+        at = np.argwhere(keep)
+        labels = None if label is None else np.full(len(at), label)
+        return BranchFrame(self, at, labels)
 
     def check_against(self, dag: AttackDag, tol: float = 1e-9) -> list[str]:
         """Coverage plus head/leaf/depth consistency with the dag."""
-        problems: list[str] = []
-        for node in sorted(dag.nodes):
-            if node not in self.rows:
-                problems.append(f"node {node} has no attribute row")
-        for node in sorted(self.rows):
+        ids = self.ids.tolist()
+        problems = [f"node {n} has no attribute row" for n in sorted(dag.nodes.difference(ids))]
+        problems += [f"attribute row for unknown node {n}" for n in ids if n not in dag.nodes]
+        for node, (head, leaf, depth) in zip(ids, self.values[:, -3:].tolist()):
             if node not in dag.nodes:
-                problems.append(f"attribute row for unknown node {node}")
-        for node in sorted(dag.nodes & set(self.rows)):
-            attrs = self.rows[node]
-            head, leaf, depth = structural_columns(dag, node)
-            if attrs.head != head:
-                problems.append(f"node {node}: head bit {attrs.head}, dag says {head}")
-            if attrs.leaf != leaf:
-                problems.append(f"node {node}: leaf bit {attrs.leaf}, dag says {leaf}")
-            if not math.isclose(attrs.mean_depth, depth, rel_tol=0.0, abs_tol=tol):
-                problems.append(
-                    f"node {node}: mean_depth {attrs.mean_depth!r}, dag says {depth!r}"
-                )
+                continue
+            want_head, want_leaf, want_depth = structural_columns(dag, node)
+            if head != want_head:
+                problems.append(f"node {node}: head bit {int(head)}, dag says {want_head}")
+            if leaf != want_leaf:
+                problems.append(f"node {node}: leaf bit {int(leaf)}, dag says {want_leaf}")
+            if not math.isclose(depth, want_depth, rel_tol=0.0, abs_tol=tol):
+                problems.append(f"node {node}: mean_depth {depth!r}, dag says {want_depth!r}")
         return problems
 
 
@@ -109,15 +148,11 @@ def structural_columns(dag: AttackDag, node: int) -> tuple[int, int, float]:
     return int(node in dag.heads), int(node in dag.leaves), dag.mean_depth[node]
 
 
-def node_features(node_id: int, table: AttributeTable) -> tuple[float, ...]:
-    return table[node_id].vector()
-
-
 def branch_features(origin: int, dest: int, table: AttributeTable) -> tuple[float, ...]:
     """Origin attribute vector concatenated with destination's (20 values)."""
     if origin == dest:
         raise SelfBranch(f"branch from node {origin} to itself")
-    return node_features(origin, table) + node_features(dest, table)
+    return tuple(table.row(origin).tolist() + table.row(dest).tolist())
 
 
 def hamming(origin: int, dest: int, table: AttributeTable) -> int:
@@ -125,14 +160,14 @@ def hamming(origin: int, dest: int, table: AttributeTable) -> int:
 
     mean_depth is excluded; head/leaf bits count like the facet flags.
     """
-    a = table[origin].binary_bits()
-    b = table[dest].binary_bits()
-    return sum(1 for x, y in zip(a, b) if x != y)
+    a = table.row(origin)[:N_BINARY_ATTRIBUTES]
+    b = table.row(dest)[:N_BINARY_ATTRIBUTES]
+    return int((a != b).sum())
 
 
 def height_diff(origin: int, dest: int, table: AttributeTable) -> float:
     """Destination mean depth minus origin mean depth (positive = downhill)."""
-    return table[dest].mean_depth - table[origin].mean_depth
+    return float(table.row(dest)[-1] - table.row(origin)[-1])
 
 
 # The (low, high) band of plausible height differences.  The rule system's
@@ -153,38 +188,13 @@ def search_space_size(n_nodes: int, n_training: int) -> int:
     return available - n_training
 
 
-@dataclass(frozen=True, eq=False)
-class NodeMatrix:
-    """Attribute rows of a node set as an (n, 10) array, in ascending id order."""
-
-    ids: np.ndarray  # (n,) int64
-    values: np.ndarray  # (n, 10) float64
-
-    @classmethod
-    def build(cls, nodes: Iterable[int], table: AttributeTable) -> "NodeMatrix":
-        ids = sorted(nodes)
-        values = np.array([table[n].vector() for n in ids], dtype=float)
-        return cls(np.array(ids, dtype=np.int64), values.reshape(len(ids), len(ATTRIBUTE_NAMES)))
-
-    def frame(self, keep: np.ndarray, excluded: Iterable[tuple[int, int]],
-              label: Optional[int] = None) -> "BranchFrame":
-        """The pairs the n x n mask keep marks, less self and excluded pairs, in order."""
-        listed = _pair_array(excluded)
-        listed = listed[np.isin(listed, self.ids).all(axis=1)]
-        keep[tuple(np.searchsorted(self.ids, listed).T)] = False
-        np.fill_diagonal(keep, False)
-        at = np.argwhere(keep)
-        labels = None if label is None else np.full(len(at), label)
-        return BranchFrame(self, at, labels)
-
-
 def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class BranchFrame:
-    """Ordered node pairs, one row per branch, as row positions in a NodeMatrix.
+    """Ordered node pairs, one row per branch, as row positions in an AttributeTable.
 
     Ids and features are gathered from the node rows when asked for, so a
     frame of all n^2 candidate pairs holds an (n^2, 2) index array, not an
@@ -192,7 +202,7 @@ class BranchFrame:
     of rows at a time.
     """
 
-    nodes: NodeMatrix
+    nodes: AttributeTable
     at: np.ndarray  # (len, 2) intp: positions in nodes of each origin and destination
     labels: Optional[np.ndarray] = None  # (len,) int64 of +1/-1, or None when unlabeled
 
@@ -227,12 +237,11 @@ def labeled_frame(rows: Sequence[tuple[int, int, int]], table: AttributeTable) -
     row raises what branch_features raises for it.
     """
     pairs = _pair_array((o, d) for o, d, _ in rows)
-    nodes = NodeMatrix.build(table.rows, table)
-    bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, nodes.ids).all(axis=1)
+    bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, table.ids).all(axis=1)
     if bad.any():
         branch_features(*pairs[bad.argmax()].tolist(), table)
     labels = np.array([label for _, _, label in rows], dtype=np.int64)
-    return BranchFrame(nodes, np.searchsorted(nodes.ids, pairs), labels)
+    return BranchFrame(table, np.searchsorted(table.ids, pairs), labels)
 
 
 def enumerate_candidates(
@@ -243,7 +252,7 @@ def enumerate_candidates(
     The result size always equals search_space_size(|nodes|, |training|);
     training pairs must therefore be distinct ordered pairs of dag nodes.
     """
-    nodes = NodeMatrix.build(dag.nodes, table)
+    nodes = table.select(dag.nodes)
     pairs = _pair_array(training)
     selfs = pairs[pairs[:, 0] == pairs[:, 1]]
     if len(selfs):

@@ -13,7 +13,6 @@ operation modules (expr, graph, features, negatives, learn, csp).
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
@@ -335,36 +334,6 @@ ATTRIBUTE_NAMES = (
 )
 
 N_BINARY_ATTRIBUTES = 9  # all but mean_depth
-
-
-@dataclass(frozen=True)
-class NodeAttributes:
-    """Ten per-node attributes; nine binary flags then the mean depth."""
-
-    memory: int
-    data_db: int
-    security_vuln: int
-    port_gateway: int
-    sensor: int
-    malware: int
-    auth_vuln: int
-    head: int
-    leaf: int
-    mean_depth: float
-
-    def __post_init__(self) -> None:
-        for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES]:
-            value = getattr(self, name)
-            if value not in (0, 1):
-                raise ValueError(f"attribute {name} must be 0 or 1, got {value!r}")
-        if not math.isfinite(self.mean_depth) or self.mean_depth < 0:
-            raise ValueError(f"mean_depth must be finite and >= 0, got {self.mean_depth!r}")
-
-    def vector(self) -> tuple[float, ...]:
-        return tuple(float(getattr(self, name)) for name in ATTRIBUTE_NAMES)
-
-    def binary_bits(self) -> tuple[int, ...]:
-        return tuple(int(getattr(self, name)) for name in ATTRIBUTE_NAMES[:N_BINARY_ATTRIBUTES])
 
 
 # --- evaluation --------------------------------------------------------------

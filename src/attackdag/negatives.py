@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .features import HEIGHT_BAND, AttributeTable, BranchFrame, NodeMatrix
+from .features import HEIGHT_BAND, AttributeTable, BranchFrame
 from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
@@ -158,7 +158,7 @@ def generate_negative_candidates(
     if exceptions is None:
         exceptions = ExceptionList.empty()
     th = thresholds if thresholds is not None else NegativeFilterThresholds()
-    nodes = NodeMatrix.build(dag.nodes, table)
+    nodes = table.select(dag.nodes)
     codes = np.array([_CATEGORY_CODES[blocks[n].category, bool(blocks[n].socially_delivered)]
                       for n in nodes.ids.tolist()], dtype=np.intp)
     keep = _INDEPENDENT[codes[:, None], codes[None, :]]

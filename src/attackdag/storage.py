@@ -10,8 +10,8 @@ Five tables are headed CSV, with these header rows:
   negative candidates are written in the same format
 - annotations: ``origin,dest,verdict,annotator,note`` (an append-only log)
 - predictions: ``origin,dest,label,decision``
-- attributes (``features.AttributeTable``): ``node_id``, the ten attribute
-  names, ``provenance``
+- attributes (``features.AttributeTable``, one ``(n, 10)`` array in
+  ascending id order): ``node_id``, the ten attribute names, ``provenance``
 - exceptions (``negatives.ExceptionList``): ``origin_node_id,dest_node_id,note``,
   extra columns ignored
 
@@ -231,15 +231,25 @@ def _locate_expression(raw_file: str, expression: str, offset: int) -> tuple[int
 
 
 def load_corpus(path: str | Path) -> Corpus:
+    """Read a corpus file; a value of the wrong JSON type raises CorpusLoadError
+    naming the file and the entry."""
     path = Path(path)
     raw_file = path.read_text(encoding="utf-8")
     try:
         payload = json.loads(raw_file)
     except json.JSONDecodeError as exc:
         raise CorpusLoadError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorpusLoadError(f"{path}: corpus is not a JSON object")
     attacks = payload.get("attacks")
     if not isinstance(attacks, list) or not attacks:
         raise CorpusLoadError(f"{path}: corpus has no attacks")
+    for key, kind in (("category_map", dict), ("node_category_overrides", dict),
+                      ("socially_delivered", list), ("bucket_map", dict)):
+        if type(payload.get(key, kind())) is not kind:
+            raise CorpusLoadError(f"{path}: {key!r} is not a {kind.__name__}")
+    if not all(type(norm) is str for norm in payload.get("socially_delivered", ())):
+        raise CorpusLoadError(f"{path}: 'socially_delivered' is not a list of descriptions")
 
     raw_category_map = payload.get("category_map", {})
     category_map: dict[str, VulnerabilityCategory] = {}
@@ -257,7 +267,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
     records: list[AttackRecord] = []
     names: set[str] = set()
-    for entry in attacks:
+    for index, entry in enumerate(attacks):
+        if type(entry) is not dict:
+            raise CorpusLoadError(f"{path}: attack {index} is not a dict: {entry!r}")
+        for key, kind in (("name", str), ("categories", list), ("expression", str)):
+            if type(entry.get(key, kind())) is not kind:
+                raise CorpusLoadError(f"{path}: attack {index}: {key!r} is not a "
+                                      f"{kind.__name__}: {entry[key]!r}")
+        if not all(type(label) is str for label in entry.get("categories", ())):
+            raise CorpusLoadError(f"{path}: attack {index}: 'categories' is not a list of "
+                                  f"labels: {entry['categories']!r}")
         name = entry.get("name", "")
         if not name:
             raise CorpusLoadError(f"{path}: attack without a name")

@@ -40,7 +40,7 @@ from attackdag.learn import (
     train_sgd_svm,
     train_tree,
 )
-from attackdag.model import Metrics, NodeAttributes
+from attackdag.model import Metrics
 from attackdag.negatives import REFERENCE_BRANCH_STATS, corpus_stats
 from attackdag.storage import load_corpus
 
@@ -301,10 +301,10 @@ def test_criterion_09_expression_round_trips(criterion, corpus):
 def test_criterion_10_branch_feature_vector(criterion):
     with criterion(10):
         rows = {
-            0: NodeAttributes(0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0),
-            1: NodeAttributes(0, 1, 0, 0, 0, 0, 0, 0, 1, 3.75),
+            0: (0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0),
+            1: (0, 1, 0, 0, 0, 0, 0, 0, 1, 3.75),
         }
-        table = AttributeTable(rows=rows, provenance={0: "published", 1: "published"})
+        table = AttributeTable.from_rows(rows, {0: "published", 1: "published"})
         got = branch_features(0, 1, table)
         assert got == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0,
                        0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 3.75)
@@ -315,14 +315,12 @@ def test_criterion_10_branch_feature_vector(criterion):
 def test_criterion_11_branch_statistics(criterion, labeled):
     with criterion(11):
         rows = {
-            0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
-            1: NodeAttributes(0, 1, 0, 0, 0, 0, 0, 0, 1, 2.0),
-            2: NodeAttributes(0, 0, 1, 0, 0, 0, 1, 1, 0, 0.0),
-            3: NodeAttributes(0, 0, 0, 1, 0, 0, 0, 0, 1, 3.0),
+            0: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
+            1: (0, 1, 0, 0, 0, 0, 0, 0, 1, 2.0),
+            2: (0, 0, 1, 0, 0, 0, 1, 1, 0, 0.0),
+            3: (0, 0, 0, 1, 0, 0, 0, 0, 1, 3.0),
         }
-        fixture_table = AttributeTable(
-            rows=rows, provenance={n: "reconstructed" for n in rows}
-        )
+        fixture_table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
 
         fixture = labeled_frame([
             (0, 1, 1),   # hd 4, ht +2.0, head->leaf

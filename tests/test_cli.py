@@ -188,6 +188,15 @@ class TestParser:
         for field in dataclasses.fields(default):
             assert getattr(built, field.name) == getattr(default, field.name), field.name
 
+    @pytest.mark.parametrize("option, values", [
+        ("--c-values", "-1,2"), ("--gamma-values", "-0.5,1"), ("--gamma-values", "-1e-3,-inf"),
+    ])
+    def test_grid_list_may_start_with_a_negative_number(self, option, values):
+        args = build_parser().parse_args(["grid-search", *self.INPUTS, option, values])
+        spec = cli._grid_spec(args)
+        got = spec.c_values if option == "--c-values" else spec.gamma_values
+        assert got == tuple(map(float, values.split(",")))
+
     def test_kernel_choices_are_the_library_kernels(self):
         for kernel in KERNELS:
             args = build_parser().parse_args(["train", *self.INPUTS, "--out", "m.json",
@@ -286,13 +295,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("option", [
         ("--gamma", "nan"), ("--c", "inf"), ("--tolerance", "nan"), ("--max-passes", "0"),
         ("--gamma", "-inf"), ("--c", "-1e5"), ("--gamma", "-Infinity"),
+        ("--c-values", "-1,2"), ("--c-values", "2,-1"), ("--gamma-values", "-0.5,inf"),
     ], ids=["gamma-nan", "c-inf", "tolerance-nan", "max-passes-0", "gamma-minus-inf",
-            "c-minus-exponent", "gamma-minus-infinity"])
+            "c-minus-exponent", "gamma-minus-infinity", "c-values-minus-first",
+            "c-values-minus-last", "gamma-values-minus-first"])
     def test_unusable_svm_param_is_parse_error(self, work, tmp_path, capsys, option):
+        # A grid list option checks each of its values as the train option would.
+        command = "grid-search" if option[0].endswith("-values") else "train"
         out = tmp_path / "model.json"
-        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+        assert main([command, "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--labels", str(work["labels"]), "--out", str(out), *option]) == 2
-        assert f"error: {option[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
+        setting = option[0][2:].removesuffix("-values").replace("-", "_")
+        assert f"error: {setting} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("option, message", [
@@ -334,6 +348,23 @@ class TestExitCodes:
         assert main([command, "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--labels", str(labels), "--out", str(out), *extra]) == code
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["negatives", "predict", "attrs"])
+    def test_dag_node_without_attribute_row_is_invariant_error(self, work, tmp_path, capsys,
+                                                                command):
+        *rows, last = work["attrs"].read_text().splitlines()
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = {
+            "negatives": ["--out", str(out)],
+            "predict": ["--labels", str(work["labels"]), "--model", str(work["model"]),
+                        "--force", "--out", str(out)],
+            "attrs": ["--refresh-structural", str(out)],
+        }[command]
+        assert main([command, "--dag", str(work["dag"]), "--attrs", str(attrs), *extra]) == 3
+        assert f"no attribute row for node {last.split(',')[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("gammas", ["nan", "0.1,inf"])
@@ -380,6 +411,36 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["ingest", "--corpus", str(bad), "--out", str(tmp_path / "d.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: [1], "corpus is not a JSON object"),
+        (lambda c: {**c, "attacks": [5]}, "attack 0 is not a dict"),
+        (lambda c: {**c, "attacks": [{**c["attacks"][0], "categories": 3}]},
+         "attack 0: 'categories' is not a list"),
+        (lambda c: {**c, "attacks": [{**c["attacks"][0], "categories": [["x"]]}]},
+         "attack 0: 'categories' is not a list of labels"),
+        (lambda c: {**c, "attacks": [{**c["attacks"][0], "expression": 7}]},
+         "attack 0: 'expression' is not a str"),
+        (lambda c: {**c, "attacks": [{**c["attacks"][0], "name": ["a"]}]},
+         "attack 0: 'name' is not a str"),
+        (lambda c: {**c, "category_map": ["m"]}, "'category_map' is not a dict"),
+        (lambda c: {**c, "node_category_overrides": ["m"]},
+         "'node_category_overrides' is not a dict"),
+        (lambda c: {**c, "bucket_map": ["m"]}, "'bucket_map' is not a dict"),
+        (lambda c: {**c, "socially_delivered": [[1]]},
+         "'socially_delivered' is not a list of descriptions"),
+    ], ids=["payload-list", "attack-int", "categories-int", "category-list", "expression-int",
+            "name-list", "category-map-list", "overrides-list", "bucket-map-list",
+            "socially-delivered-nested"])
+    def test_malformed_corpus_is_located_parse_error(self, tmp_path, capsys, edit, message):
+        corpus = {"category_map": {"x": "memory"},
+                  "attacks": [{"name": "a", "categories": ["x"], "expression": "bb_i(p)"}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(corpus)))
+        out = tmp_path / "dag.json"
+        assert main(["ingest", "--corpus", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not out.exists()
 
     def test_corpus_expression_error_names_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

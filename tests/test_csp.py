@@ -3,7 +3,6 @@ import pytest
 from attackdag.csp import CspFacts, CspVerdict, csp_classify, csp_facts
 from attackdag.features import hamming, height_diff
 from attackdag.graph import build_dag
-from attackdag.model import NodeAttributes
 from attackdag.features import AttributeTable
 
 
@@ -62,11 +61,11 @@ class TestFactsFromGraph:
         # head/leaf bits in the table deliberately contradict the graph:
         # facts must come from dag degrees
         rows = {
-            0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 0, 1, 0.0),
-            1: NodeAttributes(0, 1, 0, 0, 0, 0, 0, 1, 1, 1.0),
-            2: NodeAttributes(0, 0, 1, 0, 0, 0, 1, 1, 0, 2.0),
+            0: (1, 0, 0, 0, 0, 0, 0, 0, 1, 0.0),
+            1: (0, 1, 0, 0, 0, 0, 0, 1, 1, 1.0),
+            2: (0, 0, 1, 0, 0, 0, 1, 1, 0, 2.0),
         }
-        table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
+        table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
         return dag, table
 
     def test_terminal_flags_use_dag_degrees(self):

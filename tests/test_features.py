@@ -1,29 +1,29 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackdag.features import (
     ATTRS_CSV_HEADER,
+    PROVENANCE_VALUES,
     AttributeTable,
     SelfBranch,
     branch_features,
     enumerate_candidates,
     hamming,
     height_diff,
-    node_features,
     search_space_size,
+    structural_columns,
 )
 from attackdag.graph import UnknownNode, build_dag
-from attackdag.model import InvalidCounts, NodeAttributes
+from attackdag.model import ATTRIBUTE_NAMES, InvalidCounts
 
-CERT_PROXY = NodeAttributes(0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0)
-SQL_FORMAT = NodeAttributes(0, 1, 0, 0, 0, 0, 0, 0, 1, 3.75)
+CERT_PROXY = (0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0)
+SQL_FORMAT = (0, 1, 0, 0, 0, 0, 0, 0, 1, 3.75)
 
 
 @pytest.fixture
 def pair_table():
-    return AttributeTable(
-        rows={0: CERT_PROXY, 1: SQL_FORMAT},
-        provenance={0: "published", 1: "published"},
-    )
+    return AttributeTable.from_rows({0: CERT_PROXY, 1: SQL_FORMAT},
+                                    {0: "published", 1: "published"})
 
 
 class TestBranchFeatures:
@@ -39,8 +39,10 @@ class TestBranchFeatures:
             branch_features(0, 0, pair_table)
 
     def test_unknown_node(self, pair_table):
-        with pytest.raises(UnknownNode):
-            node_features(7, pair_table)
+        with pytest.raises(UnknownNode, match="no attribute row for node 7"):
+            pair_table.row(7)
+        with pytest.raises(UnknownNode, match="no attribute row for node 7"):
+            branch_features(0, 7, pair_table)
 
 
 class TestHammingAndHeight:
@@ -51,9 +53,9 @@ class TestHammingAndHeight:
         assert hamming(1, 0, pair_table) == 3
 
     def test_hamming_zero_for_identical_bits(self):
-        a = NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0)
-        b = NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 4.5)
-        t = AttributeTable(rows={0: a, 1: b}, provenance={0: "reconstructed", 1: "reconstructed"})
+        a = (1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0)
+        b = (1, 0, 0, 0, 0, 0, 0, 1, 0, 4.5)
+        t = AttributeTable.from_rows({0: a, 1: b})
         assert hamming(0, 1, t) == 0
 
     def test_height_diff_is_dest_minus_origin(self, pair_table):
@@ -82,7 +84,9 @@ class TestCsvRoundTrip:
     def test_round_trip_exact(self, table):
         text = table.to_csv()
         again = AttributeTable.from_csv(text)
-        assert again == table
+        assert again.ids.tolist() == table.ids.tolist()
+        assert again.values.tolist() == table.values.tolist()
+        assert again.provenance == table.provenance
         assert again.to_csv() == text
 
     def test_header_enforced(self):
@@ -102,9 +106,34 @@ class TestCsvRoundTrip:
             AttributeTable.from_csv(f"{header}\n{row}\n")
 
     def test_mean_depth_survives_exactly(self):
-        row = NodeAttributes(0, 0, 0, 0, 0, 0, 0, 1, 0, 5 / 3)
-        t = AttributeTable(rows={0: row}, provenance={0: "reconstructed"})
-        assert AttributeTable.from_csv(t.to_csv())[0].mean_depth == 5 / 3
+        t = AttributeTable.from_rows({0: (0, 0, 0, 0, 0, 0, 0, 1, 0, 5 / 3)})
+        assert AttributeTable.from_csv(t.to_csv()).row(0)[-1] == 5 / 3
+
+
+def edited(table, node, **changes):
+    """``table`` with some of ``node``'s attributes changed."""
+    values = table.values.copy()
+    for name, value in changes.items():
+        values[table.ids.tolist().index(node), ATTRIBUTE_NAMES.index(name)] = value
+    return AttributeTable(table.ids, values, table.provenance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.integers(-2**62, 2**62),
+    st.tuples(st.lists(st.integers(0, 1), min_size=9, max_size=9),
+              st.floats(min_value=0.0, allow_infinity=False),
+              st.sampled_from(PROVENANCE_VALUES)),
+    max_size=12))
+def test_csv_round_trip_on_sparse_ids(entries):
+    table = AttributeTable.from_rows({n: (*bits, depth) for n, (bits, depth, _) in entries.items()},
+                                     {n: prov for n, (_, _, prov) in entries.items()})
+    text = table.to_csv()
+    again = AttributeTable.from_csv(text)
+    assert again.ids.tolist() == table.ids.tolist() == sorted(entries)
+    assert again.values.tolist() == table.values.tolist()
+    assert again.provenance == table.provenance
+    assert again.to_csv() == text
 
 
 class TestCheckAgainst:
@@ -113,37 +142,24 @@ class TestCheckAgainst:
 
     def test_stale_leaf_bit_detected(self, dag, table):
         node = sorted(dag.leaves)[0]
-        old = table[node]
-        rows = dict(table.rows)
-        rows[node] = NodeAttributes(*old.binary_bits()[:7], head=old.head, leaf=0,
-                                    mean_depth=old.mean_depth)
-        bad = AttributeTable(rows=rows, provenance=dict(table.provenance))
+        bad = edited(table, node, leaf=0)
         problems = bad.check_against(dag)
         assert any(str(node) in p and "leaf" in p for p in problems)
 
     def test_missing_row_detected(self, dag, table):
-        rows = dict(table.rows)
-        victim = sorted(rows)[0]
-        del rows[victim]
-        prov = {k: v for k, v in table.provenance.items() if k != victim}
-        bad = AttributeTable(rows=rows, provenance=prov)
+        victim = int(table.ids[0])
+        bad = table.select(set(table.ids.tolist()) - {victim})
         assert any(str(victim) in p for p in bad.check_against(dag))
 
     def test_extra_row_detected(self, dag, table):
-        rows = dict(table.rows)
-        rows[999] = NodeAttributes(0, 0, 0, 0, 0, 0, 0, 1, 1, 0.0)
-        prov = dict(table.provenance)
-        prov[999] = "reconstructed"
-        bad = AttributeTable(rows=rows, provenance=prov)
+        rows = dict(zip(table.ids.tolist(), table.values.tolist()))
+        rows[999] = (0, 0, 0, 0, 0, 0, 0, 1, 1, 0.0)
+        bad = AttributeTable.from_rows(rows, dict(zip(table.ids.tolist(), table.provenance)))
         assert any("999" in p for p in bad.check_against(dag))
 
     def test_stale_mean_depth_detected(self, dag, table):
         node = sorted(dag.nodes, key=lambda n: -dag.mean_depth[n])[0]
-        old = table[node]
-        rows = dict(table.rows)
-        rows[node] = NodeAttributes(*old.binary_bits()[:7], head=old.head, leaf=old.leaf,
-                                    mean_depth=old.mean_depth + 0.5)
-        bad = AttributeTable(rows=rows, provenance=dict(table.provenance))
+        bad = edited(table, node, mean_depth=table.row(node)[-1] + 0.5)
         assert any("depth" in p for p in bad.check_against(dag))
 
 
@@ -163,13 +179,8 @@ class TestEnumerateCandidates:
 
     def test_small_dag_by_hand(self):
         dag = build_dag({0, 1, 2}, {(0, 1)}, {(0, 1): {"a"}})
-        rows = {
-            n: NodeAttributes(0, 0, 0, 0, 0, 0, 0,
-                              head=int(n in dag.heads), leaf=int(n in dag.leaves),
-                              mean_depth=dag.mean_depth[n])
-            for n in dag.nodes
-        }
-        t = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
+        t = AttributeTable.from_rows(
+            {n: (0, 0, 0, 0, 0, 0, 0, *structural_columns(dag, n)) for n in dag.nodes})
         cands = enumerate_candidates(dag, t, {(0, 1)})
         assert list(zip(cands.origins.tolist(), cands.dests.tolist())) == [
             (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.model import (
+    ATTRIBUTE_NAMES,
     AttackDag,
     CorpusStats,
     EmptyDescription,
     InvalidCounts,
     Metrics,
-    NodeAttributes,
     block,
     concat,
     expr_blocks,
@@ -109,22 +110,34 @@ class TestValidateDag:
 
 
 class TestNodeAttributes:
+    """A node's attribute row, as the in-memory constructor and the CSV reader check it."""
+
     def test_vector_order(self):
-        row = NodeAttributes(0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0)
-        assert row.vector() == (0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0)
-        assert row.binary_bits() == (0, 0, 1, 0, 0, 0, 1, 0, 1)
+        row = (0, 0, 1, 0, 0, 0, 1, 0, 1, 1.0)
+        text = f"{','.join(ATTRS_CSV_HEADER)}\n4,{','.join(map(str, row))},published\n"
+        for table in (AttributeTable.from_rows({4: row}), AttributeTable.from_csv(text)):
+            assert table.values.shape == (1, len(ATTRIBUTE_NAMES))
+            assert table.row(4).tolist() == list(row)
+
+    @staticmethod
+    def assert_rejected(row, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttributeTable.from_rows({5: row})
+        text = f"{','.join(ATTRS_CSV_HEADER)}\n5,{','.join(map(str, row))},reconstructed\n"
+        with pytest.raises(ValueError, match=f"^attrs.csv:2: {message}$"):
+            AttributeTable.from_csv(text, source="attrs.csv")
 
     def test_rejects_non_binary_flag(self):
-        with pytest.raises(ValueError):
-            NodeAttributes(2, 0, 0, 0, 0, 0, 0, 0, 0, 0.0)
+        self.assert_rejected((2, 0, 0, 0, 0, 0, 0, 0, 0, 0.0),
+                             "attribute memory must be 0 or 1, got 2")
 
     def test_rejects_negative_depth(self):
-        with pytest.raises(ValueError):
-            NodeAttributes(0, 0, 0, 0, 0, 0, 0, 0, 0, -1.0)
+        self.assert_rejected((0, 0, 0, 0, 0, 0, 0, 0, 0, -1.0),
+                             r"mean_depth must be finite and >= 0, got -1\.0")
 
     def test_rejects_nan_depth(self):
-        with pytest.raises(ValueError):
-            NodeAttributes(0, 0, 0, 0, 0, 0, 0, 0, 0, math.nan)
+        self.assert_rejected((0, 0, 0, 0, 0, 0, 0, 0, 0, math.nan),
+                             "mean_depth must be finite and >= 0, got nan")
 
 
 class TestMetrics:

@@ -1,7 +1,7 @@
 import pytest
 
 from attackdag.features import AttributeTable, BranchFrame, labeled_frame
-from attackdag.model import BasicBlock, NodeAttributes
+from attackdag.model import BasicBlock
 from attackdag.model import VulnerabilityCategory as VC
 from attackdag.negatives import (
     ExceptionList,
@@ -54,12 +54,12 @@ def tiny_world():
     edges = {(0, 1)}
     dag = build_dag({0, 1, 2, 3}, edges, {e: {"a"} for e in edges})
     rows = {
-        0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
-        1: NodeAttributes(0, 0, 0, 1, 0, 0, 0, 0, 1, 1.0),
-        2: NodeAttributes(0, 1, 1, 0, 1, 0, 1, 1, 1, 0.0),
-        3: NodeAttributes(0, 0, 0, 0, 0, 1, 0, 1, 1, 0.0),
+        0: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
+        1: (0, 0, 0, 1, 0, 0, 0, 0, 1, 1.0),
+        2: (0, 1, 1, 0, 1, 0, 1, 1, 1, 0.0),
+        3: (0, 0, 0, 0, 0, 1, 0, 1, 1, 0.0),
     }
-    table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
+    table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
     blocks = {
         0: BasicBlock(0, "A", "a", VC.MEMORY),
         1: BasicBlock(1, "B", "b", VC.NETWORK_PROTOCOL),
@@ -178,12 +178,12 @@ class TestExceptionListCsv:
 
 def stats_fixture():
     rows = {
-        0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
-        1: NodeAttributes(0, 1, 0, 0, 0, 0, 0, 0, 1, 2.0),
-        2: NodeAttributes(0, 0, 1, 0, 0, 0, 1, 1, 0, 0.0),
-        3: NodeAttributes(0, 0, 0, 1, 0, 0, 0, 0, 1, 3.0),
+        0: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0.0),
+        1: (0, 1, 0, 0, 0, 0, 0, 0, 1, 2.0),
+        2: (0, 0, 1, 0, 0, 0, 1, 1, 0, 0.0),
+        3: (0, 0, 0, 1, 0, 0, 0, 0, 1, 3.0),
     }
-    table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
+    table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
 
     rows = [
         (0, 1, 1),   # hd 4, ht +2.0, head->leaf
@@ -219,11 +219,11 @@ class TestCorpusStats:
 
     def test_ratio_none_when_no_feasible_terminal(self):
         rows = {
-            0: NodeAttributes(1, 0, 0, 0, 0, 0, 0, 0, 0, 1.0),
-            1: NodeAttributes(0, 1, 0, 0, 0, 0, 0, 0, 0, 2.0),
-            2: NodeAttributes(0, 0, 1, 0, 0, 0, 0, 1, 1, 0.0),
+            0: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1.0),
+            1: (0, 1, 0, 0, 0, 0, 0, 0, 0, 2.0),
+            2: (0, 0, 1, 0, 0, 0, 0, 1, 1, 0.0),
         }
-        table = AttributeTable(rows=rows, provenance={n: "reconstructed" for n in rows})
+        table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
         frame = labeled_frame([(0, 1, 1), (1, 0, -1)], table)
         assert corpus_stats(frame).headleaf_infeasible_ratio is None
 

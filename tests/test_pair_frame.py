@@ -16,7 +16,7 @@ from attackdag.features import (
     labeled_frame,
 )
 from attackdag.graph import UnknownNode, build_dag
-from attackdag.model import BasicBlock, NodeAttributes, VulnerabilityCategory
+from attackdag.model import ATTRIBUTE_NAMES, BasicBlock, VulnerabilityCategory
 from attackdag.negatives import (
     ExceptionList,
     InsufficientData,
@@ -27,6 +27,7 @@ from attackdag.negatives import (
 )
 
 DEPTHS = (0.0, 0.5, 1.0, 1.91, 2.0, 3.0, 4.5)
+HEAD, LEAF = ATTRIBUTE_NAMES.index("head"), ATTRIBUTE_NAMES.index("leaf")
 
 
 @st.composite
@@ -37,11 +38,11 @@ def worlds(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     dag = build_dag(ids, edges, {e: {"a"} for e in edges})
     rows = {
-        n: NodeAttributes(*draw(st.lists(st.integers(0, 1), min_size=9, max_size=9)),
-                          mean_depth=draw(st.sampled_from(DEPTHS)))
+        n: (*draw(st.lists(st.integers(0, 1), min_size=9, max_size=9)),
+            draw(st.sampled_from(DEPTHS)))
         for n in ids
     }
-    table = AttributeTable(rows=rows)
+    table = AttributeTable.from_rows(rows)
     blocks = {
         n: BasicBlock(n, f"b{n}", f"b{n}", draw(st.sampled_from(list(VulnerabilityCategory))),
                       socially_delivered=draw(st.booleans()))
@@ -127,8 +128,8 @@ def test_labeled_frame_matches_branch_features(world, data):
     _, table, _ = world
     # Rows may be self pairs or name a node without an attribute row.
     node = st.integers(0, 50)
-    if table.rows:
-        node |= st.sampled_from(sorted(table.rows))
+    if len(table.ids):
+        node |= st.sampled_from(table.ids.tolist())
     rows = data.draw(st.lists(st.tuples(node, node, st.sampled_from([1, -1]))))
     try:
         for u, v, _ in rows:
@@ -152,9 +153,9 @@ def test_corpus_stats_match_per_pair_loop(world, data):
     frame = labeled_frame([(u, v, label) for (u, v), label in labeled], table)
     by_label = {1: [], -1: []}
     for (u, v), label in labeled:
-        o, d = table[u], table[v]
+        o, d = table.row(u), table.row(v)
         by_label[label].append((hamming(u, v, table), height_diff(u, v, table),
-                                bool((o.head and d.leaf) or (o.leaf and d.leaf))))
+                                bool((o[HEAD] and d[LEAF]) or (o[LEAF] and d[LEAF]))))
     if not by_label[1] or not by_label[-1]:
         with pytest.raises(InsufficientData):
             corpus_stats(frame)
