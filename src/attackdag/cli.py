@@ -10,6 +10,7 @@ import argparse
 import functools
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .features import (
 )
 from .graph import (
     CycleIntroduced,
+    PATH_CAP,
     PathExplosion,
     UnknownNode,
     UnknownPath,
@@ -66,6 +68,7 @@ from .negatives import (
 from .storage import (
     EXPLOIT_BUCKETS,
     FingerprintMismatch,
+    Records,
     dag_payload,
     dump_json,
     file_fingerprint,
@@ -435,28 +438,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
     _, branches = _labeled(args)
-    metrics = _resubstitution(model, branches)
+    metrics = asdict(_resubstitution(model, branches))
+    counts = {key: metrics.pop(key) for key in ("tp", "fp", "tn", "fn")}
 
     predictions = load_predictions(args.predictions)
-    positives = [(o, d, dec) for o, d, label, dec in predictions if label == 1]
-    histogram = {bucket: 0 for bucket in EXPLOIT_BUCKETS}
-    positive_rows = []
-    for origin, dest, decision in sorted(positives, key=lambda r: -r[2]):
-        bucket = dagfile.buckets.get(dest, dagfile.buckets.get(origin))
-        if bucket is not None:
-            histogram[bucket] += 1
-        positive_rows.append(
-            {
-                "origin": origin,
-                "dest": dest,
-                "origin_text": dagfile.blocks[origin].raw_text,
-                "dest_text": dagfile.blocks[dest].raw_text,
-                "decision": decision,
-                "bucket": bucket,
-            }
-        )
+    origin, dest, label, decision = zip(*predictions) if predictions else ((),) * 4
+    blocks = dagfile.blocks
+    if not blocks.keys() >= {*origin, *dest}:
+        unknown = next(pair for pair in zip(origin, dest) if not blocks.keys() >= {*pair})
+        raise UnknownNode(f"{args.predictions}: predicted branch {unknown} references unknown node")
+    # The positives by descending decision, in file order among equal decisions.
+    positive = np.flatnonzero(np.equal(label, 1))
+    keep = positive[np.argsort(-np.asarray(decision)[positive], kind="stable")].tolist()
+    origins, dests = [origin[i] for i in keep], [dest[i] for i in keep]
+    buckets = [dagfile.buckets.get(d, dagfile.buckets.get(o)) for o, d in zip(origins, dests)]
+    positives = Records({
+        "origin": origins,
+        "dest": dests,
+        "origin_text": [blocks[o].raw_text for o in origins],
+        "dest_text": [blocks[d].raw_text for d in dests],
+        "decision": [decision[i] for i in keep],
+        "bucket": buckets,
+    })
 
-    stats = corpus_stats(branches)
     payload: dict = {
         "run": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -469,32 +473,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "shrinking": model.params.shrinking,
             },
         },
-        "training": {
-            "counts": {"tp": metrics.tp, "fp": metrics.fp, "tn": metrics.tn, "fn": metrics.fn},
-            "metrics": {
-                "accuracy": metrics.accuracy,
-                "precision": metrics.precision,
-                "recall": metrics.recall,
-                "fpr": metrics.fpr,
-                "f1": metrics.f1,
-            },
-        },
+        "training": {"counts": counts, "metrics": metrics},
         "candidates": {
             "total": len(predictions),
-            "predicted_positive": len(positives),
-            "reduction": format_reduction(len(positives), len(predictions))
-            if predictions
-            else None,
+            "predicted_positive": len(keep),
+            "reduction": format_reduction(len(keep), len(predictions)) if predictions else None,
         },
-        "predicted_positives": positive_rows,
-        "bucket_histogram": histogram,
-        "branch_stats": {
-            "mean_hd_feasible": stats.mean_hd_feasible,
-            "mean_hd_infeasible": stats.mean_hd_infeasible,
-            "ht_diff_feasible": list(stats.ht_diff_feasible),
-            "ht_diff_infeasible": list(stats.ht_diff_infeasible),
-            "headleaf_infeasible_ratio": stats.headleaf_infeasible_ratio,
-        },
+        "predicted_positives": positives,
+        "bucket_histogram": {bucket: buckets.count(bucket) for bucket in EXPLOIT_BUCKETS},
+        "branch_stats": asdict(corpus_stats(branches)),
         # Orientation values measured on the original, larger corpus this
         # reconstruction approximates; reported for context, never asserted.
         "reference_branch_stats": REFERENCE_BRANCH_STATS,
@@ -511,9 +498,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "total": len(known) + len(novel),
                 "known": len(known),
                 "unexploited": len(novel),
-                "unexploited_paths": [
-                    [dagfile.blocks[n].raw_text for n in p] for p in novel
-                ],
+                "unexploited_paths": [[blocks[n].raw_text for n in p] for p in novel],
             }
 
     write_text_atomic(args.out, dump_json(payload))
@@ -625,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None,
                    help="tag paths as known/unexploited using the source corpus")
     p.add_argument("--out", default=None)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=PATH_CAP)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("project", parents=[dag_opt], help="induced subgraph on a node keep-list")

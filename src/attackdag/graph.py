@@ -31,6 +31,10 @@ class CycleIntroduced(ValueError):
         self.edge = (self.cycle[-2], self.cycle[-1]) if len(self.cycle) >= 2 else None
 
 
+# The most head-to-leaf paths a dag may have before enumerating them raises PathExplosion.
+PATH_CAP = 1_000_000
+
+
 class PathExplosion(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"more than {cap} head-to-leaf paths")
@@ -187,15 +191,17 @@ def merge_cdfgs(named: Sequence[tuple[str, Cdfg]]) -> AttackDag:
     return build_dag(nodes, provenance.keys(), provenance)
 
 
-def enumerate_attack_paths(dag: AttackDag, cap: int = 1_000_000) -> list[tuple[int, ...]]:
+def enumerate_attack_paths(dag: AttackDag, cap: int = PATH_CAP) -> list[tuple[int, ...]]:
     """Every head-to-leaf path, each exactly once, in lexicographic order."""
     return _raw_paths(dag.nodes, dag.edges, cap)
 
 
 def _raw_paths(
-    nodes: Iterable[int], edges: Iterable[tuple[int, int]], cap: int = 1_000_000
+    nodes: Iterable[int], edges: Iterable[tuple[int, int]], cap: int = PATH_CAP
 ) -> list[tuple[int, ...]]:
     """Every head-to-leaf path in lexicographic order; PathExplosion before any is built."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap!r}")
     succ, order = _topological(nodes, edges)
     count, depth = _head_paths(succ, order)
     if sum(count[n] for n in order if not succ[n]) > cap:

@@ -150,6 +150,8 @@ class SvmParams:
         for name in ("c", "gamma", "tolerance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be at least 1, got {self.max_passes!r}")
 

@@ -28,11 +28,11 @@ Every JSON artifact is written by ``dump_json``, which is
 ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.  With ``indent``
 set, ``json`` encodes in pure Python, and the report's tens of thousands of
 predicted positives took twice as long there as column by column.  So a
-top-level list of at least two dicts that share one all-str key tuple, and
-whose values under each key are one kind of scalar (str and None, int, or
-float), is encoded by ``_flat_records`` instead: each key's values in one
-pass, then one %-template per row.  Its text is spliced into ``json``'s
-output in place of a ``null``, with the same bytes ``json`` would write.
+caller hands such a list over as a ``Records`` value, which holds its
+columns by key.  As the value of a top-level key, a ``Records`` is encoded
+one column at a time, then one %-template per row, and its text is spliced
+into ``json``'s output in place of a ``null``, with the bytes ``json`` would
+write for the list of dicts.  ``dump_json`` inspects no other value.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _scalar_texts(column: list) -> Optional[list[str]]:
-    """Each value's JSON text if the column holds one kind of scalar (str and
-    None, int, or float), else None."""
+def _scalar_texts(column: Sequence) -> list[str]:
+    """Each value's JSON text; TypeError unless the column holds one kind of
+    scalar (str and None, int, or float)."""
     kinds = set(map(type, column))
     if kinds <= {str, type(None)}:  # no str equals None, so one text per distinct value
         texts = {v: "null" if v is None else encode_basestring_ascii(v) for v in set(column)}
@@ -121,52 +121,39 @@ def _scalar_texts(column: list) -> Optional[list[str]]:
     if all(issubclass(kind, float) for kind in kinds):
         reprs = list(map(float.__repr__, column))
         return list(map(_FLOAT_SPECIALS.get, reprs, reprs))
-    return None
+    raise TypeError(f"a Records column holds {sorted(k.__name__ for k in kinds)}, "
+                    "not one kind of scalar")
 
 
-def _flat_records(items: list | tuple) -> Optional[str]:
-    """The JSON text, as the value of a top-level key, of a list of at least two
-    dicts that share one all-str key tuple and whose values, key by key, are one
-    kind of scalar; None for any other list.
+@dataclass(frozen=True)
+class Records:
+    """A list of flat dicts as str keys to equal-length columns, each of one kind
+    of scalar (str and None, int, or float).  Not a dict, so ``json`` rejects one
+    anywhere but where ``dump_json`` splices it in."""
 
-    Each key's column of values is encoded in one pass, and each row is a
-    %-template of its sorted keys' prefixes filled with its column texts.
-    """
-    if len(items) < 2 or set(map(type, items)) != {dict}:
-        return None
-    key_tuples = set(map(tuple, items))
-    if len(key_tuples) != 1:
-        return None
-    keys = key_tuples.pop()
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    ordered = sorted(keys)
-    columns = []
-    for key in ordered:
-        texts = _scalar_texts([item[key] for item in items])
-        if texts is None:
-            return None
-        columns.append(texts)
+    columns: Mapping[str, Sequence]
+
+
+def _records_text(records: Records) -> str:
+    """The JSON text, as the value of a top-level key, of ``records``' list of dicts:
+    each row is a %-template of the sorted keys filled with its column texts."""
+    keys = sorted(records.columns)
+    columns = [_scalar_texts(records.columns[key]) for key in keys]
     template = "{" + ",".join(
-        "\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered
+        "\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     ) + "\n    }"
-    rows = [template % row for row in zip(*columns)]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    rows = [template % row for row in zip(*columns, strict=True)]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 def dump_json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    A top-level value that ``_flat_records`` encodes is encoded by it instead:
-    ``json.dumps`` writes ``null`` in its place, which is then replaced by its text.
-    """
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, where
+    a top-level key's ``Records`` value stands for its list of dicts: ``json.dumps``
+    writes ``null`` in its place, which is then replaced by its text."""
     spliced = {}
     if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(key, str) and isinstance(value, (list, tuple)):
-                records = _flat_records(value)
-                if records is not None:
-                    spliced[key] = records
+        spliced = {key: _records_text(value) for key, value in payload.items()
+                   if isinstance(value, Records)}
         if spliced:
             payload = {**payload, **dict.fromkeys(spliced)}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -722,8 +709,17 @@ def save_predictions(path: str | Path,
 
 
 def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
+    """The rows of a predictions file: each decision is finite, and its label is
+    1 if the decision is at least 0.0, else -1, as ``predict`` writes them."""
+
     def parse(origin: str, dest: str, label: str, decision: str) -> tuple[int, int, int, float]:
-        return int(origin), int(dest), int(label), float(decision)
+        row = int(origin), int(dest), int(label), float(decision)
+        if not math.isfinite(row[3]):
+            raise ValueError(f"decision must be finite, got {decision!r}")
+        expected = 1 if row[3] >= 0.0 else -1
+        if row[2] != expected:
+            raise ValueError(f"label must be {expected} for decision {decision}, got {label!r}")
+        return row
 
     return read_csv(Path(path).read_text(encoding="utf-8"), PREDICTIONS_HEADER, str(path), parse,
                     "predictions")

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -296,9 +298,11 @@ class TestExitCodes:
         ("--gamma", "nan"), ("--c", "inf"), ("--tolerance", "nan"), ("--max-passes", "0"),
         ("--gamma", "-inf"), ("--c", "-1e5"), ("--gamma", "-Infinity"),
         ("--c-values", "-1,2"), ("--c-values", "2,-1"), ("--gamma-values", "-0.5,inf"),
+        ("--gamma", "-1"), ("--gamma", "0"), ("--gamma-values", "0.1,-0.5"),
     ], ids=["gamma-nan", "c-inf", "tolerance-nan", "max-passes-0", "gamma-minus-inf",
             "c-minus-exponent", "gamma-minus-infinity", "c-values-minus-first",
-            "c-values-minus-last", "gamma-values-minus-first"])
+            "c-values-minus-last", "gamma-values-minus-first", "gamma-minus-one", "gamma-zero",
+            "gamma-values-minus-last"])
     def test_unusable_svm_param_is_parse_error(self, work, tmp_path, capsys, option):
         # A grid list option checks each of its values as the train option would.
         command = "grid-search" if option[0].endswith("-values") else "train"
@@ -528,6 +532,23 @@ class TestExitCodes:
                      "--predictions", str(preds), "--out", str(tmp_path / "r.json")]) == 2
         assert f"{preds}:2:" in capsys.readouterr().err
 
+    def test_prediction_naming_unknown_node_is_invariant_violation(self, work, tmp_path,
+                                                                    capsys):
+        preds, out = tmp_path / "preds.csv", tmp_path / "r.json"
+        preds.write_text("origin,dest,label,decision\n0,1,-1,-0.5\n999,1,1,0.5\n1,998,1,0.2\n")
+        assert main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--predictions", str(preds), "--out", str(out)]) == 3
+        assert "predicted branch (999, 1) references unknown node" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_path_cap_below_one_is_parse_error(self, work, tmp_path, capsys, cap):
+        out = tmp_path / "paths.json"
+        assert main(["paths", "--dag", str(work["dag"]), "--cap", cap, "--out", str(out)]) == 2
+        assert f"error: cap must be at least 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["nodes", "edges"])
     def test_dag_without_key_is_parse_error(self, tmp_path, capsys, key):
         dag = tmp_path / "dag.json"
@@ -700,3 +721,74 @@ def test_labeled_commands_on_mutated_labels(work, command, mutations):
         code = main(scored + extra)
         assert code in (0, 2, 3)
         assert code == 0 or not out.exists()
+
+
+# One mutation of a predictions file each, on a row of its own (an index into
+# the rows): a bad header, a missing or extra field, a label other than 1 or
+# -1, a non-finite decision, a label that disagrees with its decision's sign,
+# or a node the dag does not have.  All but the last are parse errors.
+ROW = st.integers(0, 2253)  # the bundled predictions file has 2254 rows
+PREDICTION_MUTATIONS = st.one_of(
+    st.tuples(st.just("header"), st.just(-1),
+              st.sampled_from(["origin,dest,label", "a,b,c,d", "origin,dest,decision,label"])),
+    st.tuples(st.just("field"), ROW, st.sampled_from(["missing", "extra"])),
+    st.tuples(st.just("label"), ROW, st.sampled_from(["0", "7"])),
+    st.tuples(st.just("decision"), ROW,
+              st.sampled_from(["nan", "inf", "-inf", "NaN"])),
+    st.tuples(st.just("sign"), ROW, st.none()),
+    st.tuples(st.just("unknown"), ROW, st.sampled_from([0, 1])),
+)
+
+
+def mutate_predictions(text: str, mutations) -> tuple[str, int | None, bool]:
+    """The mutated text, the line of its first parse error (None if it has none),
+    and whether a row names an unknown node."""
+    header, *rows = text.splitlines()
+    error_lines, unknown = [], False
+    for kind, index, arg in mutations:
+        if kind == "header":
+            header = arg
+            error_lines.append(1)
+            continue
+        fields = rows[index].split(",")
+        if kind == "field":
+            fields = fields[:-1] if arg == "missing" else fields + ["0"]
+        elif kind == "label":
+            fields[2] = arg
+        elif kind == "decision":
+            fields[3] = arg
+        elif kind == "sign":
+            fields[2] = str(-int(fields[2]))
+        else:
+            fields[arg] = "999"
+            unknown = True
+        if kind != "unknown":
+            error_lines.append(index + 2)
+        rows[index] = ",".join(fields)
+    return "\n".join([header, *rows]) + "\n", min(error_lines, default=None), unknown
+
+
+@settings(max_examples=30, deadline=None)
+@example(mutations=[("unknown", 5, 0)])
+@example(mutations=[("label", 7, "7")])
+@example(mutations=[("decision", 3, "nan")])
+@example(mutations=[("sign", 11, None)])
+@given(mutations=st.lists(PREDICTION_MUTATIONS, min_size=1, max_size=3,
+                          unique_by=lambda m: m[1]))
+def test_report_on_mutated_predictions(work, mutations):
+    """``report`` on a mutated predictions file exits 2 naming the first bad line,
+    else 3 for a row naming an unknown node, and writes no report either way."""
+    mutated, error_line, unknown = mutate_predictions(work["preds"].read_text(), mutations)
+    with tempfile.TemporaryDirectory() as scratch:
+        preds, out = Path(scratch) / "predictions.csv", Path(scratch) / "report.json"
+        preds.write_text(mutated)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                         "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                         "--predictions", str(preds), "--out", str(out)])
+        assert code == (2 if error_line else 3 if unknown else 0)
+        assert "Traceback" not in stderr.getvalue()
+        if error_line:
+            assert f"error: {preds}:{error_line}: " in stderr.getvalue()
+        assert (code == 0) == out.exists()

@@ -22,6 +22,7 @@ from attackdag.storage import (
     FingerprintMismatch,
     ModelLoadError,
     PREDICTIONS_HEADER,
+    Records,
     append_annotation,
     dag_payload,
     dump_json,
@@ -38,7 +39,6 @@ from attackdag.storage import (
     save_predictions,
     write_text_atomic,
 )
-from attackdag.storage import _flat_records
 
 
 class TestPrimitives:
@@ -65,14 +65,24 @@ class TestPrimitives:
             {"b": {"y": [1, (2.5, None)], "x": {}}, "a": "\u00e9\u2603\x00\n\"\\"},
             {"f": [float("inf"), -float("inf"), -0.0, 5e-324, 1e16, np.float64(0.1)]},
             "top-level string", 12, None, [], {},
-            # the flat-records splice must land only on its own top-level entry
-            {"rows": rows, "a": 'x\n  "rows": null', "n": {"rows": None}},
-            {"n": {"rows": None}, "rows": rows},
+            # lists of flat dicts are plain JSON values
             {"rows": rows, "more": rows[::-1]},
             {"rows": tuple(rows)},
         ]
         for case in cases:
             assert dump_json(case) == json.dumps(case, indent=2, sort_keys=True) + "\n"
+
+    def test_records_splice_lands_only_on_its_own_entry(self):
+        def cases(rows, more):
+            return [{"rows": rows, "a": 'x\n  "rows": null', "n": {"rows": None}},
+                    {"n": {"rows": None}, "rows": rows},
+                    {"rows": rows, "more": more}]
+
+        rows = [{"b": "x", "a": 1.5}, {"b": None, "a": -0.0}]
+        records = cases(Records({"b": ["x", None], "a": [1.5, -0.0]}),
+                        Records({"b": [None, "x"], "a": [-0.0, 1.5]}))
+        for case, plain in zip(records, cases(rows, rows[::-1])):
+            assert dump_json(case) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("container", [list, dict])
     def test_dump_json_rejects_circular_payloads(self, container):
@@ -173,56 +183,66 @@ def test_dump_json_repeated_and_mixed_keys_match_json(value):
         assert dump_json(value) == expected
 
 
-# Column values for flat records: each kind alone (the one-type column paths),
-# any mix of them, and a nested list, which sends the whole list to the walk.
-FLAT_COLUMNS = [
-    st.text(),
+# Columns a Records may hold: str (with %, non-ASCII text and lone
+# surrogates), str and None, int, and float (Python or numpy, with the
+# specials json writes as NaN and Infinity).
+PERCENT_TEXT = st.sampled_from(["%", "%s", "%%d", "100%", "\u00e9\u2603", "\ud800"])
+RECORD_COLUMNS = [
+    st.text() | PERCENT_TEXT,
+    st.text(st.characters(exclude_categories=())),
+    st.none() | st.text(max_size=3) | PERCENT_TEXT,
     st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
-    st.floats().map(np.float64),
-    st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none(), st.floats(),
-              st.floats().map(np.float64)),
-    st.one_of(st.integers(), st.lists(st.integers(), max_size=2)),
+    st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, np.float64(-0.0)]),
 ]
 
 
 @st.composite
-def flat_record_lists(draw):
-    """A list of at least two dicts sharing one key tuple, maybe reordered or
-    with non-str keys, nested at some depth."""
-    key = draw(st.sampled_from([st.text(max_size=3)] * 3 + [st.integers(0, 3)]))
-    keys = draw(st.lists(key, min_size=1, max_size=5, unique=True))
-    if draw(st.integers(0, 4)) == 0:
-        keys.append(draw(st.integers(0, 3) | st.text(max_size=1)))
-    values = {k: draw(st.sampled_from(FLAT_COLUMNS)) for k in keys}
-    reorder = draw(st.integers(0, 4)) == 0
-    rows = []
-    for _ in range(draw(st.integers(2, 6))):
-        order = draw(st.permutations(keys)) if reorder else keys
-        rows.append({k: draw(values[k]) for k in order})
-    return draw(st.sampled_from([rows, {"rows": rows, "n": 1}, [[rows], "x"]]))
+def record_tables(draw):
+    """Columns of 0 to 6 rows under 1 to 5 str keys, and the rows they stand for."""
+    keys = draw(st.lists(st.text(max_size=3) | PERCENT_TEXT, min_size=1, max_size=5,
+                         unique=True))
+    n = draw(st.integers(0, 6))
+    columns = {k: draw(st.lists(draw(st.sampled_from(RECORD_COLUMNS)), min_size=n, max_size=n))
+               for k in keys}
+    return columns, [{k: column[i] for k, column in columns.items()} for i in range(n)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(value=flat_record_lists())
-def test_dump_json_flat_records_match_json(value):
-    """Mixed str and int keys cannot be sorted: both raise TypeError."""
-    try:
-        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
-    except TypeError:
-        with pytest.raises(TypeError):
-            dump_json(value)
-    else:
-        assert dump_json(value) == expected
+@given(table=record_tables(), key=st.text(max_size=3), other=JSON_VALUES)
+def test_dump_json_flat_records_match_json(table, key, other):
+    """A top-level Records is written as json writes its list of dicts, wherever
+    its key sorts among the others."""
+    columns, rows = table
+    payload, plain = {key: other}, {key: other}
+    payload["rows"], plain["rows"] = Records(columns), rows
+    assert dump_json(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_flat_records_take_the_column_path():
-    rows = [{"b": "x%s", "a": 1.5, "%": None}, {"b": "y", "a": np.float64(-0.0), "%": "z"}]
-    assert _flat_records(rows) is not None
-    assert _flat_records(rows + [{"b": "z", "a": [1], "%": "z"}]) is None  # nested list
-    assert _flat_records(rows + [{"b": "z", "a": 1, "%": "z"}]) is None  # int among floats
-    assert _flat_records([rows[0]]) is None
-    assert dump_json({"rows": rows}) == json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
+    columns = {"b": ["x%s", "y"], "a": [1.5, np.float64(-0.0)], "%": [None, "z"]}
+    rows = [{"b": "x%s", "a": 1.5, "%": None}, {"b": "y", "a": -0.0, "%": "z"}]
+    for n in (0, 1, 2):
+        cut = Records({k: v[:n] for k, v in columns.items()})
+        assert dump_json({"rows": cut}) == json.dumps({"rows": rows[:n]}, indent=2,
+                                                     sort_keys=True) + "\n"
+    assert dump_json({"rows": Records({})}) == '{\n  "rows": []\n}\n'
+    for ragged in ({"a": [1, 2], "b": [1]}, {"a": [], "b": ["x"]}):
+        with pytest.raises(ValueError, match="shorter|longer"):
+            dump_json({"rows": Records(ragged)})
+    for key in (1, None):
+        with pytest.raises(TypeError):
+            dump_json({"rows": Records({key: [1]})})
+        with pytest.raises(TypeError):
+            dump_json({key: Records({"a": [1]})})
+    for mixed in ([1.5, 1], [1, True], ["x", 1], [[1]], [np.int64(1)]):
+        with pytest.raises(TypeError, match="one kind of scalar"):
+            dump_json({"rows": Records({"a": mixed})})
+    # Anywhere but as the value of a top-level key, json rejects a Records.
+    for nested in ({"n": {"rows": Records(columns)}}, {"n": [Records(columns)]},
+                   [Records(columns)], Records(columns)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_json(nested)
 
 
 class TestCorpusLoader:
@@ -468,7 +488,8 @@ class TestPredictions:
 
     def test_save_matches_csv_writer(self, tmp_path):
         decisions = np.array([1e-05, 1e16, 5e-324, -0.0, 0.1 + 0.2, -2.5, 123456789.0, 1e-300])
-        rows = list(zip(range(8), range(8, 16), [1, -1] * 4, decisions.tolist()))
+        labels = np.where(decisions >= 0.0, 1, -1)  # as predict labels them
+        rows = list(zip(range(8), range(8, 16), labels.tolist(), decisions.tolist()))
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(PREDICTIONS_HEADER)
@@ -479,7 +500,9 @@ class TestPredictions:
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
         assert load_predictions(path) == rows
 
-    @pytest.mark.parametrize("row", ["1,2,1", "1,2,x,0.5", "1,2,1,0.5,9"])
+    @pytest.mark.parametrize("row", ["1,2,1", "1,2,x,0.5", "1,2,1,0.5,9", "1,2,7,0.5",
+                                     "1,2,0,0.5", "1,2,1,nan", "1,2,-1,-inf", "1,2,1,-3.0",
+                                     "1,2,-1,0.0", "1,2,-1,-0.0"])
     def test_malformed_row_names_its_line(self, tmp_path, row):
         path = tmp_path / "preds.csv"
         path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n\n{row}\n")
