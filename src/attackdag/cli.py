@@ -442,22 +442,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     counts = {key: metrics.pop(key) for key in ("tp", "fp", "tn", "fn")}
 
     predictions = load_predictions(args.predictions)
-    origin, dest, label, decision = zip(*predictions) if predictions else ((),) * 4
+    origin, dest, decision = (predictions[name] for name in ("origin", "dest", "decision"))
     blocks = dagfile.blocks
-    if not blocks.keys() >= {*origin, *dest}:
-        unknown = next(pair for pair in zip(origin, dest) if not blocks.keys() >= {*pair})
+    if not blocks.keys() >= set(np.unique(np.concatenate((origin, dest))).tolist()):
+        pairs = zip(origin.tolist(), dest.tolist())
+        unknown = next(pair for pair in pairs if not blocks.keys() >= {*pair})
         raise UnknownNode(f"{args.predictions}: predicted branch {unknown} references unknown node")
     # The positives by descending decision, in file order among equal decisions.
-    positive = np.flatnonzero(np.equal(label, 1))
-    keep = positive[np.argsort(-np.asarray(decision)[positive], kind="stable")].tolist()
-    origins, dests = [origin[i] for i in keep], [dest[i] for i in keep]
+    positive = np.flatnonzero(predictions["label"] == 1)
+    kept = predictions[positive[np.argsort(-decision[positive], kind="stable")]]
+    origins, dests = kept["origin"].tolist(), kept["dest"].tolist()
     buckets = [dagfile.buckets.get(d, dagfile.buckets.get(o)) for o, d in zip(origins, dests)]
     positives = Records({
         "origin": origins,
         "dest": dests,
         "origin_text": [blocks[o].raw_text for o in origins],
         "dest_text": [blocks[d].raw_text for d in dests],
-        "decision": [decision[i] for i in keep],
+        "decision": kept["decision"].tolist(),
         "bucket": buckets,
     })
 
@@ -476,8 +477,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         "training": {"counts": counts, "metrics": metrics},
         "candidates": {
             "total": len(predictions),
-            "predicted_positive": len(keep),
-            "reduction": format_reduction(len(keep), len(predictions)) if predictions else None,
+            "predicted_positive": len(kept),
+            "reduction": (format_reduction(len(kept), len(predictions)) if len(predictions)
+                          else None),
         },
         "predicted_positives": positives,
         "bucket_histogram": {bucket: buckets.count(bucket) for bucket in EXPLOIT_BUCKETS},

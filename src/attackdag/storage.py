@@ -20,9 +20,16 @@ header, blank rows are skipped, and each other row's fields go to a parser
 as positional arguments.  A row with a field count the parser does not take,
 a field it cannot convert, or a value it rejects raises ``ValueError``
 starting with ``<source>:<line>:``, which the CLI reports as exit 2.
-``csv_text`` writes them all through ``csv.writer``; ``save_predictions``,
-the largest table, is the one exception: it %-formats its rows (same bytes)
-and takes them in blocks, joining each block's lines as it arrives.
+``csv_text`` writes them all through ``csv.writer``.
+
+Predictions, the largest table, take a faster path both ways, to the same
+bytes and values.  ``save_predictions`` %-formats its rows and takes them in
+blocks, joining each block's lines as it arrives.  ``load_predictions``
+returns one structured array (``PREDICTIONS_DTYPE``): numpy's ``loadtxt``
+parses the rows first and the columns are checked at once, and the per-row
+reader (``read_prediction_rows``, ``read_csv`` under the same rule) runs
+only to locate an error or to accept a spelling numpy rejects that
+``int()`` or ``float()`` takes.
 
 Every JSON artifact is written by ``dump_json``, which is
 ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.  With ``indent``
@@ -708,9 +715,23 @@ def save_predictions(path: str | Path,
     write_text_atomic(path, text)
 
 
-def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
-    """The rows of a predictions file: each decision is finite, and its label is
-    1 if the decision is at least 0.0, else -1, as ``predict`` writes them."""
+PREDICTIONS_DTYPE = np.dtype([("origin", "<i8"), ("dest", "<i8"), ("label", "<i8"),
+                              ("decision", "<f8")])
+_INT64 = np.iinfo(np.int64)
+# ASCII text with one of these goes to the per-row reader: csv's quote, NUL, and
+# the four separators that numpy strips from a field as whitespace while int()
+# and float() reject them.  (``read_text`` has turned every "\r" into "\n".)
+# Text that is not ASCII goes there too: numpy 2.4 can crash with a segmentation
+# fault on a field it cannot convert that holds some characters beyond U+FFFF
+# (seen with U+E0100).
+_PER_ROW_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+
+def read_prediction_rows(text: str, source: str) -> list[tuple[int, int, int, float]]:
+    """The rows of predictions ``text``, read one by one by ``read_csv``: each
+    decision is finite, its label is 1 if the decision is at least 0.0, else -1,
+    as ``predict`` writes them, the ids fit in int64, and no pair repeats."""
+    seen: set[tuple[int, int]] = set()
 
     def parse(origin: str, dest: str, label: str, decision: str) -> tuple[int, int, int, float]:
         row = int(origin), int(dest), int(label), float(decision)
@@ -719,7 +740,58 @@ def load_predictions(path: str | Path) -> list[tuple[int, int, int, float]]:
         expected = 1 if row[3] >= 0.0 else -1
         if row[2] != expected:
             raise ValueError(f"label must be {expected} for decision {decision}, got {label!r}")
+        for name, node in zip(("origin", "dest"), row):
+            if not _INT64.min <= node <= _INT64.max:
+                raise ValueError(f"{name} {node} is outside the int64 range")
+        if row[:2] in seen:
+            raise ValueError(f"duplicate pair {row[:2]}")
+        seen.add(row[:2])
         return row
 
-    return read_csv(Path(path).read_text(encoding="utf-8"), PREDICTIONS_HEADER, str(path), parse,
-                    "predictions")
+    return read_csv(text, PREDICTIONS_HEADER, source, parse, "predictions")
+
+
+def _longest_line(text: str) -> int:
+    """The length, its "\\n" included, of the longest line of ASCII ``text``."""
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    return int(np.diff(ends, prepend=-1, append=data.size).max())
+
+
+def _rows_hold(table: np.ndarray) -> bool:
+    """Whether ``table`` keeps every rule ``read_prediction_rows`` checks."""
+    origin, dest, label, decision = (table[name] for name in PREDICTIONS_DTYPE.names)
+    if not np.isfinite(decision).all() or (label != np.where(decision >= 0.0, 1, -1)).any():
+        return False
+    order = np.lexsort((dest, origin))
+    origin, dest = origin[order], dest[order]
+    return not ((origin[1:] == origin[:-1]) & (dest[1:] == dest[:-1])).any()
+
+
+def load_predictions(path: str | Path) -> np.ndarray:
+    """The rows of a predictions file as one ``PREDICTIONS_DTYPE`` array, in file
+    order, under the rules of ``read_prediction_rows``.
+
+    numpy parses the rows first, and the whole columns are checked at once.
+    ``read_prediction_rows`` reads the text only where numpy cannot be trusted
+    to read it as ``csv`` and ``int()``/``float()`` would (text that is not
+    ASCII or holds one of ``_PER_ROW_ONLY``, a line beyond ``csv``'s field size
+    limit, a file with no data rows), where numpy rejects a row, or where a
+    check fails.  It then raises the located error, or accepts a spelling numpy
+    rejects (``1_0``, non-ASCII digits), so every file loads to the same values
+    either way.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    header, _, body = text.partition("\n")
+    if (header == ",".join(PREDICTIONS_HEADER) and len(body) > body.count("\n")
+            and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)
+            and _longest_line(text) <= csv.field_size_limit()):
+        try:
+            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                               dtype=PREDICTIONS_DTYPE, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if _rows_hold(table):
+                return table
+    return np.array(read_prediction_rows(text, str(path)), dtype=PREDICTIONS_DTYPE)

@@ -726,7 +726,8 @@ def test_labeled_commands_on_mutated_labels(work, command, mutations):
 # One mutation of a predictions file each, on a row of its own (an index into
 # the rows): a bad header, a missing or extra field, a label other than 1 or
 # -1, a non-finite decision, a label that disagrees with its decision's sign,
-# or a node the dag does not have.  All but the last are parse errors.
+# the pair of the row before (after, for the first row), or a node the dag
+# does not have.  All but the last are parse errors.
 ROW = st.integers(0, 2253)  # the bundled predictions file has 2254 rows
 PREDICTION_MUTATIONS = st.one_of(
     st.tuples(st.just("header"), st.just(-1),
@@ -736,6 +737,7 @@ PREDICTION_MUTATIONS = st.one_of(
     st.tuples(st.just("decision"), ROW,
               st.sampled_from(["nan", "inf", "-inf", "NaN"])),
     st.tuples(st.just("sign"), ROW, st.none()),
+    st.tuples(st.just("duplicate"), ROW, st.none()),
     st.tuples(st.just("unknown"), ROW, st.sampled_from([0, 1])),
 )
 
@@ -759,12 +761,22 @@ def mutate_predictions(text: str, mutations) -> tuple[str, int | None, bool]:
             fields[3] = arg
         elif kind == "sign":
             fields[2] = str(-int(fields[2]))
+        elif kind == "duplicate":
+            fields[:2] = rows[index - 1 if index else 1].split(",")[:2]
         else:
             fields[arg] = "999"
             unknown = True
-        if kind != "unknown":
+        if kind not in ("duplicate", "unknown"):
             error_lines.append(index + 2)
         rows[index] = ",".join(fields)
+    # A pair that an earlier row has is an error on its line, however it came
+    # about: copied, or two rows with one origin whose dests became 999.
+    seen: set[tuple[str, str]] = set()
+    for line, row in enumerate(rows, start=2):
+        pair = tuple(row.split(",")[:2])
+        if pair in seen:
+            error_lines.append(line)
+        seen.add(pair)
     return "\n".join([header, *rows]) + "\n", min(error_lines, default=None), unknown
 
 
@@ -773,6 +785,8 @@ def mutate_predictions(text: str, mutations) -> tuple[str, int | None, bool]:
 @example(mutations=[("label", 7, "7")])
 @example(mutations=[("decision", 3, "nan")])
 @example(mutations=[("sign", 11, None)])
+@example(mutations=[("duplicate", 9, None)])
+@example(mutations=[("duplicate", 0, None), ("label", 1, "7")])
 @given(mutations=st.lists(PREDICTION_MUTATIONS, min_size=1, max_size=3,
                           unique_by=lambda m: m[1]))
 def test_report_on_mutated_predictions(work, mutations):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from attackdag.storage import (
     ExpressionParseFailure,
     FingerprintMismatch,
     ModelLoadError,
+    PREDICTIONS_DTYPE,
     PREDICTIONS_HEADER,
     Records,
     append_annotation,
@@ -33,6 +35,7 @@ from attackdag.storage import (
     load_labels,
     load_model,
     load_predictions,
+    read_prediction_rows,
     save_dag,
     save_labels,
     save_model,
@@ -478,7 +481,9 @@ class TestPredictions:
         rows = [(0, 1, 1, 0.1 + 0.2), (2, 3, -1, -1.2345678901234567e-05)]
         path = tmp_path / "preds.csv"
         save_predictions(path, [rows])
-        assert load_predictions(path) == rows
+        loaded = load_predictions(path)
+        assert loaded.dtype == PREDICTIONS_DTYPE
+        assert loaded.tolist() == rows
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -498,16 +503,25 @@ class TestPredictions:
         path = tmp_path / "preds.csv"
         save_predictions(path, [rows[:3], [], rows[3:]])
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
-        assert load_predictions(path) == rows
+        assert load_predictions(path).tolist() == rows
 
     @pytest.mark.parametrize("row", ["1,2,1", "1,2,x,0.5", "1,2,1,0.5,9", "1,2,7,0.5",
                                      "1,2,0,0.5", "1,2,1,nan", "1,2,-1,-inf", "1,2,1,-3.0",
-                                     "1,2,-1,0.0", "1,2,-1,-0.0"])
+                                     "1,2,-1,0.0", "1,2,-1,-0.0", "0,1,1,2.5", " 0 ,+1,1,1e5",
+                                     "9223372036854775808,2,1,0.5", "1,-9223372036854775809,1,0.5",
+                                     "1,2,1,0.5\x1f",
+                                     pytest.param("1,2,1," + " " * csv.field_size_limit() + "0.5",
+                                                  id="field-beyond-csv-limit")])
     def test_malformed_row_names_its_line(self, tmp_path, row):
         path = tmp_path / "preds.csv"
         path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)
+
+    def test_spellings_numpy_rejects_load_as_int_and_float_read_them(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("origin,dest,label,decision\n1_0,\u0663,1,0.5\n 4 ,5,-1,-1_0.5\n")
+        assert load_predictions(path).tolist() == [(10, 3, 1, 0.5), (4, 5, -1, -10.5)]
 
 
 # Each headed-CSV loader with its header and the source its errors name
@@ -573,6 +587,82 @@ class TestCsvLoadersFuzz:
     @given(body=st.text(st.sampled_from('01-x.,"\n\r é'), max_size=40))
     def test_raw_text(self, fuzz_dir, name, body):
         self.check(name, ",".join(CSV_LOADERS[name][1]) + "\n" + body, fuzz_dir)
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# The fields of a predictions row: valid values, spellings that numpy reads
+# differently from int() and float() or not at all, ids either side of the
+# int64 range, padding that one of them strips as whitespace, and CSV_FIELDS.
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                           "\u3000"])
+ID_TEXTS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(2**63 - 2, 2**63 + 1).map(str),
+    st.integers(-2**63 - 1, -2**63 + 1).map(str),
+    st.sampled_from(["1_0", "+3", "007", "-0", "\u0663", "1.0", "1e1"]),
+    CSV_FIELDS,
+)
+FLOAT_REPRS = st.integers(0, 2**64 - 1).map(lambda bits: repr(_float_from_bits(bits)))
+DECISION_TEXTS = st.one_of(
+    FLOAT_REPRS,
+    st.sampled_from(["1e5", "0.50", "+.5", " 1.5 ", "1_0", "5.", "-0", "1E-400", "0x1p3",
+                     "\u0661.5", "infinity"]),
+    CSV_FIELDS,
+)
+
+
+@st.composite
+def prediction_texts(draw):
+    """A predictions file: mostly clean rows (small ids, a float from any bit
+    pattern, the label its sign gives), with rows of the fields above, blank
+    lines, repeated rows, rows of CSV_FIELDS, and now and then a bad header."""
+    lines = [draw(st.sampled_from([",".join(PREDICTIONS_HEADER)] * 6
+                                  + ["origin,dest,label", "origin, dest,label,decision"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["clean"] * 6 + ["row", "row", "blank", "repeat", "fields"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " "])))
+        elif kind == "repeat":
+            lines.append(lines[-1])
+        elif kind == "fields":
+            lines.append(",".join(draw(st.lists(CSV_FIELDS, max_size=6))))
+        else:
+            clean = kind == "clean"
+            ids = st.integers(-2, 40).map(str) if clean else ID_TEXTS
+            decision = draw(FLOAT_REPRS if clean else DECISION_TEXTS)
+            try:
+                label = "1" if float(decision) >= 0.0 else "-1"
+            except ValueError:
+                label = draw(ID_TEXTS)
+            if not clean and draw(st.integers(0, 4)) == 0:
+                label = draw(ID_TEXTS)
+            pad = st.just("") if clean else PADDING
+            fields = (draw(ids), draw(ids), label, decision)
+            lines.append(",".join(draw(pad) + field + draw(pad) for field in fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestPredictionsReader:
+    """``load_predictions`` gives the per-row reader's rows, or its located error."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=prediction_texts())
+    def test_matches_per_row_reader(self, fuzz_dir, text):
+        path = fuzz_dir / "predictions.csv"
+        path.write_text(text, encoding="utf-8")
+        text = path.read_text(encoding="utf-8")  # as load_predictions reads it
+        expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
+        assert self.outcome(lambda: load_predictions(path).tolist()) == expected
 
 
 # Any JSON value, with a few that are nearly right for a dag.json entry.
