@@ -116,7 +116,7 @@ def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:
         rows = positives + negatives
         labeled = labeled_frame(rows, table)
         x, y = labeled.features, labeled.labels
-        missed = x[(y == 1) & (train_svm(x, y, params).predict_many(x) == -1)]
+        missed = x[(y == 1) & (train_svm(x, y, params).predict(x) == -1)]
         if not len(missed):
             print(f"curation converged after {round_no} drop rounds: "
                   f"{len(positives)} positive, {len(negatives)} negative")

@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest -> attrs -> negatives -> train -> predict -> report.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 invariant
-violation (cycles, stale attributes, fingerprint mismatches).
+Exit codes: 0 success, 1 usage error, 2 input parse error or a file that
+cannot be read or written, 3 invariant violation (cycles, stale attributes,
+fingerprint mismatches).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .learn import (
     train_tree,
 )
 from .learn import svm as svm_module
-from .learn.svm import KERNELS, SvmModel
+from .learn.svm import KERNELS, SvmModel, decision_labels
 from .model import (
     AttackDag,
     Metrics,
@@ -108,7 +109,7 @@ def _labeled(args: argparse.Namespace) -> tuple[AttributeTable, BranchFrame]:
 
 def _resubstitution(model: SvmModel, branches: BranchFrame) -> Metrics:
     """Metrics of ``model`` scored on ``branches``, the branches it was trained on."""
-    return evaluate(model.predict_many(branches.features).tolist(), branches.labels.tolist())
+    return evaluate(model.predict(branches.features), branches.labels)
 
 
 def _known_and_unexploited(dag: AttackDag, paths: list[tuple[int, ...]], corpus_path: str):
@@ -322,7 +323,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for start in range(0, len(candidates), block):
             window = candidates.window(start, start + block)
             decisions = model.decision_values(window.features)
-            labels = np.where(decisions >= 0.0, 1, -1)
+            labels = decision_labels(decisions)
             positives += int(np.count_nonzero(labels == 1))
             yield zip(window.origins.tolist(), window.dests.tolist(), labels.tolist(),
                       decisions.tolist())
@@ -400,7 +401,7 @@ def cmd_csp(args: argparse.Namespace) -> int:
     table, branches = _labeled(args)
     pairs = list(zip(branches.origins.tolist(), branches.dests.tolist()))
     verdicts = [csp_classify(csp_facts(o, d, dagfile.dag, table)) for o, d in pairs]
-    metrics = evaluate([v.label for v in verdicts], branches.labels.tolist())
+    metrics = evaluate([v.label for v in verdicts], branches.labels)
     fire_counts: dict[str, int] = {"R1": 0, "R2": 0, "R3": 0}
     for v in verdicts:
         for rule in v.fired:
@@ -422,14 +423,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_metrics(_resubstitution(model, branches))
     if args.baselines:
         x, y = branches.features, branches.labels
-        truths = y.tolist()
         for k in (2, 3, 4, 5):
-            m = evaluate([knn_predict(x, y, row, k) for row in x], truths)
+            m = evaluate([knn_predict(x, y, row, k) for row in x], y)
             print(f"knn k={k}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
         for name, train in (("gaussian nb", train_gnb), ("decision tree", train_tree),
                             ("sgd linear svm", train_sgd_svm)):
-            fitted = train(x, y)
-            m = evaluate([fitted.predict(row) for row in x], truths)
+            m = evaluate(train(x, y).predict(x), y)
             print(f"{name}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
     return EXIT_OK
 
@@ -658,7 +657,7 @@ def main(argv: list[str] | None = None) -> int:
             PathExplosion) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

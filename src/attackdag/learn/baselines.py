@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .svm import EmptyData, check_labeled
+from .svm import EmptyData, check_labeled, decision_labels
 
 
 # --- k nearest neighbors ------------------------------------------------------
@@ -44,17 +44,16 @@ class GaussianNbModel:
     means: dict[int, np.ndarray]
     variances: dict[int, np.ndarray]
 
-    def log_posterior(self, features: Sequence[float], label: int) -> float:
-        x = np.asarray(features, dtype=float)
+    def log_posterior(self, x: np.ndarray, label: int) -> np.ndarray:
+        """The log posterior of ``label``, up to the shared evidence term, per row of x."""
+        x = np.asarray(x, dtype=float)
         mu = self.means[label]
         var = self.variances[label]
         dens = -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
-        return self.log_priors[label] + float(np.sum(dens))
+        return self.log_priors[label] + np.sum(dens, axis=1)
 
-    def predict(self, features: Sequence[float]) -> int:
-        pos = self.log_posterior(features, 1)
-        neg = self.log_posterior(features, -1)
-        return 1 if pos > neg else -1
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.where(self.log_posterior(x, 1) > self.log_posterior(x, -1), 1, -1)
 
 
 def train_gnb(x: np.ndarray, y: np.ndarray) -> GaussianNbModel:
@@ -84,17 +83,22 @@ class TreeModel:
     left: "TreeModel | None" = None
     right: "TreeModel | None" = None
 
-    def predict(self, features: Sequence[float]) -> int:
-        node = self
-        x = np.asarray(features, dtype=float)
-        while node.feature >= 0:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.label
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        labels = []
+        for row in np.asarray(x, dtype=float):
+            node = self
+            while node.feature >= 0:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            labels.append(node.label)
+        return np.array(labels, dtype=int)
 
     def depth(self) -> int:
-        if self.feature < 0:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        depth, level = -1, [self]
+        while level:
+            depth += 1
+            level = [child for node in level if node.feature >= 0
+                     for child in (node.left, node.right)]
+        return depth
 
 
 def _gini(y: np.ndarray) -> float:
@@ -119,7 +123,8 @@ def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
     """
     x, y = check_labeled(x, y)
 
-    def build(idx: np.ndarray) -> TreeModel:
+    def split(idx: np.ndarray) -> TreeModel | tuple[int, float, np.ndarray, np.ndarray]:
+        """The leaf for the rows idx, or their best split and its two row sets."""
         labels = y[idx]
         if np.all(labels == labels[0]):
             return TreeModel(label=int(labels[0]))
@@ -137,14 +142,26 @@ def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
             return TreeModel(label=_majority(labels))
         _, f, thr = best
         mask = x[idx, f] <= thr
-        return TreeModel(
-            feature=f,
-            threshold=thr,
-            left=build(idx[mask]),
-            right=build(idx[~mask]),
-        )
+        return f, thr, idx[mask], idx[~mask]
 
-    return build(np.arange(len(y)))
+    # An explicit stack, not recursion, so the depth is bounded only by the rows.
+    # A split's (feature, threshold) waits under its two row sets until both
+    # subtrees are built.
+    todo: list[np.ndarray | tuple[int, float]] = [np.arange(len(y))]
+    built: list[TreeModel] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            right, left = built.pop(), built.pop()
+            built.append(TreeModel(feature=item[0], threshold=item[1], left=left, right=right))
+            continue
+        plan = split(item)
+        if isinstance(plan, TreeModel):
+            built.append(plan)
+            continue
+        f, thr, left_rows, right_rows = plan
+        todo += [(f, thr), right_rows, left_rows]  # the left subtree is built first
+    return built[0]
 
 
 # --- SGD linear SVM -------------------------------------------------------------
@@ -155,11 +172,8 @@ class SgdSvmModel:
     weights: np.ndarray
     bias: float
 
-    def decision_value(self, features: Sequence[float]) -> float:
-        return float(self.weights @ np.asarray(features, dtype=float) + self.bias)
-
-    def predict(self, features: Sequence[float]) -> int:
-        return 1 if self.decision_value(features) >= 0.0 else -1
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return decision_labels(np.asarray(x, dtype=float) @ self.weights + self.bias)
 
 
 def train_sgd_svm(

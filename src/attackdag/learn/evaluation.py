@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..model import Metrics
 
 
@@ -11,26 +13,21 @@ class LengthMismatch(ValueError):
     pass
 
 
-def evaluate(predictions: Sequence[int], truth: Sequence[int]) -> Metrics:
-    """Confusion-count metrics for +1/-1 label sequences."""
-    if len(predictions) != len(truth):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} labels")
-    if not predictions:
+def evaluate(predictions: np.ndarray | Sequence[int],
+             truth: np.ndarray | Sequence[int]) -> Metrics:
+    """Confusion-count metrics for two +1/-1 label arrays (or sequences)."""
+    pred, actual = np.asarray(predictions), np.asarray(truth)
+    if len(pred) != len(actual):
+        raise LengthMismatch(f"{len(pred)} predictions vs {len(actual)} labels")
+    if not len(pred):
         raise LengthMismatch("nothing to evaluate")
-    tp = fp = tn = fn = 0
-    for pred, actual in zip(predictions, truth):
-        if pred not in (1, -1) or actual not in (1, -1):
-            raise ValueError(f"labels must be +1 or -1, got ({pred!r}, {actual!r})")
-        if actual == 1:
-            if pred == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == 1:
-                fp += 1
-            else:
-                tn += 1
+    flagged, feasible = pred == 1, actual == 1
+    bad = ~(flagged | (pred == -1)) | ~(feasible | (actual == -1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"labels must be +1 or -1, got {(pred[i].item(), actual[i].item())}")
+    # One bin per (predicted, actual) pair: 2 * (predicted +1) + (actual +1).
+    tn, fn, fp, tp = np.bincount(2 * flagged + feasible, minlength=4).tolist()
     return Metrics.from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 

@@ -57,7 +57,6 @@ def grid_search_min_fn(
     if grid is None:
         grid = GridSpec()
     eval_x, eval_y = (x, y) if eval_data is None else eval_data
-    truth = [int(t) for t in eval_y]
     surface: list[CellResult] = []
     best: tuple[int, int, int] | None = None  # (fn, fp, cell order)
     best_params: SvmParams | None = None
@@ -65,7 +64,7 @@ def grid_search_min_fn(
     for order, params in enumerate(grid.cells()):
         try:
             model = train_svm(x, y, params)
-            metrics = evaluate(model.predict_many(eval_x).tolist(), truth)
+            metrics = evaluate(model.predict(eval_x), eval_y)
         except ValueError as exc:  # record and keep sweeping
             surface.append(CellResult(params=params, fn=None, fp=None, error=str(exc)))
             first_error = first_error or exc

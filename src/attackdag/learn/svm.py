@@ -83,6 +83,15 @@ def check_labeled(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, y
 
 
+def decision_labels(decisions: np.ndarray) -> np.ndarray:
+    """+1 where a decision value is at least 0.0, else -1.
+
+    A decision value of exactly zero is the undecidable case; it maps to +1
+    so it surfaces for human review rather than vanishing.
+    """
+    return np.where(decisions >= 0.0, 1, -1)
+
+
 def kernel_eval(kind: str, x: Sequence[float], y: Sequence[float], gamma: float) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -188,16 +197,9 @@ class SvmModel:
             out[start:start + len(block)] = k @ coefs + self.bias
         return out
 
-    def decision_value(self, features: Sequence[float]) -> float:
-        return float(self.decision_values([features])[0])
-
-    def predict(self, features: Sequence[float]) -> int:
-        # A decision value of exactly zero is the undecidable case; it maps
-        # to +1 so it surfaces for human review rather than vanishing.
-        return 1 if self.decision_value(features) >= 0.0 else -1
-
-    def predict_many(self, features: np.ndarray) -> np.ndarray:
-        return np.where(self.decision_values(features) >= 0.0, 1, -1)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The +1/-1 label of each row of the ``(m, d)`` array x."""
+        return decision_labels(self.decision_values(x))
 
 
 def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float

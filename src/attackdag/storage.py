@@ -60,7 +60,7 @@ import numpy as np
 
 from .expr import ExpressionSyntaxError, line_col, parse_expression
 from .graph import build_dag, cdfg_from_expression, merge_cdfgs
-from .learn.svm import SvmModel, SvmParams
+from .learn.svm import SvmModel, SvmParams, decision_labels
 from .model import (
     AttackDag,
     AttackRecord,
@@ -109,8 +109,12 @@ class ModelLoadError(ValueError):
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -761,7 +765,7 @@ def _longest_line(text: str) -> int:
 def _rows_hold(table: np.ndarray) -> bool:
     """Whether ``table`` keeps every rule ``read_prediction_rows`` checks."""
     origin, dest, label, decision = (table[name] for name in PREDICTIONS_DTYPE.names)
-    if not np.isfinite(decision).all() or (label != np.where(decision >= 0.0, 1, -1)).any():
+    if not np.isfinite(decision).all() or (label != decision_labels(decision)).any():
         return False
     order = np.lexsort((dest, origin))
     origin, dest = origin[order], dest[order]

@@ -213,11 +213,10 @@ def test_criterion_07_baselines_against_oracles(criterion):
             assert knn_predict(x, y, probe, k) == knn_scan(x, y, probe, k)
 
         gnb = train_gnb(x, y)
-        for _ in range(20):
-            probe = rng.uniform(0, 4, size=N_FEATURES)
-            for label in (1, -1):
-                want = gnb_log_posterior(x, y, probe, label)
-                assert abs(gnb.log_posterior(probe, label) - want) <= 1e-9
+        probes = rng.uniform(0, 4, size=(20, N_FEATURES))
+        for label in (1, -1):
+            want = [gnb_log_posterior(x, y, probe, label) for probe in probes]
+            assert np.abs(gnb.log_posterior(probes, label) - want).max() <= 1e-9
 
         for _ in range(15):
             n = int(rng.integers(3, 9))
@@ -228,17 +227,15 @@ def test_criterion_07_baselines_against_oracles(criterion):
             padded = np.hstack([tx, np.zeros((n, N_FEATURES - dim))])
             got = train_tree(padded, ty)
             want = exhaustive_tree(padded, ty)
-            for i in range(n):
-                assert got.predict(pad(tx[i])) == tree_predict(want, pad(tx[i]))
-            for _ in range(20):
-                probe = pad(rng.uniform(-0.5, 3.5, size=dim))
-                assert got.predict(probe) == tree_predict(want, probe)
+            probes = np.array([pad(rng.uniform(-0.5, 3.5, size=dim)) for _ in range(20)])
+            for rows in (padded, probes):
+                assert got.predict(rows).tolist() == [tree_predict(want, row) for row in rows]
 
         values = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
         lx = np.array([pad([v]) for v in values])
         ly = np.array([1 if v > 0 else -1 for v in values])
         sgd = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
-        assert [sgd.predict(row) for row in lx] == ly.tolist()
+        assert sgd.predict(lx).tolist() == ly.tolist()
         again = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
         assert np.array_equal(sgd.weights, again.weights)
         assert sgd.bias == again.bias

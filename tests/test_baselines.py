@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -80,28 +82,26 @@ class TestGaussianNb:
         rng = np.random.default_rng(5)
         x, y = random_samples(rng, 30)
         model = train_gnb(x, y)
-        for _ in range(20):
-            probe = rng.uniform(0, 4, size=N_FEATURES)
-            for label in (1, -1):
-                want = gnb_log_posterior(x, y, probe, label, VAR_FLOOR)
-                assert model.log_posterior(probe, label) == pytest.approx(want, abs=1e-9)
+        probes = rng.uniform(0, 4, size=(20, N_FEATURES))
+        for label in (1, -1):
+            want = [gnb_log_posterior(x, y, probe, label, VAR_FLOOR) for probe in probes]
+            assert model.log_posterior(probes, label) == pytest.approx(want, abs=1e-9)
 
     def test_variance_floor_on_constant_feature(self):
         # every feature constant per class: variances must floor, not divide by zero
         model = train_gnb(*arrays(([1.0], 1), ([1.0], 1), ([3.0], -1), ([3.0], -1)))
         assert np.all(model.variances[1] == VAR_FLOOR)
-        assert math.isfinite(model.log_posterior(pad([2.0]), 1))
-        assert model.predict(pad([1.0])) == 1
-        assert model.predict(pad([3.0])) == -1
+        assert math.isfinite(model.log_posterior(np.array([pad([2.0])]), 1)[0])
+        assert model.predict(np.array([pad([1.0]), pad([3.0])])).tolist() == [1, -1]
 
     def test_posterior_tie_resolves_to_infeasible(self):
         # symmetric classes around the probe: equal priors, equal likelihoods
         model = train_gnb(*arrays(([0.0], 1), ([2.0], -1)))
-        probe = pad([1.0])
+        probe = np.array([pad([1.0])])
         assert model.log_posterior(probe, 1) == pytest.approx(
             model.log_posterior(probe, -1), abs=1e-12
         )
-        assert model.predict(probe) == -1
+        assert model.predict(probe).tolist() == [-1]
 
     def test_priors_reflect_class_balance(self):
         model = train_gnb(*arrays(([0.0], 1), ([0.1], 1), ([0.2], 1), ([5.0], -1)))
@@ -125,11 +125,9 @@ class TestDecisionTree:
             padded = np.hstack([x, np.zeros((n, N_FEATURES - dim))])
             got = train_tree(padded, y)
             want = exhaustive_tree(padded, y)
-            for i in range(n):
-                assert got.predict(pad(x[i])) == tree_predict(want, pad(x[i]))
-            for _ in range(30):
-                probe = pad(rng.uniform(-0.5, 3.5, size=dim))
-                assert got.predict(probe) == tree_predict(want, probe)
+            probes = np.array([pad(rng.uniform(-0.5, 3.5, size=dim)) for _ in range(30)])
+            for rows in (padded, probes):
+                assert got.predict(rows).tolist() == [tree_predict(want, row) for row in rows]
 
     def test_pure_set_is_single_leaf(self):
         # purity check happens before class validation elsewhere; tree only
@@ -151,8 +149,23 @@ class TestDecisionTree:
         assert tree.feature == 0
         assert tree.threshold == pytest.approx(2.0)
         assert tree.depth() == 1
-        assert tree.predict(pad([1.9])) == -1
-        assert tree.predict(pad([2.1])) == 1
+        assert tree.predict(np.array([pad([1.9]), pad([2.1])])).tolist() == [-1, 1]
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # labels alternating along one feature: each split peels off one end row,
+        # so the tree is a chain of depth n - 1
+        x = np.arange(200.0)[:, None]
+        y = np.where(np.arange(200) % 2, -1, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            tree = train_tree(x, y)
+            depth = tree.depth()
+            labels = tree.predict(x)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert depth == 199
+        assert labels.tolist() == y.tolist()
 
     def test_equal_gain_prefers_lowest_feature(self):
         # two features carry identical separations; the split must use feature 0
@@ -174,7 +187,7 @@ class TestSgdSvm:
     def test_perfect_accuracy_on_separable_line(self):
         x, y = self.separable_samples()
         model = train_sgd_svm(x, y, epochs=20, c=1.0, seed=0)
-        assert [model.predict(row) for row in x] == y.tolist()
+        assert model.predict(x).tolist() == y.tolist()
 
     def test_bit_reproducible_under_fixed_seed(self):
         x, y = self.separable_samples()

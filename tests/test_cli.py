@@ -410,6 +410,24 @@ class TestExitCodes:
         assert main(["ingest", "--corpus", str(tmp_path / "ghost.json"),
                      "--out", str(tmp_path / "dag.json")]) == 2
 
+    @pytest.mark.parametrize("option", ["--corpus", "--attrs", "--labels", "--out"])
+    def test_directory_for_a_file_is_parse_error(self, work, tmp_path, capsys, option):
+        """A directory where a file is read or written exits 2 with an error line,
+        and the failed write leaves no temporary file."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        inputs = {"--corpus": work["corpus"], "--attrs": work["attrs"],
+                  "--labels": work["labels"], "--out": tmp_path / "out.json", option: folder}
+        if option in ("--corpus", "--out"):
+            argv = ["ingest", "--corpus", inputs["--corpus"], "--out", inputs["--out"]]
+        else:
+            argv = ["train", "--dag", work["dag"], "--attrs", inputs["--attrs"],
+                    "--labels", inputs["--labels"], "--out", inputs["--out"]]
+        assert main([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+        assert not any(folder.iterdir())
+
     def test_corpus_json_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -806,3 +824,77 @@ def test_report_on_mutated_predictions(work, mutations):
         if error_line:
             assert f"error: {preds}:{error_line}: " in stderr.getvalue()
         assert (code == 0) == out.exists()
+
+
+# One mutation of an attributes file each, on a row of its own (an index into
+# the rows): a bad header, a missing or extra field, a bit of 2, a mean depth
+# of nan, inf or -1, a repeated row, an unknown provenance, a row for a node the
+# dag lacks, or a dag node's row removed.
+ATTRIBUTE_ROW = st.integers(0, 48)  # the bundled attributes file has 49 rows
+ATTRIBUTE_MUTATIONS = st.one_of(
+    st.tuples(st.just("header"), st.just(0),
+              st.sampled_from(["node_id,memory", "node_id,mem,data_db", "node_id,extra"])),
+    st.tuples(st.just("field"), ATTRIBUTE_ROW, st.sampled_from(["missing", "extra"])),
+    st.tuples(st.just("bit"), ATTRIBUTE_ROW, st.integers(1, 9)),
+    st.tuples(st.just("depth"), ATTRIBUTE_ROW, st.sampled_from(["nan", "inf", "-1"])),
+    st.tuples(st.just("duplicate"), ATTRIBUTE_ROW, st.none()),
+    st.tuples(st.just("provenance"), ATTRIBUTE_ROW, st.just("guessed")),
+    st.tuples(st.just("unknown"), ATTRIBUTE_ROW, st.none()),
+    st.tuples(st.just("drop"), ATTRIBUTE_ROW, st.none()),
+)
+
+
+def mutate_attributes(text: str, mutations) -> str:
+    header, *rows = text.splitlines()
+    for kind, index, arg in mutations:
+        if kind == "header":
+            # a prefix of the real header, or one with a column renamed or added
+            header = arg if arg != "node_id,extra" else header + ",extra"
+            continue
+        if not rows:
+            continue
+        index %= len(rows)
+        fields = rows[index].split(",")
+        if kind == "field":
+            fields = fields[:-1] if arg == "missing" else fields + ["0"]
+        elif kind == "bit":
+            fields[arg] = "2"
+        elif kind == "depth":
+            fields[-2] = arg
+        elif kind == "provenance":
+            fields[-1] = arg
+        elif kind == "duplicate":
+            rows.insert(index, rows[index])
+            continue
+        elif kind == "unknown":
+            rows.append(",".join(["999", *fields[1:]]))
+            continue
+        else:
+            del rows[index]
+            continue
+        rows[index] = ",".join(fields)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["attrs", "negatives", "train", "csp"])
+@settings(max_examples=25, deadline=None)
+@example(mutations=[("drop", 0, None)])
+@example(mutations=[("unknown", 3, None)])
+@example(mutations=[("depth", 5, "nan")])
+@given(mutations=st.lists(ATTRIBUTE_MUTATIONS, min_size=1, max_size=3))
+def test_commands_on_mutated_attributes(work, command, mutations):
+    """Every command that reads an attributes file ends in exit 0, 2 or 3 on a
+    mutated one, and one that fails writes no file, temporary or not."""
+    with tempfile.TemporaryDirectory() as scratch:
+        attrs, out = Path(scratch) / "attributes.csv", Path(scratch) / "out"
+        attrs.write_text(mutate_attributes(work["attrs"].read_text(), mutations))
+        labeled = ["--labels", str(work["labels"]), "--out", str(out)]
+        extra = {
+            "attrs": ["--check"],
+            "negatives": ["--out", str(out)],
+            "train": labeled,
+            "csp": labeled,
+        }[command]
+        code = main([command, "--dag", str(work["dag"]), "--attrs", str(attrs), *extra])
+        assert code in (0, 2, 3)
+        assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["attributes.csv"]

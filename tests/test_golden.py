@@ -3,7 +3,8 @@
 The nine commands are the ones scripts/run_pipeline.py runs, the CAN case
 study is scripts/can_case_study.py, and scripts/build_corpus_artifacts.py
 writes data/attributes.csv and data/labels.csv; each is pointed at a
-temporary directory instead of out/, out/can/ or data/.
+temporary directory instead of out/, out/can/ or data/.  The scores that
+``eval --baselines`` and ``csp`` print on the bundled data are pinned too.
 """
 
 import importlib.util
@@ -11,6 +12,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from attackdag.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 TRACKED = REPO / "out"
@@ -61,3 +64,34 @@ def test_corpus_artifacts_byte_identical(tmp_path):
     out = _run_script("build_corpus_artifacts", tmp_path / "data")
     for name in ("attributes.csv", "labels.csv"):
         assert (out / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+_BUNDLED = ["--dag", str(TRACKED / "dag.json"), "--attrs", str(DATA / "attributes.csv"),
+            "--labels", str(DATA / "labels.csv")]
+_EVAL_BASELINES = """\
+svm:
+counts: tp=32 fp=10 tn=56 fn=0
+accuracy=0.898 precision=0.762 recall=1 fpr=0.152 f1=0.865
+knn k=2: accuracy=0.98 fn=2 fp=0
+knn k=3: accuracy=0.99 fn=0 fp=1
+knn k=4: accuracy=0.969 fn=3 fp=0
+knn k=5: accuracy=0.929 fn=0 fp=7
+gaussian nb: accuracy=0.857 fn=0 fp=14
+decision tree: accuracy=1 fn=0 fp=0
+sgd linear svm: accuracy=0.765 fn=15 fp=8
+"""
+_CSP = """\
+counts: tp=27 fp=14 tn=52 fn=5
+accuracy=0.806 precision=0.659 recall=0.844 fpr=0.212 f1=0.74
+rule fires: R1=35 R2=9 R3=18
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["eval", "--baselines", "--model", str(TRACKED / "model.json"), *_BUNDLED], _EVAL_BASELINES),
+    (["csp", *_BUNDLED], _CSP),
+], ids=["eval-baselines", "csp"])
+def test_bundled_stdout(capsys, argv, stdout):
+    """The printed scores of the tracked model, the baselines and the rules."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout

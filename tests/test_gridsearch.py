@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import attackdag.learn.gridsearch as gridsearch
-from attackdag.learn import GridSpec, SvmParams, grid_search_min_fn
+from attackdag.learn import GridSpec, LengthMismatch, SvmParams, evaluate, grid_search_min_fn
 
 N_FEATURES = 20
 
@@ -51,7 +53,7 @@ class StubModel:
     def __init__(self, preds):
         self.preds = np.asarray(preds)
 
-    def predict_many(self, x):
+    def predict(self, x):
         assert len(x) == len(self.preds)
         return self.preds
 
@@ -169,3 +171,26 @@ class TestRealTraining:
         _, implicit = grid_search_min_fn(*samples, grid)
         _, explicit = grid_search_min_fn(*samples, grid, eval_data=samples)
         assert [(c.fn, c.fp) for c in implicit] == [(c.fn, c.fp) for c in explicit]
+
+
+class TestEvaluate:
+    def test_arrays_and_lists_give_the_same_int_counts(self):
+        predicted, truth = [1, 1, -1, -1, 1], [1.0, -1.0, -1.0, 1.0, 1.0]
+        for args in ((predicted, truth), (np.array(predicted), np.array(truth))):
+            m = evaluate(*args)
+            assert (m.tp, m.fp, m.tn, m.fn) == (2, 1, 1, 1)
+            assert all(type(v) is int for v in (m.tp, m.fp, m.tn, m.fn))
+
+    def test_length_mismatch_and_empty_input(self):
+        with pytest.raises(LengthMismatch, match="2 predictions vs 3 labels"):
+            evaluate(np.array([1, -1]), np.array([1, -1, 1]))
+        with pytest.raises(LengthMismatch, match="nothing to evaluate"):
+            evaluate(np.array([], dtype=int), [])
+
+    @pytest.mark.parametrize("predicted, truth, got", [
+        ([1, 0], [1, 1], "(0, 1)"),
+        (np.array([1, -1]), np.array([1.0, 2.0]), "(-1, 2.0)"),
+    ])
+    def test_first_label_that_is_not_plus_or_minus_one(self, predicted, truth, got):
+        with pytest.raises(ValueError, match=re.escape(f"labels must be +1 or -1, got {got}")):
+            evaluate(predicted, truth)

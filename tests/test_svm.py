@@ -18,6 +18,7 @@ from attackdag.learn import (
     kkt_violation,
     train_svm,
 )
+from attackdag.learn.svm import decision_labels
 
 from oracles import (
     dual_qp_reference,
@@ -155,8 +156,7 @@ class TestTwoPointAnalytic:
         alphas = full_alphas(model)
         assert alphas == pytest.approx([expected, expected], abs=1e-7)
         assert model.bias == pytest.approx(0.0, abs=1e-7)
-        assert model.decision_value([0.0]) == pytest.approx(1.0, abs=1e-6)
-        assert model.decision_value([2.0]) == pytest.approx(-1.0, abs=1e-6)
+        assert model.decision_values(self.X) == pytest.approx([1.0, -1.0], abs=1e-6)
         assert model.converged
 
     def test_clipped_solution(self):
@@ -167,13 +167,13 @@ class TestTwoPointAnalytic:
         assert model.bias == pytest.approx(0.0, abs=1e-9)
         # both multipliers at the box bound: margins inside the slab
         k12 = math.exp(-4.0)
-        assert model.decision_value([0.0]) == pytest.approx(0.5 * (1 - k12), abs=1e-9)
+        assert model.decision_values([[0.0]])[0] == pytest.approx(0.5 * (1 - k12), abs=1e-9)
 
     def test_midpoint_ties_to_positive(self):
         params = SvmParams(c=2.0, kernel="rbf", gamma=1.0, tolerance=1e-8)
         model = train_svm(self.X, self.Y, params)
-        assert abs(model.decision_value([1.0])) < 1e-9
-        assert model.predict([1.0]) == 1
+        assert abs(model.decision_values([[1.0]])[0]) < 1e-9
+        assert model.predict(np.array([[1.0]])).tolist() == [1]
 
 
 def random_problem(rng, size, dim, scale=2.0):
@@ -346,17 +346,22 @@ class TestModelSurface:
         model, x = self.make_model()
         batch = model.decision_values(x)
         for i in range(len(x)):
-            assert model.decision_value(x[i]) == pytest.approx(float(batch[i]), abs=1e-15)
+            assert model.decision_values(x[i:i + 1])[0] == pytest.approx(batch[i], abs=1e-15)
 
-    def test_predict_many_matches_scalar_predict(self):
+    def test_predict_labels_the_decision_values(self):
         model, x = self.make_model()
-        many = model.predict_many(x)
-        assert [model.predict(row) for row in x] == [int(v) for v in many]
+        labels = model.predict(x)
+        assert labels.shape == (len(x),)
+        assert labels.tolist() == decision_labels(model.decision_values(x)).tolist()
+
+    def test_decision_labels_send_zero_to_positive(self):
+        decisions = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0])
+        assert decision_labels(decisions).tolist() == [-1, -1, 1, 1, 1, 1]
 
     def test_feature_count_checked(self):
         model, _ = self.make_model()
         with pytest.raises(DimensionMismatch):
-            model.decision_value([1.0, 2.0, 3.0])
+            model.predict(np.array([[1.0, 2.0, 3.0]]))
 
     def test_zero_decision_predicts_positive(self):
         model = SvmModel(
@@ -368,8 +373,8 @@ class TestModelSurface:
             sv_labels=np.array([1.0]),
             n_samples=1,
         )
-        assert model.decision_value([3.0]) == 0.0
-        assert model.predict([3.0]) == 1
+        assert model.decision_values([[3.0]]).tolist() == [0.0]
+        assert model.predict(np.array([[3.0]])).tolist() == [1]
 
     def test_full_alphas_places_zeros_elsewhere(self):
         model, x = self.make_model()
