@@ -73,6 +73,7 @@ from .storage import (
     dag_payload,
     dump_json,
     file_fingerprint,
+    json_chunks,
     load_annotations,
     load_corpus,
     load_dag,
@@ -84,6 +85,7 @@ from .storage import (
     save_labels,
     save_model,
     save_predictions,
+    write_chunks_atomic,
     write_text_atomic,
 )
 
@@ -502,7 +504,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "unexploited_paths": [[blocks[n].raw_text for n in p] for p in novel],
             }
 
-    write_text_atomic(args.out, dump_json(payload))
+    write_chunks_atomic(args.out, json_chunks(payload))
     print(f"report written to {args.out}")
     return EXIT_OK
 

@@ -24,22 +24,26 @@ starting with ``<source>:<line>:``, which the CLI reports as exit 2.
 
 Predictions, the largest table, take a faster path both ways, to the same
 bytes and values.  ``save_predictions`` %-formats its rows and takes them in
-blocks, joining each block's lines as it arrives.  ``load_predictions``
-returns one structured array (``PREDICTIONS_DTYPE``): numpy's ``loadtxt``
-parses the rows first and the columns are checked at once, and the per-row
-reader (``read_prediction_rows``, ``read_csv`` under the same rule) runs
-only to locate an error or to accept a spelling numpy rejects that
-``int()`` or ``float()`` takes.
+blocks, handing each block's text to the file as it arrives.
+``load_predictions`` returns one structured array (``PREDICTIONS_DTYPE``):
+numpy's ``loadtxt`` parses the rows a block of lines at a time
+(``PARSE_BLOCK_CHARS``), the blocks are concatenated and the columns are
+checked at once, and the per-row reader (``read_prediction_rows``,
+``read_csv`` under the same rule) runs over the whole text only to locate
+an error or to accept a spelling numpy rejects that ``int()`` or
+``float()`` takes.
 
-Every JSON artifact is written by ``dump_json``, which is
-``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.  With ``indent``
-set, ``json`` encodes in pure Python, and the report's tens of thousands of
-predicted positives took twice as long there as column by column.  So a
-caller hands such a list over as a ``Records`` value, which holds its
-columns by key.  As the value of a top-level key, a ``Records`` is encoded
-one column at a time, then one %-template per row, and its text is spliced
-into ``json``'s output in place of a ``null``, with the bytes ``json`` would
-write for the list of dicts.  ``dump_json`` inspects no other value.
+Every JSON artifact is ``json.dumps(payload, indent=2, sort_keys=True) +
+"\\n"``.  With ``indent`` set, ``json`` encodes in pure Python, and the
+report's tens of thousands of predicted positives took twice as long there
+as column by column.  So a caller hands such a list over as a ``Records``
+value, which holds its columns by key.  ``json_chunks`` gives the text in
+pieces: ``json``'s output up to each top-level ``Records`` value (which
+``json`` writes as ``null``), then that value as the bytes ``json`` would
+write for the list of dicts, encoded ``RECORDS_BLOCK_ROWS`` rows at a time
+from one %-template, then the rest.  It inspects no other value.
+``dump_json`` joins the pieces; ``write_chunks_atomic`` writes them to a
+file as they come, so the report's text is never whole in memory.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -54,7 +59,7 @@ import re
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +67,7 @@ from .expr import ExpressionSyntaxError, line_col, parse_expression
 from .graph import build_dag, cdfg_from_expression, merge_cdfgs
 from .learn.svm import SvmModel, SvmParams, decision_labels
 from .model import (
+    ATTRIBUTE_NAMES,
     AttackDag,
     AttackRecord,
     BasicBlock,
@@ -106,32 +112,45 @@ class ModelLoadError(ValueError):
     pass
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_chunks_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order to ``path`` through a ``.tmp`` file and a rename.
+
+    If anything raises, a chunk's producer included, the ``.tmp`` file is
+    removed and an existing file at ``path`` is left as it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    write_chunks_atomic(path, (text,))
+
+
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _scalar_texts(column: Sequence) -> list[str]:
-    """Each value's JSON text; TypeError unless the column holds one kind of
-    scalar (str and None, int, or float)."""
+def _scalar_encoder(column: Sequence) -> Callable[[Sequence], Iterable[str]]:
+    """The function giving each value's JSON text for a slice of ``column``;
+    TypeError unless the whole column holds one kind of scalar (str and None,
+    int, or float)."""
     kinds = set(map(type, column))
     if kinds <= {str, type(None)}:  # no str equals None, so one text per distinct value
         texts = {v: "null" if v is None else encode_basestring_ascii(v) for v in set(column)}
-        return list(map(texts.__getitem__, column))
+        return lambda values: map(texts.__getitem__, values)
     if kinds == {int}:
-        return list(map(int.__repr__, column))
+        return lambda values: map(int.__repr__, values)
     if all(issubclass(kind, float) for kind in kinds):
-        reprs = list(map(float.__repr__, column))
-        return list(map(_FLOAT_SPECIALS.get, reprs, reprs))
+        def floats(values: Sequence) -> Iterable[str]:
+            reprs = list(map(float.__repr__, values))
+            return map(_FLOAT_SPECIALS.get, reprs, reprs)
+        return floats
     raise TypeError(f"a Records column holds {sorted(k.__name__ for k in kinds)}, "
                     "not one kind of scalar")
 
@@ -140,40 +159,82 @@ def _scalar_texts(column: Sequence) -> list[str]:
 class Records:
     """A list of flat dicts as str keys to equal-length columns, each of one kind
     of scalar (str and None, int, or float).  Not a dict, so ``json`` rejects one
-    anywhere but where ``dump_json`` splices it in."""
+    anywhere but where ``json_chunks`` splices it in."""
 
     columns: Mapping[str, Sequence]
 
 
-def _records_text(records: Records) -> str:
-    """The JSON text, as the value of a top-level key, of ``records``' list of dicts:
-    each row is a %-template of the sorted keys filled with its column texts."""
+# Rows of a Records encoded per chunk: the text of one block is held at a time.
+RECORDS_BLOCK_ROWS = 4096
+
+
+def _records_chunks(records: Records) -> Iterator[str]:
+    """The JSON text, as the value of a top-level key, of ``records``' list of dicts,
+    in blocks of rows: each row is a %-template of the sorted keys filled with
+    its column texts.  The columns are checked before the first block."""
     keys = sorted(records.columns)
-    columns = [_scalar_texts(records.columns[key]) for key in keys]
+    columns = [records.columns[key] for key in keys]
+    encoders = [_scalar_encoder(column) for column in columns]
+    n_rows = min(map(len, columns), default=0)
+    # zip's own error for columns of unequal length: past the shortest column,
+    # the columns run out in the order they would row by row.
+    for _ in zip(*(range(len(column) - n_rows) for column in columns), strict=True):
+        pass
     template = "{" + ",".join(
         "\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     ) + "\n    }"
-    rows = [template % row for row in zip(*columns, strict=True)]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
+    def chunks() -> Iterator[str]:
+        if not n_rows:
+            yield "[]"
+            return
+        opener = "[\n    "
+        for start in range(0, n_rows, RECORDS_BLOCK_ROWS):
+            stop = start + RECORDS_BLOCK_ROWS
+            texts = [encode(column[start:stop]) for encode, column in zip(encoders, columns)]
+            yield opener + ",\n    ".join([template % row for row in zip(*texts)])
+            opener = ",\n    "
+        yield "\n  ]"
+
+    return chunks()
 
 
-def dump_json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, where
-    a top-level key's ``Records`` value stands for its list of dicts: ``json.dumps``
-    writes ``null`` in its place, which is then replaced by its text."""
+def json_chunks(payload) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in pieces, where a
+    top-level key's ``Records`` value stands for its list of dicts: ``json.dumps``
+    writes ``null`` in its place, and the pieces go around it.
+
+    Every value is checked, and ``json``'s text built, before this returns.
+    """
     spliced = {}
     if isinstance(payload, dict):
-        spliced = {key: _records_text(value) for key, value in payload.items()
+        spliced = {key: _records_chunks(value) for key, value in payload.items()
                    if isinstance(value, Records)}
         if spliced:
             payload = {**payload, **dict.fromkeys(spliced)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     # ``json`` escapes every newline inside a string, so a line that starts with
     # two spaces and a quote is a top-level entry, and each key has one.
+    cuts = []  # (where a Records value's "null" starts, its chunks)
     for key, records in spliced.items():
         line = "\n  " + encode_basestring_ascii(key) + ": "
-        text = text.replace(line + "null", line + records, 1)
-    return text + "\n"
+        cuts.append((text.index(line + "null") + len(line), records))
+    cuts.sort(key=lambda cut: cut[0])
+
+    def chunks() -> Iterator[str]:
+        start = 0
+        for at, records in cuts:
+            yield text[start:at]
+            yield from records
+            start = at + len("null")
+        yield text[start:] + "\n"
+
+    return chunks()
+
+
+def dump_json(payload) -> str:
+    """``json_chunks(payload)`` as one string."""
+    return "".join(json_chunks(payload))
 
 
 def file_fingerprint(*paths: str | Path) -> str:
@@ -182,6 +243,15 @@ def file_fingerprint(*paths: str | Path) -> str:
         digest.update(Path(path).read_bytes())
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+def _read_json(path: str | Path, error_type: type[ValueError]):
+    """The JSON value in the file at ``path``; ``error_type`` naming the file if
+    the file is not UTF-8, not JSON, or nested too deeply to decode."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        raise error_type(f"{path}: not valid JSON: {exc}") from None
 
 
 # --- corpus --------------------------------------------------------------------
@@ -232,11 +302,7 @@ def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file; a value of the wrong JSON type raises CorpusLoadError
     naming the file and the entry."""
     path = Path(path)
-    raw_file = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(raw_file)
-    except json.JSONDecodeError as exc:
-        raise CorpusLoadError(f"{path}: not valid JSON: {exc}") from exc
+    payload = _read_json(path, CorpusLoadError)
     if not isinstance(payload, dict):
         raise CorpusLoadError(f"{path}: corpus is not a JSON object")
     attacks = payload.get("attacks")
@@ -293,6 +359,7 @@ def load_corpus(path: str | Path) -> Corpus:
         try:
             expression = parse_expression(source_text)
         except ExpressionSyntaxError as exc:
+            raw_file = path.read_text(encoding="utf-8")
             line, col = _locate_expression(raw_file, source_text, exc.position)
             raise ExpressionParseFailure(str(exc), name, str(path), line, col) from exc
         records.append(AttackRecord(name=name, categories=categories, expression=expression))
@@ -406,10 +473,7 @@ def load_dag(path: str | Path) -> DagFile:
     A malformed entry raises DagLoadError naming the file and the entry; a
     cycle still raises CycleIntroduced from ``build_dag``.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DagLoadError(f"{path}: not valid JSON: {exc}") from None
+    payload = _read_json(path, DagLoadError)
     if not isinstance(payload, dict):
         raise DagLoadError(f"{path}: dag file is not a JSON object")
     for key in ("nodes", "edges"):
@@ -587,6 +651,9 @@ def _finite(value) -> bool:
         return False
 
 
+# A branch's feature row: its origin's attribute row, then its destination's.
+BRANCH_WIDTH = 2 * len(ATTRIBUTE_NAMES)
+
 # Each SvmParams field's annotated type, as a name: "float", "str", "bool" or "int".
 _PARAM_TYPES = {f.name: f.type for f in fields(SvmParams)}
 
@@ -600,12 +667,10 @@ def load_model(
     a missing or mistyped key, a non-finite number, arrays whose lengths
     disagree, a label other than +1/-1, a multiplier outside (0, C],
     support-vector indices that are not distinct in [0, n_samples), or
-    stored ``dual_coefs`` other than ``sv_alphas * sv_labels``.
+    stored ``dual_coefs`` other than ``sv_alphas * sv_labels``, or support
+    vectors that are not two attribute rows wide.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelLoadError(f"{path}: not valid JSON: {exc}") from None
+    payload = _read_json(path, ModelLoadError)
     if type(payload) is not dict:
         raise ModelLoadError(f"{path}: model file is not a JSON object")
     stored = payload.get("corpus_fingerprint", "")
@@ -657,6 +722,9 @@ def load_model(
         raise bad("support_vectors", "is not a non-empty list of non-empty rows")
     if len({len(r) for r in rows}) != 1 or not all(_finite(v) for r in rows for v in r):
         raise bad("support_vectors", "rows are not all finite numbers of one length")
+    if len(rows[0]) != BRANCH_WIDTH:
+        raise bad("support_vectors", f"rows have {len(rows[0])} features, expected "
+                                     f"{BRANCH_WIDTH} (origin and destination attributes)")
     support_vectors = np.asarray(rows, dtype=float)
     n_sv = len(rows)
     sv_alphas = numbers("sv_alphas", n_sv)
@@ -707,16 +775,12 @@ def save_predictions(path: str | Path,
     The one table not written by ``csv_text``: %-formatting is faster on
     tens of thousands of rows, and the text is what ``csv.writer`` would
     write, since it never quotes a number and ``%r`` of a float is its
-    shortest round-trip repr.  Each block's lines are joined into one
-    string as the block arrives, so a caller that yields blocks lazily
-    never holds more than one block's row objects.
+    shortest round-trip repr.  Each block's lines are joined and written as
+    the block arrives, so a caller that yields blocks lazily never holds
+    more than one block's rows or text.
     """
-    parts = [",".join(PREDICTIONS_HEADER) + "\n"]
-    for rows in blocks:
-        parts.append("".join(["%d,%d,%d,%r\n" % row for row in rows]))
-    text = "".join(parts)
-    del parts  # the blocks' text is no longer needed while the file is written
-    write_text_atomic(path, text)
+    texts = ("".join(["%d,%d,%d,%r\n" % row for row in rows]) for rows in blocks)
+    write_chunks_atomic(path, itertools.chain([",".join(PREDICTIONS_HEADER) + "\n"], texts))
 
 
 PREDICTIONS_DTYPE = np.dtype([("origin", "<i8"), ("dest", "<i8"), ("label", "<i8"),
@@ -755,6 +819,23 @@ def read_prediction_rows(text: str, source: str) -> list[tuple[int, int, int, fl
     return read_csv(text, PREDICTIONS_HEADER, source, parse, "predictions")
 
 
+# Characters of the predictions body numpy parses per call: about 32k rows.
+PARSE_BLOCK_CHARS = 1 << 20
+
+
+def _line_blocks(body: str) -> Iterator[list[str]]:
+    """The lines of ``body``, split on "\\n" alone, in blocks of about
+    ``PARSE_BLOCK_CHARS`` characters that hold at least one non-empty line."""
+    start = 0
+    while start < len(body):
+        stop = body.find("\n", start + PARSE_BLOCK_CHARS)
+        stop = len(body) if stop < 0 else stop + 1
+        block = body[start:stop].strip("\n")
+        if block:  # numpy warns about a block with no data, and skips empty lines
+            yield block.split("\n")
+        start = stop
+
+
 def _longest_line(text: str) -> int:
     """The length, its "\\n" included, of the longest line of ASCII ``text``."""
     data = np.frombuffer(text.encode("ascii"), np.uint8)
@@ -776,7 +857,8 @@ def load_predictions(path: str | Path) -> np.ndarray:
     """The rows of a predictions file as one ``PREDICTIONS_DTYPE`` array, in file
     order, under the rules of ``read_prediction_rows``.
 
-    numpy parses the rows first, and the whole columns are checked at once.
+    numpy parses the rows first, one block of lines at a time, and the whole
+    columns are checked at once.
     ``read_prediction_rows`` reads the text only where numpy cannot be trusted
     to read it as ``csv`` and ``int()``/``float()`` would (text that is not
     ASCII or holds one of ``_PER_ROW_ONLY``, a line beyond ``csv``'s field size
@@ -791,8 +873,10 @@ def load_predictions(path: str | Path) -> np.ndarray:
             and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)
             and _longest_line(text) <= csv.field_size_limit()):
         try:
-            table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                               dtype=PREDICTIONS_DTYPE, ndmin=1)
+            table = np.concatenate([
+                np.loadtxt(lines, delimiter=",", comments=None, dtype=PREDICTIONS_DTYPE,
+                           ndmin=1)
+                for lines in _line_blocks(body)])
         except ValueError:
             pass
         else:

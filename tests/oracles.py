@@ -1,9 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is written for clarity over speed and shares no code with
-the package internals beyond kernel evaluation and the expression AST,
-token and error types (reusing the kernel is fine: the quantity under test
-is the optimizer, not the kernel arithmetic).
+the package internals beyond kernel evaluation, the expression AST, token
+and error types, and the ``TreeModel`` node type (reusing the kernel is
+fine: the quantity under test is the optimizer, not the kernel arithmetic).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from attackdag.expr import (
     ExpressionSyntaxError,
     UnbalancedParens,
 )
+from attackdag.learn.baselines import TreeModel
 from attackdag.learn.svm import SvmParams, gram_matrix
 from attackdag.model import AttackExpr, Block, Concat, Star
 
@@ -296,6 +297,46 @@ def exhaustive_tree(x: np.ndarray, y: np.ndarray):
         return ("split", f, thr, grow(left), grow(right))
 
     return grow(list(range(len(y))))
+
+
+def tree_by_masks(x: np.ndarray, y: np.ndarray) -> TreeModel:
+    """``train_tree`` by its former split search, O(d·m²) per node: every
+    threshold of every feature scored with two boolean masks.
+
+    The same floats in the same order as the package's cumulative-count
+    search, so the two must build equal trees, thresholds bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def gini(labels: np.ndarray) -> float:
+        if len(labels) == 0:
+            return 0.0
+        p = np.mean(labels == 1)
+        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+    def grow(idx: np.ndarray) -> TreeModel:
+        labels = y[idx]
+        if np.all(labels == labels[0]):
+            return TreeModel(label=int(labels[0]))
+        parent = gini(labels) * len(idx)
+        best = None  # (weighted gini, feature, threshold)
+        for f in range(x.shape[1]):
+            values = np.unique(x[idx, f])
+            for lo, hi in zip(values[:-1], values[1:]):
+                thr = (lo + hi) / 2.0
+                mask = x[idx, f] <= thr
+                weighted = gini(labels[mask]) * mask.sum() + gini(labels[~mask]) * (~mask).sum()
+                if best is None or weighted < best[0] - 1e-12:
+                    best = (weighted, f, thr)
+        if best is None or best[0] >= parent - 1e-12:
+            pos = int(np.sum(labels == 1))
+            return TreeModel(label=1 if pos > len(labels) - pos else -1)
+        _, f, thr = best
+        mask = x[idx, f] <= thr
+        return TreeModel(feature=f, threshold=thr, left=grow(idx[mask]), right=grow(idx[~mask]))
+
+    return grow(np.arange(len(y)))
 
 
 def tree_predict(node, probe) -> int:

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from attackdag.learn import (
 )
 from attackdag.learn.baselines import VAR_FLOOR
 
-from oracles import exhaustive_tree, gnb_log_posterior, knn_scan, tree_predict
+from oracles import exhaustive_tree, gnb_log_posterior, knn_scan, tree_by_masks, tree_predict
 
 N_FEATURES = 20
 
@@ -28,6 +29,17 @@ def pad(vec):
 def arrays(*rows):
     """(x, y) of (short vector, label) rows, each vector zero-padded to 20 features."""
     return np.array([pad(v) for v, _ in rows]).reshape(-1, N_FEATURES), np.array([l for _, l in rows])
+
+
+def tree_nodes(tree) -> list[tuple[int, str, int]]:
+    """Each node's (feature, threshold bits, leaf label), depth first, left first."""
+    out, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        out.append((node.feature, float(node.threshold).hex(), node.label))
+        if node.feature >= 0:
+            todo += [node.right, node.left]
+    return out
 
 
 def random_samples(rng, n):
@@ -128,6 +140,35 @@ class TestDecisionTree:
             probes = np.array([pad(rng.uniform(-0.5, 3.5, size=dim)) for _ in range(30)])
             for rows in (padded, probes):
                 assert got.predict(rows).tolist() == [tree_predict(want, row) for row in rows]
+
+    def test_matches_mask_search_bit_for_bit(self):
+        # Continuous, tied and extreme columns: adjacent floats whose midpoint
+        # rounds up to the upper value, subnormals, signed zeros, and values
+        # whose sum overflows.
+        rng = np.random.default_rng(29)
+        one_up = np.nextafter(1.0, 2.0)
+        extremes = [1.0, one_up, np.nextafter(one_up, 2.0), 5e-324, 1e-323, 0.0, -0.0,
+                    1e308, 1.7e308, -1e308, -1.7e308]
+        for trial in range(150):
+            n, dim = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            x = (rng.normal(size=(n, dim)), rng.integers(0, 3, size=(n, dim)).astype(float),
+                 rng.choice(extremes, size=(n, dim)))[trial % 3]
+            y = np.where(rng.random(n) < 0.5, 1, -1)
+            with np.errstate(over="ignore"):
+                want = tree_by_masks(x, y)
+            assert tree_nodes(train_tree(x, y)) == tree_nodes(want), trial
+
+    def test_alternating_rows_train_fast(self):
+        # Every node of this chain splits on one of twenty columns; scoring each
+        # threshold with full masks took over 20 s.
+        x = np.zeros((1100, N_FEATURES))
+        x[:, 3] = np.arange(1100.0)
+        y = np.where(np.arange(1100) % 2, -1, 1)
+        start = time.perf_counter()
+        tree = train_tree(x, y)
+        assert time.perf_counter() - start < 5.0
+        assert tree.depth() == 1099
+        assert tree.predict(x).tolist() == y.tolist()
 
     def test_pure_set_is_single_leaf(self):
         # purity check happens before class validation elsewhere; tree only

@@ -635,9 +635,11 @@ class TestExitCodes:
          "'sv_indices'"),
         (lambda payload: payload.update(n_samples=-1), "'n_samples'"),
         (lambda payload: payload["support_vectors"][0].pop(), "'support_vectors'"),
+        (lambda payload: [row.pop() for row in payload["support_vectors"]], "'support_vectors'"),
     ], ids=["no-bias", "unknown-param", "nan-bias-string", "nan-bias", "converged-string",
             "short-dual-coefs", "dual-coef-not-product", "label-5", "alpha-above-c", "alpha-0",
-            "indices-string", "repeated-index", "negative-n-samples", "short-sv-row"])
+            "indices-string", "repeated-index", "negative-n-samples", "short-sv-row",
+            "narrow-sv-rows"])
     def test_malformed_model_is_parse_error(self, work, tmp_path, capsys, edit, key):
         payload = json.loads(work["model"].read_text())
         edit(payload)
@@ -648,6 +650,23 @@ class TestExitCodes:
                      "--force"]) == 2
         err = capsys.readouterr().err
         assert str(model) in err and key in err
+
+    @pytest.mark.parametrize("command", ["ingest", "paths", "eval"])
+    @pytest.mark.parametrize("body", [b"[" * 100_000 + b"]" * 100_000, b"\xff{}"],
+                             ids=["nested", "not-utf-8"])
+    def test_unreadable_json_is_parse_error_naming_the_file(self, work, tmp_path, capsys,
+                                                             command, body):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        argv = {
+            "ingest": ["ingest", "--corpus", str(bad), "--out", str(tmp_path / "dag.json")],
+            "paths": ["paths", "--dag", str(bad)],
+            "eval": ["eval", "--model", str(bad), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]), "--force"],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: ")
+        assert not (tmp_path / "dag.json").exists()
 
     def test_predict_in_small_windows_matches_whole_frame_scoring(self, work, tmp_path,
                                                                   monkeypatch):

@@ -4,17 +4,20 @@ import json
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import attackdag.storage as storage_module
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
     ANNOTATIONS_HEADER,
+    BRANCH_WIDTH,
     LABELS_HEADER,
     CorpusLoadError,
     DagLoadError,
@@ -29,6 +32,7 @@ from attackdag.storage import (
     dag_payload,
     dump_json,
     file_fingerprint,
+    json_chunks,
     load_annotations,
     load_corpus,
     load_dag,
@@ -40,6 +44,7 @@ from attackdag.storage import (
     save_labels,
     save_model,
     save_predictions,
+    write_chunks_atomic,
     write_text_atomic,
 )
 
@@ -248,6 +253,76 @@ def test_flat_records_take_the_column_path():
             dump_json(nested)
 
 
+@pytest.mark.parametrize("block", [1, 2])
+def test_records_in_blocks_match_json(monkeypatch, block):
+    """0 rows, 1 row, exactly one block and one block more, each as json writes them."""
+    monkeypatch.setattr(storage_module, "RECORDS_BLOCK_ROWS", block)
+    columns = {"b": ["x", None, "y%s"], "a": [1.5, -0.0, float("inf")], "n": [3, -4, 2**70]}
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    for n in sorted({0, 1, block, block + 1}):
+        payload = {"z": 1, "rows": Records({k: v[:n] for k, v in columns.items()}),
+                   "a": {"rows": None}, "more": Records({"k": list(range(n))})}
+        plain = {"z": 1, "rows": rows[:n], "a": {"rows": None},
+                 "more": [{"k": k} for k in range(n)]}
+        expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        assert dump_json(payload) == "".join(json_chunks(payload)) == expected
+        # three pieces of json's text; per Records, one chunk a block and its closer, or "[]"
+        assert len(list(json_chunks(payload))) == 5 + 2 * -(-n // block)
+
+
+class TestChunkedWriter:
+    def test_chunks_are_written_in_order(self, tmp_path):
+        target = tmp_path / "out.txt"
+        write_chunks_atomic(target, iter(["a", "", "b\n", "c"]))
+        assert target.read_bytes() == b"a" + b"b\n" + b"c"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failing_chunks_keep_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        write_text_atomic(target, "old\n")
+
+        def chunks():
+            yield "new " * 100_000
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_chunks_atomic(target, chunks())
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failing_prediction_blocks_keep_the_old_file(self, tmp_path):
+        target = tmp_path / "preds.csv"
+        save_predictions(target, [[(0, 1, 1, 0.5)]])
+        before = target.read_bytes()
+
+        def blocks():
+            yield [(0, 1, 1, 0.5), (1, 0, -1, -0.5)]
+            raise ValueError("scoring failed")
+
+        with pytest.raises(ValueError, match="scoring failed"):
+            save_predictions(target, blocks())
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("records, error", [
+        (Records({"a": [1, 2], "b": [1]}), ValueError),
+        (Records({"a": [], "b": ["x"]}), ValueError),
+        (Records({"a": [1.5, 1]}), TypeError),
+        (Records({"a": ["x", 1]}), TypeError),
+    ], ids=["ragged", "ragged-empty", "float-int", "str-int"])
+    def test_bad_records_raise_before_anything_is_written(self, tmp_path, monkeypatch,
+                                                          records, error):
+        monkeypatch.setattr(storage_module, "RECORDS_BLOCK_ROWS", 1)
+        target = tmp_path / "report.json"
+        write_text_atomic(target, "old\n")
+        with pytest.raises(error):
+            json_chunks({"first": 1, "rows": Records({"ok": [1, 2, 3]}), "z": records})
+        with pytest.raises(error):
+            write_chunks_atomic(target, json_chunks({"z": records}))
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+
 class TestCorpusLoader:
     def test_bundled_corpus_loads(self, corpus, data_dir):
         assert len(corpus.records) == 27
@@ -434,9 +509,16 @@ class TestAnnotations:
             append_annotation(tmp_path / "ann.csv", 0, 1, "maybe", "alice")
 
 
+def branch_rows(rows: list[list[float]]) -> np.ndarray:
+    """``rows`` padded with zero columns to a branch's feature width; the zeros
+    leave every kernel value as it was."""
+    x = np.array(rows)
+    return np.pad(x, ((0, 0), (0, BRANCH_WIDTH - x.shape[1])))
+
+
 class TestModelFile:
     def make_model(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+        x = branch_rows([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         return train_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6))
 
@@ -472,8 +554,20 @@ class TestModelFile:
         path = tmp_path / "model.json"
         save_model(path, model, "f" * 64)
         loaded = load_model(path)
-        probes = np.array([[0.5, 0.5], [2.5, 1.5], [-1.0, 4.0]])
+        probes = branch_rows([[0.5, 0.5], [2.5, 1.5], [-1.0, 4.0]])
         assert np.array_equal(model.decision_values(probes), loaded.decision_values(probes))
+
+    def test_support_vector_width_checked(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, self.make_model(), "f" * 64)
+        payload = json.loads(path.read_text())
+        rows = payload["support_vectors"]
+        for width in (BRANCH_WIDTH - 1, BRANCH_WIDTH + 1):
+            payload["support_vectors"] = [(row + [0.0])[:width] for row in rows]
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ModelLoadError, match=f"^{re.escape(str(path))}: "
+                               f"'support_vectors' rows have {width} features, expected 20"):
+                load_model(path)
 
 
 class TestPredictions:
@@ -517,6 +611,31 @@ class TestPredictions:
         path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)
+
+    @pytest.mark.parametrize("block", [1, 12, 40])
+    def test_blocks_keep_absolute_line_numbers(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
+        rows = [f"{i},{i + 1},1,0.{i + 1}" for i in range(8)]
+        path = tmp_path / "preds.csv"
+        path.write_text("origin,dest,label,decision\n" + "\n".join(rows) + "\n\n\n")
+        assert load_predictions(path).tolist() == [(i, i + 1, 1, float(f"0.{i + 1}"))
+                                                   for i in range(8)]
+        rows[5] = "5,6,1,x"
+        path.write_text("origin,dest,label,decision\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:7: ")):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("block", [1, 12, 10**6])
+    def test_vertical_tab_and_form_feed_are_not_line_ends(self, tmp_path, monkeypatch, block):
+        # str.splitlines() would end a line at either; csv and numpy do not.
+        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
+        path = tmp_path / "preds.csv"
+        for sep in "\x0b\x0c":
+            path.write_text(f"origin,dest,label,decision\n0,1,1,0.5{sep}\n{sep}2,3,-1,-1\n")
+            assert load_predictions(path).tolist() == [(0, 1, 1, 0.5), (2, 3, -1, -1.0)]
+            path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n2,3,1,1{sep}4,5,1,1\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 4 fields")):
+                load_predictions(path)
 
     def test_spellings_numpy_rejects_load_as_int_and_float_read_them(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -664,6 +783,16 @@ class TestPredictionsReader:
         expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
         assert self.outcome(lambda: load_predictions(path).tolist()) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=prediction_texts(), block=st.integers(1, 40))
+    def test_matches_per_row_reader_in_small_blocks(self, fuzz_dir, text, block):
+        path = fuzz_dir / "predictions.csv"
+        path.write_text(text, encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
+        with mock.patch.object(storage_module, "PARSE_BLOCK_CHARS", block):
+            assert self.outcome(lambda: load_predictions(path).tolist()) == expected
+
 
 # Any JSON value, with a few that are nearly right for a dag.json entry.
 JSON_VALUES = st.recursive(
@@ -737,7 +866,7 @@ MODEL_VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def model_body(fuzz_dir):
-    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
+    x = branch_rows([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0], [0.5, 0.5]])
     y = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
     path = fuzz_dir / "model_seed.json"
     save_model(path, train_svm(x, y, SvmParams(gamma=0.5, tolerance=1e-6)), "f" * 64)
