@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..model import FrozenNode
 from .svm import EmptyData, check_labeled, decision_labels
 
 
@@ -75,8 +76,11 @@ def train_gnb(x: np.ndarray, y: np.ndarray) -> GaussianNbModel:
 # --- CART decision tree --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeModel:
+@dataclass(frozen=True, eq=False, repr=False)
+class TreeModel(FrozenNode):
+    """A split node, or a leaf where ``feature`` is -1; ==, hash() and repr()
+    walk the tree without recursion, as ``predict`` and ``depth`` do."""
+
     feature: int = -1  # -1 marks a leaf
     threshold: float = 0.0
     label: int = 0

@@ -10,24 +10,34 @@ bit-reproducible.  ``SvmParams.seed`` has no effect; it stays because
 stored ``model.json`` files carry it.
 
 Shrinking temporarily drops bound-stuck multipliers from pair selection.
-The full gradient is maintained throughout and convergence is re-verified
-on the complete index set before stopping, so shrinking can only change
-how fast the fixed point is reached, never where it is.
+The full violation vector is maintained throughout and convergence is
+re-verified on the complete index set before stopping, so shrinking can
+only change how fast the fixed point is reached, never where it is.
 
-Each iteration does O(1) Python work and a fixed handful of numpy calls
-on length-n vectors.  The "can increase"/"can decrease" masks persist
-across iterations, and only entries i and j are refreshed after a step,
-since only those two multipliers moved; so are the same masks restricted
-to the active (unshrunk) set.  Selection copies the violation values
-under a mask into a buffer filled with -inf (or +inf) and takes its
-argmax (argmin), which gives the same extreme and the same lowest-index
-tie as reducing over the masked values.  ``q`` is stored column-major so
-the gradient update reads two contiguous columns.  One ordering is
-load-bearing: the shrink step judges every index against the masks and
-extremes from the top of its iteration, so the i/j mask refresh comes
-after it.  ``tests/oracles.py::reference_smo`` keeps the loop that
-recomputes everything each iteration, and the tests require the two to
-give bit-identical multipliers, bias, iteration counts and ``converged``.
+The loop keeps ``viol = -y * grad`` (each index's optimal-bias estimate)
+as its state rather than the gradient, and two identities keep every
+iterate bit-identical to the gradient form.  Since y is +1 or -1, the
+Hessian ``q[r, c] = y_r * y_c * k[r, c]`` gives
+``-y_r * q[r, c] == -y_c * k[r, c]`` exactly, so ``viol`` moves along the
+columns ``cols[c] = -y_c * k[:, c]`` (contiguous, no second n x n array),
+summing the two step terms before adding them as the gradient form does.
+And rounding is symmetric under negation, so the step's
+``y_i * grad_i - y_j * grad_j`` is exactly ``viol_j - viol_i``.
+Selection adds a penalty vector to ``viol`` and takes the argmax
+(argmin): ``up_pen``/``down_pen`` hold 0.0 where an index is in the
+active "can increase"/"can decrease" set and -inf/+inf elsewhere, which
+gives the same extreme and lowest-index tie as reducing over the masked
+values.  The addition turns -0.0 into +0.0, which no comparison can tell
+apart.  The per-index state (``alpha`` and the ``can_up``, ``can_down``
+and ``active`` masks) lives in Python lists, since each step reads and
+writes only entries i and j; arrays are built from them only at a shrink
+step and at the end.  One ordering is load-bearing: the shrink step
+judges every index against the masks and extremes from the top of its
+iteration, so the i/j refresh of masks and penalties comes after it.
+``tests/oracles.py::reference_smo`` keeps the loop that recomputes
+everything from the gradient each iteration, and the tests require the
+two to give bit-identical multipliers, bias, iteration counts and
+``converged``.
 """
 
 from __future__ import annotations
@@ -212,6 +222,11 @@ def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
     return can_up, can_down
 
 
+def _penalties(up: Sequence[bool], down: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+    """0.0 where an index may be selected from the up / down set, -inf / +inf elsewhere."""
+    return np.where(up, 0.0, -np.inf), np.where(down, 0.0, np.inf)
+
+
 def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> SvmModel:
     """Fit the SVM to feature rows x labeled y (+1/-1)."""
     if params is None:
@@ -224,20 +239,18 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     c = params.c
     tol = params.tolerance
     k = gram_matrix(params.kernel, x, x, params.gamma)
-    # Column-major, so the gradient update reads q[:, i] contiguously.
-    q = np.multiply(y[:, None] * y[None, :], k, order="F")
+    k_diag = k.diagonal().tolist()
+    # cols[t] is -y_t * k[:, t], contiguous: the change in viol per unit of alpha_t.
+    cols = list(np.multiply(k, -y, order="F").T)
     labels = y.tolist()
-    neg_y = -y
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    alpha = [0.0] * n
+    viol = y.copy()  # -y * grad, where grad = Q @ alpha - 1 starts at -1
     bound_eps = 1e-12 * max(1.0, c)
     c_inner = c - bound_eps  # a multiplier at or above this sits at C
-    can_up, can_down = _movable(alpha, y, c, bound_eps)
-    active = np.ones(n, dtype=bool)
+    can_up, can_down = (m.tolist() for m in _movable(np.zeros(n), y, c, bound_eps))
+    active = [True] * n
     all_active = True
-    up = can_up.copy()  # can_up & active
-    down = can_down.copy()  # can_down & active
-    viol = np.empty(n)  # per-index optimal-bias estimate, -y * grad
+    up_pen, down_pen = _penalties(can_up, can_down)
     up_viol = np.empty(n)
     down_viol = np.empty(n)
     step = np.empty(n)
@@ -247,11 +260,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     shrink_period = 100
 
     while iterations < params.max_passes:
-        np.multiply(neg_y, grad, out=viol)
-        up_viol.fill(-np.inf)
-        np.copyto(up_viol, viol, where=up)
-        down_viol.fill(np.inf)
-        np.copyto(down_viol, viol, where=down)
+        np.add(viol, up_pen, out=up_viol)
+        np.add(viol, down_pen, out=down_viol)
         i = int(up_viol.argmax())
         j = int(down_viol.argmin())
         m_val = up_viol.item(i)
@@ -261,19 +271,18 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
                 converged = True
                 break
             # Shrunk set converged: reactivate everything and re-verify.
-            active.fill(True)
+            active = [True] * n
             all_active = True
-            np.copyto(up, can_up)
-            np.copyto(down, can_down)
+            up_pen, down_pen = _penalties(can_up, can_down)
             continue
 
         # Analytic two-variable step on (i, j).
-        eta = k.item(i, i) + k.item(j, j) - 2.0 * k.item(i, j)
+        eta = k_diag[i] + k_diag[j] - 2.0 * k.item(i, j)
         if eta < 1e-12:
             eta = 1e-12
         yi, yj = labels[i], labels[j]
-        diff = yi * grad.item(i) - yj * grad.item(j)  # E_i - E_j, bias-free
-        aj_old, ai_old = alpha.item(j), alpha.item(i)
+        diff = m_low - m_val  # E_i - E_j, bias-free: viol_j - viol_i
+        aj_old, ai_old = alpha[j], alpha[i]
         aj = aj_old + yj * diff / eta
         if yi != yj:
             lo = max(0.0, aj_old - ai_old)
@@ -284,10 +293,10 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
         aj = min(max(aj, lo), hi)
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        np.multiply(q[:, i], ai - ai_old, out=step)
-        np.multiply(q[:, j], aj - aj_old, out=step_j)
-        step += step_j
-        grad += step
+        np.multiply(cols[i], ai - ai_old, out=step)
+        np.multiply(cols[j], aj - aj_old, out=step_j)
+        np.add(step, step_j, out=step)
+        np.add(viol, step, out=viol)
         iterations += 1
 
         if params.shrinking and iterations % shrink_period == 0:
@@ -295,32 +304,28 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
             # violation value sits strictly inside the current extremes.
             # The masks and extremes are still those this iteration selected
             # with: entries i and j are refreshed only below.
-            np.multiply(neg_y, grad, out=viol)
-            at_bound = (alpha <= bound_eps) | (alpha >= c_inner)
-            up_only = can_up & ~can_down
-            down_only = can_down & ~can_up
-            stuck = at_bound & (
-                (up_only & (viol < m_low)) | (down_only & (viol > m_val))
+            at = np.array(alpha)
+            up, down = np.array(can_up), np.array(can_down)
+            stuck = ((at <= bound_eps) | (at >= c_inner)) & (
+                (up & ~down & (viol < m_low)) | (down & ~up & (viol > m_val))
             )
-            np.logical_not(stuck, out=active)
-            if not active.any():
-                active.fill(True)
-            all_active = bool(active.all())
-            np.logical_and(can_up, active, out=up)
-            np.logical_and(can_down, active, out=down)
+            if stuck.all():
+                stuck.fill(False)
+            all_active = not stuck.any()
+            active = (~stuck).tolist()
+            up_pen, down_pen = _penalties(up & ~stuck, down & ~stuck)
 
-        # Only alpha[i] and alpha[j] moved, so only their mask entries change.
+        # Only alpha[i] and alpha[j] moved, so only their entries change.
         for t, a in ((i, ai), (j, aj)):
             rise, fall = a < c_inner, a > bound_eps
             if labels[t] < 0:
                 rise, fall = fall, rise
             can_up[t] = rise
             can_down[t] = fall
-            up[t] = rise and active[t]
-            down[t] = fall and active[t]
+            up_pen[t] = 0.0 if rise and active[t] else -np.inf
+            down_pen[t] = 0.0 if fall and active[t] else np.inf
 
-    np.clip(alpha, 0.0, c, out=alpha)
-    np.multiply(neg_y, grad, out=viol)
+    alpha = np.clip(np.array(alpha), 0.0, c)
     free = (alpha > bound_eps) & (alpha < c_inner)
     if free.any():
         bias = float(np.mean(viol[free]))

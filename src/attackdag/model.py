@@ -67,10 +67,11 @@ class BasicBlock:
 # code so that parse/render round-trips are exact.
 
 
-class _ExprNode:
-    """Structural ==, hash() and repr() of an expression, as a frozen dataclass
-    would define them, each walking the tree with an explicit stack, so an
-    expression of any depth compares, hashes and prints without recursion.
+class FrozenNode:
+    """Structural ==, hash() and repr() of a tree of frozen dataclass nodes, as
+    a frozen dataclass would define them, each walking the tree with an
+    explicit stack, so a tree of any depth compares, hashes and prints
+    without recursion.  Expressions and ``learn.baselines.TreeModel`` use it.
 
     A node's fields are its ``__match_args__``; a field holding a node is
     walked, any other is compared, hashed or repr'd as it is.
@@ -90,7 +91,7 @@ class _ExprNode:
                 return False
             for name in a.__match_args__:
                 x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, _ExprNode):
+                if isinstance(x, FrozenNode):
                     stack.append((x, y))
                 elif x != y:
                     return False
@@ -103,7 +104,7 @@ class _ExprNode:
         stack: list = [self]
         while stack:
             item = stack.pop()
-            if isinstance(item, _ExprNode):
+            if isinstance(item, FrozenNode):
                 items.append(item.__class__)
                 stack.extend(getattr(item, name) for name in reversed(item.__match_args__))
             else:
@@ -122,30 +123,30 @@ class _ExprNode:
             for k, name in enumerate(item.__match_args__):
                 value = getattr(item, name)
                 parts.append(f"{', ' if k else ''}{name}=")
-                parts.append(value if isinstance(value, _ExprNode) else repr(value))
+                parts.append(value if isinstance(value, FrozenNode) else repr(value))
             parts.append(")")
             stack.extend(reversed(parts))
         return "".join(pieces)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Block(_ExprNode):
+class Block(FrozenNode):
     description: str
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Star(_ExprNode):
+class Star(FrozenNode):
     inner: "AttackExpr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Concat(_ExprNode):
+class Concat(FrozenNode):
     left: "AttackExpr"
     right: "AttackExpr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class UnionExpr(_ExprNode):
+class UnionExpr(FrozenNode):
     left: "AttackExpr"
     right: "AttackExpr"
 

@@ -15,7 +15,7 @@ from attackdag.learn import (
     train_sgd_svm,
     train_tree,
 )
-from attackdag.learn.baselines import VAR_FLOOR
+from attackdag.learn.baselines import VAR_FLOOR, TreeModel
 
 from oracles import exhaustive_tree, gnb_log_posterior, knn_scan, tree_by_masks, tree_predict
 
@@ -207,6 +207,30 @@ class TestDecisionTree:
             sys.setrecursionlimit(limit)
         assert depth == 199
         assert labels.tolist() == y.tolist()
+
+    def test_chain_compares_hashes_and_prints_without_recursion(self):
+        def chain(last_label):
+            node = TreeModel(label=last_label)
+            for k in range(1100):
+                node = TreeModel(feature=0, threshold=float(k), left=TreeModel(label=-1),
+                                 right=node)
+            return node
+
+        a, b, other = chain(1), chain(1), chain(-1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            same, differs, hashes, text = a == b, a != other, {hash(a), hash(b)}, repr(a)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert same and differs and len(hashes) == 1
+        assert text.count("TreeModel(") == 2201
+        assert text.startswith("TreeModel(feature=0, threshold=1099.0, label=0, left=TreeModel(")
+        assert text.endswith("label=1, left=None, right=None)" + ")" * 1100)
+        assert repr(TreeModel(label=1)) == (
+            "TreeModel(feature=-1, threshold=0.0, label=1, left=None, right=None)")
+        assert TreeModel(label=1) != TreeModel(label=-1)
+        assert TreeModel(feature=0, left=TreeModel(), right=None) != TreeModel(feature=0)
 
     def test_equal_gain_prefers_lowest_feature(self):
         # two features carry identical separations; the split must use feature 0

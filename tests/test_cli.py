@@ -163,6 +163,27 @@ class TestPipeline:
         decisions = [row["decision"] for row in payload["predicted_positives"]]
         assert decisions == sorted(decisions, reverse=True)
 
+    def test_report_bucket_is_the_dests_else_the_origins(self, work, tmp_path):
+        # Every bundled positive's dest has a bucket; dropping the buckets of
+        # the odd nodes makes some branches fall back to their origin's.
+        dag = json.loads(work["dag"].read_text())
+        for node in dag["nodes"]:
+            if node["id"] % 2:
+                node.pop("bucket", None)
+        edited, out = tmp_path / "dag.json", tmp_path / "report.json"
+        edited.write_text(json.dumps(dag))
+        assert main(["report", "--model", str(work["model"]), "--dag", str(edited),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--predictions", str(work["preds"]), "--out", str(out), "--force"]) == 0
+        payload = json.loads(out.read_text())
+        buckets = load_dag(edited).buckets
+        rows = payload["predicted_positives"]
+        want = [buckets.get(row["dest"], buckets.get(row["origin"])) for row in rows]
+        assert [row["bucket"] for row in rows] == want
+        assert None in want
+        assert any(row["dest"] not in buckets and row["origin"] in buckets for row in rows)
+        assert payload["bucket_histogram"] == {b: want.count(b) for b in EXPLOIT_BUCKETS}
+
     def test_report_stable_modulo_timestamp(self, work):
         again = work["root"] / "report2.json"
         assert main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),

@@ -326,6 +326,31 @@ class TestBitIdentityWithReferenceLoop:
                                                 tolerance=1e-8, max_passes=3000))
         assert model.iterations >= 100
 
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_seeded_sweep_with_tied_violations(self, shrinking):
+        # Integer-rounded features repeat rows, so violation values tie and
+        # the lowest-index rule decides; C spans 1e-4 to 20 and the pass caps
+        # stop some fits between shrink steps and some on one.
+        rng = np.random.default_rng(20261019 + shrinking)
+        fits = []
+        for trial in range(100):
+            n, dim = int(rng.integers(4, 151)), int(rng.integers(1, 5))
+            x = np.round(rng.uniform(-2, 2, size=(n, dim)))
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[0], y[1] = 1.0, -1.0
+            params = SvmParams(
+                c=float(rng.choice([1e-4, 0.01, 0.5, 2.0, 8.0, 20.0])),
+                kernel=svm_module.KERNELS[trial % 3],
+                gamma=float(rng.choice([0.05, 0.5, 2.0])),
+                tolerance=float(rng.choice([1e-3, 1e-8])),
+                shrinking=shrinking,
+                max_passes=int(rng.choice([1, 37, 100, 250, 450, 2000])),
+            )
+            fits.append(assert_same_fit(x, y, params))
+        assert sum(m.converged for m in fits) >= 20
+        assert sum(not m.converged for m in fits) >= 20
+        assert sum(m.iterations > 200 for m in fits) >= 10
+
     def test_max_passes_cutoff(self):
         rng = np.random.default_rng(13)
         x, y = random_problem(rng, 50, 2)
