@@ -57,12 +57,14 @@ from .graph import (
 from .features import (
     AttributeTable,
     BranchFrame,
+    PairFacts,
     SelfBranch,
     branch_features,
     enumerate_candidates,
     hamming,
     height_diff,
     labeled_frame,
+    pair_facts,
     search_space_size,
     structural_columns,
 )
@@ -95,7 +97,7 @@ from .learn import (
     train_svm,
     train_tree,
 )
-from .csp import CspFacts, CspVerdict, csp_classify, csp_facts
+from .csp import RULES, csp_classify, csp_facts
 from .storage import (
     Corpus,
     CorpusLoadError,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csp import csp_classify, csp_facts
+from .csp import RULES, csp_classify, csp_facts
 from .features import (
     AttributeTable,
     BranchFrame,
@@ -81,6 +81,8 @@ from .storage import (
     load_model,
     load_predictions,
     append_annotation,
+    csv_text,
+    parse_node_id,
     save_dag,
     save_labels,
     save_model,
@@ -103,10 +105,10 @@ def _read_table(path: str) -> AttributeTable:
     return AttributeTable.from_csv(Path(path).read_text(encoding="utf-8"), source=path)
 
 
-def _labeled(args: argparse.Namespace) -> tuple[AttributeTable, BranchFrame]:
-    """The attribute table and the labeled branches the --attrs and --labels files give."""
+def _labeled(args: argparse.Namespace) -> BranchFrame:
+    """The labeled branches the --labels file gives, over the --attrs table."""
     table = _read_table(args.attrs)
-    return table, labeled_frame(load_labels(args.labels), table)
+    return labeled_frame(load_labels(args.labels), table)
 
 
 def _resubstitution(model: SvmModel, branches: BranchFrame) -> Metrics:
@@ -256,7 +258,7 @@ def _svm_params(args: argparse.Namespace) -> SvmParams:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _, branches = _labeled(args)
+    branches = _labeled(args)
     model = train_svm(branches.features, branches.labels, _svm_params(args))
     fingerprint = file_fingerprint(args.dag, args.attrs, args.labels)
     save_model(args.out, model, fingerprint)
@@ -283,7 +285,7 @@ def _cell(params: SvmParams) -> dict:
 
 
 def cmd_grid_search(args: argparse.Namespace) -> int:
-    _, branches = _labeled(args)
+    branches = _labeled(args)
     best, surface = grid_search_min_fn(branches.features, branches.labels, _grid_spec(args))
     if args.out:
         rows = [{**_cell(cell.params), "fn": cell.fn, "fp": cell.fp, "error": cell.error}
@@ -400,27 +402,22 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def cmd_csp(args: argparse.Namespace) -> int:
     dagfile = load_dag(args.dag)
-    table, branches = _labeled(args)
-    pairs = list(zip(branches.origins.tolist(), branches.dests.tolist()))
-    verdicts = [csp_classify(csp_facts(o, d, dagfile.dag, table)) for o, d in pairs]
-    metrics = evaluate([v.label for v in verdicts], branches.labels)
-    fire_counts: dict[str, int] = {"R1": 0, "R2": 0, "R3": 0}
-    for v in verdicts:
-        for rule in v.fired:
-            fire_counts[rule] += 1
-    _print_metrics(metrics)
-    print("rule fires: " + " ".join(f"{k}={v}" for k, v in sorted(fire_counts.items())))
+    branches = _labeled(args)
+    fired = csp_classify(csp_facts(branches, dagfile.dag))
+    labels = np.where(fired.any(axis=1), -1, 1)
+    _print_metrics(evaluate(labels, branches.labels))
+    print("rule fires: " + " ".join(f"{rule}={n}" for rule, n in zip(RULES, fired.sum(axis=0))))
     if args.out:
-        lines = ["origin,dest,label,rules"]
-        for (origin, dest), v in zip(pairs, verdicts):
-            lines.append(f"{origin},{dest},{v.label},{';'.join(v.fired)}")
-        write_text_atomic(args.out, "\n".join(lines) + "\n")
+        rules = (";".join(r for r, f in zip(RULES, row) if f) for row in fired.tolist())
+        write_text_atomic(args.out, csv_text(
+            ("origin", "dest", "label", "rules"),
+            zip(branches.origins.tolist(), branches.dests.tolist(), labels.tolist(), rules)))
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
-    _, branches = _labeled(args)
+    branches = _labeled(args)
     print("svm:")
     _print_metrics(_resubstitution(model, branches))
     if args.baselines:
@@ -438,7 +435,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
-    _, branches = _labeled(args)
+    branches = _labeled(args)
     metrics = asdict(_resubstitution(model, branches))
     counts = {key: metrics.pop(key) for key in ("tp", "fp", "tn", "fn")}
 
@@ -585,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     ann = p.add_subparsers(dest="annotate_command", required=True)
     a = ann.add_parser("add", help="append one verdict (the log is append-only)")
     a.add_argument("--annotations", required=True)
-    a.add_argument("--origin", type=int, required=True)
-    a.add_argument("--dest", type=int, required=True)
+    a.add_argument("--origin", type=parse_node_id, required=True)
+    a.add_argument("--dest", type=parse_node_id, required=True)
     a.add_argument("--verdict", choices=("feasible", "infeasible"), required=True)
     a.add_argument("--annotator", required=True)
     a.add_argument("--note", default="")

@@ -8,49 +8,30 @@ Three hard rules, each sufficient on its own to call a branch infeasible:
     R2  hamming distance over 5: endpoints share almost no attributes
     R3  hamming distance 4..5 on a head-to-leaf or leaf-to-leaf branch
 
-A branch is feasible exactly when no rule fires, so the verdict always
-carries the fired-rule set as its explanation.
+Each rule is a boolean mask over a frame's PairFacts.  A branch is feasible
+exactly when no rule fires, so the fired rules always explain its verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from .features import HEIGHT_BAND, AttributeTable, hamming, height_diff
+from .features import HEIGHT_BAND, BranchFrame, PairFacts, dag_terminals, pair_facts
 from .model import AttackDag
 
-
-@dataclass(frozen=True)
-class CspFacts:
-    hamming: int
-    ht_diff: float
-    head_to_leaf: bool
-    leaf_to_leaf: bool
+RULES = ("R1", "R2", "R3")
 
 
-@dataclass(frozen=True)
-class CspVerdict:
-    label: int  # +1 feasible, -1 infeasible
-    fired: tuple[str, ...]
+def csp_facts(branches: BranchFrame, dag: AttackDag) -> PairFacts:
+    """Facts of each branch; head/leaf come from dag degrees, not table bits."""
+    return pair_facts(branches.nodes, *branches.at.T, *dag_terminals(branches.nodes, dag))
 
 
-def csp_facts(origin: int, dest: int, dag: AttackDag, table: AttributeTable) -> CspFacts:
-    """Facts for one branch; head/leaf come from dag degrees, not table bits."""
-    return CspFacts(
-        hamming=hamming(origin, dest, table),
-        ht_diff=height_diff(origin, dest, table),
-        head_to_leaf=origin in dag.heads and dest in dag.leaves,
-        leaf_to_leaf=origin in dag.leaves and dest in dag.leaves,
-    )
-
-
-def csp_classify(facts: CspFacts) -> CspVerdict:
-    fired: list[str] = []
+def csp_classify(facts: PairFacts) -> np.ndarray:
+    """(len, 3) bool: which of RULES fire on each pair, in that order."""
     low, high = HEIGHT_BAND
-    if facts.ht_diff <= low or facts.ht_diff > high:
-        fired.append("R1")
-    if facts.hamming > 5:
-        fired.append("R2")
-    if 4 <= facts.hamming <= 5 and (facts.head_to_leaf or facts.leaf_to_leaf):
-        fired.append("R3")
-    return CspVerdict(label=-1 if fired else 1, fired=tuple(fired))
+    return np.stack([
+        (facts.ht_diff <= low) | (facts.ht_diff > high),
+        facts.hamming > 5,
+        (facts.hamming >= 4) & (facts.hamming <= 5) & (facts.head_to_leaf | facts.leaf_to_leaf),
+    ], axis=-1)

@@ -10,8 +10,10 @@ followed by destination attributes, twenty values.
 Every set of branches is one BranchFrame, pairs of row positions in an
 AttributeTable: candidates over all ordered node pairs, negative candidates,
 and labeled branches read from a labels file.  branch_features, hamming
-and height_diff define a single pair.  structural_columns is the one place
-a node's head, leaf and mean depth are read off a dag.
+and height_diff define a single pair, and pair_facts the facts the rules and
+the negative filters read of many, as arrays.  A dag gives a node's head,
+leaf and mean depth through structural_columns, and the head and leaf flags
+of every row of a table through dag_terminals.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .model import ATTRIBUTE_NAMES, AttackDag, InvalidCounts, N_BINARY_ATTRIBUTES
 from .graph import UnknownNode
-from .storage import csv_text, read_csv
+from .storage import csv_text, parse_node_id, read_csv
 
 ATTRS_CSV_HEADER = ("node_id",) + ATTRIBUTE_NAMES + ("provenance",)
 
@@ -79,7 +81,7 @@ class AttributeTable:
         def parse(node_id: str, *fields: str) -> None:
             if len(fields) != len(ATTRS_CSV_HEADER) - 1:
                 raise ValueError(f"expected {len(ATTRS_CSV_HEADER)} fields, got {1 + len(fields)}")
-            node = int(node_id)
+            node = parse_node_id(node_id, "node_id")
             if node in rows:
                 raise ValueError(f"duplicate node {node}")
             *bits, depth, prov = fields
@@ -148,6 +150,11 @@ def structural_columns(dag: AttackDag, node: int) -> tuple[int, int, float]:
     return int(node in dag.heads), int(node in dag.leaves), dag.mean_depth[node]
 
 
+def dag_terminals(nodes: AttributeTable, dag: AttackDag) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) bool head and leaf flags of ``nodes``' rows, from the dag's degrees."""
+    return np.isin(nodes.ids, list(dag.heads)), np.isin(nodes.ids, list(dag.leaves))
+
+
 def branch_features(origin: int, dest: int, table: AttributeTable) -> tuple[float, ...]:
     """Origin attribute vector concatenated with destination's (20 values)."""
     if origin == dest:
@@ -174,6 +181,34 @@ def height_diff(origin: int, dest: int, table: AttributeTable) -> float:
 # R1 fires outside (low, high]; the default negative filters flag a pair
 # below low or above high.
 HEIGHT_BAND = (-0.09, 2.0)
+
+
+# Hamming distance is the popcount of an XOR of packed bits, from a 512-entry table.
+_BIT_WEIGHTS = 1 << np.arange(N_BINARY_ATTRIBUTES)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << N_BINARY_ATTRIBUTES)])
+
+
+@dataclass(frozen=True, eq=False)
+class PairFacts:
+    """What the rules and the negative filters read of a set of pairs: four arrays of one shape."""
+
+    hamming: np.ndarray  # int: differing binary attributes, as hamming() counts them
+    ht_diff: np.ndarray  # float: destination mean depth minus origin's, as height_diff()
+    head_to_leaf: np.ndarray  # bool: the origin is a head and the destination a leaf
+    leaf_to_leaf: np.ndarray  # bool: both endpoints are leaves
+
+
+def pair_facts(nodes: AttributeTable, origins: np.ndarray, dests: np.ndarray,
+               head: np.ndarray, leaf: np.ndarray) -> PairFacts:
+    """The facts of pairs of ``nodes``' rows; ``head`` and ``leaf`` flag each row.  The
+    positions broadcast: ``rows[:, None], rows[None, :]`` is the n x n grid."""
+    bits = nodes.values[:, :N_BINARY_ATTRIBUTES].astype(np.intp) @ _BIT_WEIGHTS
+    return PairFacts(
+        hamming=_POPCOUNT[bits[origins] ^ bits[dests]],
+        ht_diff=nodes.values[dests, -1] - nodes.values[origins, -1],
+        head_to_leaf=head[origins] & leaf[dests],
+        leaf_to_leaf=leaf[origins] & leaf[dests],
+    )
 
 
 def search_space_size(n_nodes: int, n_training: int) -> int:

@@ -71,6 +71,10 @@ class NonFiniteFeature(ValueError):
     pass
 
 
+class NonFiniteKernel(ValueError):
+    pass
+
+
 class EmptyData(ValueError):
     pass
 
@@ -238,7 +242,11 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     n = x.shape[0]
     c = params.c
     tol = params.tolerance
-    k = gram_matrix(params.kernel, x, x, params.gamma)
+    with np.errstate(over="ignore"):
+        k = gram_matrix(params.kernel, x, x, params.gamma)
+    if not np.isfinite(k).all():
+        raise NonFiniteKernel(f"the {params.kernel} kernel with gamma={params.gamma} "
+                              "overflows on these features")
     k_diag = k.diagonal().tolist()
     # cols[t] is -y_t * k[:, t], contiguous: the change in viol per unit of alpha_t.
     cols = list(np.multiply(k, -y, order="F").T)

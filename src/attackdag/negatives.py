@@ -11,8 +11,8 @@ Everything produced here is a candidate for review, not ground truth; a
 curated exception list removes pairs that look independent but have a
 documented enabling path.
 
-Each signal is a boolean mask over the n x n grid of ordered node pairs,
-and the candidates come back as one BranchFrame.
+Each signal is a boolean mask over the n x n grid (the statistical ones from
+features.pair_facts), and the candidates come back as one BranchFrame.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .features import HEIGHT_BAND, AttributeTable, BranchFrame
+from .features import HEIGHT_BAND, AttributeTable, BranchFrame, dag_terminals, pair_facts
 from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
@@ -32,7 +32,7 @@ from .model import (
     N_BINARY_ATTRIBUTES,
     VulnerabilityCategory as VC,
 )
-from .storage import csv_text, read_csv
+from .storage import csv_text, parse_node_id, read_csv
 
 # Unordered category pairs with no believed enabling relation.  The fourth
 # pair is conditional: weak crypto/auth on one side, and on the other a
@@ -81,12 +81,6 @@ _INDEPENDENT = np.array([[categories_independent(a, b, a_social, b_social)
                           for b, b_social in _CATEGORY_CODES]
                          for a, a_social in _CATEGORY_CODES])
 
-# The nine binary attributes packed into one integer per node, so hamming
-# distance is the popcount of an XOR, read from a 512-entry table.
-_BIT_WEIGHTS = 1 << np.arange(N_BINARY_ATTRIBUTES)
-_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << N_BINARY_ATTRIBUTES)])
-
-
 EXCEPTIONS_CSV_HEADER = ("origin_node_id", "dest_node_id", "note")
 
 
@@ -106,7 +100,7 @@ class ExceptionList:
     @classmethod
     def from_csv(cls, text: str, source: str = "exception list") -> "ExceptionList":
         def parse(origin: str, dest: str, note: str, *extra: str) -> tuple[tuple[int, int], str]:
-            return (int(origin), int(dest)), note
+            return (parse_node_id(origin, "origin"), parse_node_id(dest, "dest")), note
 
         return cls(notes=dict(read_csv(text, EXCEPTIONS_CSV_HEADER, source, parse,
                                        "exception-list")))
@@ -162,41 +156,36 @@ def generate_negative_candidates(
     codes = np.array([_CATEGORY_CODES[blocks[n].category, bool(blocks[n].socially_delivered)]
                       for n in nodes.ids.tolist()], dtype=np.intp)
     keep = _INDEPENDENT[codes[:, None], codes[None, :]]
-    depth = nodes.values[:, -1]
-    ht = depth[None, :] - depth[:, None]
+    rows = np.arange(len(nodes.ids))
+    facts = pair_facts(nodes, rows[:, None], rows[None, :], *dag_terminals(nodes, dag))
     if th.ht_diff_below is not None:
-        keep |= ht < th.ht_diff_below
+        keep |= facts.ht_diff < th.ht_diff_below
     if th.ht_diff_above is not None:
-        keep |= ht > th.ht_diff_above
+        keep |= facts.ht_diff > th.ht_diff_above
     if th.min_hamming is not None:
-        bits = nodes.values[:, :N_BINARY_ATTRIBUTES].astype(np.intp) @ _BIT_WEIGHTS
-        keep |= _POPCOUNT[bits[:, None] ^ bits[None, :]] >= th.min_hamming
-    head = np.isin(nodes.ids, list(dag.heads))
-    leaf = np.isin(nodes.ids, list(dag.leaves))
+        keep |= facts.hamming >= th.min_hamming
     if th.head_to_leaf:
-        keep |= head[:, None] & leaf[None, :]
+        keep |= facts.head_to_leaf
     if th.leaf_to_leaf:
-        keep |= leaf[:, None] & leaf[None, :]
+        keep |= facts.leaf_to_leaf
     return nodes.frame(keep, [*dag.edges, *exceptions.notes], label=-1)
 
 
 def corpus_stats(branches: BranchFrame) -> CorpusStats:
-    """Branch-population statistics split by label, read off the feature columns.
+    """Branch-population statistics split by label, from the frame's pair facts.
 
     Needs at least one feasible and one infeasible branch.  The head/leaf
     ratio counts branches that start at a head and end at a leaf, or join
-    two leaves; it is None when no feasible branch has that shape.
+    two leaves, as the table's head and leaf bits mark them; it is None when
+    no feasible branch has that shape.
     """
     labels = branches.labels
     if labels is None or not np.isin(labels, (1, -1)).all():
         raise InsufficientData("every branch needs a +1 or -1 label")
-    width = len(ATTRIBUTE_NAMES)
-    features = branches.features
-    origin, dest = features[:, :width], features[:, width:]
-    hd = (origin[:, :N_BINARY_ATTRIBUTES] != dest[:, :N_BINARY_ATTRIBUTES]).sum(axis=1)
-    ht = dest[:, -1] - origin[:, -1]
-    head, leaf = ATTRIBUTE_NAMES.index("head"), ATTRIBUTE_NAMES.index("leaf")
-    terminal = ((origin[:, head] == 1) | (origin[:, leaf] == 1)) & (dest[:, leaf] == 1)
+    bits = branches.nodes.values == 1
+    head, leaf = (bits[:, ATTRIBUTE_NAMES.index(name)] for name in ("head", "leaf"))
+    facts = pair_facts(branches.nodes, *branches.at.T, head, leaf)
+    terminal = facts.head_to_leaf | facts.leaf_to_leaf
     feasible = labels == 1
     if feasible.all() or not feasible.any():
         raise InsufficientData("need at least one branch of each label")
@@ -209,9 +198,9 @@ def corpus_stats(branches: BranchFrame) -> CorpusStats:
 
     feas_hl = int(terminal[feasible].sum())
     return CorpusStats(
-        mean_hd_feasible=mean(hd[feasible].tolist()),
-        mean_hd_infeasible=mean(hd[~feasible].tolist()),
-        ht_diff_feasible=spread(ht[feasible].tolist()),
-        ht_diff_infeasible=spread(ht[~feasible].tolist()),
+        mean_hd_feasible=mean(facts.hamming[feasible].tolist()),
+        mean_hd_infeasible=mean(facts.hamming[~feasible].tolist()),
+        ht_diff_feasible=spread(facts.ht_diff[feasible].tolist()),
+        ht_diff_infeasible=spread(facts.ht_diff[~feasible].tolist()),
         headleaf_infeasible_ratio=(int(terminal[~feasible].sum()) / feas_hl if feas_hl else None),
     )

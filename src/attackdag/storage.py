@@ -19,8 +19,9 @@ Five tables are headed CSV, with these header rows:
 header, blank rows are skipped, and each other row's fields go to a parser
 as positional arguments.  A row with a field count the parser does not take,
 a field it cannot convert, or a value it rejects raises ``ValueError``
-starting with ``<source>:<line>:``, which the CLI reports as exit 2.
-``csv_text`` writes them all through ``csv.writer``.
+starting with ``<source>:<line>:``, which the CLI reports as exit 2.  Every
+node id field is read by ``parse_node_id``, which holds it to the int64
+range of the id arrays.  ``csv_text`` writes them all through ``csv.writer``.
 
 Predictions, the largest table, take a faster path both ways, to the same
 bytes and values.  ``save_predictions`` %-formats its rows and takes them in
@@ -566,6 +567,17 @@ def read_csv(
     return out
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def parse_node_id(text: str, name: str = "node id") -> int:
+    """The node id field ``text``, named ``name`` in an error; it must fit in int64."""
+    node = int(text)
+    if not _INT64.min <= node <= _INT64.max:
+        raise ValueError(f"{name} {node} is outside the int64 range")
+    return node
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     """The header row, then ``rows``, as ``csv.writer`` writes them with ``\\n`` line ends."""
     buf = io.StringIO()
@@ -584,7 +596,7 @@ def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
     seen: set[tuple[int, int]] = set()
 
     def parse(origin: str, dest: str, label: str) -> tuple[int, int, int]:
-        row = int(origin), int(dest), int(label)
+        row = parse_node_id(origin, "origin"), parse_node_id(dest, "dest"), int(label)
         if row[2] not in (1, -1):
             raise ValueError("label must be 1 or -1")
         if row[:2] in seen:
@@ -606,19 +618,21 @@ def append_annotation(
     """Append one verdict row; the annotation log is never rewritten."""
     if verdict not in VERDICTS:
         raise ValueError(f"verdict must be feasible or infeasible, got {verdict!r}")
-    path = Path(path)
     text = csv_text(ANNOTATIONS_HEADER, [(origin, dest, verdict, annotator, note)])
-    if path.exists() and path.stat().st_size > 0:
-        text = text.partition("\n")[2]  # the header row opens the log only
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(path, "ab+") as fh:  # writes go to the end wherever reads have been
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            # the header row opens the log only, and the last row must end first
+            text = ("" if fh.read(1) == b"\n" else "\n") + text.partition("\n")[2]
+        fh.write(text.encode("utf-8"))
 
 
 def load_annotations(path: str | Path) -> list[tuple[int, int, str, str, str]]:
     def parse(origin: str, dest: str, verdict: str, annotator: str, note: str):
         if verdict not in VERDICTS:
             raise ValueError(f"verdict must be feasible or infeasible, got {verdict!r}")
-        return int(origin), int(dest), verdict, annotator, note
+        return (parse_node_id(origin, "origin"), parse_node_id(dest, "dest"), verdict,
+                annotator, note)
 
     return read_csv(Path(path).read_text(encoding="utf-8"), ANNOTATIONS_HEADER, str(path), parse,
                     "annotations")
@@ -785,7 +799,6 @@ def save_predictions(path: str | Path,
 
 PREDICTIONS_DTYPE = np.dtype([("origin", "<i8"), ("dest", "<i8"), ("label", "<i8"),
                               ("decision", "<f8")])
-_INT64 = np.iinfo(np.int64)
 # ASCII text with one of these goes to the per-row reader: csv's quote, NUL, and
 # the four separators that numpy strips from a field as whitespace while int()
 # and float() reject them.  (``read_text`` has turned every "\r" into "\n".)
@@ -802,15 +815,13 @@ def read_prediction_rows(text: str, source: str) -> list[tuple[int, int, int, fl
     seen: set[tuple[int, int]] = set()
 
     def parse(origin: str, dest: str, label: str, decision: str) -> tuple[int, int, int, float]:
-        row = int(origin), int(dest), int(label), float(decision)
+        row = (parse_node_id(origin, "origin"), parse_node_id(dest, "dest"), int(label),
+               float(decision))
         if not math.isfinite(row[3]):
             raise ValueError(f"decision must be finite, got {decision!r}")
         expected = 1 if row[3] >= 0.0 else -1
         if row[2] != expected:
             raise ValueError(f"label must be {expected} for decision {decision}, got {label!r}")
-        for name, node in zip(("origin", "dest"), row):
-            if not _INT64.min <= node <= _INT64.max:
-                raise ValueError(f"{name} {node} is outside the int64 range")
         if row[:2] in seen:
             raise ValueError(f"duplicate pair {row[:2]}")
         seen.add(row[:2])

@@ -434,3 +434,16 @@ def tokenize_by_character(src: str) -> list[ExprToken]:
             )
         i += 1
     return tokens
+
+
+def rules_fired(hamming: int, ht_diff: float, head_to_leaf: bool,
+                leaf_to_leaf: bool) -> tuple[str, ...]:
+    """The rules R1-R3 that fire on one pair's facts, in order, stated one at a time."""
+    fired = []
+    if ht_diff <= -0.09 or ht_diff > 2.0:
+        fired.append("R1")
+    if hamming > 5:
+        fired.append("R2")
+    if 4 <= hamming <= 5 and (head_to_leaf or leaf_to_leaf):
+        fired.append("R3")
+    return tuple(fired)

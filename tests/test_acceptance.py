@@ -6,15 +6,17 @@ stdout so the verdicts survive pytest's capture, then re-raises on failure.
 
 import random
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attackdag.csp import CspFacts, csp_classify, csp_facts
+from attackdag.csp import RULES, csp_classify, csp_facts
 from attackdag.expr import parse_expression, render_expression
 from attackdag.features import (
     AttributeTable,
+    PairFacts,
     branch_features,
     hamming,
     height_diff,
@@ -244,36 +246,36 @@ def test_criterion_07_baselines_against_oracles(criterion):
 def test_criterion_08_rule_classifier_boundaries(criterion, dag, table, labeled, csp_run):
     with criterion(8):
         cases = [
-            # (facts, expected fired rules)
-            (CspFacts(hamming=0, ht_diff=-0.10, head_to_leaf=False, leaf_to_leaf=False), ("R1",)),
-            (CspFacts(hamming=0, ht_diff=-0.09, head_to_leaf=False, leaf_to_leaf=False), ("R1",)),
-            (CspFacts(hamming=0, ht_diff=-0.08, head_to_leaf=False, leaf_to_leaf=False), ()),
-            (CspFacts(hamming=0, ht_diff=2.0, head_to_leaf=False, leaf_to_leaf=False), ()),
-            (CspFacts(hamming=0, ht_diff=2.01, head_to_leaf=False, leaf_to_leaf=False), ("R1",)),
-            (CspFacts(hamming=3, ht_diff=0.0, head_to_leaf=True, leaf_to_leaf=False), ()),
-            (CspFacts(hamming=4, ht_diff=0.0, head_to_leaf=True, leaf_to_leaf=False), ("R3",)),
-            (CspFacts(hamming=5, ht_diff=0.0, head_to_leaf=False, leaf_to_leaf=True), ("R3",)),
-            (CspFacts(hamming=6, ht_diff=0.0, head_to_leaf=False, leaf_to_leaf=False), ("R2",)),
+            # ((hamming, ht_diff, head_to_leaf, leaf_to_leaf), expected fired rules)
+            ((0, -0.10, False, False), ("R1",)),
+            ((0, -0.09, False, False), ("R1",)),
+            ((0, -0.08, False, False), ()),
+            ((0, 2.0, False, False), ()),
+            ((0, 2.01, False, False), ("R1",)),
+            ((3, 0.0, True, False), ()),
+            ((4, 0.0, True, False), ("R3",)),
+            ((5, 0.0, False, True), ("R3",)),
+            ((6, 0.0, False, False), ("R2",)),
         ]
-        for facts, fired in cases:
-            verdict = csp_classify(facts)
-            assert verdict.fired == fired
-            assert verdict.label == (-1 if fired else 1)
+        hd, ht, hl, ll = map(np.array, zip(*(facts for facts, _ in cases)))
+        masks = csp_classify(PairFacts(hamming=hd, ht_diff=ht, head_to_leaf=hl, leaf_to_leaf=ll))
+        assert [tuple(compress(RULES, row)) for row in masks.tolist()] == [f for _, f in cases]
 
         # `csp --out` rows and printed counts on the bundled labels
         rows, counts = csp_run
         assert [(o, d) for o, d, _, _ in rows] == list(
             zip(labeled.origins.tolist(), labeled.dests.tolist()))
+        verdicts = csp_classify(csp_facts(labeled, dag)).tolist()
         tp = fp = tn = fn = 0
-        for (origin, dest, label, fired), truth in zip(rows, labeled.labels.tolist()):
+        for (origin, dest, label, fired), truth, verdict in zip(rows, labeled.labels.tolist(),
+                                                                verdicts):
             hd = hamming(origin, dest, table)
             ht = height_diff(origin, dest, table)
             hl = origin in dag.heads and dest in dag.leaves
             ll = origin in dag.leaves and dest in dag.leaves
             infeasible = (ht <= -0.09 or ht > 2.0) or hd > 5 or (4 <= hd <= 5 and (hl or ll))
             assert label == (-1 if infeasible else 1)
-            verdict = csp_classify(csp_facts(origin, dest, dag, table))
-            assert (label, fired) == (verdict.label, verdict.fired)
+            assert fired == tuple(compress(RULES, verdict))
             if truth == 1:
                 tp += label == 1
                 fn += label == -1

@@ -289,6 +289,18 @@ class TestAnnotationFlow:
         merged = {(o, d): l for o, d, l in load_labels(labels_out)}
         assert merged[(40, 4)] == 1  # bob's later verdict wins
 
+    def test_add_ends_a_last_row_that_has_no_newline(self, work, tmp_path):
+        ann = tmp_path / "ann.csv"
+        ann.write_text("origin,dest,verdict,annotator,note\n40,4,infeasible,alice,x")
+        assert main(["annotate", "add", "--annotations", str(ann), "--origin", "3",
+                     "--dest", "4", "--verdict", "feasible", "--annotator", "bob"]) == 0
+        assert ann.read_text() == ("origin,dest,verdict,annotator,note\n"
+                                   "40,4,infeasible,alice,x\n3,4,feasible,bob,\n")
+        assert main(["annotate", "fold", "--annotations", str(ann), "--labels",
+                     str(work["labels"]), "--out", str(tmp_path / "merged.csv")]) == 0
+        merged = {(o, d): l for o, d, l in load_labels(tmp_path / "merged.csv")}
+        assert (merged[(40, 4)], merged[(3, 4)]) == (-1, 1)
+
     def test_fold_conflicting_with_existing_label_fails(self, work, tmp_path, capsys):
         existing = load_labels(work["labels"])
         origin, dest, label = existing[0]
@@ -620,6 +632,58 @@ class TestExitCodes:
                      "--exceptions", str(exceptions), "--out", str(tmp_path / "neg.csv")]) == 2
         assert f"{exceptions}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, command", [
+        ("labels", "train"), ("labels", "csp"), ("annotations", "annotate"),
+        ("attrs", "attrs"), ("exceptions", "negatives"),
+    ])
+    def test_node_id_beyond_int64_is_located_parse_error(self, work, tmp_path, capsys, table,
+                                                          command):
+        huge = "99999999999999999999999"
+        header, row = work["attrs"].read_text().splitlines()[:2]
+        bad, out = tmp_path / f"{table}.csv", tmp_path / "out"
+        bad.write_text({
+            "labels": f"origin,dest,label\n40,4,1\n{huge},1,1\n",
+            "annotations": f"origin,dest,verdict,annotator,note\n40,4,feasible,a,\n"
+                           f"1,{huge},feasible,a,\n",
+            "attrs": f"{header}\n{row}\n{huge},{row.split(',', 1)[1]}\n",
+            "exceptions": f"origin_node_id,dest_node_id,note\n26,30,x\n{huge},30,x\n",
+        }[table])
+        dag, attrs, labels = str(work["dag"]), str(work["attrs"]), str(work["labels"])
+        argv = {
+            "train": ["train", "--dag", dag, "--attrs", attrs, "--labels", str(bad),
+                      "--out", str(out)],
+            "csp": ["csp", "--dag", dag, "--attrs", attrs, "--labels", str(bad),
+                    "--out", str(out)],
+            "annotate": ["annotate", "fold", "--annotations", str(bad), "--labels", labels,
+                         "--out", str(out)],
+            "attrs": ["attrs", "--dag", dag, "--attrs", str(bad), "--check"],
+            "negatives": ["negatives", "--dag", dag, "--attrs", attrs, "--exceptions", str(bad),
+                          "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert re.search(rf"^error: {re.escape(str(bad))}:3: \w+ {huge} is outside the "
+                         "int64 range$", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
+    def test_kernel_that_overflows_fails_train_and_writes_no_model(self, work, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "model.json"
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", str(out),
+                     "--kernel", "poly", "--gamma", "1e120"]) == 2
+        assert "error: the poly kernel with gamma=1e+120 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_cell_whose_kernel_overflows_is_recorded_as_failed(self, work, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "surface.json"
+        assert main(["grid-search", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", str(out), "--c-values", "1",
+                     "--kernels", "poly,rbf", "--gamma-values", "1e120,0.5"]) == 0
+        assert "4 cells, 1 failed" in capsys.readouterr().out
+        failed = [c for c in json.loads(out.read_text())["cells"] if c["error"]]
+        assert [(c["kernel"], c["gamma"], c["fn"]) for c in failed] == [("poly", 1e120, None)]
+
     @pytest.mark.parametrize("table", ["labels", "annotations", "attrs"])
     def test_short_table_row_is_located_parse_error(self, work, tmp_path, capsys, table):
         short = tmp_path / f"{table}.csv"
@@ -731,7 +795,8 @@ LABEL_MUTATIONS = st.one_of(
     st.tuples(st.just("one-class"), st.sampled_from(["1", "-1"])),
     st.tuples(st.just("duplicate"), st.integers(0, 97)),
     st.tuples(st.just("append"), st.integers(0, 48).map(lambda n: f"{n},{n},1")
-              | st.sampled_from(["40,999,-1", "999,40,1", "40,x,1", "40,41", "4.5,41,1"])),
+              | st.sampled_from(["40,999,-1", "999,40,1", "40,x,1", "40,41", "4.5,41,1",
+                                 "99999999999999999999999,1,1"])),
     st.tuples(st.just("relabel"), st.integers(0, 97), st.sampled_from(["0", "2"])),
 )
 
@@ -758,6 +823,7 @@ def mutate_labels(text: str, mutations) -> str:
 @settings(max_examples=25, deadline=None)
 @example(mutations=[("one-class", "1")])
 @example(mutations=[("truncate", 0)])
+@example(mutations=[("append", "99999999999999999999999,1,1")])
 @given(mutations=st.lists(LABEL_MUTATIONS, min_size=1, max_size=3))
 def test_labeled_commands_on_mutated_labels(work, command, mutations):
     """Every labeled command ends in exit 0, 2 or 3 on a mutated labels file, and
@@ -869,7 +935,7 @@ def test_report_on_mutated_predictions(work, mutations):
 # One mutation of an attributes file each, on a row of its own (an index into
 # the rows): a bad header, a missing or extra field, a bit of 2, a mean depth
 # of nan, inf or -1, a repeated row, an unknown provenance, a row for a node the
-# dag lacks, or a dag node's row removed.
+# dag lacks (its id beyond int64 or not), or a dag node's row removed.
 ATTRIBUTE_ROW = st.integers(0, 48)  # the bundled attributes file has 49 rows
 ATTRIBUTE_MUTATIONS = st.one_of(
     st.tuples(st.just("header"), st.just(0),
@@ -879,7 +945,8 @@ ATTRIBUTE_MUTATIONS = st.one_of(
     st.tuples(st.just("depth"), ATTRIBUTE_ROW, st.sampled_from(["nan", "inf", "-1"])),
     st.tuples(st.just("duplicate"), ATTRIBUTE_ROW, st.none()),
     st.tuples(st.just("provenance"), ATTRIBUTE_ROW, st.just("guessed")),
-    st.tuples(st.just("unknown"), ATTRIBUTE_ROW, st.none()),
+    st.tuples(st.just("unknown"), ATTRIBUTE_ROW,
+              st.sampled_from(["999", "99999999999999999999999"])),
     st.tuples(st.just("drop"), ATTRIBUTE_ROW, st.none()),
 )
 
@@ -907,7 +974,7 @@ def mutate_attributes(text: str, mutations) -> str:
             rows.insert(index, rows[index])
             continue
         elif kind == "unknown":
-            rows.append(",".join(["999", *fields[1:]]))
+            rows.append(",".join([arg, *fields[1:]]))
             continue
         else:
             del rows[index]
@@ -919,7 +986,8 @@ def mutate_attributes(text: str, mutations) -> str:
 @pytest.mark.parametrize("command", ["attrs", "negatives", "train", "csp"])
 @settings(max_examples=25, deadline=None)
 @example(mutations=[("drop", 0, None)])
-@example(mutations=[("unknown", 3, None)])
+@example(mutations=[("unknown", 3, "999")])
+@example(mutations=[("unknown", 3, "99999999999999999999999")])
 @example(mutations=[("depth", 5, "nan")])
 @given(mutations=st.lists(ATTRIBUTE_MUTATIONS, min_size=1, max_size=3))
 def test_commands_on_mutated_attributes(work, command, mutations):

@@ -4,9 +4,11 @@ The nine commands are the ones scripts/run_pipeline.py runs, the CAN case
 study is scripts/can_case_study.py, and scripts/build_corpus_artifacts.py
 writes data/attributes.csv and data/labels.csv; each is pointed at a
 temporary directory instead of out/, out/can/ or data/.  The scores that
-``eval --baselines`` and ``csp`` print on the bundled data are pinned too.
+``eval --baselines`` and ``csp`` print on the bundled data are pinned too,
+and so is the digest of the rows ``csp --out`` writes.
 """
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -95,3 +97,11 @@ def test_bundled_stdout(capsys, argv, stdout):
     """The printed scores of the tracked model, the baselines and the rules."""
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
+
+
+def test_bundled_csp_out_digest(tmp_path):
+    """The per-branch rule rows that ``csp --out`` writes on the bundled data."""
+    out = tmp_path / "csp.csv"
+    assert main(["csp", *_BUNDLED, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1a0926c3e6cb3ba176677da974ecfd007d5252684f9856e529288004b955fa01")

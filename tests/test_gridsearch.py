@@ -165,6 +165,15 @@ class TestRealTraining:
         assert all((c.fn, c.fp) == (0, 0) for c in surface)
         assert (best.c, best.kernel, best.gamma) == (1.0, "rbf", 0.5)
 
+    def test_cell_whose_kernel_overflows_is_recorded_as_failed(self):
+        grid = GridSpec(c_values=(1.0,), kernels=("poly", "rbf"), gamma_values=(1e120,))
+        best, surface = grid_search_min_fn(*separable(), grid)
+        assert best.kernel == "rbf"
+        poly, rbf = surface
+        assert (poly.fn, poly.fp) == (None, None)
+        assert "overflows" in poly.error
+        assert rbf.error is None
+
     def test_default_eval_is_training_data(self):
         samples = separable()
         grid = GridSpec(c_values=(1.0,), kernels=("rbf",), gamma_values=(0.5,))

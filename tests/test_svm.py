@@ -9,6 +9,7 @@ from attackdag.learn import (
     DimensionMismatch,
     GridSpec,
     NonFiniteFeature,
+    NonFiniteKernel,
     SingleClassData,
     SvmModel,
     SvmParams,
@@ -127,6 +128,12 @@ class TestFitValidation:
         x = np.array([[0.0], [np.nan]])
         with pytest.raises(NonFiniteFeature):
             train_svm(x, np.array([1.0, -1.0]), SvmParams())
+
+    def test_kernel_that_overflows_rejected(self):
+        # (gamma * x.y + 1) ** 3 is beyond the float range for x.y = 4
+        x = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(NonFiniteKernel, match="poly kernel with gamma=1e\\+120 overflows"):
+            train_svm(x, np.array([1.0, -1.0, 1.0]), SvmParams(kernel="poly", gamma=1e120))
 
     def test_bad_labels_rejected(self):
         x = np.array([[0.0], [1.0]])
