@@ -101,6 +101,14 @@ class InvariantViolation(RuntimeError):
     """A result broke a property the pipeline guarantees (exit 3)."""
 
 
+def _node_id_arg(text: str) -> int:
+    """An --origin or --dest value; argparse prints a range error's own message."""
+    try:
+        return parse_node_id(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _read_table(path: str) -> AttributeTable:
     return AttributeTable.from_csv(Path(path).read_text(encoding="utf-8"), source=path)
 
@@ -582,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     ann = p.add_subparsers(dest="annotate_command", required=True)
     a = ann.add_parser("add", help="append one verdict (the log is append-only)")
     a.add_argument("--annotations", required=True)
-    a.add_argument("--origin", type=parse_node_id, required=True)
-    a.add_argument("--dest", type=parse_node_id, required=True)
+    a.add_argument("--origin", type=_node_id_arg, required=True)
+    a.add_argument("--dest", type=_node_id_arg, required=True)
     a.add_argument("--verdict", choices=("feasible", "infeasible"), required=True)
     a.add_argument("--annotator", required=True)
     a.add_argument("--note", default="")

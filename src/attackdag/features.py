@@ -10,10 +10,8 @@ followed by destination attributes, twenty values.
 Every set of branches is one BranchFrame, pairs of row positions in an
 AttributeTable: candidates over all ordered node pairs, negative candidates,
 and labeled branches read from a labels file.  branch_features, hamming
-and height_diff define a single pair, and pair_facts the facts the rules and
-the negative filters read of many, as arrays.  A dag gives a node's head,
-leaf and mean depth through structural_columns, and the head and leaf flags
-of every row of a table through dag_terminals.
+and height_diff define a single pair; pair_facts gives the rule facts of many.
+structural_columns and dag_terminals read head and leaf flags off a dag.
 """
 
 from __future__ import annotations
@@ -185,30 +183,27 @@ HEIGHT_BAND = (-0.09, 2.0)
 
 # Hamming distance is the popcount of an XOR of packed bits, from a 512-entry table.
 _BIT_WEIGHTS = 1 << np.arange(N_BINARY_ATTRIBUTES)
-_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << N_BINARY_ATTRIBUTES)])
+_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << N_BINARY_ATTRIBUTES)], np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
 class PairFacts:
     """What the rules and the negative filters read of a set of pairs: four arrays of one shape."""
 
-    hamming: np.ndarray  # int: differing binary attributes, as hamming() counts them
-    ht_diff: np.ndarray  # float: destination mean depth minus origin's, as height_diff()
-    head_to_leaf: np.ndarray  # bool: the origin is a head and the destination a leaf
-    leaf_to_leaf: np.ndarray  # bool: both endpoints are leaves
+    hamming: np.ndarray
+    ht_diff: np.ndarray
+    head_to_leaf: np.ndarray
+    leaf_to_leaf: np.ndarray
 
 
 def pair_facts(nodes: AttributeTable, origins: np.ndarray, dests: np.ndarray,
                head: np.ndarray, leaf: np.ndarray) -> PairFacts:
-    """The facts of pairs of ``nodes``' rows; ``head`` and ``leaf`` flag each row.  The
-    positions broadcast: ``rows[:, None], rows[None, :]`` is the n x n grid."""
+    """hamming() and height_diff() of pairs of ``nodes``' rows, and head/leaf shape by the row
+    flags ``head`` and ``leaf``.  ``rows[:, None], rows[None, :]`` is the n x n grid."""
     bits = nodes.values[:, :N_BINARY_ATTRIBUTES].astype(np.intp) @ _BIT_WEIGHTS
-    return PairFacts(
-        hamming=_POPCOUNT[bits[origins] ^ bits[dests]],
-        ht_diff=nodes.values[dests, -1] - nodes.values[origins, -1],
-        head_to_leaf=head[origins] & leaf[dests],
-        leaf_to_leaf=leaf[origins] & leaf[dests],
-    )
+    depth = nodes.values[:, -1]
+    return PairFacts(_POPCOUNT[bits[origins] ^ bits[dests]], depth[dests] - depth[origins],
+                     head[origins] & leaf[dests], leaf[origins] & leaf[dests])
 
 
 def search_space_size(n_nodes: int, n_training: int) -> int:

@@ -182,9 +182,9 @@ def corpus_stats(branches: BranchFrame) -> CorpusStats:
     labels = branches.labels
     if labels is None or not np.isin(labels, (1, -1)).all():
         raise InsufficientData("every branch needs a +1 or -1 label")
-    bits = branches.nodes.values == 1
-    head, leaf = (bits[:, ATTRIBUTE_NAMES.index(name)] for name in ("head", "leaf"))
-    facts = pair_facts(branches.nodes, *branches.at.T, head, leaf)
+    values = branches.nodes.values
+    facts = pair_facts(branches.nodes, *branches.at.T, values[:, ATTRIBUTE_NAMES.index("head")] == 1,
+                       values[:, ATTRIBUTE_NAMES.index("leaf")] == 1)
     terminal = facts.head_to_leaf | facts.leaf_to_leaf
     feasible = labels == 1
     if feasible.all() or not feasible.any():

@@ -665,6 +665,17 @@ class TestExitCodes:
                          "int64 range$", capsys.readouterr().err, re.M)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--origin", "--dest"])
+    def test_annotate_add_node_id_beyond_int64_is_usage_error(self, tmp_path, capsys, flag):
+        huge = "99999999999999999999999"
+        ann = tmp_path / "ann.csv"
+        ids = {"--origin": "40", "--dest": "4", flag: huge}
+        assert main(["annotate", "add", "--annotations", str(ann), "--origin", ids["--origin"],
+                     "--dest", ids["--dest"], "--verdict", "feasible", "--annotator", "a"]) == 1
+        assert (f"argument {flag}: node id {huge} is outside the int64 range"
+                in capsys.readouterr().err)
+        assert not ann.exists()
+
     def test_kernel_that_overflows_fails_train_and_writes_no_model(self, work, tmp_path,
                                                                    capsys):
         out = tmp_path / "model.json"
