@@ -7,7 +7,11 @@ Generates perfbench's 994-node probe corpus (985,042 candidate branches),
 runs `ingest` and `train` on it, then runs `predict` and `report` each in a
 fresh interpreter, N times, with the argv perfbench uses.  For every run it
 prints the command's wall time (around `attackdag.cli.main`, imports
-excluded) and the process's `ru_maxrss`.  The last line of standard output
+excluded) and the process's peak RSS.  The peak is `VmHWM` from
+/proc/self/status, the high-water mark of the address space that exec gave
+the child, so it is the command's own; Linux carries `ru_maxrss` across
+exec, so that figure would be at least the probe's own peak, and it is
+read only where /proc is absent.  The last line of standard output
 is one JSON object with those numbers and the SHA-256 digests of
 `predictions.csv` and of `report.json` less its timestamp, so two checkouts
 can be compared.  Its working directory is a temporary one, removed
@@ -44,8 +48,14 @@ from attackdag.cli import main
 start = time.perf_counter()
 code = main(sys.argv[2:])
 wall = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"exit": code, "wall_s": round(wall, 3), "ru_maxrss_mb": round(peak, 1)}))
+try:
+    with open("/proc/self/status") as status:
+        hwm = next(line for line in status if line.startswith("VmHWM:"))
+    peak, source = int(hwm.split()[1]) / 1024, "VmHWM"
+except OSError:
+    peak, source = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "ru_maxrss"
+print(json.dumps({"exit": code, "wall_s": round(wall, 3), "peak_rss_mb": round(peak, 1),
+                  "peak_source": source}))
 """
 
 

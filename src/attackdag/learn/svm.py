@@ -34,6 +34,12 @@ writes only entries i and j; arrays are built from them only at a shrink
 step and at the end.  One ordering is load-bearing: the shrink step
 judges every index against the masks and extremes from the top of its
 iteration, so the i/j refresh of masks and penalties comes after it.
+A penalty entry is a function of its flag and ``active``, and ``active``
+changes only where both penalty vectors are rebuilt from the flags (a
+shrink step or a reactivation), so the refresh writes an entry only when
+its flag flips.  A shrink step rebuilds from the flags of the top of its
+iteration, the same ones the refresh compares against, so this holds
+there too.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
@@ -92,7 +98,7 @@ def check_labeled(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise EmptyData("no training samples")
     if not np.isfinite(x).all():
         raise NonFiniteFeature("features contain NaN or infinity")
-    if not np.isin(y, (1.0, -1.0)).all():
+    if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be +1 or -1")
     return x, y
 
@@ -263,13 +269,16 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     down_viol = np.empty(n)
     step = np.empty(n)
     step_j = np.empty(n)
+    add, multiply = np.add, np.multiply
+    shrinking, max_passes = params.shrinking, params.max_passes
+    inf, ninf = np.inf, -np.inf
     converged = False
     iterations = 0
     shrink_period = 100
 
-    while iterations < params.max_passes:
-        np.add(viol, up_pen, out=up_viol)
-        np.add(viol, down_pen, out=down_viol)
+    while iterations < max_passes:
+        add(viol, up_pen, up_viol)
+        add(viol, down_pen, down_viol)
         i = int(up_viol.argmax())
         j = int(down_viol.argmin())
         m_val = up_viol.item(i)
@@ -284,7 +293,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
             up_pen, down_pen = _penalties(can_up, can_down)
             continue
 
-        # Analytic two-variable step on (i, j).
+        # Analytic two-variable step on (i, j).  Each comparison below picks
+        # the operand that max()/min() would, ties included.
         eta = k_diag[i] + k_diag[j] - 2.0 * k.item(i, j)
         if eta < 1e-12:
             eta = 1e-12
@@ -293,21 +303,28 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
         aj_old, ai_old = alpha[j], alpha[i]
         aj = aj_old + yj * diff / eta
         if yi != yj:
-            lo = max(0.0, aj_old - ai_old)
-            hi = min(c, c + aj_old - ai_old)
+            lo = aj_old - ai_old
+            hi = c + aj_old - ai_old
         else:
-            lo = max(0.0, ai_old + aj_old - c)
-            hi = min(c, ai_old + aj_old)
-        aj = min(max(aj, lo), hi)
+            lo = ai_old + aj_old - c
+            hi = ai_old + aj_old
+        if not lo > 0.0:
+            lo = 0.0
+        if not hi < c:
+            hi = c
+        if lo > aj:
+            aj = lo
+        if hi < aj:
+            aj = hi
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        np.multiply(cols[i], ai - ai_old, out=step)
-        np.multiply(cols[j], aj - aj_old, out=step_j)
-        np.add(step, step_j, out=step)
-        np.add(viol, step, out=viol)
+        multiply(cols[i], ai - ai_old, step)
+        multiply(cols[j], aj - aj_old, step_j)
+        add(step, step_j, step)
+        add(viol, step, viol)
         iterations += 1
 
-        if params.shrinking and iterations % shrink_period == 0:
+        if shrinking and iterations % shrink_period == 0:
             # Keep every free multiplier; drop bound-stuck indices whose
             # violation value sits strictly inside the current extremes.
             # The masks and extremes are still those this iteration selected
@@ -323,15 +340,28 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
             active = (~stuck).tolist()
             up_pen, down_pen = _penalties(up & ~stuck, down & ~stuck)
 
-        # Only alpha[i] and alpha[j] moved, so only their entries change.
-        for t, a in ((i, ai), (j, aj)):
-            rise, fall = a < c_inner, a > bound_eps
-            if labels[t] < 0:
-                rise, fall = fall, rise
-            can_up[t] = rise
-            can_down[t] = fall
-            up_pen[t] = 0.0 if rise and active[t] else -np.inf
-            down_pen[t] = 0.0 if fall and active[t] else np.inf
+        # Only alpha[i] and alpha[j] moved, so only their flags can flip, and
+        # only a flipped flag's penalty entry is written (see the docstring).
+        if yi > 0:
+            rise, fall = ai < c_inner, ai > bound_eps
+        else:
+            rise, fall = ai > bound_eps, ai < c_inner
+        if rise != can_up[i]:
+            can_up[i] = rise
+            up_pen[i] = 0.0 if rise and active[i] else ninf
+        if fall != can_down[i]:
+            can_down[i] = fall
+            down_pen[i] = 0.0 if fall and active[i] else inf
+        if yj > 0:
+            rise, fall = aj < c_inner, aj > bound_eps
+        else:
+            rise, fall = aj > bound_eps, aj < c_inner
+        if rise != can_up[j]:
+            can_up[j] = rise
+            up_pen[j] = 0.0 if rise and active[j] else ninf
+        if fall != can_down[j]:
+            can_down[j] = fall
+            down_pen[j] = 0.0 if fall and active[j] else inf
 
     alpha = np.clip(np.array(alpha), 0.0, c)
     free = (alpha > bound_eps) & (alpha < c_inner)

@@ -97,14 +97,17 @@ def dual_qp_reference(
 
 
 def reference_smo(
-    x: np.ndarray, y: np.ndarray, params: SvmParams
+    x: np.ndarray, y: np.ndarray, params: SvmParams, steps: list | None = None
 ) -> tuple[np.ndarray, float, int, bool]:
     """The SMO loop as first written: every mask and reduction recomputed in
     full on every iteration.
 
     ``train_svm`` must reproduce it bit for bit.  Returns (alphas, bias,
     iterations, converged), with the multipliers at or below the bound
-    tolerance set to zero, as the model keeps them.
+    tolerance set to zero, as the model keeps them.  With ``steps`` given,
+    each iteration appends ``(i, j, alpha_i, alpha_j, active_i, active_j)``:
+    the pair it selected, their new multipliers, and whether each is still
+    active after that iteration's shrink step.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,6 +174,8 @@ def reference_smo(
             active = ~stuck
             if not active.any():
                 active[:] = True
+        if steps is not None:
+            steps.append((i, j, alpha[i], alpha[j], bool(active[i]), bool(active[j])))
 
     np.clip(alpha, 0.0, c, out=alpha)
     viol = -y * grad

@@ -137,8 +137,9 @@ class TestFitValidation:
 
     def test_bad_labels_rejected(self):
         x = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            train_svm(x, np.array([1.0, 0.0]), SvmParams())
+        for label in (0.0, math.nan):
+            with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+                train_svm(x, np.array([1.0, label]), SvmParams())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -264,10 +265,26 @@ class TestOptimizerProperties:
         assert a.iterations == b.iterations
 
 
-def assert_same_fit(x, y, params):
+def rounded_problem(seed):
+    """Integer-rounded features in [-2, 2], so rows repeat and violations tie."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(10, 150)), int(rng.integers(1, 5))
+    x = np.round(rng.uniform(-2, 2, size=(n, dim)))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    return x, y
+
+
+def bound_of(alpha, c):
+    """"0", "C" or "free", with the trainer's bound tolerance."""
+    eps = 1e-12 * max(1.0, c)
+    return "0" if alpha <= eps else "C" if alpha >= c - eps else "free"
+
+
+def assert_same_fit(x, y, params, steps=None):
     """train_svm against the full-recompute loop in oracles, bit for bit."""
     model = train_svm(x, y, params)
-    alphas, bias, iterations, converged = reference_smo(x, y, params)
+    alphas, bias, iterations, converged = reference_smo(x, y, params, steps)
     assert np.array_equal(full_alphas(model), alphas), params
     assert model.bias == bias, params
     assert model.iterations == iterations, params
@@ -324,14 +341,49 @@ class TestBitIdentityWithReferenceLoop:
         # Judged with its refreshed (one-sided) masks it would be shrunk, and
         # the iteration count changes; judged with the masks of the top of the
         # iteration, as the reference does, it stays active.
-        rng = np.random.default_rng(seed)
-        n, dim = int(rng.integers(10, 150)), int(rng.integers(1, 5))
-        x = np.round(rng.uniform(-2, 2, size=(n, dim)))
-        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        y[0], y[1] = 1.0, -1.0
+        x, y = rounded_problem(seed)
         model = assert_same_fit(x, y, SvmParams(c=c, kernel="sigmoid", gamma=gamma,
                                                 tolerance=1e-8, max_passes=3000))
         assert model.iterations >= 100
+
+    def test_shrink_step_deactivates_an_index_it_selected(self):
+        # The 100th step moves one multiplier of its pair from one bound to
+        # the other, and the shrink step of that iteration drops that index.
+        # Its flag flips, so its penalty entry is written after the shrink
+        # step, and the write must keep the now inactive index unselectable.
+        # Rare: a search over this generator found 4 such shrink steps in
+        # 73,098 poly and sigmoid fits, all with one-dimensional features.
+        x, y = rounded_problem(3000885)
+        c = 0.1
+        steps = []
+        assert_same_fit(x, y, SvmParams(c=c, kernel="poly", gamma=0.5, tolerance=1e-8,
+                                        max_passes=3000), steps)
+        before = {}
+        for i, j, ai, aj, _, _ in steps[:99]:
+            before[i], before[j] = ai, aj
+        i, j, ai, aj, active_i, active_j = steps[99]
+        dropped = [(t, a) for t, a, active in ((i, ai, active_i), (j, aj, active_j))
+                   if not active]
+        assert dropped
+        for t, a in dropped:
+            assert {bound_of(before.get(t, 0.0), c), bound_of(a, c)} == {"0", "C"}
+
+    @pytest.mark.parametrize("c, bound", [(1.0, "C"), (10.0, "0")])
+    def test_multiplier_leaves_its_bound_and_returns(self, c, bound):
+        # A penalty entry is written only when its index's flag flips, so a
+        # multiplier that leaves a bound and comes back to it needs the write
+        # in both directions.
+        x, y = random_problem(np.random.default_rng(14), 16, 2)
+        steps = []
+        assert_same_fit(x, y, SvmParams(c=c, gamma=0.5), steps)
+        visits = {}
+        for i, j, ai, aj, _, _ in steps:
+            for t, a in ((i, ai), (j, aj)):
+                path, where = visits.setdefault(t, ["0"]), bound_of(a, c)
+                if path[-1] != where:
+                    path.append(where)
+        assert any(path[k:k + 3] == [bound, "free", bound]
+                   for path in visits.values() for k in range(len(path)))
 
     @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
     def test_seeded_sweep_with_tied_violations(self, shrinking):
