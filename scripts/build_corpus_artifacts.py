@@ -97,8 +97,8 @@ DROP_PER_MISS = 1
 
 
 def build_table(corpus, dag) -> AttributeTable:
-    return AttributeTable.from_rows(
-        {blk.id: (*FACETS[blk.norm_text], *structural_columns(dag, blk.id)) for blk in corpus.blocks})
+    return AttributeTable.from_rows({node: (*FACETS[blk.norm_text], *structural_columns(dag, node))
+                                     for node, blk in corpus.blocks.items()})
 
 
 def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:
@@ -137,7 +137,7 @@ def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:
 
 def generate_pool(dag, table, corpus, exceptions, positives):
     pool = generate_negative_candidates(
-        dag, table, corpus.blocks_by_id(), exceptions
+        dag, table, corpus.blocks, exceptions
     )
     # A negative whose feature vector collides with a positive's would make
     # zero false negatives unreachable for any classifier.

@@ -101,6 +101,7 @@ from .csp import RULES, csp_classify, csp_facts
 from .storage import (
     Corpus,
     CorpusLoadError,
+    DagFile,
     ExpressionParseFailure,
     FingerprintMismatch,
     load_corpus,

@@ -11,7 +11,7 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,9 +68,9 @@ from .negatives import (
 )
 from .storage import (
     EXPLOIT_BUCKETS,
+    DagFile,
     FingerprintMismatch,
     Records,
-    dag_payload,
     dump_json,
     file_fingerprint,
     json_chunks,
@@ -130,7 +130,7 @@ def _known_and_unexploited(dag: AttackDag, paths: list[tuple[int, ...]], corpus_
 
     Each attack's CDFG is compiled once, for the rebuild and for the known paths.
     """
-    named = load_corpus(corpus_path).record_cdfgs()
+    named = load_corpus(corpus_path).cdfgs
     rebuilt = merge_cdfgs(named)
     if rebuilt.nodes != dag.nodes or rebuilt.edges != dag.edges:
         return None
@@ -159,12 +159,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"invariant violation: {p}", file=sys.stderr)
         return EXIT_INVARIANT
-    buckets = {
-        blk.id: corpus.bucket_map[blk.norm_text]
-        for blk in corpus.blocks
-        if blk.norm_text in corpus.bucket_map
-    }
-    save_dag(args.out, dag_payload(dag, corpus.blocks_by_id(), buckets, args.attrs_ref))
+    save_dag(args.out, DagFile(dag, corpus.blocks, corpus.buckets, args.attrs_ref))
     print(
         f"ingested {len(corpus.records)} attacks: "
         f"{len(dag.nodes)} nodes, {len(dag.edges)} edges, "
@@ -192,8 +187,7 @@ def cmd_attrs(args: argparse.Namespace) -> int:
         return EXIT_INVARIANT
     print(f"attribute table consistent with dag ({len(dagfile.dag.nodes)} nodes)")
     if args.attach:
-        payload = dag_payload(dagfile.dag, dagfile.blocks, dagfile.buckets, str(args.attrs))
-        save_dag(args.dag, payload)
+        save_dag(args.dag, replace(dagfile, attrs_ref=str(args.attrs)))
         print(f"attached {args.attrs} to {args.dag}")
     return EXIT_OK
 
@@ -398,9 +392,7 @@ def cmd_project(args: argparse.Namespace) -> int:
                 raise UnknownNode(f"keep list references unknown node {token!r}")
             keep.add(by_norm[norm])
     sub = project_subgraph(dagfile.dag, keep)
-    blocks = {n: dagfile.blocks[n] for n in sub.nodes}
-    buckets = {n: b for n, b in dagfile.buckets.items() if n in sub.nodes}
-    save_dag(args.out, dag_payload(sub, blocks, buckets, None))
+    save_dag(args.out, DagFile(sub, dagfile.blocks, dagfile.buckets))
     print(
         f"projected to {len(sub.nodes)} nodes, {len(sub.edges)} edges "
         f"({len(sub.heads)} heads, {len(sub.leaves)} leaves)"

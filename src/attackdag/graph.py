@@ -46,7 +46,8 @@ class UnknownPath(ValueError):
 
 
 class UnknownNode(KeyError):
-    pass
+    # KeyError's str() is the repr of its argument; print the message as given.
+    __str__ = Exception.__str__
 
 
 def _local_interner() -> Callable[[str], int]:

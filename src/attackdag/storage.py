@@ -75,7 +75,6 @@ from .model import (
     Cdfg,
     EmptyDescription,
     VulnerabilityCategory,
-    expr_blocks,
     normalize_description,
 )
 
@@ -260,28 +259,16 @@ def _read_json(path: str | Path, error_type: type[ValueError]):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A loaded attack corpus: records, interned blocks, and lookup maps."""
+    """A loaded attack corpus: its records, each attack's name and CDFG, and the
+    interned blocks and exploit buckets, keyed by node id as in a ``DagFile``."""
 
     records: tuple[AttackRecord, ...]
-    blocks: tuple[BasicBlock, ...]
-    bucket_map: Mapping[str, str]
-
-    def block_ids(self) -> dict[str, int]:
-        return {b.norm_text: b.id for b in self.blocks}
-
-    def blocks_by_id(self) -> dict[int, BasicBlock]:
-        return {b.id: b for b in self.blocks}
-
-    def record_cdfgs(self) -> list[tuple[str, Cdfg]]:
-        ids = self.block_ids()
-
-        def id_for(raw: str) -> int:
-            return ids[normalize_description(raw)]
-
-        return [(r.name, cdfg_from_expression(r.expression, id_for)) for r in self.records]
+    cdfgs: tuple[tuple[str, Cdfg], ...]
+    blocks: Mapping[int, BasicBlock]
+    buckets: Mapping[int, str]
 
     def attack_dag(self) -> AttackDag:
-        return merge_cdfgs(self.record_cdfgs())
+        return merge_cdfgs(self.cdfgs)
 
 
 def _locate_expression(raw_file: str, expression: str, offset: int) -> tuple[int, int]:
@@ -376,45 +363,48 @@ def load_corpus(path: str | Path) -> Corpus:
 
     social_set = frozenset(socially)
 
-    # Intern blocks in first-appearance order; a node's category comes from
-    # an explicit override or else from the first category label of the
-    # first attack mentioning it.
-    blocks: list[BasicBlock] = []
-    by_norm: dict[str, int] = {}
-    for record in records:
-        for leaf in expr_blocks(record.expression):
-            try:
-                norm = normalize_description(leaf.description)
-            except EmptyDescription as exc:
-                raise CorpusLoadError(f"{path}: attack {record.name!r}: {exc}") from exc
-            if norm in by_norm:
-                continue
-            category = overrides.get(norm, category_map[record.categories[0]])
-            by_norm[norm] = len(blocks)
-            blocks.append(
-                BasicBlock(
-                    id=len(blocks),
-                    raw_text=leaf.description.strip(),
-                    norm_text=norm,
-                    category=category,
-                    socially_delivered=norm in social_set,
-                )
-            )
+    # Compile each attack once, interning blocks in first-appearance order; a
+    # node's category comes from an explicit override or else from the first
+    # category label of the first attack mentioning it.  A cycle within one
+    # attack raises CycleIntroduced here.
+    blocks: dict[int, BasicBlock] = {}
+    ids: dict[str, int] = {}
 
-    for norm in sorted(social_set - set(by_norm)):
+    def id_for(raw: str) -> int:
+        norm = normalize_description(raw)
+        if norm not in ids:
+            ids[norm] = node = len(ids)
+            blocks[node] = BasicBlock(
+                id=node,
+                raw_text=raw.strip(),
+                norm_text=norm,
+                category=overrides.get(norm, category),
+                socially_delivered=norm in social_set,
+            )
+        return ids[norm]
+
+    cdfgs: list[tuple[str, Cdfg]] = []
+    for record in records:
+        category = category_map[record.categories[0]]  # read by id_for
+        try:
+            cdfgs.append((record.name, cdfg_from_expression(record.expression, id_for)))
+        except EmptyDescription as exc:
+            raise CorpusLoadError(f"{path}: attack {record.name!r}: {exc}") from exc
+
+    for norm in sorted(social_set - ids.keys()):
         raise CorpusLoadError(f"{path}: socially_delivered lists unknown node {norm!r}")
-    for norm in sorted(set(overrides) - set(by_norm)):
+    for norm in sorted(overrides.keys() - ids.keys()):
         raise CorpusLoadError(f"{path}: node_category_overrides lists unknown node {norm!r}")
 
-    bucket_map: dict[str, str] = {}
+    buckets: dict[int, str] = {}
     for norm, bucket in bucket_map_raw.items():
         if bucket not in EXPLOIT_BUCKETS:
             raise CorpusLoadError(f"{path}: unknown exploit bucket {bucket!r} for {norm!r}")
-        if norm not in by_norm:
+        if norm not in ids:
             raise CorpusLoadError(f"{path}: bucket_map lists unknown node {norm!r}")
-        bucket_map[norm] = bucket
+        buckets[ids[norm]] = bucket
 
-    return Corpus(records=tuple(records), blocks=tuple(blocks), bucket_map=bucket_map)
+    return Corpus(records=tuple(records), cdfgs=tuple(cdfgs), blocks=blocks, buckets=buckets)
 
 
 # --- dag file --------------------------------------------------------------------
@@ -422,21 +412,22 @@ def load_corpus(path: str | Path) -> Corpus:
 
 @dataclass(frozen=True)
 class DagFile:
+    """A dag file in memory: the dag, each node's block and exploit bucket keyed
+    by node id (a node without a bucket has no entry), and the attached
+    attribute table's path.  The maps may hold nodes beyond the dag's own."""
+
     dag: AttackDag
-    blocks: dict[int, BasicBlock]
-    buckets: dict[int, str]
+    blocks: Mapping[int, BasicBlock]
+    buckets: Mapping[int, str]
     attrs_ref: Optional[str] = None
 
 
-def dag_payload(
-    dag: AttackDag,
-    blocks: Mapping[int, BasicBlock],
-    buckets: Mapping[int, str] | None = None,
-    attrs_ref: Optional[str] = None,
-) -> dict:
+def save_dag(path: str | Path, dagfile: DagFile) -> None:
+    """Write ``dagfile`` as ``load_dag`` reads it, with the dag's own nodes only."""
+    dag = dagfile.dag
     nodes = []
     for node_id in sorted(dag.nodes):
-        blk = blocks[node_id]
+        blk = dagfile.blocks[node_id]
         entry = {
             "id": blk.id,
             "raw_text": blk.raw_text,
@@ -444,21 +435,16 @@ def dag_payload(
             "category": blk.category.value,
             "socially_delivered": blk.socially_delivered,
         }
-        if buckets and node_id in buckets:
-            entry["bucket"] = buckets[node_id]
+        if node_id in dagfile.buckets:
+            entry["bucket"] = dagfile.buckets[node_id]
         nodes.append(entry)
-    return {
+    edges = sorted(dag.edges)
+    write_text_atomic(path, dump_json({
         "nodes": nodes,
-        "edges": [[u, v] for u, v in sorted(dag.edges)],
-        "provenance": {
-            f"{u}->{v}": sorted(dag.edge_provenance[(u, v)]) for u, v in sorted(dag.edges)
-        },
-        "attrs_ref": attrs_ref,
-    }
-
-
-def save_dag(path: str | Path, payload: dict) -> None:
-    write_text_atomic(path, dump_json(payload))
+        "edges": [[u, v] for u, v in edges],
+        "provenance": {f"{u}->{v}": sorted(dag.edge_provenance[(u, v)]) for u, v in edges},
+        "attrs_ref": dagfile.attrs_ref,
+    }))
 
 
 # A node entry's fields with their JSON types; an optional "bucket" names
@@ -471,8 +457,9 @@ _PROVENANCE_KEY = re.compile(r"(-?[0-9]+)->(-?[0-9]+)")
 def load_dag(path: str | Path) -> DagFile:
     """Read a dag file, checking every entry before the dag is built.
 
-    A malformed entry raises DagLoadError naming the file and the entry; a
-    cycle still raises CycleIntroduced from ``build_dag``.
+    A malformed entry raises DagLoadError naming the file and the entry, and
+    so do two nodes with one norm_text and an empty provenance list; a cycle
+    still raises CycleIntroduced from ``build_dag``.
     """
     payload = _read_json(path, DagLoadError)
     if not isinstance(payload, dict):
@@ -485,6 +472,7 @@ def load_dag(path: str | Path) -> DagFile:
             raise DagLoadError(f"{path}: {key!r} is not a {kind.__name__}")
     blocks: dict[int, BasicBlock] = {}
     buckets: dict[int, str] = {}
+    indices: dict[str, int] = {}  # the node index of each norm_text
     for index, entry in enumerate(payload["nodes"]):
         if type(entry) is not dict:
             raise DagLoadError(f"{path}: node {index} is not a dict: {entry!r}")
@@ -497,6 +485,10 @@ def load_dag(path: str | Path) -> DagFile:
                                    f"{entry[key]!r}")
         if entry["id"] in blocks:
             raise DagLoadError(f"{path}: node {index} repeats id {entry['id']}")
+        first = indices.setdefault(entry["norm_text"], index)
+        if first != index:
+            raise DagLoadError(f"{path}: nodes {first} and {index} share norm_text "
+                               f"{entry['norm_text']!r}")
         if "bucket" in entry and entry["bucket"] not in EXPLOIT_BUCKETS:
             raise DagLoadError(f"{path}: node {index}: unknown bucket {entry['bucket']!r}")
         try:
@@ -521,6 +513,8 @@ def load_dag(path: str | Path) -> DagFile:
         if type(names) is not list or not all(type(name) is str for name in names):
             raise DagLoadError(f"{path}: provenance {key!r} is not a list of attack names: "
                                f"{names!r}")
+        if not names:
+            raise DagLoadError(f"{path}: provenance {key!r} is an empty list of attack names")
         provenance[(int(match[1]), int(match[2]))] = set(names)
     edges: list[tuple[int, int]] = []
     for index, edge in enumerate(payload["edges"]):

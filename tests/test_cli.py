@@ -82,6 +82,17 @@ class TestPipeline:
                      "--attach"]) == 0
         assert load_dag(dag_copy).attrs_ref == str(work["attrs"])
 
+    def test_attrs_attach_rewrites_only_attrs_ref(self, work, tmp_path):
+        dag_copy = tmp_path / "dag.json"
+        shutil.copy(work["dag"], dag_copy)
+        assert main(["attrs", "--dag", str(dag_copy), "--attrs", str(work["attrs"]),
+                     "--attach"]) == 0
+        ingested = work["dag"].read_bytes()
+        assert ingested.count(b'"attrs_ref": null') == 1
+        reference = json.dumps(str(work["attrs"])).encode()
+        assert dag_copy.read_bytes() == ingested.replace(b'"attrs_ref": null',
+                                                         b'"attrs_ref": ' + reference)
+
     def test_negatives_written_unlabeled_negative(self, work):
         out = work["root"] / "negatives.csv"
         assert main(["negatives", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
@@ -546,6 +557,25 @@ class TestExitCodes:
         assert main(["ingest", "--corpus", str(cyclic), "--out", str(tmp_path / "d.json")]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side_map", [
+        {"socially_delivered": ["ghost"]},
+        {"node_category_overrides": {"ghost": "malware"}},
+        {"bucket_map": {"ghost": "crypto"}},
+    ], ids=["socially-delivered", "overrides", "bucket-map"])
+    def test_cycle_in_one_attack_precedes_unknown_side_map_node(self, tmp_path, capsys,
+                                                                side_map):
+        # Each attack is compiled while the corpus loads, before the side maps
+        # are checked against the nodes the compiling interned.
+        corpus, out = tmp_path / "cyclic.json", tmp_path / "dag.json"
+        corpus.write_text(json.dumps({
+            "category_map": {"x": "memory"}, **side_map,
+            "attacks": [{"name": "loop", "categories": ["x"],
+                         "expression": "bb_i(p).bb_j(q).bb_k(p)"}],
+        }))
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "invariant violation: cycle: 0 -> 1 -> 0\n"
+        assert not out.exists()
+
     def test_stale_attrs_is_invariant_error(self, work, tmp_path, capsys):
         stale = tmp_path / "stale.csv"
         lines = work["attrs"].read_text().splitlines()
@@ -624,6 +654,44 @@ class TestExitCodes:
         assert main(["paths", "--dag", str(dag)]) == 2
         err = capsys.readouterr().err
         assert f"{dag}: " in err and entry in err, err
+
+    def test_empty_provenance_list_is_parse_error(self, work, tmp_path, capsys):
+        body = json.loads(work["dag"].read_text())
+        key = next(iter(body["provenance"]))
+        body["provenance"][key] = []
+        dag, out = tmp_path / "dag.json", tmp_path / "sub.json"
+        dag.write_text(json.dumps(body))
+        keep = ",".join(key.split("->"))
+        for argv in (["paths", "--dag", str(dag)],
+                     ["project", "--dag", str(dag), "--keep", keep, "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {dag}: provenance {key!r} is an empty list of attack names\n")
+        assert not out.exists()
+
+    def test_two_nodes_with_one_norm_text_is_parse_error(self, work, tmp_path, capsys):
+        body = json.loads(work["dag"].read_text())
+        norm = body["nodes"][2]["norm_text"]
+        body["nodes"][5]["norm_text"] = norm
+        dag, out = tmp_path / "dag.json", tmp_path / "sub.json"
+        dag.write_text(json.dumps(body))
+        assert main(["project", "--dag", str(dag), "--keep", body["nodes"][2]["raw_text"],
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dag}: nodes 2 and 5 share norm_text {norm!r}\n")
+        assert not out.exists()
+
+    def test_unknown_node_message_is_printed_as_given(self, work, tmp_path, capsys):
+        labels, out = tmp_path / "labels.csv", tmp_path / "out.json"
+        labels.write_text(work["labels"].read_text() + "40,999,-1\n")
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(labels), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "invariant violation: no attribute row for node 999\n"
+        assert main(["project", "--dag", str(work["dag"]), "--keep", "0,9999",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: keep list references unknown nodes: [9999]\n")
+        assert not out.exists()
 
     def test_short_exceptions_row_is_parse_error(self, work, tmp_path, capsys):
         exceptions = tmp_path / "exceptions.csv"
@@ -1017,3 +1085,158 @@ def test_commands_on_mutated_attributes(work, command, mutations):
         code = main([command, "--dag", str(work["dag"]), "--attrs", str(attrs), *extra])
         assert code in (0, 2, 3)
         assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["attributes.csv"]
+
+
+# One mutation of a corpus file each: drop or retype a top-level key or an
+# attack's field, blank or unbalance an expression or make it cyclic, give an
+# attack another's name, name an unknown node in a side map, map to an unknown
+# bucket or category class, or truncate the text (applied last).
+ATTACK = st.integers(0, 26)  # the bundled corpus has 27 attacks
+CORPUS_KEYS = ("attacks", "category_map", "node_category_overrides", "socially_delivered",
+               "bucket_map")
+ATTACK_FIELDS = ("name", "categories", "expression")
+RETYPED = st.sampled_from([None, 5, 1.5, True, "x", [], {}, [5], {"x": 5}])
+CORPUS_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(CORPUS_KEYS)),
+    st.tuples(st.just("retype"), st.sampled_from(CORPUS_KEYS), RETYPED),
+    st.tuples(st.just("drop-field"), ATTACK, st.sampled_from(ATTACK_FIELDS)),
+    st.tuples(st.just("retype-field"), ATTACK, st.sampled_from(ATTACK_FIELDS), RETYPED),
+    st.tuples(st.just("expression"), ATTACK, st.sampled_from(["blank", "open", "close", "cyclic"])),
+    st.tuples(st.just("rename"), ATTACK, ATTACK),
+    st.tuples(st.just("ghost"), st.sampled_from(CORPUS_KEYS[2:])),
+    st.tuples(st.just("class"), st.sampled_from(["category_map", "node_category_overrides",
+                                                 "bucket_map"])),
+    st.tuples(st.just("truncate"), st.integers(0, 16000)),  # the text has 16,171 characters
+)
+
+
+def mutate_corpus(text: str, mutations) -> str:
+    corpus = json.loads(text)
+    cut = None
+    for kind, *arg in mutations:
+        attacks = corpus.get("attacks")
+        if kind == "truncate":
+            cut = arg[0]
+        elif kind == "drop":
+            corpus.pop(arg[0], None)
+        elif kind == "retype":
+            corpus[arg[0]] = arg[1]
+        elif kind in ("ghost", "class"):
+            side = corpus.get(arg[0])
+            if kind == "ghost" and type(side) is list:
+                side.append("ghost")
+            elif kind == "ghost" and type(side) is dict:
+                side["ghost"] = "crypto" if arg[0] == "bucket_map" else "malware"
+            elif type(side) is dict and side:
+                side[next(iter(side))] = "warp_drive"
+        elif type(attacks) is not list or type(attacks[arg[0] % len(attacks)]) is not dict:
+            continue
+        else:
+            attack = attacks[arg[0] % len(attacks)]
+            if kind == "drop-field":
+                attack.pop(arg[1], None)
+            elif kind == "retype-field":
+                attack[arg[1]] = arg[2]
+            elif kind == "rename":
+                other = attacks[arg[1] % len(attacks)]
+                attack["name"] = other.get("name") if type(other) is dict else "x"
+            elif type(attack.get("expression")) is str:
+                expression = attack["expression"]
+                attack["expression"] = {
+                    "blank": "",
+                    "open": "(" + expression,
+                    "close": expression + ")",
+                    # every exit feeds every entry: a cycle unless it is one block
+                    "cyclic": f"({expression}).({expression})",
+                }[arg[1]]
+    text = json.dumps(corpus, indent=1)
+    return text if cut is None else text[:cut]
+
+
+@pytest.mark.parametrize("command", ["ingest", "paths"])
+@settings(max_examples=25, deadline=None)
+@example(mutations=[("expression", 3, "cyclic")])
+@example(mutations=[("expression", 3, "cyclic"), ("ghost", "bucket_map")])
+@example(mutations=[("rename", 0, 1)])
+@example(mutations=[("class", "bucket_map")])
+@example(mutations=[("truncate", 100)])
+@given(mutations=st.lists(CORPUS_MUTATIONS, min_size=1, max_size=3))
+def test_commands_on_mutated_corpus(work, command, mutations):
+    """``ingest`` and ``paths --corpus`` end in exit 0, 2 or 3 on a mutated corpus
+    file with no traceback, and one that fails writes no file, temporary or not."""
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus, out = Path(scratch) / "corpus.json", Path(scratch) / "out"
+        corpus.write_text(mutate_corpus(work["corpus"].read_text(), mutations))
+        argv = {
+            "ingest": ["ingest", "--corpus", str(corpus), "--out", str(out)],
+            "paths": ["paths", "--dag", str(work["dag"]), "--corpus", str(corpus),
+                      "--out", str(out)],
+        }[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        assert (code == 0) == (stderr.getvalue() == "")
+        assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["corpus.json"]
+
+
+# One mutation of a dag file each: drop or retype a node's field, give a node
+# another's id or norm_text, empty an edge's provenance list, add an edge to an
+# unknown node, or add the reverse of an edge (a cycle).
+DAG_NODE = st.integers(0, 48)  # the bundled dag has 49 nodes
+DAG_EDGE = st.integers(0, 31)  # and 32 edges
+DAG_NODE_FIELDS = ("id", "raw_text", "norm_text", "category", "socially_delivered", "bucket")
+DAG_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), DAG_NODE, st.sampled_from(DAG_NODE_FIELDS)),
+    st.tuples(st.just("retype"), DAG_NODE, st.sampled_from(DAG_NODE_FIELDS), RETYPED),
+    st.tuples(st.just("repeat"), DAG_NODE, DAG_NODE, st.sampled_from(["id", "norm_text"])),
+    st.tuples(st.just("empty"), DAG_EDGE),
+    st.tuples(st.just("unknown"), DAG_NODE, st.sampled_from([49, 999, -1])),
+    st.tuples(st.just("cycle"), DAG_EDGE),
+)
+
+
+def mutate_dag(text: str, mutations) -> str:
+    dag = json.loads(text)
+    nodes, edges, provenance = dag["nodes"], dag["edges"], dag["provenance"]
+    for kind, *arg in mutations:
+        if kind == "drop":
+            nodes[arg[0]].pop(arg[1], None)
+        elif kind == "retype":
+            nodes[arg[0]][arg[1]] = arg[2]
+        elif kind == "repeat":
+            nodes[arg[0]][arg[2]] = nodes[arg[1]].get(arg[2])
+        elif kind == "empty":
+            provenance["{}->{}".format(*edges[arg[0]])] = []
+        else:
+            u, v = (nodes[arg[0]].get("id"), arg[1]) if kind == "unknown" else edges[arg[0]][::-1]
+            edges.append([u, v])
+            provenance[f"{u}->{v}"] = ["mutant"]
+    return json.dumps(dag, indent=1)
+
+
+@pytest.mark.parametrize("command", ["paths", "project", "negatives"])
+@settings(max_examples=25, deadline=None)
+@example(mutations=[("empty", 0)])
+@example(mutations=[("repeat", 0, 1, "norm_text")])
+@example(mutations=[("cycle", 4)])
+@example(mutations=[("unknown", 2, 999)])
+@given(mutations=st.lists(DAG_MUTATIONS, min_size=1, max_size=3))
+def test_commands_on_mutated_dag(work, command, mutations):
+    """``paths``, ``project`` and ``negatives`` end in exit 0, 2 or 3 on a mutated
+    dag file with no traceback, and one that fails writes no file, temporary or not."""
+    with tempfile.TemporaryDirectory() as scratch:
+        dag, out = Path(scratch) / "dag.json", Path(scratch) / "out"
+        dag.write_text(mutate_dag(work["dag"].read_text(), mutations))
+        extra = {
+            "paths": ["--out", str(out)],
+            "project": ["--keep", "0,1,2,3,4,5,6,7,8", "--out", str(out)],
+            "negatives": ["--attrs", str(work["attrs"]), "--out", str(out)],
+        }[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--dag", str(dag), *extra])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["dag.json"]

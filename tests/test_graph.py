@@ -239,7 +239,7 @@ class TestPathEnumeration:
 
     def test_known_plus_unexploited_partition(self, corpus, dag):
         total = enumerate_attack_paths(dag)
-        known = known_attack_paths(dag, corpus.record_cdfgs())
+        known = known_attack_paths(dag, corpus.cdfgs)
         novel = discover_unexploited(total, known)
         known_set = set(known)
         assert len(known_set) + len(novel) == len(total)

@@ -150,7 +150,7 @@ class TestGenerateNegatives:
 
     def test_generated_set_matches_bundled_regeneration(self, dag, table, corpus, data_dir):
         exceptions = ExceptionList.from_csv((data_dir / "exceptions.csv").read_text())
-        got = generate_negative_candidates(dag, table, corpus.blocks_by_id(), exceptions)
+        got = generate_negative_candidates(dag, table, corpus.blocks, exceptions)
         pairs = set(pairs_of(got))
         assert not pairs & dag.edges
         assert (26, 30) not in pairs and (4, 31) not in pairs

@@ -14,6 +14,7 @@ import attackdag.storage as storage_module
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
+from attackdag.model import expr_blocks, normalize_description
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
     ANNOTATIONS_HEADER,
@@ -27,9 +28,9 @@ from attackdag.storage import (
     ModelLoadError,
     PREDICTIONS_DTYPE,
     PREDICTIONS_HEADER,
+    DagFile,
     Records,
     append_annotation,
-    dag_payload,
     dump_json,
     file_fingerprint,
     json_chunks,
@@ -326,14 +327,32 @@ class TestChunkedWriter:
 class TestCorpusLoader:
     def test_bundled_corpus_loads(self, corpus, data_dir):
         assert len(corpus.records) == 27
-        assert len(corpus.blocks) == 49
-        ids = [b.id for b in corpus.blocks]
-        assert ids == list(range(49))
-        # interning is first-appearance: ids follow record order
-        first = corpus.records[0]
-        from attackdag.model import expr_blocks, normalize_description
-        first_norm = normalize_description(next(iter(expr_blocks(first.expression))).description)
-        assert corpus.block_ids()[first_norm] == 0
+        assert list(corpus.blocks) == list(range(49))
+        assert all(corpus.blocks[node].id == node for node in corpus.blocks)
+        assert [name for name, _ in corpus.cdfgs] == [r.name for r in corpus.records]
+        # interning is first-appearance: ids follow record order, then leaf order
+        norms = [normalize_description(leaf.description)
+                 for record in corpus.records for leaf in expr_blocks(record.expression)]
+        assert [blk.norm_text for blk in corpus.blocks.values()] == list(dict.fromkeys(norms))
+
+    def test_each_leaf_is_normalized_once(self, data_dir, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return normalize_description(text)
+
+        monkeypatch.setattr(storage_module, "normalize_description", counted)
+        corpus = load_corpus(data_dir / "corpus.json")
+        assert calls == [leaf.description for record in corpus.records
+                         for leaf in expr_blocks(record.expression)]
+
+    def test_cycle_within_one_attack_raises_while_loading(self, tmp_path):
+        path = write_corpus(tmp_path, corpus_json([
+            {"name": "loop", "categories": ["x"], "expression": "bb_i(p).bb_j(q).bb_k(p)"},
+        ]))
+        with pytest.raises(CycleIntroduced, match="cycle: 0 -> 1 -> 0"):
+            load_corpus(path)
 
     def test_not_json(self, tmp_path):
         path = write_corpus(tmp_path, "{nope")
@@ -392,7 +411,7 @@ class TestCorpusLoader:
             node_category_overrides={"q": "malware"},
         ))
         corpus = load_corpus(path)
-        by_norm = {b.norm_text: b for b in corpus.blocks}
+        by_norm = {b.norm_text: b for b in corpus.blocks.values()}
         assert by_norm["p"].category.value == "memory"
         assert by_norm["q"].category.value == "malware"
 
@@ -424,11 +443,9 @@ class TestCorpusLoader:
 class TestDagFile:
     def test_round_trip(self, tmp_path, corpus):
         dag = corpus.attack_dag()
-        blocks = corpus.blocks_by_id()
-        buckets = {b.id: corpus.bucket_map[b.norm_text]
-                   for b in corpus.blocks if b.norm_text in corpus.bucket_map}
+        blocks, buckets = corpus.blocks, corpus.buckets
         path = tmp_path / "dag.json"
-        save_dag(path, dag_payload(dag, blocks, buckets, "attrs.csv"))
+        save_dag(path, DagFile(dag, blocks, buckets, "attrs.csv"))
         loaded = load_dag(path)
         assert loaded.dag.nodes == dag.nodes
         assert loaded.dag.edges == dag.edges
@@ -454,12 +471,11 @@ class TestDagFile:
             load_dag(path)
 
     def test_save_is_deterministic(self, tmp_path, corpus):
-        dag = corpus.attack_dag()
-        blocks = corpus.blocks_by_id()
+        dagfile = DagFile(corpus.attack_dag(), corpus.blocks, corpus.buckets)
         p1 = tmp_path / "one.json"
         p2 = tmp_path / "two.json"
-        save_dag(p1, dag_payload(dag, blocks))
-        save_dag(p2, dag_payload(dag, blocks))
+        save_dag(p1, dagfile)
+        save_dag(p2, dagfile)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -811,7 +827,7 @@ def dag_bodies(draw):
     (a whole list, an entry, a node field, a provenance key or its names)
     replaced by a JSON value."""
     n = draw(st.integers(1, 4))
-    nodes = [{"id": i, "raw_text": "x", "norm_text": "x", "category": "memory"}
+    nodes = [{"id": i, "raw_text": "x", "norm_text": f"x{i}", "category": "memory"}
              for i in range(n)]
     edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=5))
     body = {"nodes": nodes, "edges": edges, "provenance": {f"{u}->{v}": ["a"] for u, v in edges}}
