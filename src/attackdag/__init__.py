@@ -43,6 +43,7 @@ from .expr import (
 )
 from .graph import (
     CycleIntroduced,
+    MissingProvenance,
     PathExplosion,
     UnknownNode,
     UnknownPath,

@@ -1,8 +1,12 @@
 """Command-line pipeline: ingest -> attrs -> negatives -> train -> predict -> report.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error or a file that
-cannot be read or written, 3 invariant violation (cycles, stale attributes,
-fingerprint mismatches).
+A command does its work and raises on failure; main alone maps the outcome
+to an exit code: 0 success; 1 usage error (an argument the parser rejects, or
+nothing for project to keep); 2 an input parse error, a value the library
+rejects, or a file that cannot be read or written (ValueError, OSError); 3 an
+invariant violation (a cycle, a stale attribute table, a fingerprint
+mismatch, an unknown node or path, too many paths, inputs that contradict
+each other).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .features import (
     BranchFrame,
     enumerate_candidates,
     labeled_frame,
-    search_space_size,
     structural_columns,
 )
 from .graph import (
@@ -98,7 +101,8 @@ EXIT_INVARIANT = 3
 
 
 class InvariantViolation(RuntimeError):
-    """A result broke a property the pipeline guarantees (exit 3)."""
+    """A result broke a property the pipeline guarantees, or two inputs
+    contradict each other (exit 3)."""
 
 
 def _node_id_arg(text: str) -> int:
@@ -151,24 +155,21 @@ def _print_metrics(metrics: Metrics) -> None:
     )
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus)
     dag = corpus.attack_dag()
     problems = validate_dag(dag)
     if problems:
-        for p in problems:
-            print(f"invariant violation: {p}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation("; ".join(problems))
     save_dag(args.out, DagFile(dag, corpus.blocks, corpus.buckets, args.attrs_ref))
     print(
         f"ingested {len(corpus.records)} attacks: "
         f"{len(dag.nodes)} nodes, {len(dag.edges)} edges, "
         f"{len(dag.heads)} heads, {len(dag.leaves)} leaves"
     )
-    return EXIT_OK
 
 
-def cmd_attrs(args: argparse.Namespace) -> int:
+def cmd_attrs(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
     if args.refresh_structural:
@@ -179,17 +180,14 @@ def cmd_attrs(args: argparse.Namespace) -> int:
             row[-3:] = structural_columns(dagfile.dag, node)
         write_text_atomic(args.refresh_structural, kept.to_csv())
         print(f"wrote refreshed table for {len(kept.ids)} nodes to {args.refresh_structural}")
-        return EXIT_OK
+        return
     problems = table.check_against(dagfile.dag)
     if problems:
-        for p in problems:
-            print(f"attribute mismatch: {p}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation("attribute mismatch: " + "; ".join(problems))
     print(f"attribute table consistent with dag ({len(dagfile.dag.nodes)} nodes)")
     if args.attach:
         save_dag(args.dag, replace(dagfile, attrs_ref=str(args.attrs)))
         print(f"attached {args.attrs} to {args.dag}")
-    return EXIT_OK
 
 
 def _thresholds(args: argparse.Namespace) -> NegativeFilterThresholds:
@@ -204,7 +202,7 @@ def _thresholds(args: argparse.Namespace) -> NegativeFilterThresholds:
     )
 
 
-def cmd_negatives(args: argparse.Namespace) -> int:
+def cmd_negatives(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
     exceptions = None
@@ -217,17 +215,15 @@ def cmd_negatives(args: argparse.Namespace) -> int:
     save_labels(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
                               candidates.labels.tolist()))
     print(f"{len(candidates)} negative candidates written to {args.out} (label -1, unreviewed)")
-    return EXIT_OK
 
 
-def cmd_annotate_add(args: argparse.Namespace) -> int:
+def cmd_annotate_add(args: argparse.Namespace) -> None:
     append_annotation(args.annotations, args.origin, args.dest, args.verdict,
                       args.annotator, args.note)
     print(f"recorded {args.verdict} for ({args.origin}, {args.dest})")
-    return EXIT_OK
 
 
-def cmd_annotate_fold(args: argparse.Namespace) -> int:
+def cmd_annotate_fold(args: argparse.Namespace) -> None:
     labels = load_labels(args.labels)
     existing = {(o, d): l for o, d, l in labels}
     verdicts: dict[tuple[int, int], int] = {}
@@ -235,17 +231,13 @@ def cmd_annotate_fold(args: argparse.Namespace) -> int:
         verdicts[(origin, dest)] = 1 if verdict == "feasible" else -1
     for pair, label in sorted(verdicts.items()):
         if pair in existing and existing[pair] != label:
-            print(
-                f"conflict: pair {pair} labeled {existing[pair]:+d} but annotated {label:+d}",
-                file=sys.stderr,
-            )
-            return EXIT_INVARIANT
+            raise InvariantViolation(
+                f"conflict: pair {pair} labeled {existing[pair]:+d} but annotated {label:+d}")
     merged = dict(existing)
     merged.update(verdicts)
     save_labels(args.out, [(o, d, l) for (o, d), l in sorted(merged.items())])
     added = len(merged) - len(existing)
     print(f"folded {len(verdicts)} verdicts ({added} new pairs) into {args.out}")
-    return EXIT_OK
 
 
 def _svm_params(args: argparse.Namespace) -> SvmParams:
@@ -259,7 +251,7 @@ def _svm_params(args: argparse.Namespace) -> SvmParams:
     )
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     branches = _labeled(args)
     model = train_svm(branches.features, branches.labels, _svm_params(args))
     fingerprint = file_fingerprint(args.dag, args.attrs, args.labels)
@@ -270,7 +262,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"{model.iterations} iterations, converged={model.converged}"
     )
     _print_metrics(metrics)
-    return EXIT_OK
 
 
 def _grid_spec(args: argparse.Namespace) -> GridSpec:
@@ -286,7 +277,7 @@ def _cell(params: SvmParams) -> dict:
     return {"c": params.c, "kernel": params.kernel, "gamma": params.gamma}
 
 
-def cmd_grid_search(args: argparse.Namespace) -> int:
+def cmd_grid_search(args: argparse.Namespace) -> None:
     branches = _labeled(args)
     best, surface = grid_search_min_fn(branches.features, branches.labels, _grid_spec(args))
     if args.out:
@@ -299,7 +290,6 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
         f"best cell: c={best.c} kernel={best.kernel} gamma={best.gamma} "
         f"(fn={best_cell.fn}, fp={best_cell.fp}; {len(surface)} cells, {failed} failed)"
     )
-    return EXIT_OK
 
 
 def _verify_fingerprint(args: argparse.Namespace):
@@ -307,17 +297,12 @@ def _verify_fingerprint(args: argparse.Namespace):
     return load_model(args.model, expected_fingerprint=fingerprint, force=args.force)
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> None:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
     table = _read_table(args.attrs)
     training = {(o, d) for o, d, _ in load_labels(args.labels)}
     candidates = enumerate_candidates(dagfile.dag, table, training)
-    expected = search_space_size(len(dagfile.dag.nodes), len(training))
-    if len(candidates) != expected:
-        raise InvariantViolation(
-            f"{len(candidates)} candidate branches, search space is {expected}"
-        )
     positives = 0
 
     def scored_windows():
@@ -335,14 +320,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
                       decisions.tolist())
 
     save_predictions(args.out, scored_windows())
+    reduction = format_reduction(positives, len(candidates)) if len(candidates) else "undefined"
     print(
         f"{len(candidates)} candidate branches, {positives} predicted feasible, "
-        f"search-space reduction {format_reduction(positives, len(candidates))}"
+        f"search-space reduction {reduction}"
     )
-    return EXIT_OK
 
 
-def cmd_paths(args: argparse.Namespace) -> int:
+def cmd_paths(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     paths = enumerate_attack_paths(dagfile.dag, cap=args.cap)
     payload: dict = {"total": len(paths)}
@@ -350,8 +335,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if args.corpus:
         split = _known_and_unexploited(dagfile.dag, paths, args.corpus)
         if split is None:
-            print("corpus does not rebuild this dag", file=sys.stderr)
-            return EXIT_INVARIANT
+            raise InvariantViolation("corpus does not rebuild this dag")
         known, unexploited = split
         novel = set(unexploited)
         payload["known"] = len(known)
@@ -365,10 +349,9 @@ def cmd_paths(args: argparse.Namespace) -> int:
     ]
     if args.out:
         write_text_atomic(args.out, dump_json(payload))
-    return EXIT_OK
 
 
-def cmd_project(args: argparse.Namespace) -> int:
+def cmd_project(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     tokens: list[str] = []
     if args.keep:
@@ -379,8 +362,7 @@ def cmd_project(args: argparse.Namespace) -> int:
             if line and not line.startswith("#"):
                 tokens.append(line)
     if not tokens:
-        print("nothing to keep: pass --keep and/or --keep-file", file=sys.stderr)
-        return EXIT_USAGE
+        args.parser.error("nothing to keep: pass --keep and/or --keep-file")
     by_norm = {blk.norm_text: blk.id for blk in dagfile.blocks.values()}
     keep: set[int] = set()
     for token in tokens:
@@ -397,10 +379,9 @@ def cmd_project(args: argparse.Namespace) -> int:
         f"projected to {len(sub.nodes)} nodes, {len(sub.edges)} edges "
         f"({len(sub.heads)} heads, {len(sub.leaves)} leaves)"
     )
-    return EXIT_OK
 
 
-def cmd_csp(args: argparse.Namespace) -> int:
+def cmd_csp(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     branches = _labeled(args)
     fired = csp_classify(csp_facts(branches, dagfile.dag))
@@ -412,10 +393,9 @@ def cmd_csp(args: argparse.Namespace) -> int:
         write_text_atomic(args.out, csv_text(
             ("origin", "dest", "label", "rules"),
             zip(branches.origins.tolist(), branches.dests.tolist(), labels.tolist(), rules)))
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     model = _verify_fingerprint(args)
     branches = _labeled(args)
     print("svm:")
@@ -429,10 +409,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                             ("sgd linear svm", train_sgd_svm)):
             m = evaluate(train(x, y).predict(x), y)
             print(f"{name}: accuracy={format_ratio(m.accuracy)} fn={m.fn} fp={m.fp}")
-    return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     model = _verify_fingerprint(args)
     dagfile = load_dag(args.dag)
     branches = _labeled(args)
@@ -515,7 +494,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     write_chunks_atomic(args.out, json_chunks(payload))
     print(f"report written to {args.out}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -629,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep", default=None, help="comma-separated ids or descriptions")
     p.add_argument("--keep-file", default=None, help="one id or description per line")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_project)
+    p.set_defaults(func=cmd_project, parser=p)
 
     p = sub.add_parser("csp", parents=[labeled_opts],
                        help="rule-based classification of labeled branches")
@@ -658,12 +636,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code, the one mapping of outcome to code."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        args.func(args)
+    except SystemExit as exc:  # --help (0), or a usage error from a parser's error()
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.func(args)
     except (CycleIntroduced, FingerprintMismatch, InvariantViolation, UnknownNode, UnknownPath,
             PathExplosion) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -671,6 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ RPAREN = ")"
 STAR = "*"
 PLUS = "+"
 DOT = "."
-TEXT = "text"
 
 # Each group costs the recursive-descent parser four frames, so nesting is
 # capped well inside the interpreter's recursion limit.
@@ -77,9 +76,9 @@ def line_col(src: str, position: int) -> tuple[int, int]:
 def tokenize(src: str) -> list[ExprToken]:
     """Scan source text into tokens.
 
-    The scanner is stateful: immediately after "bb_" ident "(" it consumes
-    one TEXT token running to the matching close paren, so operator
-    characters inside descriptions stay literal.
+    A whole block, "bb_" ident "(" text ")", is one BLOCK_OPEN token whose
+    text is the description: the scanner runs from "(" to the matching
+    close paren, so operator characters inside descriptions stay literal.
     """
     tokens: list[ExprToken] = []
     i = 0
@@ -90,21 +89,19 @@ def tokenize(src: str) -> list[ExprToken]:
             i += 1
             continue
         if src.startswith(BLOCK_OPEN, i):
-            tokens.append(ExprToken(BLOCK_OPEN, BLOCK_OPEN, i, i + 3))
+            start = i
             i += 3
             j = i
             while j < n and src[j].isalnum():
                 j += 1
             if j == i:
                 raise ExpressionSyntaxError("expected block identifier", i, frozenset({IDENT}))
-            tokens.append(ExprToken(IDENT, src[i:j], i, j))
             i = j
             while i < n and src[i].isspace():
                 i += 1
             if i >= n or src[i] != "(":
                 raise ExpressionSyntaxError("expected '(' after block identifier", i, frozenset({LPAREN}))
             open_pos = i
-            tokens.append(ExprToken(LPAREN, "(", i, i + 1))
             i += 1
             # The matching ")" is the first one by which the "(" seen so far
             # are all closed: jump from ")" to ")" and count the "(" between.
@@ -121,8 +118,7 @@ def tokenize(src: str) -> list[ExprToken]:
                 j = close + 1
             if not src[i:close].strip():
                 raise EmptyBlockDescription(i)
-            tokens.append(ExprToken(TEXT, src[i:close], i, close))
-            tokens.append(ExprToken(RPAREN, ")", close, close + 1))
+            tokens.append(ExprToken(BLOCK_OPEN, src[i:close], start, close + 1))
             i = close + 1
             continue
         if ch == "(":
@@ -160,13 +156,6 @@ class _Parser:
     def fail(self, message: str, expected: frozenset[str]) -> ExpressionSyntaxError:
         return ExpressionSyntaxError(message, self._offset(), expected)
 
-    def expect(self, kind: str) -> ExprToken:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise self.fail(f"expected {kind!r}", frozenset({kind}))
-        self.pos += 1
-        return tok
-
     def parse(self) -> AttackExpr:
         result = self.expr()
         tok = self.peek()
@@ -202,12 +191,8 @@ class _Parser:
         if tok is None:
             raise self.fail("expected a block or '('", frozenset({BLOCK_OPEN, LPAREN}))
         if tok.kind == BLOCK_OPEN:
-            self.pos += 1  # bb_
-            self.expect(IDENT)
-            self.expect(LPAREN)
-            text = self.expect(TEXT)
-            self.expect(RPAREN)
-            return block(text.text)
+            self.pos += 1
+            return block(tok.text)
         if tok.kind == LPAREN:
             open_tok = tok
             if self.depth == MAX_GROUP_DEPTH:

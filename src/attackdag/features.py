@@ -279,8 +279,10 @@ def enumerate_candidates(
 ) -> BranchFrame:
     """All ordered node pairs not seen in training, unlabeled, sorted.
 
-    The result size always equals search_space_size(|nodes|, |training|);
-    training pairs must therefore be distinct ordered pairs of dag nodes.
+    A training pair from a node to itself raises SelfBranch, and one naming a
+    node the dag lacks raises UnknownNode.  So for distinct training pairs (a
+    set) the frame has exactly search_space_size(|nodes|, |training|) rows,
+    which callers rely on without counting again.
     """
     nodes = table.select(dag.nodes)
     pairs = _pair_array(training)

@@ -50,6 +50,10 @@ class UnknownNode(KeyError):
     __str__ = Exception.__str__
 
 
+class MissingProvenance(ValueError):
+    """An edge given to ``build_dag`` without a provenance entry."""
+
+
 def _local_interner() -> Callable[[str], int]:
     seen: dict[str, int] = {}
 
@@ -154,7 +158,11 @@ def build_dag(
     edges: Iterable[tuple[int, int]],
     provenance: Mapping[tuple[int, int], Iterable[str]],
 ) -> AttackDag:
-    """Assemble an AttackDag, recomputing heads/leaves/depths."""
+    """Assemble an AttackDag, recomputing heads/leaves/depths.
+
+    A self-loop or cycle raises CycleIntroduced, an edge to a node not in
+    ``nodes`` UnknownNode, and an edge ``provenance`` lacks MissingProvenance.
+    """
     nodes = frozenset(nodes)
     edges = frozenset(edges)
     for u, v in edges:
@@ -165,7 +173,7 @@ def build_dag(
     succ, order = _topological(nodes, edges)
     missing = edges - set(provenance)
     if missing:
-        raise ValueError(f"edges without provenance: {sorted(missing)}")
+        raise MissingProvenance(f"edges without provenance: {sorted(missing)}")
     return AttackDag(
         nodes=nodes,
         edges=edges,

@@ -458,8 +458,9 @@ def load_dag(path: str | Path) -> DagFile:
     """Read a dag file, checking every entry before the dag is built.
 
     A malformed entry raises DagLoadError naming the file and the entry, and
-    so do two nodes with one norm_text and an empty provenance list; a cycle
-    still raises CycleIntroduced from ``build_dag``.
+    so do two nodes with one norm_text, an empty provenance list and a
+    provenance key that is not an edge; a cycle still raises CycleIntroduced
+    from ``build_dag``.
     """
     payload = _read_json(path, DagLoadError)
     if not isinstance(payload, dict):
@@ -524,6 +525,9 @@ def load_dag(path: str | Path) -> DagFile:
         if tuple(edge) not in provenance:
             raise DagLoadError(f"{path}: edge {index} {edge!r} has no provenance")
         edges.append(tuple(edge))
+    stray = sorted(provenance.keys() - set(edges))
+    if stray:
+        raise DagLoadError(f"{path}: provenance '{stray[0][0]}->{stray[0][1]}' is not an edge")
     dag = build_dag(blocks.keys(), edges, provenance)
     return DagFile(dag=dag, blocks=blocks, buckets=buckets, attrs_ref=payload.get("attrs_ref"))
 

@@ -21,7 +21,6 @@ from attackdag.expr import (
     PLUS,
     RPAREN,
     STAR,
-    TEXT,
     EmptyBlockDescription,
     ExprToken,
     ExpressionSyntaxError,
@@ -379,7 +378,7 @@ def render_expression_recursive(expr: AttackExpr) -> str:
 
 def tokenize_by_character(src: str) -> list[ExprToken]:
     """The expression scanner that walks a block description one character
-    at a time to find its matching close paren."""
+    at a time to find its matching close paren; a whole block is one token."""
     tokens: list[ExprToken] = []
     i = 0
     n = len(src)
@@ -389,21 +388,19 @@ def tokenize_by_character(src: str) -> list[ExprToken]:
             i += 1
             continue
         if src.startswith(BLOCK_OPEN, i):
-            tokens.append(ExprToken(BLOCK_OPEN, BLOCK_OPEN, i, i + 3))
+            start = i
             i += 3
             j = i
             while j < n and src[j].isalnum():
                 j += 1
             if j == i:
                 raise ExpressionSyntaxError("expected block identifier", i, frozenset({IDENT}))
-            tokens.append(ExprToken(IDENT, src[i:j], i, j))
             i = j
             while i < n and src[i].isspace():
                 i += 1
             if i >= n or src[i] != "(":
                 raise ExpressionSyntaxError("expected '(' after block identifier", i, frozenset({LPAREN}))
             open_pos = i
-            tokens.append(ExprToken(LPAREN, "(", i, i + 1))
             i += 1
             depth = 0
             j = i
@@ -419,8 +416,7 @@ def tokenize_by_character(src: str) -> list[ExprToken]:
                 raise UnbalancedParens("unclosed block description", open_pos)
             if not src[i:j].strip():
                 raise EmptyBlockDescription(i)
-            tokens.append(ExprToken(TEXT, src[i:j], i, j))
-            tokens.append(ExprToken(RPAREN, ")", j, j + 1))
+            tokens.append(ExprToken(BLOCK_OPEN, src[i:j], start, j + 1))
             i = j + 1
             continue
         if ch == "(":

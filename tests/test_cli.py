@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -16,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 import attackdag.cli as cli
 import attackdag.learn.svm as svm_module
 from attackdag.cli import build_parser, main
-from attackdag.features import AttributeTable, enumerate_candidates
+from attackdag.features import ATTRS_CSV_HEADER, AttributeTable, enumerate_candidates
 from attackdag.learn import GridSpec, SvmParams
 from attackdag.learn.svm import KERNELS
-from attackdag.negatives import NegativeFilterThresholds
+from attackdag.negatives import NegativeFilterThresholds, categories_independent
 from attackdag.storage import (
     EXPLOIT_BUCKETS,
     load_dag,
@@ -101,6 +102,19 @@ class TestPipeline:
         assert rows and all(label == -1 for _, _, label in rows)
         dag = load_dag(work["dag"]).dag
         assert all((o, d) not in dag.edges for o, d, _ in rows)
+
+    def test_negatives_independence_only_keeps_only_independent_categories(self, work):
+        default, only = work["root"] / "negatives_default.csv", work["root"] / "negatives_ind.csv"
+        inputs = ["--dag", str(work["dag"]), "--attrs", str(work["attrs"])]
+        assert main(["negatives", *inputs, "--out", str(default)]) == 0
+        assert main(["negatives", *inputs, "--out", str(only), "--independence-only"]) == 0
+        blocks = load_dag(work["dag"]).blocks
+        pairs = [(o, d) for o, d, _ in load_labels(only)]
+        assert pairs and all(
+            categories_independent(blocks[o].category, blocks[d].category,
+                                   blocks[o].socially_delivered, blocks[d].socially_delivered)
+            for o, d in pairs)
+        assert set(pairs) < {(o, d) for o, d, _ in load_labels(default)}
 
     def test_train_then_predict_covers_search_space(self, work, capsys):
         preds = load_predictions(work["preds"])
@@ -195,6 +209,20 @@ class TestPipeline:
         assert any(row["dest"] not in buckets and row["origin"] in buckets for row in rows)
         assert payload["bucket_histogram"] == {b: want.count(b) for b in EXPLOIT_BUCKETS}
 
+    def test_report_with_foreign_corpus_warns_and_skips_paths(self, work, tmp_path, capsys):
+        other, out = tmp_path / "other.json", tmp_path / "report.json"
+        other.write_text(json.dumps({
+            "category_map": {"x": "memory"},
+            "attacks": [{"name": "a", "categories": ["x"], "expression": "bb_i(p)"}],
+        }))
+        assert main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--predictions", str(work["preds"]), "--corpus", str(other),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "corpus does not rebuild this dag; skipping path section\n")
+        assert "paths" not in json.loads(out.read_text())
+
     def test_report_stable_modulo_timestamp(self, work):
         again = work["root"] / "report2.json"
         assert main(["report", "--model", str(work["model"]), "--dag", str(work["dag"]),
@@ -252,6 +280,23 @@ class TestParser:
         assert covered == every
 
 
+def test_only_main_maps_outcomes_to_exit_codes():
+    """No cmd_* returns a value, and the EXIT_* codes are read only in main and _Parser."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = 0
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            commands += 1
+            assert isinstance(node.returns, ast.Constant) and node.returns.value is None, node.name
+            valued = [n.lineno for n in ast.walk(node) if isinstance(n, ast.Return) and n.value]
+            assert not valued, (node.name, valued)
+        if getattr(node, "name", None) not in ("main", "_Parser"):
+            read = [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name)
+                    and n.id.startswith("EXIT_") and isinstance(n.ctx, ast.Load)]
+            assert not read, (getattr(node, "name", None), read)
+    assert commands == len({name for name in vars(cli) if name.startswith("cmd_")})
+
+
 class TestProjection:
     def test_project_then_refresh(self, work, capsys):
         sub_dag = work["root"] / "sub.json"
@@ -280,9 +325,15 @@ class TestProjection:
                      "--keep", "no such node anywhere", "--out",
                      str(work["root"] / "nope.json")]) == 3
 
-    def test_project_without_keep_is_usage_error(self, work):
-        assert main(["project", "--dag", str(work["dag"]),
-                     "--out", str(work["root"] / "nope.json")]) == 1
+    def test_project_without_keep_is_usage_error(self, work, capsys):
+        for keep in ([], ["--keep", " , "]):
+            assert main(["project", "--dag", str(work["dag"]), *keep,
+                         "--out", str(work["root"] / "nope.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: attackdag project ")
+            assert err.endswith(
+                "attackdag project: error: nothing to keep: pass --keep and/or --keep-file\n")
+        assert not (work["root"] / "nope.json").exists()
 
 
 class TestAnnotationFlow:
@@ -321,7 +372,10 @@ class TestAnnotationFlow:
                      "--dest", str(dest), "--verdict", verdict, "--annotator", "carol"]) == 0
         assert main(["annotate", "fold", "--annotations", str(ann),
                      "--labels", str(work["labels"]), "--out", str(tmp_path / "x.csv")]) == 3
-        assert "conflict" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"invariant violation: conflict: pair ({origin}, {dest}) labeled {label:+d} "
+            f"but annotated {-label:+d}\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestExitCodes:
@@ -581,11 +635,28 @@ class TestExitCodes:
         lines = work["attrs"].read_text().splitlines()
         # corrupt one mean_depth (last column of the first data row)
         cells = lines[1].split(",")
-        cells[-2] = "123.0"
+        depth, cells[-2] = float(cells[-2]), "123.0"
         lines[1] = ",".join(cells)
         stale.write_text("\n".join(lines) + "\n")
         assert main(["attrs", "--dag", str(work["dag"]), "--attrs", str(stale)]) == 3
-        assert "attribute mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"invariant violation: attribute mismatch: node {cells[0]}: mean_depth 123.0, "
+            f"dag says {depth!r}\n")
+
+    def test_wrong_head_bits_are_one_invariant_error_line(self, work, tmp_path, capsys):
+        header, *rows = work["attrs"].read_text().splitlines()
+        flipped = []
+        for i in (0, 1):  # node 0 is a head, node 1 is not
+            cells = rows[i].split(",")
+            cells[-4] = str(1 - int(cells[-4]))
+            flipped.append(f"node {cells[0]}: head bit {cells[-4]}, dag says {1 - int(cells[-4])}")
+            rows[i] = ",".join(cells)
+        stale = tmp_path / "stale.csv"
+        stale.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["attrs", "--dag", str(work["dag"]), "--attrs", str(stale), "--attach"]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: attribute mismatch: " + "; ".join(flipped) + "\n")
+        assert load_dag(work["dag"]).attrs_ref is None
 
     def test_fingerprint_mismatch_and_force(self, work, tmp_path, capsys):
         tampered = tmp_path / "labels.csv"
@@ -602,8 +673,11 @@ class TestExitCodes:
             "category_map": {"x": "memory"},
             "attacks": [{"name": "a", "categories": ["x"], "expression": "bb_i(p)"}],
         }))
-        assert main(["paths", "--dag", str(work["dag"]), "--corpus", str(other)]) == 3
-        assert "does not rebuild" in capsys.readouterr().err
+        out = tmp_path / "paths.json"
+        assert main(["paths", "--dag", str(work["dag"]), "--corpus", str(other),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "invariant violation: corpus does not rebuild this dag\n"
+        assert not out.exists()
 
     def test_short_prediction_row_is_parse_error(self, work, tmp_path, capsys):
         preds = tmp_path / "preds.csv"
@@ -644,6 +718,9 @@ class TestExitCodes:
         ({"nodes": 5}, "'nodes'"),
         ({"provenance": {"0->1": "x"}}, "'0->1'"),
         ({"provenance": {"0-1": ["x"]}}, "'0-1'"),
+        ({"provenance": {"0->1": ["x"], "1->0": ["y"]}}, "provenance '1->0' is not an edge"),
+        ({"edges": [], "provenance": {"0->1": ["x"], "7->9": ["y"]}},
+         "provenance '0->1' is not an edge"),
     ])
     def test_malformed_dag_entry_is_located_parse_error(self, tmp_path, capsys, edit, entry):
         dag = tmp_path / "dag.json"
@@ -851,20 +928,41 @@ class TestExitCodes:
         assert [label for _, _, label, _ in rows] == np.where(whole >= 0.0, 1, -1).tolist()
         np.testing.assert_allclose([dec for _, _, _, dec in rows], whole, rtol=1e-12, atol=0)
 
-    def test_short_candidate_set_is_invariant_error(self, work, tmp_path, monkeypatch, capsys):
-        real = cli.enumerate_candidates
-
-        def one_short(*args):
-            frame = real(*args)
-            return frame.window(0, len(frame) - 1)
-
-        monkeypatch.setattr(cli, "enumerate_candidates", one_short)
-        out = tmp_path / "preds.csv"
+    def test_predict_with_self_pair_label_is_parse_error(self, work, tmp_path, capsys):
+        labels, out = tmp_path / "labels.csv", tmp_path / "preds.csv"
+        labels.write_text(work["labels"].read_text() + "40,40,1\n")
         assert main(["predict", "--model", str(work["model"]), "--dag", str(work["dag"]),
-                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
-                     "--out", str(out)]) == 3
-        assert "search space is" in capsys.readouterr().err
+                     "--attrs", str(work["attrs"]), "--labels", str(labels), "--force",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: training branch from node 40 to itself\n"
         assert not out.exists()
+
+    def test_predict_and_report_on_an_empty_search_space(self, tmp_path, capsys):
+        # Two nodes whose two ordered pairs are both labeled leave nothing to score.
+        corpus, dag, attrs, labels = (tmp_path / name for name in (
+            "corpus.json", "dag.json", "attributes.csv", "labels.csv"))
+        corpus.write_text(json.dumps({
+            "category_map": {"x": "memory"},
+            "attacks": [{"name": "a", "categories": ["x"],
+                         "expression": "bb_1(alpha).bb_2(beta)"}],
+        }))
+        header = ",".join(ATTRS_CSV_HEADER)
+        attrs.write_text(f"{header}\n0,1,0,0,0,0,0,0,1,0,0.0,reconstructed\n"
+                         "1,1,0,0,0,0,0,0,0,1,1.0,reconstructed\n")
+        labels.write_text("origin,dest,label\n0,1,1\n1,0,-1\n")
+        inputs = ["--dag", str(dag), "--attrs", str(attrs), "--labels", str(labels)]
+        model, preds, report = tmp_path / "model.json", tmp_path / "preds.csv", tmp_path / "r.json"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(dag)]) == 0
+        assert main(["train", *inputs, "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), *inputs, "--out", str(preds)]) == 0
+        assert capsys.readouterr().out == (
+            "0 candidate branches, 0 predicted feasible, search-space reduction undefined\n")
+        assert preds.read_text() == "origin,dest,label,decision\n"
+        assert main(["report", "--model", str(model), *inputs, "--predictions", str(preds),
+                     "--out", str(report)]) == 0
+        candidates = json.loads(report.read_text())["candidates"]
+        assert candidates == {"total": 0, "predicted_positive": 0, "reduction": None}
 
 
 # One mutation of a labels file each: keep the first k rows, keep one class,
@@ -1240,3 +1338,87 @@ def test_commands_on_mutated_dag(work, command, mutations):
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr.getvalue()
         assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["dag.json"]
+
+
+# One mutation of a model file each: drop or retype a key or a params field, set
+# an entry of an array (or the bias) to a non-finite number, a label other than
+# +1/-1, a multiplier outside (0, C] or a bad support-vector index, drop an
+# array's last entry, or truncate the text (applied last).
+MODEL_KEYS = ("bias", "converged", "corpus_fingerprint", "dual_coefs", "n_samples", "params",
+              "support_vectors", "sv_alphas", "sv_indices", "sv_labels")
+PARAM_KEYS = ("c", "gamma", "kernel", "max_passes", "seed", "shrinking", "tolerance")
+SV = st.integers(0, 67)  # the bundled model has 68 support vectors
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(MODEL_KEYS), st.none(), st.none()),
+    st.tuples(st.just("retype"), st.sampled_from(MODEL_KEYS), st.none(), RETYPED),
+    st.tuples(st.just("drop-param"), st.sampled_from(PARAM_KEYS), st.none(), st.none()),
+    st.tuples(st.just("retype-param"), st.sampled_from(PARAM_KEYS), st.none(), RETYPED),
+    st.tuples(st.just("set"), st.just("bias"), st.none(), NON_FINITE),
+    st.tuples(st.just("set"), st.sampled_from(["dual_coefs", "support_vectors", "sv_alphas"]),
+              SV, NON_FINITE),
+    st.tuples(st.just("set"), st.just("sv_labels"), SV, st.sampled_from([0.0, 2.0, -0.5])),
+    st.tuples(st.just("set"), st.just("sv_alphas"), SV, st.sampled_from([0.0, -1e-3, 1.5, 1e9])),
+    st.tuples(st.just("set"), st.just("sv_indices"), SV, st.sampled_from([-1, 0, 98, 2**70, 1.5])),
+    st.tuples(st.just("shorten"), st.sampled_from(MODEL_KEYS[6:] + ("dual_coefs",)), st.none(),
+              st.none()),
+    st.tuples(st.just("truncate"), st.none(), st.integers(0, 19000), st.none()),  # 19,057 chars
+)
+
+
+def mutate_model(text: str, mutations) -> str:
+    model = json.loads(text)
+    cut = None
+    for kind, key, index, value in mutations:
+        target = model.get("params") if kind.endswith("-param") else model
+        values = model.get(key)
+        if kind == "truncate":
+            cut = index
+        elif type(target) is not dict:
+            continue
+        elif kind.startswith("drop"):
+            target.pop(key, None)
+        elif kind.startswith("retype"):
+            target[key] = value
+        elif key == "bias":
+            model[key] = value
+        elif type(values) is not list or not values:
+            continue
+        elif kind == "shorten":
+            values.pop()
+        elif key == "support_vectors":
+            row = values[index % len(values)]
+            if type(row) is list and row:
+                row[0] = value
+        else:
+            values[index % len(values)] = value
+    text = json.dumps(model, indent=2)
+    return text if cut is None else text[:cut]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "report"])
+@settings(max_examples=25, deadline=None)
+@example(mutations=[("set", "sv_alphas", 0, 0.0)])
+@example(mutations=[("set", "sv_indices", 1, 0)])
+@example(mutations=[("drop", "corpus_fingerprint", None, None)])
+@example(mutations=[("truncate", None, 200, None)])
+@given(mutations=st.lists(MODEL_MUTATIONS, min_size=1, max_size=3))
+def test_model_commands_on_mutated_model(work, command, mutations):
+    """``predict``, ``eval`` and ``report`` end in exit 0, 2 or 3 on a mutated
+    model file with no traceback, and one that fails writes no file, temporary or not."""
+    with tempfile.TemporaryDirectory() as scratch:
+        model, out = Path(scratch) / "model.json", Path(scratch) / "out"
+        model.write_text(mutate_model(work["model"].read_text(), mutations))
+        extra = {
+            "predict": ["--out", str(out)],
+            "eval": [],
+            "report": ["--predictions", str(work["preds"]), "--out", str(out)],
+        }[command]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--model", str(model), "--dag", str(work["dag"]),
+                         "--attrs", str(work["attrs"]), "--labels", str(work["labels"]), *extra])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        assert (code == 0) == (stderr.getvalue() == "")
+        assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["model.json"]

@@ -169,6 +169,14 @@ class TestEnumerateCandidates:
         cands = enumerate_candidates(dag, table, training)
         assert len(cands) == search_space_size(len(dag.nodes), len(training))
 
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), fraction=st.floats(0.0, 1.0))
+    def test_count_is_search_space_size_for_any_training_set(self, dag, table, rng, fraction):
+        pairs = [(o, d) for o in sorted(dag.nodes) for d in sorted(dag.nodes) if o != d]
+        training = set(rng.sample(pairs, round(fraction * len(pairs))))
+        cands = enumerate_candidates(dag, table, training)
+        assert len(cands) == search_space_size(len(dag.nodes), len(training))
+
     def test_sorted_unlabeled_and_disjoint_from_training(self, dag, table, labeled):
         training = set(zip(labeled.origins.tolist(), labeled.dests.tolist()))
         cands = enumerate_candidates(dag, table, training)

@@ -7,7 +7,9 @@ import pytest
 from attackdag.expr import parse_expression
 from attackdag.graph import (
     CycleIntroduced,
+    MissingProvenance,
     PathExplosion,
+    UnknownNode,
     UnknownPath,
     build_dag,
     cdfg_from_expression,
@@ -157,6 +159,16 @@ class TestBuildAndMerge:
     def test_build_rejects_cycle(self):
         with pytest.raises(CycleIntroduced):
             build_dag({0, 1}, {(0, 1), (1, 0)}, {(0, 1): {"a"}, (1, 0): {"a"}})
+
+    def test_build_rejects_edge_to_unknown_node(self):
+        with pytest.raises(UnknownNode) as exc:
+            build_dag({0, 1}, {(0, 1), (1, 7)}, {(0, 1): {"a"}, (1, 7): {"a"}})
+        assert str(exc.value) == "(1, 7)"
+
+    def test_build_rejects_edge_without_provenance(self):
+        with pytest.raises(MissingProvenance) as exc:
+            build_dag({0, 1, 2}, {(0, 1), (1, 2)}, {(0, 1): {"a"}})
+        assert str(exc.value) == "edges without provenance: [(1, 2)]"
 
     def test_merge_unions_provenance(self):
         a = cdfg_from_expression(parse_expression("bb_i(x).bb_j(y)"))
