@@ -46,7 +46,6 @@ from .graph import (
     MissingProvenance,
     PathExplosion,
     UnknownNode,
-    UnknownPath,
     build_dag,
     cdfg_from_expression,
     discover_unexploited,

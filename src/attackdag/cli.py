@@ -5,7 +5,7 @@ to an exit code: 0 success; 1 usage error (an argument the parser rejects, or
 nothing for project to keep); 2 an input parse error, a value the library
 rejects, or a file that cannot be read or written (ValueError, OSError); 3 an
 invariant violation (a cycle, a stale attribute table, a fingerprint
-mismatch, an unknown node or path, too many paths, inputs that contradict
+mismatch, an unknown node, too many paths, inputs that contradict
 each other).
 """
 
@@ -34,11 +34,9 @@ from .graph import (
     PATH_CAP,
     PathExplosion,
     UnknownNode,
-    UnknownPath,
     discover_unexploited,
     enumerate_attack_paths,
     known_attack_paths,
-    merge_cdfgs,
     project_subgraph,
 )
 from .learn import (
@@ -130,15 +128,13 @@ def _resubstitution(model: SvmModel, branches: BranchFrame) -> Metrics:
 
 def _known_and_unexploited(dag: AttackDag, paths: list[tuple[int, ...]], corpus_path: str):
     """The known and unexploited ones among the dag's enumerated ``paths``, or None
-    if the corpus does not rebuild the dag.
-
-    Each attack's CDFG is compiled once, for the rebuild and for the known paths.
+    if the corpus does not rebuild the dag.  The rebuilt dag's edge provenance,
+    not the file's, decides which paths are known.
     """
-    named = load_corpus(corpus_path).cdfgs
-    rebuilt = merge_cdfgs(named)
+    rebuilt = load_corpus(corpus_path).attack_dag()
     if rebuilt.nodes != dag.nodes or rebuilt.edges != dag.edges:
         return None
-    known = known_attack_paths(dag, named)
+    known = known_attack_paths(rebuilt, paths)
     return known, discover_unexploited(paths, known)
 
 
@@ -331,7 +327,6 @@ def cmd_paths(args: argparse.Namespace) -> None:
     dagfile = load_dag(args.dag)
     paths = enumerate_attack_paths(dagfile.dag, cap=args.cap)
     payload: dict = {"total": len(paths)}
-    novel: set[tuple[int, ...]] = set()
     if args.corpus:
         split = _known_and_unexploited(dagfile.dag, paths, args.corpus)
         if split is None:
@@ -340,13 +335,14 @@ def cmd_paths(args: argparse.Namespace) -> None:
         novel = set(unexploited)
         payload["known"] = len(known)
         payload["unexploited"] = len(novel)
+        payload["paths"] = [
+            {"nodes": list(p), "provenance": "unexploited" if p in novel else "known"}
+            for p in paths
+        ]
         print(f"{len(paths)} head-to-leaf paths: {len(known)} known, {len(novel)} unexploited")
     else:
+        payload["paths"] = [{"nodes": list(p)} for p in paths]
         print(f"{len(paths)} head-to-leaf paths")
-    payload["paths"] = [
-        {"nodes": list(p), "provenance": "unexploited" if p in novel else "known"}
-        for p in paths
-    ]
     if args.out:
         write_text_atomic(args.out, dump_json(payload))
 
@@ -642,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except SystemExit as exc:  # --help (0), or a usage error from a parser's error()
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (CycleIntroduced, FingerprintMismatch, InvariantViolation, UnknownNode, UnknownPath,
+    except (CycleIntroduced, FingerprintMismatch, InvariantViolation, UnknownNode,
             PathExplosion) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

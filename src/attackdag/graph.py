@@ -41,10 +41,6 @@ class PathExplosion(RuntimeError):
         self.cap = cap
 
 
-class UnknownPath(ValueError):
-    pass
-
-
 class UnknownNode(KeyError):
     # KeyError's str() is the repr of its argument; print the message as given.
     __str__ = Exception.__str__
@@ -169,7 +165,7 @@ def build_dag(
         if u == v:
             raise CycleIntroduced([u, u])
         if u not in nodes or v not in nodes:
-            raise UnknownNode((u, v))
+            raise UnknownNode(f"edge {(u, v)} references unknown node")
     succ, order = _topological(nodes, edges)
     missing = edges - set(provenance)
     if missing:
@@ -201,17 +197,11 @@ def merge_cdfgs(named: Sequence[tuple[str, Cdfg]]) -> AttackDag:
 
 
 def enumerate_attack_paths(dag: AttackDag, cap: int = PATH_CAP) -> list[tuple[int, ...]]:
-    """Every head-to-leaf path, each exactly once, in lexicographic order."""
-    return _raw_paths(dag.nodes, dag.edges, cap)
-
-
-def _raw_paths(
-    nodes: Iterable[int], edges: Iterable[tuple[int, int]], cap: int = PATH_CAP
-) -> list[tuple[int, ...]]:
-    """Every head-to-leaf path in lexicographic order; PathExplosion before any is built."""
+    """Every head-to-leaf path, each exactly once, in lexicographic order;
+    PathExplosion before any is built."""
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap!r}")
-    succ, order = _topological(nodes, edges)
+    succ, order = _topological(dag.nodes, dag.edges)
     count, depth = _head_paths(succ, order)
     if sum(count[n] for n in order if not succ[n]) > cap:
         raise PathExplosion(cap)
@@ -237,21 +227,25 @@ def _raw_paths(
 
 
 def known_attack_paths(
-    dag: AttackDag, named: Sequence[tuple[str, Cdfg]]
+    dag: AttackDag, paths: Iterable[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
-    """Dag paths that some single documented attack covers end to end.
+    """The given head-to-leaf ``paths`` of ``dag`` that some single documented
+    attack covers end to end, in their given order.
 
     A merged-graph path only counts as known when it is a complete
     head-to-leaf path of one attack's own CDFG; paths that splice steps
     from different attacks are exactly the novel vectors the merge exposes.
-    A CDFG path is a dag path when it starts at a dag head, ends at a dag
-    leaf and every step is a dag edge.
+    The dag's edge provenance decides that without enumerating any attack:
+    attack A is in the provenance of an edge exactly when the edge is in A's
+    CDFG, and a dag head (leaf) has no in-edge (out-edge) in any attack.  So
+    a path of two or more nodes is a complete path of A's CDFG exactly when
+    A is in the provenance of every one of its edges.  A lone node is an
+    isolated dag node, isolated too in the attack it came from, so it is
+    always known.
     """
-    covered: set[tuple[int, ...]] = set()
-    for _, cdfg in named:
-        covered.update(_raw_paths(cdfg.nodes, cdfg.edges))
-    return [p for p in sorted(covered)
-            if p[0] in dag.heads and p[-1] in dag.leaves and dag.edges.issuperset(zip(p, p[1:]))]
+    prov = dag.edge_provenance
+    return [p for p in paths
+            if len(p) == 1 or frozenset.intersection(*(prov[e] for e in zip(p, p[1:])))]
 
 
 def discover_unexploited(
@@ -259,9 +253,6 @@ def discover_unexploited(
 ) -> list[tuple[int, ...]]:
     """The enumerated dag paths not in the known set, in their given order."""
     known = set(known)
-    stray = known.difference(paths)
-    if stray:
-        raise UnknownPath(f"known paths absent from the dag: {sorted(stray)[:3]}")
     return [p for p in paths if p not in known]
 
 

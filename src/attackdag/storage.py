@@ -458,9 +458,9 @@ def load_dag(path: str | Path) -> DagFile:
     """Read a dag file, checking every entry before the dag is built.
 
     A malformed entry raises DagLoadError naming the file and the entry, and
-    so do two nodes with one norm_text, an empty provenance list and a
-    provenance key that is not an edge; a cycle still raises CycleIntroduced
-    from ``build_dag``.
+    so do two nodes with one norm_text, an empty provenance list, a
+    provenance key that is not an edge and two keys that name one edge; a
+    cycle still raises CycleIntroduced from ``build_dag``.
     """
     payload = _read_json(path, DagLoadError)
     if not isinstance(payload, dict):
@@ -507,6 +507,7 @@ def load_dag(path: str | Path) -> DagFile:
         if "bucket" in entry:
             buckets[entry["id"]] = entry["bucket"]
     provenance: dict[tuple[int, int], set[str]] = {}
+    key_of: dict[tuple[int, int], str] = {}  # the provenance key that named each edge
     for key, names in payload.get("provenance", {}).items():
         match = _PROVENANCE_KEY.fullmatch(key)
         if match is None:
@@ -516,7 +517,12 @@ def load_dag(path: str | Path) -> DagFile:
                                f"{names!r}")
         if not names:
             raise DagLoadError(f"{path}: provenance {key!r} is an empty list of attack names")
-        provenance[(int(match[1]), int(match[2]))] = set(names)
+        edge = (int(match[1]), int(match[2]))
+        if edge in key_of:
+            raise DagLoadError(
+                f"{path}: provenance keys {key_of[edge]!r} and {key!r} name one edge")
+        key_of[edge] = key
+        provenance[edge] = set(names)
     edges: list[tuple[int, int]] = []
     for index, edge in enumerate(payload["edges"]):
         if (type(edge) is not list or len(edge) != 2

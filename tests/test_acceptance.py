@@ -139,7 +139,7 @@ def test_criterion_04_path_discovery(criterion):
         corpus = load_corpus(DATA / "aggregation_demo.json")
         dag = corpus.attack_dag()
         paths = enumerate_attack_paths(dag)
-        known = known_attack_paths(dag, corpus.cdfgs)
+        known = known_attack_paths(dag, paths)
         novel = discover_unexploited(paths, known)
         assert len(novel) == 5
         assert set(novel) == set(paths) - set(known)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -161,6 +162,28 @@ class TestPipeline:
         assert payload["total"] == payload["known"] + payload["unexploited"]
         tags = {p["provenance"] for p in payload["paths"]}
         assert tags <= {"known", "unexploited"}
+
+    def test_paths_tags_provenance_only_with_corpus(self, work, tmp_path):
+        tracked = json.loads((REPO / "out" / "paths.json").read_text())
+        tagged, bare = tmp_path / "tagged.json", tmp_path / "bare.json"
+        assert main(["paths", "--dag", str(work["dag"]), "--corpus", str(work["corpus"]),
+                     "--out", str(tagged)]) == 0
+        assert json.loads(tagged.read_text()) == tracked
+        assert main(["paths", "--dag", str(work["dag"]), "--out", str(bare)]) == 0
+        assert json.loads(bare.read_text()) == {
+            "total": tracked["total"], "paths": [{"nodes": p["nodes"]} for p in tracked["paths"]]}
+
+    def test_paths_read_the_rebuilt_dags_provenance(self, work, tmp_path):
+        """A hand-edited provenance in dag.json changes no tag: the corpus decides."""
+        body = json.loads(work["dag"].read_text())
+        body["provenance"] = {key: ["edited"] for key in body["provenance"]}
+        edited, want, got = tmp_path / "dag.json", tmp_path / "want.json", tmp_path / "got.json"
+        edited.write_text(json.dumps(body))
+        for dag, out in ((work["dag"], want), (edited, got)):
+            assert main(["paths", "--dag", str(dag), "--corpus", str(work["corpus"]),
+                         "--out", str(out)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+        assert json.loads(got.read_text())["unexploited"] > 0
 
     def test_grid_search_writes_surface(self, work):
         out_file = work["root"] / "grid.json"
@@ -721,6 +744,8 @@ class TestExitCodes:
         ({"provenance": {"0->1": ["x"], "1->0": ["y"]}}, "provenance '1->0' is not an edge"),
         ({"edges": [], "provenance": {"0->1": ["x"], "7->9": ["y"]}},
          "provenance '0->1' is not an edge"),
+        ({"provenance": {"0->1": ["a"], "00->1": ["b"]}},
+         "provenance keys '0->1' and '00->1' name one edge"),
     ])
     def test_malformed_dag_entry_is_located_parse_error(self, tmp_path, capsys, edit, entry):
         dag = tmp_path / "dag.json"
@@ -1422,3 +1447,133 @@ def test_model_commands_on_mutated_model(work, command, mutations):
         assert "Traceback" not in stderr.getvalue()
         assert (code == 0) == (stderr.getvalue() == "")
         assert code == 0 or [p.name for p in Path(scratch).iterdir()] == ["model.json"]
+
+
+# The argv fuzzer's pools.  Every file an option may name is a copy in the
+# example's own directory, since `annotate add --annotations` appends to its
+# file and `attrs --attach` rewrites `--dag`.  Each option has a usual value
+# and, one time in four, a junk one: a file option takes its own kind of file
+# or else another kind, a missing path or a directory; an output option a
+# fresh path or else a directory or a path in a missing directory; any other
+# option one of its choices, its default or a node id, or else a value from
+# VALUES.  `--max-passes` stays small, so no example trains for long.
+FUZZ_FILES = {
+    "--corpus": "corpus.json", "--dag": "dag.json", "--attrs": "attributes.csv",
+    "--labels": "labels.csv", "--model": "model.json", "--predictions": "predictions.csv",
+    "--exceptions": "exceptions.csv", "--annotations": "annotations.csv",
+    "--keep-file": "can_keep.txt", "--attrs-ref": "attributes.csv",
+}
+ANY_FILE = st.sampled_from(sorted(set(FUZZ_FILES.values()))
+                           + ["stale_attributes.csv", "missing/x", "dir"])
+VALUES = st.sampled_from([
+    "nan", "inf", "-inf", "1e309", "-0", "1234567890123456789012345", "", ",", "1,2",
+    "0.5,nan", "-1", "0", "1", "0.5", "8", "0,1,2,3", "rbf,poly", "memory", "x",
+])
+
+
+def _fuzz_values(action: argparse.Action):
+    """The (usual, junk) value strategies of one option, or None for a flag."""
+    option = action.option_strings[0]
+    if action.nargs == 0:
+        return None
+    if option in FUZZ_FILES:
+        return st.just(FUZZ_FILES[option]), ANY_FILE
+    if option in ("--out", "--refresh-structural"):
+        return st.just("out"), st.sampled_from(["dir", "missing/x"])
+    if option == "--max-passes":
+        return st.sampled_from(["1", "5"]), st.sampled_from(["0", "-1", "nan", ""])
+    if action.choices:
+        return st.sampled_from(sorted(action.choices)), VALUES
+    if action.default is not None:
+        return st.just(str(action.default)), VALUES
+    return st.sampled_from(["0", "5", "8"]), VALUES  # node ids, or any text
+
+
+def _fuzz_commands():
+    """(subcommand words, [(option, required, values)]) for every leaf command of
+    the parser, with values as ``_fuzz_values`` gives them."""
+    commands = []
+    pending = [((), build_parser())]
+    while pending:
+        words, parser = pending.pop()
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subparsers:
+            pending.extend((words + (name,), p) for name, p in action.choices.items())
+        if not subparsers:
+            commands.append((words, [(a.option_strings[0], a.required, _fuzz_values(a))
+                                     for a in parser._actions if a.dest != "help"]))
+    return sorted(commands, key=lambda c: c[0])
+
+
+FUZZ_COMMANDS = _fuzz_commands()
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, a random subset of its options (a required one is left out
+    one time in ten) and a value for each; ``train`` always gets --max-passes."""
+    words, options = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(words)
+    for option, required, values in options:
+        keep = draw(st.integers(0, 9)) > 0 if required else draw(st.booleans())
+        if keep or option == "--max-passes":
+            argv.append(option)
+            if values is not None:
+                usual, junk = values
+                argv.append(draw(usual if draw(st.integers(0, 3)) else junk))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(work, tmp_path_factory):
+    """One of each input file the fuzzer's options may name, an attributes file
+    that lacks the dag's last node, and an empty directory."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    for name, source in (("corpus.json", work["corpus"]), ("dag.json", work["dag"]),
+                         ("attributes.csv", work["attrs"]), ("labels.csv", work["labels"]),
+                         ("model.json", work["model"]), ("predictions.csv", work["preds"]),
+                         ("exceptions.csv", DATA / "exceptions.csv"),
+                         ("can_keep.txt", DATA / "can_keep.txt")):
+        shutil.copy(source, root / name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for origin, dest, verdict in (("0", "5", "feasible"), ("3", "7", "infeasible")):
+            assert main(["annotate", "add", "--annotations", str(root / "annotations.csv"),
+                         "--origin", origin, "--dest", dest, "--verdict", verdict,
+                         "--annotator", "fuzz"]) == 0
+    (root / "stale_attributes.csv").write_text(
+        "".join(work["attrs"].read_text().splitlines(keepends=True)[:-1]))
+    (root / "dir").mkdir()
+    return root
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@settings(max_examples=200, deadline=None)
+@example(argv=["attrs", "--dag", "dag.json", "--attrs", "stale_attributes.csv", "--attach"])
+@example(argv=["annotate", "add", "--annotations", "annotations.csv", "--origin", "nan",
+               "--dest", "1", "--verdict", "feasible", "--annotator", "x"])
+@example(argv=["paths", "--dag", "dag.json", "--cap", "1234567890123456789012345",
+               "--corpus", "corpus.json", "--out", "out"])
+@example(argv=["train", "--dag", "dag.json", "--attrs", "attributes.csv", "--labels",
+               "labels.csv", "--c", "1e309", "--max-passes", "1", "--out", "out"])
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_through_main(fuzz_inputs, argv):
+    """Any subcommand with any subset of its options returns 0-3 with no exception
+    escaping; no run leaves a ``.tmp`` file, and a failed run changes no file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "inputs"
+        shutil.copytree(fuzz_inputs, root)
+        before = _tree(root)
+        names = set(before) | {"dir", "missing/x", "out"}
+        resolved = [str(root / a) if a in names else a for a in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(resolved)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in stderr.getvalue()
+        after = _tree(root)
+        assert not [name for name in after if name.endswith(".tmp")], argv
+        assert code == 0 or after == before, argv

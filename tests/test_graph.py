@@ -10,7 +10,6 @@ from attackdag.graph import (
     MissingProvenance,
     PathExplosion,
     UnknownNode,
-    UnknownPath,
     build_dag,
     cdfg_from_expression,
     discover_unexploited,
@@ -20,6 +19,7 @@ from attackdag.graph import (
     project_subgraph,
 )
 from attackdag.model import validate_dag
+from attackdag.storage import load_corpus
 
 
 def oracle_paths(nodes, edges):
@@ -163,7 +163,7 @@ class TestBuildAndMerge:
     def test_build_rejects_edge_to_unknown_node(self):
         with pytest.raises(UnknownNode) as exc:
             build_dag({0, 1}, {(0, 1), (1, 7)}, {(0, 1): {"a"}, (1, 7): {"a"}})
-        assert str(exc.value) == "(1, 7)"
+        assert str(exc.value) == "edge (1, 7) references unknown node"
 
     def test_build_rejects_edge_without_provenance(self):
         with pytest.raises(MissingProvenance) as exc:
@@ -251,29 +251,29 @@ class TestPathEnumeration:
 
     def test_known_plus_unexploited_partition(self, corpus, dag):
         total = enumerate_attack_paths(dag)
-        known = known_attack_paths(dag, corpus.cdfgs)
+        known = known_attack_paths(dag, total)
         novel = discover_unexploited(total, known)
         known_set = set(known)
         assert len(known_set) + len(novel) == len(total)
         assert novel == [p for p in total if p not in known_set]  # in enumeration order
 
-    def test_known_paths_match_cdfg_paths_that_are_dag_paths(self):
+    def test_known_paths_match_cdfg_paths_that_are_dag_paths(self, data_dir):
         # the definition: a complete path of one attack's CDFG that is also
         # a head-to-leaf path of the merged dag
+        cases = [load_corpus(data_dir / name).cdfgs
+                 for name in ("corpus.json", "aggregation_demo.json")]
         rng = random.Random(5)
-        for _ in range(100):
+        for _ in range(1000):
             named = []
-            for i in range(rng.randint(1, 4)):
+            for i in range(rng.randint(2, 4)):
                 nodes, edges = random_dag(rng, 8)
                 named.append((f"a{i}", build_dag(nodes, edges, {e: {"a"} for e in edges})))
+            cases.append(named)
+        for named in cases:
             dag = merge_cdfgs(named)
             covered = set().union(*(oracle_paths(g.nodes, g.edges) for _, g in named))
             want = sorted(covered & set(oracle_paths(dag.nodes, dag.edges)))
-            assert known_attack_paths(dag, named) == want
-
-    def test_discover_rejects_stray_path(self, dag):
-        with pytest.raises(UnknownPath):
-            discover_unexploited(enumerate_attack_paths(dag), [(999, 1000)])
+            assert known_attack_paths(dag, enumerate_attack_paths(dag)) == want
 
 
 class TestProjection:
