@@ -31,7 +31,7 @@ from attackdag import (  # noqa: E402
     structural_columns,
     train_svm,
 )
-from attackdag.storage import save_labels, write_text_atomic  # noqa: E402
+from attackdag.storage import label_columns, save_labels, write_text_atomic  # noqa: E402
 
 DATA = ROOT / "data"
 OUT = DATA  # where attributes.csv and labels.csv are written
@@ -161,7 +161,7 @@ def main_script() -> int:
     print(f"wrote attributes.csv ({len(corpus.blocks)} nodes)")
 
     labeled = curate_labels(dag, table, corpus)
-    save_labels(OUT / "labels.csv", labeled)
+    save_labels(OUT / "labels.csv", *label_columns(labeled))
     n_pos = sum(1 for _, _, label in labeled if label == 1)
     print(f"wrote labels.csv ({n_pos} positive, {len(labeled) - n_pos} negative)")
     return 0

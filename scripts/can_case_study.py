@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from attackdag.cli import main  # noqa: E402
-from attackdag.storage import load_dag, load_labels, save_labels  # noqa: E402
+from attackdag.storage import label_columns, load_dag, load_labels, save_labels  # noqa: E402
 
 DATA = ROOT / "data"
 OUT = ROOT / "out" / "can"
@@ -47,7 +47,7 @@ def main_script() -> int:
     kept = set(load_dag(can_dag).dag.nodes)
     rows = [(o, d, l) for o, d, l in load_labels(DATA / "labels.csv")
             if o in kept and d in kept]
-    save_labels(can_labels, rows)
+    save_labels(can_labels, *label_columns(rows))
     n_pos = sum(1 for _, _, l in rows if l == 1)
     print(f"\nkept {len(rows)} labeled branches ({n_pos} feasible) on {len(kept)} nodes")
 

@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Peak memory and wall time of `predict` and `report` on a 994-node corpus.
+"""Peak memory and wall time of `negatives`, `predict` and `report` on a 994-node corpus.
 
     python3 scripts/probe_report_memory.py [--runs N]
 
 Generates perfbench's 994-node probe corpus (985,042 candidate branches),
-runs `ingest` and `train` on it, then runs `predict` and `report` each in a
-fresh interpreter, N times, with the argv perfbench uses.  For every run it
-prints the command's wall time (around `attackdag.cli.main`, imports
-excluded) and the process's peak RSS.  The peak is `VmHWM` from
-/proc/self/status, the high-water mark of the address space that exec gave
-the child, so it is the command's own; Linux carries `ru_maxrss` across
-exec, so that figure would be at least the probe's own peak, and it is
-read only where /proc is absent.  The last line of standard output
-is one JSON object with those numbers and the SHA-256 digests of
-`predictions.csv` and of `report.json` less its timestamp, so two checkouts
-can be compared.  Its working directory is a temporary one, removed
-afterwards.
+runs `ingest` and `train` on it, then runs `negatives`, `predict` and
+`report` each in a fresh interpreter, N times, with the argv perfbench
+uses.  For every run it prints the command's wall time (around
+`attackdag.cli.main`, imports excluded) and the process's peak RSS.  The
+peak is `VmHWM` from /proc/self/status, the high-water mark of the address
+space that exec gave the child, so it is the command's own; Linux carries
+`ru_maxrss` across exec, so that figure would be at least the probe's own
+peak, and it is read only where /proc is absent.  The last line of
+standard output is one JSON object with those numbers and the SHA-256
+digests of `candidates.csv`, `predictions.csv` and `report.json` less its
+timestamp, so two checkouts can be compared.  Its working directory is a
+temporary one, removed afterwards.
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def probe(work: Path, runs: int) -> dict:
         if main(argv(command, inputs, out)) != 0:
             sys.exit(f"{command} failed")
     results: dict = {"spec": vars(SPEC), "seed": SEED}
-    for command in ("predict", "report"):
+    for command in ("negatives", "predict", "report"):
         results[command] = []
         for _ in range(runs):
             results[command].append(measured(command, inputs, out))
             print(f"{command}: {results[command][-1]}", flush=True)
-    for name in ("predictions.csv", "report.json"):
+    for name in ("candidates.csv", "predictions.csv", "report.json"):
         results[f"{name} sha256"] = hashlib.sha256(artifact_bytes(out / name)).hexdigest()
     return results
 

@@ -69,6 +69,7 @@ from .negatives import (
 )
 from .storage import (
     EXPLOIT_BUCKETS,
+    Coded,
     DagFile,
     FingerprintMismatch,
     Records,
@@ -83,6 +84,7 @@ from .storage import (
     load_predictions,
     append_annotation,
     csv_text,
+    label_columns,
     parse_node_id,
     save_dag,
     save_labels,
@@ -208,8 +210,7 @@ def cmd_negatives(args: argparse.Namespace) -> None:
     candidates = generate_negative_candidates(
         dagfile.dag, table, dagfile.blocks, exceptions, _thresholds(args)
     )
-    save_labels(args.out, zip(candidates.origins.tolist(), candidates.dests.tolist(),
-                              candidates.labels.tolist()))
+    save_labels(args.out, candidates.nodes.ids, candidates.at, candidates.labels)
     print(f"{len(candidates)} negative candidates written to {args.out} (label -1, unreviewed)")
 
 
@@ -231,7 +232,7 @@ def cmd_annotate_fold(args: argparse.Namespace) -> None:
                 f"conflict: pair {pair} labeled {existing[pair]:+d} but annotated {label:+d}")
     merged = dict(existing)
     merged.update(verdicts)
-    save_labels(args.out, [(o, d, l) for (o, d), l in sorted(merged.items())])
+    save_labels(args.out, *label_columns([(o, d, l) for (o, d), l in sorted(merged.items())]))
     added = len(merged) - len(existing)
     print(f"folded {len(verdicts)} verdicts ({added} new pairs) into {args.out}")
 
@@ -312,10 +313,9 @@ def cmd_predict(args: argparse.Namespace) -> None:
             decisions = model.decision_values(window.features)
             labels = decision_labels(decisions)
             positives += int(np.count_nonzero(labels == 1))
-            yield zip(window.origins.tolist(), window.dests.tolist(), labels.tolist(),
-                      decisions.tolist())
+            yield window.at, labels, decisions
 
-    save_predictions(args.out, scored_windows())
+    save_predictions(args.out, candidates.nodes.ids, scored_windows())
     reduction = format_reduction(positives, len(candidates)) if len(candidates) else "undefined"
     print(
         f"{len(candidates)} candidate branches, {positives} predicted feasible, "
@@ -422,10 +422,12 @@ def cmd_report(args: argparse.Namespace) -> None:
         pairs = zip(origin.tolist(), dest.tolist())
         unknown = next(pair for pair in pairs if not blocks.keys() >= {*pair})
         raise UnknownNode(f"{args.predictions}: predicted branch {unknown} references unknown node")
-    # The positives by descending decision, in file order among equal decisions.
+    # The positives by descending decision, in file order among equal decisions,
+    # and each one's endpoints as positions in nodes.
     positive = np.flatnonzero(predictions["label"] == 1)
-    kept = predictions[positive[np.argsort(-decision[positive], kind="stable")]]
-    origins, dests = kept["origin"].tolist(), kept["dest"].tolist()
+    kept = positive[np.argsort(-decision[positive], kind="stable")]
+    origin_at = np.searchsorted(nodes, origin[kept])
+    dest_at = np.searchsorted(nodes, dest[kept])
     # A node's bucket as its index in bucket_names (the last, None, for no
     # bucket); a branch takes its dest's bucket, else its origin's.  The codes
     # are int8 because an intp column per positive (and bincount's copy of it)
@@ -433,18 +435,19 @@ def cmd_report(args: argparse.Namespace) -> None:
     bucket_names = (*EXPLOIT_BUCKETS, None)
     node_bucket = np.array([bucket_names.index(dagfile.buckets.get(n)) for n in nodes.tolist()],
                            dtype=np.int8)
-    bucket = node_bucket[np.searchsorted(nodes, kept["dest"])]
+    bucket = node_bucket[dest_at]
     no_dest = bucket == len(EXPLOIT_BUCKETS)
-    bucket[no_dest] = node_bucket[np.searchsorted(nodes, kept["origin"][no_dest])]
+    bucket[no_dest] = node_bucket[origin_at[no_dest]]
     histogram = np.bincount(bucket, minlength=len(bucket_names)).tolist()
-    buckets = [bucket_names[b] for b in bucket.tolist()]
+    node_ids = nodes.tolist()
+    node_texts = [blocks[n].raw_text for n in node_ids]
     positives = Records({
-        "origin": origins,
-        "dest": dests,
-        "origin_text": [blocks[o].raw_text for o in origins],
-        "dest_text": [blocks[d].raw_text for d in dests],
-        "decision": kept["decision"].tolist(),
-        "bucket": buckets,
+        "origin": Coded(origin_at, node_ids),
+        "origin_text": Coded(origin_at, node_texts),
+        "dest": Coded(dest_at, node_ids),
+        "dest_text": Coded(dest_at, node_texts),
+        "decision": decision[kept],
+        "bucket": Coded(bucket, bucket_names),
     })
 
     payload: dict = {

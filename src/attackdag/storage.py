@@ -21,11 +21,23 @@ as positional arguments.  A row with a field count the parser does not take,
 a field it cannot convert, or a value it rejects raises ``ValueError``
 starting with ``<source>:<line>:``, which the CLI reports as exit 2.  Every
 node id field is read by ``parse_node_id``, which holds it to the int64
-range of the id arrays.  ``csv_text`` writes them all through ``csv.writer``.
+range of the id arrays.
 
-Predictions, the largest table, take a faster path both ways, to the same
-bytes and values.  ``save_predictions`` %-formats its rows and takes them in
-blocks, handing each block's text to the file as it arrives.
+The tables that hold free text (annotations, attributes, exceptions) are
+written by ``csv_text``, through ``csv.writer``.  The two pair tables,
+labels and predictions, hold only numbers, which ``csv.writer`` never
+quotes, so they are written from columns to the same bytes by one row
+renderer: the caller passes an id column and each row as a pair of
+positions in it (a ``BranchFrame``'s ``nodes.ids`` and ``at``), each id is
+rendered once per call, the label comes from a two-entry table and the
+decision is ``float.__repr__``, what ``%r`` writes.  A row is then a join
+of looked-up fragments; ``label_columns`` gives the columns of a list of
+``(origin, dest, label)`` rows.  Rows are rendered a block at a time, so
+only one block's rows are ever Python objects: ``save_labels`` renders
+``LABEL_BLOCK_ROWS`` at a time and writes one string, and
+``save_predictions`` takes the blocks its caller yields and hands each
+block's text to the file as it arrives.
+
 ``load_predictions`` returns one structured array (``PREDICTIONS_DTYPE``):
 numpy's ``loadtxt`` parses the rows a block of lines at a time
 (``PARSE_BLOCK_CHARS``), the blocks are concatenated and the columns are
@@ -38,13 +50,15 @@ Every JSON artifact is ``json.dumps(payload, indent=2, sort_keys=True) +
 "\\n"``.  With ``indent`` set, ``json`` encodes in pure Python, and the
 report's tens of thousands of predicted positives took twice as long there
 as column by column.  So a caller hands such a list over as a ``Records``
-value, which holds its columns by key.  ``json_chunks`` gives the text in
-pieces: ``json``'s output up to each top-level ``Records`` value (which
-``json`` writes as ``null``), then that value as the bytes ``json`` would
-write for the list of dicts, encoded ``RECORDS_BLOCK_ROWS`` rows at a time
-from one %-template, then the rest.  It inspects no other value.
-``dump_json`` joins the pieces; ``write_chunks_atomic`` writes them to a
-file as they come, so the report's text is never whole in memory.
+value, which holds its columns by key.  A column is plain (one value per
+row) or ``Coded``: integer codes into a short list of distinct values, each
+of which is encoded once.  ``json_chunks`` gives the text in pieces:
+``json``'s output up to each top-level ``Records`` value (which ``json``
+writes as ``null``), then that value as the bytes ``json`` would write for
+the list of dicts, ``RECORDS_BLOCK_ROWS`` rows at a time, then the rest.
+It inspects no other value.  ``dump_json`` joins the pieces;
+``write_chunks_atomic`` writes them to a file as they come, so the
+report's text is never whole in memory.
 """
 
 from __future__ import annotations
@@ -52,12 +66,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -139,8 +153,8 @@ _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _scalar_encoder(column: Sequence) -> Callable[[Sequence], Iterable[str]]:
     """The function giving each value's JSON text for a slice of ``column``;
     TypeError unless the whole column holds one kind of scalar (str and None,
-    int, or float)."""
-    kinds = set(map(type, column))
+    int, or float; a float64 array counts as floats)."""
+    kinds = {column.dtype.type} if isinstance(column, np.ndarray) else set(map(type, column))
     if kinds <= {str, type(None)}:  # no str equals None, so one text per distinct value
         texts = {v: "null" if v is None else encode_basestring_ascii(v) for v in set(column)}
         return lambda values: map(texts.__getitem__, values)
@@ -156,44 +170,117 @@ def _scalar_encoder(column: Sequence) -> Callable[[Sequence], Iterable[str]]:
 
 
 @dataclass(frozen=True)
-class Records:
-    """A list of flat dicts as str keys to equal-length columns, each of one kind
-    of scalar (str and None, int, or float).  Not a dict, so ``json`` rejects one
-    anywhere but where ``json_chunks`` splices it in."""
+class Coded:
+    """A ``Records`` column as integer codes into a short list of values: row i
+    holds ``values[codes[i]]``.  The values are of one kind of scalar, as in a
+    plain column, and ``codes`` is a sequence or an integer array."""
 
-    columns: Mapping[str, Sequence]
+    codes: Sequence[int]
+    values: Sequence
+
+
+@dataclass(frozen=True)
+class Records:
+    """A list of flat dicts as str keys to equal-length columns.  A column is
+    plain, a sequence of one kind of scalar (str and None, int, or float; or a
+    float64 array), or ``Coded``.  Not a dict, so ``json`` rejects one anywhere
+    but where ``json_chunks`` splices it in.
+
+    Each value of a coded column is encoded once, and adjacent keys whose
+    coded columns share one ``codes`` object are written as one text
+    fragment per code, with the keys and separators between them folded in,
+    so a row is a join of looked-up fragments and plain values.
+    """
+
+    columns: Mapping[str, Sequence | Coded]
 
 
 # Rows of a Records encoded per chunk: the text of one block is held at a time.
 RECORDS_BLOCK_ROWS = 4096
 
 
+def _rows(column: Sequence, start: int, stop: int) -> Sequence:
+    """Rows start to stop of a column or code sequence, as Python scalars."""
+    part = column[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _value_texts(column: Coded) -> list[str]:
+    """The JSON text of each of ``column``'s values; ValueError if a code is not
+    an index into them."""
+    codes = np.asarray(column.codes)
+    if codes.ndim != 1 or codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0
+                                          or codes.max() >= len(column.values)):
+        raise ValueError(f"a Coded column's codes are not indices into its "
+                         f"{len(column.values)} values")
+    return list(_scalar_encoder(column.values)(column.values))
+
+
 def _records_chunks(records: Records) -> Iterator[str]:
     """The JSON text, as the value of a top-level key, of ``records``' list of dicts,
-    in blocks of rows: each row is a %-template of the sorted keys filled with
-    its column texts.  The columns are checked before the first block."""
+    in blocks of rows.  A row is joined from pieces, in key order: a plain
+    column's value texts, one fragment per code for each run of adjacent coded
+    columns that share a code array, and the literal text between them.  A
+    literal is folded into the coded run that follows it, else into the one
+    before it, so it stands alone only where no coded run touches it.  Every
+    row, the first included, opens with the separator ",\\n    ".  The
+    columns are checked before the first block."""
     keys = sorted(records.columns)
     columns = [records.columns[key] for key in keys]
-    encoders = [_scalar_encoder(column) for column in columns]
-    n_rows = min(map(len, columns), default=0)
+    lengths = [len(column.codes if isinstance(column, Coded) else column) for column in columns]
+    n_rows = min(lengths, default=0)
     # zip's own error for columns of unequal length: past the shortest column,
     # the columns run out in the order they would row by row.
-    for _ in zip(*(range(len(column) - n_rows) for column in columns), strict=True):
+    for _ in zip(*(range(length - n_rows) for length in lengths), strict=True):
         pass
-    template = "{" + ",".join(
-        "\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-    ) + "\n    }"
+
+    # Each piece is (None, literal), (column, encoder) or (codes, fragments).
+    pieces: list[tuple] = []
+
+    def fold(literal: str) -> None:
+        """Put ``literal`` after the last piece."""
+        last = pieces[-1] if pieces else (None, None)
+        if isinstance(last[1], list):
+            pieces[-1] = (last[0], [fragment + literal for fragment in last[1]])
+        else:
+            pieces.append((None, literal))
+
+    literal, i = ",\n    {", 0
+    while i < len(keys):
+        column = columns[i]
+        literal += "\n      " + encode_basestring_ascii(keys[i]) + ": "
+        if not isinstance(column, Coded):
+            fold(literal)
+            pieces.append((column, _scalar_encoder(column)))
+            i += 1
+        else:
+            fragments = [literal] * len(column.values)
+            while True:
+                fragments = list(map(str.__add__, fragments, _value_texts(columns[i])))
+                i += 1
+                if (i == len(keys) or not isinstance(columns[i], Coded)
+                        or columns[i].codes is not column.codes):
+                    break
+                between = ",\n      " + encode_basestring_ascii(keys[i]) + ": "
+                fragments = [fragment + between for fragment in fragments]
+            pieces.append((column.codes, fragments))
+        literal = ","
+    fold("\n    }")
 
     def chunks() -> Iterator[str]:
         if not n_rows:
             yield "[]"
             return
-        opener = "[\n    "
         for start in range(0, n_rows, RECORDS_BLOCK_ROWS):
-            stop = start + RECORDS_BLOCK_ROWS
-            texts = [encode(column[start:stop]) for encode, column in zip(encoders, columns)]
-            yield opener + ",\n    ".join([template % row for row in zip(*texts)])
-            opener = ",\n    "
+            stop = min(start + RECORDS_BLOCK_ROWS, n_rows)
+            parts = [
+                repeat(texts, stop - start) if column is None
+                else map(texts.__getitem__, _rows(column, start, stop)) if isinstance(texts, list)
+                else texts(_rows(column, start, stop))
+                for column, texts in pieces
+            ]
+            text = "".join(chain.from_iterable(zip(*parts)))
+            yield "[" + text[1:] if start == 0 else text
         yield "\n  ]"
 
     return chunks()
@@ -612,8 +699,58 @@ def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
                     "labels")
 
 
-def save_labels(path: str | Path, rows: Iterable[tuple[int, int, int]]) -> None:
-    write_text_atomic(path, csv_text(LABELS_HEADER, rows))
+# A label's text in the last field of a labels row, and before a decision.
+_LABEL_TEXT = {1: "1", -1: "-1"}
+_LABEL_FIELD = {1: "1,", -1: "-1,"}
+
+
+def _pair_renderer(ids: np.ndarray) -> Callable[..., str]:
+    """``render(at, labels, decisions=None)``: the text of labels or predictions
+    rows ``ids[at[i, 0]], ids[at[i, 1]], labels[i]`` (each 1 or -1), then
+    ``decisions[i]`` if given, each line opened by its "\\n".
+
+    Each id is rendered once, here, and every row is joined from looked-up
+    fragments and the decision's ``float.__repr__``; that is what
+    ``csv.writer`` writes, as it never quotes a number, and what ``%r`` writes.
+    """
+    dest = [f"{node}," for node in ids.tolist()]
+    origin = ["\n" + text for text in dest]
+
+    def render(at: np.ndarray, labels: np.ndarray, decisions: Optional[np.ndarray] = None) -> str:
+        parts = [map(origin.__getitem__, at[:, 0].tolist()),
+                 map(dest.__getitem__, at[:, 1].tolist())]
+        if decisions is None:
+            parts.append(map(_LABEL_TEXT.__getitem__, labels.tolist()))
+        else:
+            parts.append(map(_LABEL_FIELD.__getitem__, labels.tolist()))
+            parts.append(map(float.__repr__, decisions.tolist()))
+        return "".join(chain.from_iterable(zip(*parts)))
+
+    return render
+
+
+def label_columns(
+    rows: Sequence[tuple[int, int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``save_labels``' columns for ``(origin, dest, label)`` rows: the rows' distinct
+    ids in ascending order, each row's pair as positions in them, and the labels."""
+    pairs = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    ids, at = np.unique(pairs, return_inverse=True)
+    return ids, at.reshape(-1, 2), np.array([row[2] for row in rows], dtype=np.int64)
+
+
+# Labels rows rendered per block: only one block's rows are held as Python
+# objects at a time.
+LABEL_BLOCK_ROWS = 4096
+
+
+def save_labels(path: str | Path, ids: np.ndarray, at: np.ndarray, labels: np.ndarray) -> None:
+    """Write the labels rows ``ids[at[i, 0]], ids[at[i, 1]], labels[i]``, the bytes
+    ``csv_text(LABELS_HEADER, rows)`` gives for them, as one string."""
+    render = _pair_renderer(ids)
+    texts = [render(at[start:start + LABEL_BLOCK_ROWS], labels[start:start + LABEL_BLOCK_ROWS])
+             for start in range(0, len(at), LABEL_BLOCK_ROWS)]
+    write_text_atomic(path, "".join([",".join(LABELS_HEADER), *texts, "\n"]))
 
 
 def append_annotation(
@@ -786,19 +923,17 @@ def load_model(
 PREDICTIONS_HEADER = ("origin", "dest", "label", "decision")
 
 
-def save_predictions(path: str | Path,
-                     blocks: Iterable[Iterable[tuple[int, int, int, float]]]) -> None:
-    """Write blocks of rows of Python ints and a float, as ``ndarray.tolist()`` gives them.
+def save_predictions(path: str | Path, ids: np.ndarray,
+                     blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """Write blocks of predictions rows, each block ``(at, labels, decisions)``
+    with ``at`` as positions in ``ids``, as ``_pair_renderer`` renders them.
 
-    The one table not written by ``csv_text``: %-formatting is faster on
-    tens of thousands of rows, and the text is what ``csv.writer`` would
-    write, since it never quotes a number and ``%r`` of a float is its
-    shortest round-trip repr.  Each block's lines are joined and written as
-    the block arrives, so a caller that yields blocks lazily never holds
-    more than one block's rows or text.
+    Each block's text is written as the block arrives, so a caller that
+    yields blocks lazily never holds more than one block's rows or text.
     """
-    texts = ("".join(["%d,%d,%d,%r\n" % row for row in rows]) for rows in blocks)
-    write_chunks_atomic(path, itertools.chain([",".join(PREDICTIONS_HEADER) + "\n"], texts))
+    render = _pair_renderer(ids)
+    texts = (render(at, labels, decisions) for at, labels, decisions in blocks)
+    write_chunks_atomic(path, chain([",".join(PREDICTIONS_HEADER)], texts, ["\n"]))
 
 
 PREDICTIONS_DTYPE = np.dtype([("origin", "<i8"), ("dest", "<i8"), ("label", "<i8"),

@@ -5,17 +5,25 @@ study is scripts/can_case_study.py, and scripts/build_corpus_artifacts.py
 writes data/attributes.csv and data/labels.csv; each is pointed at a
 temporary directory instead of out/, out/can/ or data/.  The scores that
 ``eval --baselines`` and ``csp`` print on the bundled data are pinned too,
-and so is the digest of the rows ``csp --out`` writes.
+and so is the digest of the rows ``csp --out`` writes.  Beyond the bundled
+data, whose candidates fit one scoring window, a generated corpus checks
+the bytes of ``candidates.csv``, ``predictions.csv`` and ``report.json``
+against references built row by row.
 """
 
 import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from attackdag.cli import main
+from attackdag.features import AttributeTable, enumerate_candidates
+from attackdag.learn import svm
+from attackdag.negatives import ExceptionList, NegativeFilterThresholds, generate_negative_candidates
+from attackdag import storage
 
 REPO = Path(__file__).resolve().parent.parent
 TRACKED = REPO / "out"
@@ -105,3 +113,59 @@ def test_bundled_csp_out_digest(tmp_path):
     assert main(["csp", *_BUNDLED, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "1a0926c3e6cb3ba176677da974ecfd007d5252684f9856e529288004b955fa01")
+
+
+def test_artifacts_beyond_one_window_match_row_by_row_references(tmp_path, capsys, monkeypatch):
+    """negatives, predict and report on a generated 127-node corpus (perfbench's
+    generator), whose candidates span four scoring windows and whose predicted
+    positives span two record blocks, against references built row by row from
+    the frames and from json.dumps of the positives' list of dicts."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    gen = importlib.import_module("gen")
+    gen.write(gen.Spec(families=30, shared_entries=4, shared_exits=3, labels=400), "1/0", tmp_path)
+    files = {name: str(tmp_path / name) for name in (
+        "corpus.json", "attributes.csv", "labels.csv", "exceptions.csv", "dag.json",
+        "candidates.csv", "model.json", "predictions.csv", "report.json")}
+    scored = ["--dag", files["dag.json"], "--attrs", files["attributes.csv"],
+              "--labels", files["labels.csv"]]
+    for argv in (["ingest", "--corpus", files["corpus.json"], "--out", files["dag.json"]],
+                 ["negatives", *scored[:4], "--exceptions", files["exceptions.csv"],
+                  "--out", files["candidates.csv"]],
+                 ["train", *scored, "--out", files["model.json"]],
+                 ["predict", "--model", files["model.json"], *scored,
+                  "--out", files["predictions.csv"]],
+                 ["report", "--model", files["model.json"], *scored,
+                  "--predictions", files["predictions.csv"], "--out", files["report.json"]]):
+        assert main(argv) == 0, capsys.readouterr()
+
+    dagfile = storage.load_dag(files["dag.json"])
+    table = AttributeTable.from_csv(Path(files["attributes.csv"]).read_text())
+    exceptions = ExceptionList.from_csv(Path(files["exceptions.csv"]).read_text())
+    negatives = generate_negative_candidates(dagfile.dag, table, dagfile.blocks, exceptions,
+                                             NegativeFilterThresholds())
+    rows = zip(negatives.origins.tolist(), negatives.dests.tolist(), negatives.labels.tolist())
+    assert Path(files["candidates.csv"]).read_text() == storage.csv_text(
+        storage.LABELS_HEADER, rows)
+
+    training = {(o, d) for o, d, _ in storage.load_labels(files["labels.csv"])}
+    candidates = enumerate_candidates(dagfile.dag, table, training)
+    assert len(candidates) > 2 * svm.SCORE_BLOCK_ROWS
+    decisions = storage.load_model(files["model.json"]).decision_values(candidates.features)
+    scored_rows = list(zip(candidates.origins.tolist(), candidates.dests.tolist(),
+                           decisions.tolist()))
+    lines = ["%d,%d,%d,%r\n" % (o, d, 1 if v >= 0.0 else -1, v) for o, d, v in scored_rows]
+    assert Path(files["predictions.csv"]).read_text() == (
+        "origin,dest,label,decision\n" + "".join(lines))
+
+    # sorted() is stable, so equal decisions keep their file order.
+    positives = sorted((row for row in scored_rows if row[2] >= 0.0), key=lambda row: -row[2])
+    assert len(positives) > storage.RECORDS_BLOCK_ROWS
+    blocks, buckets = dagfile.blocks, dagfile.buckets
+    records = [{"origin": o, "dest": d, "origin_text": blocks[o].raw_text,
+                "dest_text": blocks[d].raw_text, "decision": v,
+                "bucket": buckets.get(d, buckets.get(o))} for o, d, v in positives]
+    text = Path(files["report.json"]).read_text()
+    payload = json.loads(text)
+    assert len(payload["predicted_positives"]) == len(records)
+    payload["predicted_positives"] = records
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"

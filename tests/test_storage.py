@@ -14,6 +14,7 @@ import attackdag.storage as storage_module
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
+from attackdag.learn.svm import decision_labels
 from attackdag.model import expr_blocks, normalize_description
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
@@ -29,11 +30,14 @@ from attackdag.storage import (
     PREDICTIONS_DTYPE,
     PREDICTIONS_HEADER,
     DagFile,
+    Coded,
     Records,
     append_annotation,
+    csv_text,
     dump_json,
     file_fingerprint,
     json_chunks,
+    label_columns,
     load_annotations,
     load_corpus,
     load_dag,
@@ -48,6 +52,12 @@ from attackdag.storage import (
     write_chunks_atomic,
     write_text_atomic,
 )
+
+
+def prediction_columns(rows):
+    """``save_predictions``' id column and one block for (origin, dest, label, decision) rows."""
+    ids, at, labels = label_columns([row[:3] for row in rows])
+    return ids, [(at, labels, np.array([row[3] for row in rows], dtype=float))]
 
 
 class TestPrimitives:
@@ -271,6 +281,82 @@ def test_records_in_blocks_match_json(monkeypatch, block):
         assert len(list(json_chunks(payload))) == 5 + 2 * -(-n // block)
 
 
+@st.composite
+def coded_tables(draw):
+    """Plain and Coded columns of 0 to 6 rows under 1 to 6 keys, the coded ones
+    taking their codes from up to three code arrays, lists or integer arrays,
+    that several keys may share; and the rows they stand for."""
+    n = draw(st.integers(0, 6))
+    pool = []  # (number of values, codes)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 4))
+        codes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        dtype = draw(st.sampled_from([None, np.int8, np.uint16, np.int64]))
+        pool.append((k, codes if dtype is None else np.array(codes, dtype=dtype)))
+    keys = draw(st.lists(st.text(max_size=3) | PERCENT_TEXT, min_size=1, max_size=6,
+                         unique=True))
+    columns = {}
+    for key in keys:
+        values = draw(st.sampled_from(RECORD_COLUMNS))
+        if draw(st.booleans()):
+            k, codes = draw(st.sampled_from(pool))
+            columns[key] = Coded(codes, draw(st.lists(values, min_size=k, max_size=k)))
+            continue
+        column = draw(st.lists(values, min_size=n, max_size=n))
+        if all(isinstance(v, float) for v in column) and draw(st.booleans()):
+            column = np.array(column, dtype=np.float64)
+        columns[key] = column
+    rows = [{key: column.values[column.codes[i]] if isinstance(column, Coded) else column[i]
+             for key, column in columns.items()} for i in range(n)]
+    return columns, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=coded_tables(), key=st.text(max_size=3), other=JSON_VALUES)
+def test_dump_json_coded_records_match_json(table, key, other):
+    """Coded columns, shared by adjacent keys or not, are written as json writes
+    the list of dicts they stand for."""
+    columns, rows = table
+    payload, plain = {key: other}, {key: other}
+    payload["rows"], plain["rows"] = Records(columns), rows
+    assert dump_json(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["0-rows", "block-1", "block", "block+1"])
+def test_coded_records_across_blocks_match_json(offset):
+    """A report-like mix of coded and plain columns at 0 rows and at one block of
+    rows less one, exactly one, and one more: node codes shared by two adjacent
+    keys and by one key further on, bucket codes, a float array and a str column."""
+    n = 0 if offset is None else storage_module.RECORDS_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    node_ids, texts = [-5, 0, 7, 2**40], ["a%sb", "\u00e9\u2603", "\ud800 lone", "100%"]
+    buckets = ("crypto", None, "%d")
+    origin, dest = rng.integers(0, 4, n), rng.integers(0, 4, n).tolist()
+    bucket = rng.integers(0, 3, n).astype(np.int8)
+    decision = rng.normal(size=n)
+    decision[: min(n, 2)] = -0.0
+    notes = [None if i % 3 else f"row {i}%" for i in range(n)]
+    columns = {
+        "bucket": Coded(bucket, buckets),
+        "decision": decision,
+        "dest": Coded(dest, node_ids),
+        "dest_text": Coded(dest, texts),
+        "note": notes,
+        "origin": Coded(origin, node_ids),
+        "origin_text": Coded(origin, texts),
+        "weight": Coded(dest, [0.5, -0.0, 1e16, 5e-324]),
+    }
+    rows = [{"bucket": buckets[bucket[i]], "decision": float(decision[i]),
+             "dest": node_ids[dest[i]], "dest_text": texts[dest[i]], "note": notes[i],
+             "origin": node_ids[origin[i]], "origin_text": texts[origin[i]],
+             "weight": [0.5, -0.0, 1e16, 5e-324][dest[i]]} for i in range(n)]
+    payload = {"a": 1, "rows": Records(columns), "z": [None]}
+    expected = json.dumps({"a": 1, "rows": rows, "z": [None]}, indent=2, sort_keys=True) + "\n"
+    assert dump_json(payload) == expected
+    blocks = -(-n // storage_module.RECORDS_BLOCK_ROWS)
+    assert len(list(json_chunks(payload))) == 2 + (blocks + 1 if n else 1)
+
+
 class TestChunkedWriter:
     def test_chunks_are_written_in_order(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -293,15 +379,16 @@ class TestChunkedWriter:
 
     def test_failing_prediction_blocks_keep_the_old_file(self, tmp_path):
         target = tmp_path / "preds.csv"
-        save_predictions(target, [[(0, 1, 1, 0.5)]])
+        ids = np.array([0, 1])
+        save_predictions(target, ids, [(np.array([[0, 1]]), np.array([1]), np.array([0.5]))])
         before = target.read_bytes()
 
         def blocks():
-            yield [(0, 1, 1, 0.5), (1, 0, -1, -0.5)]
+            yield np.array([[0, 1], [1, 0]]), np.array([1, -1]), np.array([0.5, -0.5])
             raise ValueError("scoring failed")
 
         with pytest.raises(ValueError, match="scoring failed"):
-            save_predictions(target, blocks())
+            save_predictions(target, ids, blocks())
         assert target.read_bytes() == before
         assert list(tmp_path.iterdir()) == [target]
 
@@ -310,7 +397,14 @@ class TestChunkedWriter:
         (Records({"a": [], "b": ["x"]}), ValueError),
         (Records({"a": [1.5, 1]}), TypeError),
         (Records({"a": ["x", 1]}), TypeError),
-    ], ids=["ragged", "ragged-empty", "float-int", "str-int"])
+        (Records({"a": Coded([0, 2], ["x", "y"])}), ValueError),
+        (Records({"a": Coded(np.array([0, -1]), ["x", "y"])}), ValueError),
+        (Records({"a": Coded([0.0, 1.0], ["x", "y"])}), ValueError),
+        (Records({"a": [1, 2, 3], "b": Coded([0, 0], [5])}), ValueError),
+        (Records({"a": Coded(np.zeros(4, np.int8), [5]), "b": [1, 2, 3]}), ValueError),
+        (Records({"a": Coded([0, 0, 0], [1.5, 1])}), TypeError),
+    ], ids=["ragged", "ragged-empty", "float-int", "str-int", "code-beyond-values",
+            "negative-code", "float-codes", "short-codes", "long-codes", "coded-float-int"])
     def test_bad_records_raise_before_anything_is_written(self, tmp_path, monkeypatch,
                                                           records, error):
         monkeypatch.setattr(storage_module, "RECORDS_BLOCK_ROWS", 1)
@@ -483,9 +577,18 @@ class TestLabels:
     def test_round_trip(self, tmp_path):
         rows = [(0, 1, 1), (2, 3, -1), (4, 0, 1)]
         path = tmp_path / "labels.csv"
-        save_labels(path, rows)
+        save_labels(path, *label_columns(rows))
         assert load_labels(path) == rows
         assert path.read_text().splitlines()[0] == "origin,dest,label"
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_match_csv_text(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(storage_module, "LABEL_BLOCK_ROWS", block)
+        rows = [(5, -3, -1), (-3, 5, 1), (2**63 - 1, 5, 1), (5, -(2**63), -1), (7, 5, 1)]
+        for n in range(len(rows) + 1):
+            path = tmp_path / f"labels{n}.csv"
+            save_labels(path, *label_columns(rows[:n]))
+            assert path.read_text() == csv_text(LABELS_HEADER, rows[:n])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -590,7 +693,7 @@ class TestPredictions:
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         rows = [(0, 1, 1, 0.1 + 0.2), (2, 3, -1, -1.2345678901234567e-05)]
         path = tmp_path / "preds.csv"
-        save_predictions(path, [rows])
+        save_predictions(path, *prediction_columns(rows))
         loaded = load_predictions(path)
         assert loaded.dtype == PREDICTIONS_DTYPE
         assert loaded.tolist() == rows
@@ -611,7 +714,9 @@ class TestPredictions:
         for origin, dest, label, decision in rows:
             writer.writerow([origin, dest, label, repr(float(decision))])
         path = tmp_path / "preds.csv"
-        save_predictions(path, [rows[:3], [], rows[3:]])
+        ids, [(at, labels, decisions)] = prediction_columns(rows)
+        save_predictions(path, ids, [(at[:3], labels[:3], decisions[:3]), (at[3:3], labels[3:3],
+                                     decisions[3:3]), (at[3:], labels[3:], decisions[3:])])
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
         assert load_predictions(path).tolist() == rows
 
@@ -687,6 +792,62 @@ CSV_FIELDS = st.one_of(
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv_fuzz")
+
+
+_INT64 = np.iinfo(np.int64)
+# Id columns for the pair writers: negative, int64-extreme, unsorted and repeated ids.
+NODE_IDS = st.lists(st.integers(_INT64.min, _INT64.max)
+                    | st.sampled_from([_INT64.min, _INT64.max, -1, 0, 7]), min_size=1, max_size=8)
+DECISIONS = (st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05]))
+
+
+@st.composite
+def pair_blocks(draw):
+    """An id column and 0 to 4 windows of 0 to 5 rows: positions in the ids, and
+    decisions labeled as predict labels them (-0.0 takes label 1)."""
+    ids = np.array(draw(NODE_IDS), dtype=np.int64)
+    position = st.integers(0, len(ids) - 1)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(0, 5))
+        at = np.array(draw(st.lists(st.tuples(position, position), min_size=m, max_size=m)),
+                      dtype=np.intp).reshape(-1, 2)
+        decisions = np.array(draw(st.lists(DECISIONS, min_size=m, max_size=m)), dtype=float)
+        blocks.append((at, decision_labels(decisions), decisions))
+    return ids, blocks
+
+
+def pair_rows(ids, at, labels, *more):
+    """The rows a pair writer is given, built one by one from the columns."""
+    ids = ids.tolist()
+    return [(ids[o], ids[d], *rest) for (o, d), *rest in zip(at.tolist(), labels.tolist(),
+                                                            *(m.tolist() for m in more))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=pair_blocks())
+def test_save_labels_matches_csv_text(fuzz_dir, table):
+    ids, blocks = table
+    at = np.concatenate([np.empty((0, 2), np.intp)] + [block[0] for block in blocks])
+    labels = np.concatenate([np.empty(0, np.int64)] + [block[1] for block in blocks])
+    rows = pair_rows(ids, at, labels)
+    expected = csv_text(LABELS_HEADER, rows).encode()
+    path = fuzz_dir / "labels.csv"
+    save_labels(path, ids, at, labels)
+    assert path.read_bytes() == expected
+    save_labels(path, *label_columns(rows))
+    assert path.read_bytes() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=pair_blocks())
+def test_save_predictions_matches_per_row_format(fuzz_dir, table):
+    ids, blocks = table
+    lines = ["%d,%d,%d,%r\n" % row for block in blocks for row in pair_rows(ids, *block)]
+    path = fuzz_dir / "predictions.csv"
+    save_predictions(path, ids, iter(blocks))
+    assert path.read_bytes() == (",".join(PREDICTIONS_HEADER) + "\n" + "".join(lines)).encode()
 
 
 class TestCsvLoadersFuzz:
