@@ -278,8 +278,8 @@ def cmd_grid_search(args: argparse.Namespace) -> None:
     branches = _labeled(args)
     best, surface = grid_search_min_fn(branches.features, branches.labels, _grid_spec(args))
     if args.out:
-        rows = [{**_cell(cell.params), "fn": cell.fn, "fp": cell.fp, "error": cell.error}
-                for cell in surface]
+        rows = [{**_cell(cell.params), "fn": cell.fn, "fp": cell.fp, "error": cell.error,
+                 "converged": cell.converged} for cell in surface]
         write_text_atomic(args.out, dump_json({"best": _cell(best), "cells": rows}))
     failed = sum(1 for cell in surface if cell.fn is None)
     best_cell = next(cell for cell in surface if cell.params == best)

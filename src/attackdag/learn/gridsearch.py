@@ -6,6 +6,19 @@ A cell whose training or scoring raises a ``ValueError`` (every typed error
 of ``train_svm`` and ``evaluate`` is one) is recorded and skipped; one bad
 kernel/gamma combination must not sink the sweep.  Any other exception is a
 fault, not a failed cell, and propagates.
+
+Each (kernel, gamma) column is fitted in ascending C.  For a kernel in
+``SEEDED_KERNELS`` every fit after the column's first successful one
+starts from the previous fit's multipliers (alpha seeding, DeCoste &
+Wagstaff, KDD 2000): they lie in [0, C_prev], so inside the larger box,
+and keep ``sum(y * alpha)``.  These kernels are positive semidefinite, so
+the dual is convex and a seeded fit meets the same optimality conditions
+as a cold one, within the tolerance.  Its result can differ from a cold
+fit's only within that tolerance, or where the fit stops at ``max_passes``
+before converging.  The sigmoid kernel is not positive semidefinite: where
+SMO ends up depends on where it starts, so its cells always start cold.  A
+failed cell seeds nothing: the next C starts cold.  The surface is reported
+in ``GridSpec.cells()`` order whatever order the fits ran in.
 """
 
 from __future__ import annotations
@@ -16,7 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .evaluation import evaluate
-from .svm import SvmParams, train_svm
+from .svm import SvmModel, SvmParams, full_alphas, train_svm
+
+# Kernels with a positive semidefinite Gram matrix, whose fits may start
+# from the previous C's multipliers.
+SEEDED_KERNELS = ("rbf", "poly")
 
 
 @dataclass(frozen=True)
@@ -40,6 +57,7 @@ class CellResult:
     fn: Optional[int]  # None marks a failed cell
     fp: Optional[int]
     error: Optional[str] = None
+    converged: Optional[bool] = None  # whether SMO converged; None for a failed cell
 
 
 def grid_search_min_fn(
@@ -57,23 +75,30 @@ def grid_search_min_fn(
     if grid is None:
         grid = GridSpec()
     eval_x, eval_y = (x, y) if eval_data is None else eval_data
-    surface: list[CellResult] = []
-    best: tuple[int, int, int] | None = None  # (fn, fp, cell order)
-    best_params: SvmParams | None = None
-    first_error: ValueError | None = None
-    for order, params in enumerate(grid.cells()):
-        try:
-            model = train_svm(x, y, params)
-            metrics = evaluate(model.predict(eval_x), eval_y)
-        except ValueError as exc:  # record and keep sweeping
-            surface.append(CellResult(params=params, fn=None, fp=None, error=str(exc)))
-            first_error = first_error or exc
-            continue
-        surface.append(CellResult(params=params, fn=metrics.fn, fp=metrics.fp))
-        key = (metrics.fn, metrics.fp, order)
-        if best is None or key < best:
-            best = key
-            best_params = params
-    if best_params is None:
-        raise first_error or ValueError("the grid has no cells")
-    return best_params, surface
+    cells = grid.cells()
+    columns: dict[tuple[str, float], list[int]] = {}
+    for order, params in enumerate(cells):
+        columns.setdefault((params.kernel, params.gamma), []).append(order)
+    surface: list[CellResult | None] = [None] * len(cells)
+    errors: dict[int, ValueError] = {}
+    for column in columns.values():
+        warm: SvmModel | None = None  # the fit the next C starts from
+        for order in sorted(column, key=lambda o: cells[o].c):
+            params = cells[order]
+            try:
+                model = train_svm(x, y, params,
+                                  start=None if warm is None else full_alphas(warm))
+                metrics = evaluate(model.predict(eval_x), eval_y)
+            except ValueError as exc:  # record and keep sweeping
+                surface[order] = CellResult(params=params, fn=None, fp=None, error=str(exc))
+                errors[order] = exc
+                warm = None
+                continue
+            surface[order] = CellResult(params=params, fn=metrics.fn, fp=metrics.fp,
+                                        converged=model.converged)
+            warm = model if params.kernel in SEEDED_KERNELS else None
+    ranked = [(cell.fn, cell.fp, order) for order, cell in enumerate(surface)
+              if cell.fn is not None]
+    if not ranked:
+        raise errors[0] if cells else ValueError("the grid has no cells")
+    return cells[min(ranked)[2]], surface

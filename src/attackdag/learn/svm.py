@@ -43,7 +43,8 @@ there too.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
-``converged``.
+``converged``, from zeros and from a given start alike: both derive the
+starting state from the one product ``k @ (alpha * y)``.
 """
 
 from __future__ import annotations
@@ -237,8 +238,17 @@ def _penalties(up: Sequence[bool], down: Sequence[bool]) -> tuple[np.ndarray, np
     return np.where(up, 0.0, -np.inf), np.where(down, 0.0, np.inf)
 
 
-def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> SvmModel:
-    """Fit the SVM to feature rows x labeled y (+1/-1)."""
+def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None,
+              start: np.ndarray | None = None) -> SvmModel:
+    """Fit the SVM to feature rows x labeled y (+1/-1).
+
+    ``start`` is a multiplier per training row, each in [0, C], to begin
+    from instead of zeros (alpha seeding).  Every SMO step keeps
+    ``sum(y * alpha)``, so the fit satisfies the equality constraint only
+    as well as ``start`` does.  For a positive semidefinite kernel the dual
+    is convex, and the fit reaches the same optimum within the tolerance
+    from any feasible start.
+    """
     if params is None:
         params = SvmParams()
     x, y = check_labeled(x, y)
@@ -248,6 +258,14 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     n = x.shape[0]
     c = params.c
     tol = params.tolerance
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,):
+            raise ValueError(f"start has shape {start.shape}, expected ({n},)")
+        if not np.isfinite(start).all():
+            raise ValueError("start contains NaN or infinity")
+        if (start < 0.0).any() or (start > c).any():
+            raise ValueError(f"start multipliers must lie in [0, {c}]")
     with np.errstate(over="ignore"):
         k = gram_matrix(params.kernel, x, x, params.gamma)
     if not np.isfinite(k).all():
@@ -257,11 +275,16 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None) -> 
     # cols[t] is -y_t * k[:, t], contiguous: the change in viol per unit of alpha_t.
     cols = list(np.multiply(k, -y, order="F").T)
     labels = y.tolist()
-    alpha = [0.0] * n
-    viol = y.copy()  # -y * grad, where grad = Q @ alpha - 1 starts at -1
     bound_eps = 1e-12 * max(1.0, c)
     c_inner = c - bound_eps  # a multiplier at or above this sits at C
-    can_up, can_down = (m.tolist() for m in _movable(np.zeros(n), y, c, bound_eps))
+    if start is None:
+        start = np.zeros(n)
+        viol = y.copy()  # -y * grad, where grad = Q @ alpha - 1 starts at -1
+    else:
+        # -y * (Q @ alpha - 1), since (Q @ alpha)_r = y_r * (k @ (alpha * y))_r
+        viol = y - k @ (start * y)
+    alpha = start.tolist()
+    can_up, can_down = (m.tolist() for m in _movable(start, y, c, bound_eps))
     active = [True] * n
     all_active = True
     up_pen, down_pen = _penalties(can_up, can_down)

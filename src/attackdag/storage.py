@@ -973,24 +973,34 @@ def read_prediction_rows(text: str, source: str) -> list[tuple[int, int, int, fl
 PARSE_BLOCK_CHARS = 1 << 20
 
 
-def _line_blocks(body: str) -> Iterator[list[str]]:
-    """The lines of ``body``, split on "\\n" alone, in blocks of about
-    ``PARSE_BLOCK_CHARS`` characters that hold at least one non-empty line."""
-    start = 0
-    while start < len(body):
-        stop = body.find("\n", start + PARSE_BLOCK_CHARS)
-        stop = len(body) if stop < 0 else stop + 1
-        block = body[start:stop].strip("\n")
+def _line_blocks(text: str, start: int) -> Iterator[list[str]]:
+    """The lines of ``text`` from offset ``start`` on, split on "\\n" alone, in
+    blocks of about ``PARSE_BLOCK_CHARS`` characters that hold at least one
+    non-empty line."""
+    while start < len(text):
+        stop = text.find("\n", start + PARSE_BLOCK_CHARS)
+        stop = len(text) if stop < 0 else stop + 1
+        block = text[start:stop].strip("\n")
         if block:  # numpy warns about a block with no data, and skips empty lines
             yield block.split("\n")
         start = stop
 
 
-def _longest_line(text: str) -> int:
-    """The length, its "\\n" included, of the longest line of ASCII ``text``."""
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    return int(np.diff(ends, prepend=-1, append=data.size).max())
+def _parsed_rows(text: str, start: int) -> np.ndarray | None:
+    """numpy's parse of the predictions rows of ``text`` from offset ``start``
+    on, a block of lines at a time; None where a line, its "\\n" included, is
+    longer than ``csv``'s field size limit or numpy rejects a row."""
+    limit = csv.field_size_limit()
+    blocks = []
+    for lines in _line_blocks(text, start):
+        if max(map(len, lines)) >= limit:
+            return None
+        try:
+            blocks.append(np.loadtxt(lines, delimiter=",", comments=None,
+                                     dtype=PREDICTIONS_DTYPE, ndmin=1))
+        except ValueError:
+            return None
+    return np.concatenate(blocks)
 
 
 def _rows_hold(table: np.ndarray) -> bool:
@@ -1018,18 +1028,11 @@ def load_predictions(path: str | Path) -> np.ndarray:
     either way.
     """
     text = Path(path).read_text(encoding="utf-8")
-    header, _, body = text.partition("\n")
-    if (header == ",".join(PREDICTIONS_HEADER) and len(body) > body.count("\n")
-            and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)
-            and _longest_line(text) <= csv.field_size_limit()):
-        try:
-            table = np.concatenate([
-                np.loadtxt(lines, delimiter=",", comments=None, dtype=PREDICTIONS_DTYPE,
-                           ndmin=1)
-                for lines in _line_blocks(body)])
-        except ValueError:
-            pass
-        else:
-            if _rows_hold(table):
-                return table
+    header = ",".join(PREDICTIONS_HEADER) + "\n"
+    body = len(header)  # the offset the rows start at
+    if (text.startswith(header) and len(text) - body > text.count("\n", body)
+            and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)):
+        table = _parsed_rows(text, body)
+        if table is not None and _rows_hold(table):
+            return table
     return np.array(read_prediction_rows(text, str(path)), dtype=PREDICTIONS_DTYPE)

@@ -96,7 +96,8 @@ def dual_qp_reference(
 
 
 def reference_smo(
-    x: np.ndarray, y: np.ndarray, params: SvmParams, steps: list | None = None
+    x: np.ndarray, y: np.ndarray, params: SvmParams, steps: list | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """The SMO loop as first written: every mask and reduction recomputed in
     full on every iteration.
@@ -106,7 +107,8 @@ def reference_smo(
     tolerance set to zero, as the model keeps them.  With ``steps`` given,
     each iteration appends ``(i, j, alpha_i, alpha_j, active_i, active_j)``:
     the pair it selected, their new multipliers, and whether each is still
-    active after that iteration's shrink step.
+    active after that iteration's shrink step.  ``start`` gives the
+    multipliers to begin from (default: zeros).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -115,8 +117,14 @@ def reference_smo(
     tol = params.tolerance
     k = gram_matrix(params.kernel, x, x, params.gamma)
     q = (y[:, None] * y[None, :]) * k
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    if start is None:
+        alpha = np.zeros(n)
+        grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    else:
+        alpha = np.array(start, dtype=float)
+        # Q @ alpha - 1 through (Q @ alpha)_r = y_r * (k @ (alpha * y))_r, the
+        # formula train_svm starts its viol = -y * grad from
+        grad = -y * (y - k @ (alpha * y))
     bound_eps = 1e-12 * max(1.0, c)
     active = np.ones(n, dtype=bool)
     converged = False

@@ -862,8 +862,10 @@ class TestExitCodes:
                      "--labels", str(work["labels"]), "--out", str(out), "--c-values", "1",
                      "--kernels", "poly,rbf", "--gamma-values", "1e120,0.5"]) == 0
         assert "4 cells, 1 failed" in capsys.readouterr().out
-        failed = [c for c in json.loads(out.read_text())["cells"] if c["error"]]
+        cells = json.loads(out.read_text())["cells"]
+        failed = [c for c in cells if c["error"]]
         assert [(c["kernel"], c["gamma"], c["fn"]) for c in failed] == [("poly", 1e120, None)]
+        assert [c["converged"] for c in cells] == [None, True, True, True]
 
     @pytest.mark.parametrize("table", ["labels", "annotations", "attrs"])
     def test_short_table_row_is_located_parse_error(self, work, tmp_path, capsys, table):

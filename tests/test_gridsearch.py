@@ -3,8 +3,18 @@ import re
 import numpy as np
 import pytest
 
+import dataclasses
+
 import attackdag.learn.gridsearch as gridsearch
-from attackdag.learn import GridSpec, LengthMismatch, SvmParams, evaluate, grid_search_min_fn
+from attackdag.learn import (
+    GridSpec,
+    LengthMismatch,
+    SvmParams,
+    evaluate,
+    full_alphas,
+    grid_search_min_fn,
+    train_svm,
+)
 
 N_FEATURES = 20
 
@@ -50,6 +60,8 @@ class TestGridSpec:
 
 
 class StubModel:
+    converged = True
+
     def __init__(self, preds):
         self.preds = np.asarray(preds)
 
@@ -66,7 +78,7 @@ def stub_trainer(table):
     """train_svm stand-in returning canned predictions keyed by cell params;
     "fail" raises a typed error, "crash" a fault that is not a ValueError."""
 
-    def train(x, y, params):
+    def train(x, y, params, start=None):
         key = (params.c, params.kernel, params.gamma)
         if table[key] == "fail":
             raise SyntheticFailure(f"synthetic failure in {params.kernel}")
@@ -180,6 +192,89 @@ class TestRealTraining:
         _, implicit = grid_search_min_fn(*samples, grid)
         _, explicit = grid_search_min_fn(*samples, grid, eval_data=samples)
         assert [(c.fn, c.fp) for c in implicit] == [(c.fn, c.fp) for c in explicit]
+
+
+def recording_trainer(log, fail_at=None):
+    """train_svm that appends (params, start, model) for each fit it makes;
+    a cell with C == fail_at raises a typed error instead."""
+
+    def train(x, y, params, start=None):
+        if params.c == fail_at:
+            raise SyntheticFailure(f"synthetic failure at C={params.c}")
+        model = train_svm(x, y, params, start=start)
+        log.append((params, start, model))
+        return model
+
+    return train
+
+
+def same_fit(a, b):
+    return (np.array_equal(full_alphas(a), full_alphas(b)) and a.bias == b.bias
+            and a.iterations == b.iterations and a.converged == b.converged)
+
+
+class TestSeededColumns:
+    def test_every_cell_scores_as_a_cold_fit_on_bundled_labels(self, labeled):
+        x, y = labeled.features, labeled.labels
+        best, surface = grid_search_min_fn(x, y)
+        assert [cell.params for cell in surface] == GridSpec().cells()
+        for cell in surface:
+            metrics = evaluate(train_svm(x, y, cell.params).predict(x), y)
+            assert (cell.fn, cell.fp, cell.error) == (metrics.fn, metrics.fp, None), cell
+            assert cell.converged is True
+        assert (best.c, best.kernel, best.gamma) == (1.0, "rbf", 0.5)
+
+    def test_sigmoid_and_first_c_start_cold_the_rest_from_the_previous_c(self, labeled,
+                                                                          monkeypatch):
+        x, y = labeled.features, labeled.labels
+        log = []
+        monkeypatch.setattr(gridsearch, "train_svm", recording_trainer(log))
+        grid_search_min_fn(x, y)
+        fits = {(p.kernel, p.gamma, p.c): (start, model) for p, start, model in log}
+        assert len(fits) == len(log) == 45
+        seeded = 0
+        for (kernel, gamma, c), (start, model) in fits.items():
+            if kernel == "sigmoid" or c == 1.0:
+                assert start is None
+                assert same_fit(model, train_svm(x, y, SvmParams(c=c, kernel=kernel,
+                                                                 gamma=gamma)))
+            else:
+                _, previous = fits[(kernel, gamma, c - 1.0)]
+                assert np.array_equal(start, full_alphas(previous))
+                seeded += 1
+        assert seeded == 20
+
+    def test_unsorted_c_values_give_the_sorted_cells_in_listed_order(self, labeled):
+        x, y = labeled.features, labeled.labels
+        listed = GridSpec(c_values=(3.0, 0.5, 1.0, 2.0, 8.0), gamma_values=(0.0556, 0.5))
+        ascending = dataclasses.replace(listed, c_values=tuple(sorted(listed.c_values)))
+        _, in_listed = grid_search_min_fn(x, y, listed)
+        _, in_ascending = grid_search_min_fn(x, y, ascending)
+        assert [cell.params for cell in in_listed] == listed.cells()
+        by_params = {cell.params: cell for cell in in_ascending}
+        assert in_listed == [by_params[cell.params] for cell in in_listed]
+
+    def test_failed_cell_seeds_nothing(self, labeled, monkeypatch):
+        x, y = labeled.features, labeled.labels
+        log = []
+        monkeypatch.setattr(gridsearch, "train_svm", recording_trainer(log, fail_at=2.0))
+        grid = GridSpec(kernels=("poly",), gamma_values=(0.1,))
+        _, surface = grid_search_min_fn(x, y, grid)
+        assert [(cell.params.c, cell.error is None) for cell in surface] == [
+            (1.0, True), (2.0, False), (3.0, True)]
+        assert surface[1].converged is None
+        (_, first, _), (params, after_failure, model) = log
+        assert first is None and after_failure is None
+        assert same_fit(model, train_svm(x, y, params))
+
+    def test_cell_records_whether_its_fit_converged(self, monkeypatch):
+        def capped(x, y, params, start=None):
+            return train_svm(x, y, dataclasses.replace(params, max_passes=1), start=start)
+
+        monkeypatch.setattr(gridsearch, "train_svm", capped)
+        grid = GridSpec(c_values=(1.0, 2.0), kernels=("rbf", "poly"), gamma_values=(0.5,))
+        _, surface = grid_search_min_fn(*separable(), grid)
+        assert [cell.converged for cell in surface] == [False] * 4
 
 
 class TestEvaluate:

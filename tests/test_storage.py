@@ -747,6 +747,17 @@ class TestPredictions:
             load_predictions(path)
 
     @pytest.mark.parametrize("block", [1, 12, 10**6])
+    def test_line_beyond_csv_limit_in_a_later_block_goes_to_the_row_reader(
+            self, tmp_path, monkeypatch, block):
+        # numpy would read the padded field as 0.5; csv refuses it.
+        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
+        path = tmp_path / "preds.csv"
+        long_row = "4,5,1," + " " * csv.field_size_limit() + "0.5"
+        path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n2,3,-1,-1.0\n{long_row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("block", [1, 12, 10**6])
     def test_vertical_tab_and_form_feed_are_not_line_ends(self, tmp_path, monkeypatch, block):
         # str.splitlines() would end a line at either; csv and numpy do not.
         monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)

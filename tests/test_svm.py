@@ -145,6 +145,19 @@ class TestFitValidation:
         with pytest.raises(DimensionMismatch):
             train_svm(np.zeros((3, 2)), np.array([1.0, -1.0]), SvmParams())
 
+    @pytest.mark.parametrize("start, message", [
+        ([0.5, -1e-300, 0.5], r"start multipliers must lie in \[0, 1.0\]"),
+        ([0.5, 1.0 + 1e-12, 0.5], r"start multipliers must lie in \[0, 1.0\]"),
+        ([0.5, math.nan, 0.5], "start contains NaN or infinity"),
+        ([0.5, math.inf, 0.5], "start contains NaN or infinity"),
+        ([0.5, 0.5], r"start has shape \(2,\), expected \(3,\)"),
+        ([[0.5, 0.5, 0.5]], r"start has shape \(1, 3\), expected \(3,\)"),
+    ], ids=["below-0", "above-C", "nan", "inf", "short", "2d"])
+    def test_start_outside_the_box_rejected(self, start, message):
+        x = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=message):
+            train_svm(x, np.array([1.0, -1.0, 1.0]), SvmParams(c=1.0), start=np.array(start))
+
 
 class TestTwoPointAnalytic:
     """Two opposite-label points: the dual has a closed form.
@@ -236,6 +249,34 @@ class TestOptimizerProperties:
             obj = 0.5 * float(alphas @ q @ alphas) - float(alphas.sum())
             assert obj == pytest.approx(ref_obj, abs=1e-6)
 
+    def test_seeded_sweep_matches_reference_qp_solver(self):
+        # C rises through four values and each fit after the first starts
+        # from the previous one's multipliers, as the grid search seeds its
+        # rbf and poly columns; every fit must still reach the convex optimum.
+        rng = np.random.default_rng(2024)
+        for trial in range(6):
+            x, y = random_problem(rng, int(rng.integers(6, 12)), int(rng.integers(2, 4)))
+            kernel = "rbf" if trial % 2 == 0 else "poly"
+            gamma = float(rng.choice([0.1, 0.5]))
+            start = None
+            for c in (0.25, 0.5, 1.0, 2.0):
+                params = SvmParams(c=c, kernel=kernel, gamma=gamma, tolerance=1e-6)
+                model = train_svm(x, y, params, start=start)
+                assert model.converged
+                assert kkt_violation(model, x, y) <= params.tolerance + 1e-9
+                alphas = full_alphas(model)
+                assert np.all(alphas >= 0.0) and np.all(alphas <= c)
+                assert abs(float(alphas @ y)) <= 1e-6
+
+                ref_alphas, ref_bias, ref_obj = dual_qp_reference(x, y, params)
+                probes = np.vstack([x, rng.uniform(-2.5, 2.5, size=(5, x.shape[1]))])
+                want = reference_decisions(x, y, ref_alphas, ref_bias, params, probes)
+                assert np.max(np.abs(model.decision_values(probes) - want)) <= 1e-4
+                q = (y[:, None] * y[None, :]) * gram_matrix(kernel, x, x, gamma)
+                obj = 0.5 * float(alphas @ q @ alphas) - float(alphas.sum())
+                assert obj == pytest.approx(ref_obj, abs=1e-6)
+                start = alphas
+
     def test_shrinking_reaches_same_fixed_point(self):
         rng = np.random.default_rng(99)
         # overlapping blobs force enough iterations for shrinking to engage
@@ -281,10 +322,10 @@ def bound_of(alpha, c):
     return "0" if alpha <= eps else "C" if alpha >= c - eps else "free"
 
 
-def assert_same_fit(x, y, params, steps=None):
+def assert_same_fit(x, y, params, steps=None, start=None):
     """train_svm against the full-recompute loop in oracles, bit for bit."""
-    model = train_svm(x, y, params)
-    alphas, bias, iterations, converged = reference_smo(x, y, params, steps)
+    model = train_svm(x, y, params, start=start)
+    alphas, bias, iterations, converged = reference_smo(x, y, params, steps, start)
     assert np.array_equal(full_alphas(model), alphas), params
     assert model.bias == bias, params
     assert model.iterations == iterations, params
@@ -302,6 +343,46 @@ class TestBitIdentityWithReferenceLoop:
         ]
         assert len(iterations) == 45
         assert max(iterations) >= 200  # the shrink step runs more than once
+
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_bundled_grid_columns_seeded(self, labeled, shrinking):
+        # Every kernel's column, sigmoid's too: the oracle takes any start.
+        x, y = labeled.features, labeled.labels
+        seeded = []
+        for kernel in svm_module.KERNELS:
+            for gamma in GridSpec().gamma_values:
+                start = None
+                for c in (1.0, 2.0, 3.0):
+                    params = SvmParams(c=c, kernel=kernel, gamma=gamma, shrinking=shrinking)
+                    model = assert_same_fit(x, y, params, start=start)
+                    if start is not None:
+                        seeded.append(model.iterations)
+                    start = full_alphas(model)
+        assert len(seeded) == 30
+        assert max(seeded) >= 200  # the shrink step runs in seeded fits too
+        assert 0 in seeded  # a start that already meets the tolerance
+
+    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
+    def test_seeded_random_sweeps(self, shrinking):
+        # Rounded features tie violations; C repeats, so some fits start at
+        # the bound C itself, and the pass caps stop some fits early.
+        rng = np.random.default_rng(20261020 + shrinking)
+        fits = []
+        for trial in range(30):
+            x, y = rounded_problem(int(rng.integers(1 << 30)))
+            kernel = svm_module.KERNELS[trial % 3]
+            gamma = float(rng.choice([0.05, 0.5, 2.0]))
+            tolerance = float(rng.choice([1e-3, 1e-8]))
+            max_passes = int(rng.choice([37, 250, 2000]))
+            start = None
+            for c in sorted(rng.choice([0.01, 0.5, 2.0, 8.0], size=3)):
+                params = SvmParams(c=float(c), kernel=kernel, gamma=gamma, tolerance=tolerance,
+                                   shrinking=shrinking, max_passes=max_passes)
+                fits.append(assert_same_fit(x, y, params, start=start))
+                start = full_alphas(fits[-1])
+        assert sum(m.converged for m in fits) >= 20
+        assert sum(not m.converged for m in fits) >= 20
+        assert sum(m.iterations > 200 for m in fits) >= 10
 
     @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
     def test_random_problems(self, shrinking):
