@@ -43,8 +43,8 @@ there too.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
-``converged``, from zeros and from a given start alike: both derive the
-starting state from the one product ``k @ (alpha * y)``.
+``converged``, from zeros and from a given start alike: from a start,
+both derive their first state from the one product ``k @ (alpha * y)``.
 """
 
 from __future__ import annotations
