@@ -80,7 +80,7 @@ def grid_search_min_fn(
     for order, params in enumerate(cells):
         columns.setdefault((params.kernel, params.gamma), []).append(order)
     surface: list[CellResult | None] = [None] * len(cells)
-    errors: dict[int, ValueError] = {}
+    first_error: ValueError | None = None
     for column in columns.values():
         warm: SvmModel | None = None  # the fit the next C starts from
         for order in sorted(column, key=lambda o: cells[o].c):
@@ -91,7 +91,8 @@ def grid_search_min_fn(
                 metrics = evaluate(model.predict(eval_x), eval_y)
             except ValueError as exc:  # record and keep sweeping
                 surface[order] = CellResult(params=params, fn=None, fp=None, error=str(exc))
-                errors[order] = exc
+                if order == 0:
+                    first_error = exc
                 warm = None
                 continue
             surface[order] = CellResult(params=params, fn=metrics.fn, fp=metrics.fp,
@@ -100,5 +101,5 @@ def grid_search_min_fn(
     ranked = [(cell.fn, cell.fp, order) for order, cell in enumerate(surface)
               if cell.fn is not None]
     if not ranked:
-        raise errors[0] if cells else ValueError("the grid has no cells")
+        raise first_error or ValueError("the grid has no cells")
     return cells[min(ranked)[2]], surface

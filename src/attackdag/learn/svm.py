@@ -43,8 +43,8 @@ there too.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
-``converged``, from zeros and from a given start alike: from a start,
-both derive their first state from the one product ``k @ (alpha * y)``.
+``converged``, from zeros and from a given start alike: both derive
+their first state from the one product ``k @ (alpha * y)``.
 """
 
 from __future__ import annotations
@@ -279,10 +279,9 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None,
     c_inner = c - bound_eps  # a multiplier at or above this sits at C
     if start is None:
         start = np.zeros(n)
-        viol = y.copy()  # -y * grad, where grad = Q @ alpha - 1 starts at -1
-    else:
-        # -y * (Q @ alpha - 1), since (Q @ alpha)_r = y_r * (k @ (alpha * y))_r
-        viol = y - k @ (start * y)
+    # -y * grad, where grad = Q @ alpha - 1 and (Q @ alpha)_r = y_r * (k @ (alpha * y))_r.
+    # From zeros this is exactly y: k is finite, so k @ (+-0.0) is +-0.0.
+    viol = y - k @ (start * y)
     alpha = start.tolist()
     can_up, can_down = (m.tolist() for m in _movable(start, y, c, bound_eps))
     active = [True] * n

@@ -117,14 +117,11 @@ def reference_smo(
     tol = params.tolerance
     k = gram_matrix(params.kernel, x, x, params.gamma)
     q = (y[:, None] * y[None, :]) * k
-    if start is None:
-        alpha = np.zeros(n)
-        grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
-    else:
-        alpha = np.array(start, dtype=float)
-        # Q @ alpha - 1 through (Q @ alpha)_r = y_r * (k @ (alpha * y))_r, the
-        # formula train_svm starts its viol = -y * grad from
-        grad = -y * (y - k @ (alpha * y))
+    alpha = np.zeros(n) if start is None else np.array(start, dtype=float)
+    # The gradient of the dual objective, Q @ alpha - 1, through
+    # (Q @ alpha)_r = y_r * (k @ (alpha * y))_r: the formula train_svm starts
+    # its viol = -y * grad from.  From zeros it is exactly -1.
+    grad = -y * (y - k @ (alpha * y))
     bound_eps = 1e-12 * max(1.0, c)
     active = np.ones(n, dtype=bool)
     converged = False
