@@ -69,10 +69,8 @@ from .negatives import (
 )
 from .storage import (
     EXPLOIT_BUCKETS,
-    Coded,
     DagFile,
     FingerprintMismatch,
-    Records,
     dump_json,
     file_fingerprint,
     json_chunks,
@@ -86,6 +84,7 @@ from .storage import (
     csv_text,
     label_columns,
     parse_node_id,
+    positives_chunks,
     save_dag,
     save_labels,
     save_model,
@@ -441,14 +440,8 @@ def cmd_report(args: argparse.Namespace) -> None:
     histogram = np.bincount(bucket, minlength=len(bucket_names)).tolist()
     node_ids = nodes.tolist()
     node_texts = [blocks[n].raw_text for n in node_ids]
-    positives = Records({
-        "origin": Coded(origin_at, node_ids),
-        "origin_text": Coded(origin_at, node_texts),
-        "dest": Coded(dest_at, node_ids),
-        "dest_text": Coded(dest_at, node_texts),
-        "decision": decision[kept],
-        "bucket": Coded(bucket, bucket_names),
-    })
+    positives = positives_chunks(node_ids, node_texts, origin_at, dest_at, decision[kept],
+                                 bucket, bucket_names)
 
     payload: dict = {
         "run": {
@@ -469,7 +462,6 @@ def cmd_report(args: argparse.Namespace) -> None:
             "reduction": (format_reduction(len(kept), len(predictions)) if len(predictions)
                           else None),
         },
-        "predicted_positives": positives,
         "bucket_histogram": dict(zip(EXPLOIT_BUCKETS, histogram)),
         "branch_stats": asdict(corpus_stats(branches)),
         # Orientation values measured on the original, larger corpus this
@@ -491,7 +483,7 @@ def cmd_report(args: argparse.Namespace) -> None:
                 "unexploited_paths": [[blocks[n].raw_text for n in p] for p in novel],
             }
 
-    write_chunks_atomic(args.out, json_chunks(payload))
+    write_chunks_atomic(args.out, json_chunks(payload, "predicted_positives", positives))
     print(f"report written to {args.out}")
 
 

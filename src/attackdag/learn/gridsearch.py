@@ -2,6 +2,9 @@
 
 A missed feasible exploit is the expensive mistake here, so cells are
 ranked by false negatives first, false positives second, grid order last.
+A cell whose fit stopped at ``max_passes`` before converging ranks after
+every converged one, since its FN/FP are wherever the loop stopped; a
+surface of only such cells still yields its best.
 A cell whose training or scoring raises a ``ValueError`` (every typed error
 of ``train_svm`` and ``evaluate`` is one) is recorded and skipped; one bad
 kernel/gamma combination must not sink the sweep.  Any other exception is a
@@ -98,8 +101,8 @@ def grid_search_min_fn(
             surface[order] = CellResult(params=params, fn=metrics.fn, fp=metrics.fp,
                                         converged=model.converged)
             warm = model if params.kernel in SEEDED_KERNELS else None
-    ranked = [(cell.fn, cell.fp, order) for order, cell in enumerate(surface)
+    ranked = [(not cell.converged, cell.fn, cell.fp, order) for order, cell in enumerate(surface)
               if cell.fn is not None]
     if not ranked:
         raise first_error or ValueError("the grid has no cells")
-    return cells[min(ranked)[2]], surface
+    return cells[min(ranked)[3]], surface

@@ -47,18 +47,16 @@ an error or to accept a spelling numpy rejects that ``int()`` or
 ``float()`` takes.
 
 Every JSON artifact is ``json.dumps(payload, indent=2, sort_keys=True) +
-"\\n"``.  With ``indent`` set, ``json`` encodes in pure Python, and the
-report's tens of thousands of predicted positives took twice as long there
-as column by column.  So a caller hands such a list over as a ``Records``
-value, which holds its columns by key.  A column is plain (one value per
-row) or ``Coded``: integer codes into a short list of distinct values, each
-of which is encoded once.  ``json_chunks`` gives the text in pieces:
-``json``'s output up to each top-level ``Records`` value (which ``json``
-writes as ``null``), then that value as the bytes ``json`` would write for
-the list of dicts, ``RECORDS_BLOCK_ROWS`` rows at a time, then the rest.
-It inspects no other value.  ``dump_json`` joins the pieces;
-``write_chunks_atomic`` writes them to a file as they come, so the
-report's text is never whole in memory.
+"\\n"``, which ``dump_json`` returns.  With ``indent`` set, ``json`` encodes
+in pure Python, and the report's tens of thousands of predicted positives
+took twice as long there as rendered from columns.  So ``positives_chunks``
+renders that one list, from node positions as the pair tables are
+rendered: each bucket and each node's two fragments are rendered once, and
+a row is a join of three looked-up fragments and its decision's
+``float.__repr__``, ``POSITIVES_BLOCK_ROWS`` rows at a time.
+``json_chunks`` splices those blocks into ``json``'s text of the rest of
+the report, and ``write_chunks_atomic`` writes the pieces as they come, so
+the report's text is never whole in memory.
 """
 
 from __future__ import annotations
@@ -71,8 +69,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -147,181 +144,23 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     write_chunks_atomic(path, (text,))
 
 
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def json_chunks(payload: Mapping, key: str, chunks: Iterable[str]) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in pieces, with
+    ``chunks`` as the text of top-level ``key``'s value: ``json.dumps`` writes
+    ``null`` in its place, and the pieces go around it.
 
-
-def _scalar_encoder(column: Sequence) -> Callable[[Sequence], Iterable[str]]:
-    """The function giving each value's JSON text for a slice of ``column``;
-    TypeError unless the whole column holds one kind of scalar (str and None,
-    int, or float; a float64 array counts as floats)."""
-    kinds = {column.dtype.type} if isinstance(column, np.ndarray) else set(map(type, column))
-    if kinds <= {str, type(None)}:  # no str equals None, so one text per distinct value
-        texts = {v: "null" if v is None else encode_basestring_ascii(v) for v in set(column)}
-        return lambda values: map(texts.__getitem__, values)
-    if kinds == {int}:
-        return lambda values: map(int.__repr__, values)
-    if all(issubclass(kind, float) for kind in kinds):
-        def floats(values: Sequence) -> Iterable[str]:
-            reprs = list(map(float.__repr__, values))
-            return map(_FLOAT_SPECIALS.get, reprs, reprs)
-        return floats
-    raise TypeError(f"a Records column holds {sorted(k.__name__ for k in kinds)}, "
-                    "not one kind of scalar")
-
-
-@dataclass(frozen=True)
-class Coded:
-    """A ``Records`` column as integer codes into a short list of values: row i
-    holds ``values[codes[i]]``.  The values are of one kind of scalar, as in a
-    plain column, and ``codes`` is a sequence or an integer array."""
-
-    codes: Sequence[int]
-    values: Sequence
-
-
-@dataclass(frozen=True)
-class Records:
-    """A list of flat dicts as str keys to equal-length columns.  A column is
-    plain, a sequence of one kind of scalar (str and None, int, or float; or a
-    float64 array), or ``Coded``.  Not a dict, so ``json`` rejects one anywhere
-    but where ``json_chunks`` splices it in.
-
-    Each value of a coded column is encoded once, and adjacent keys whose
-    coded columns share one ``codes`` object are written as one text
-    fragment per code, with the keys and separators between them folded in,
-    so a row is a join of looked-up fragments and plain values.
+    Every other value is checked, and ``json``'s text built, before this returns.
     """
-
-    columns: Mapping[str, Sequence | Coded]
-
-
-# Rows of a Records encoded per chunk: the text of one block is held at a time.
-RECORDS_BLOCK_ROWS = 4096
-
-
-def _rows(column: Sequence, start: int, stop: int) -> Sequence:
-    """Rows start to stop of a column or code sequence, as Python scalars."""
-    part = column[start:stop]
-    return part.tolist() if isinstance(part, np.ndarray) else part
-
-
-def _value_texts(column: Coded) -> list[str]:
-    """The JSON text of each of ``column``'s values; ValueError if a code is not
-    an index into them."""
-    codes = np.asarray(column.codes)
-    if codes.ndim != 1 or codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0
-                                          or codes.max() >= len(column.values)):
-        raise ValueError(f"a Coded column's codes are not indices into its "
-                         f"{len(column.values)} values")
-    return list(_scalar_encoder(column.values)(column.values))
-
-
-def _records_chunks(records: Records) -> Iterator[str]:
-    """The JSON text, as the value of a top-level key, of ``records``' list of dicts,
-    in blocks of rows.  A row is joined from pieces, in key order: a plain
-    column's value texts, one fragment per code for each run of adjacent coded
-    columns that share a code array, and the literal text between them.  A
-    literal is folded into the coded run that follows it, else into the one
-    before it, so it stands alone only where no coded run touches it.  Every
-    row, the first included, opens with the separator ",\\n    ".  The
-    columns are checked before the first block."""
-    keys = sorted(records.columns)
-    columns = [records.columns[key] for key in keys]
-    lengths = [len(column.codes if isinstance(column, Coded) else column) for column in columns]
-    n_rows = min(lengths, default=0)
-    # zip's own error for columns of unequal length: past the shortest column,
-    # the columns run out in the order they would row by row.
-    for _ in zip(*(range(length - n_rows) for length in lengths), strict=True):
-        pass
-
-    # Each piece is (None, literal), (column, encoder) or (codes, fragments).
-    pieces: list[tuple] = []
-
-    def fold(literal: str) -> None:
-        """Put ``literal`` after the last piece."""
-        last = pieces[-1] if pieces else (None, None)
-        if isinstance(last[1], list):
-            pieces[-1] = (last[0], [fragment + literal for fragment in last[1]])
-        else:
-            pieces.append((None, literal))
-
-    literal, i = ",\n    {", 0
-    while i < len(keys):
-        column = columns[i]
-        literal += "\n      " + encode_basestring_ascii(keys[i]) + ": "
-        if not isinstance(column, Coded):
-            fold(literal)
-            pieces.append((column, _scalar_encoder(column)))
-            i += 1
-        else:
-            fragments = [literal] * len(column.values)
-            while True:
-                fragments = list(map(str.__add__, fragments, _value_texts(columns[i])))
-                i += 1
-                if (i == len(keys) or not isinstance(columns[i], Coded)
-                        or columns[i].codes is not column.codes):
-                    break
-                between = ",\n      " + encode_basestring_ascii(keys[i]) + ": "
-                fragments = [fragment + between for fragment in fragments]
-            pieces.append((column.codes, fragments))
-        literal = ","
-    fold("\n    }")
-
-    def chunks() -> Iterator[str]:
-        if not n_rows:
-            yield "[]"
-            return
-        for start in range(0, n_rows, RECORDS_BLOCK_ROWS):
-            stop = min(start + RECORDS_BLOCK_ROWS, n_rows)
-            parts = [
-                repeat(texts, stop - start) if column is None
-                else map(texts.__getitem__, _rows(column, start, stop)) if isinstance(texts, list)
-                else texts(_rows(column, start, stop))
-                for column, texts in pieces
-            ]
-            text = "".join(chain.from_iterable(zip(*parts)))
-            yield "[" + text[1:] if start == 0 else text
-        yield "\n  ]"
-
-    return chunks()
-
-
-def json_chunks(payload) -> Iterator[str]:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in pieces, where a
-    top-level key's ``Records`` value stands for its list of dicts: ``json.dumps``
-    writes ``null`` in its place, and the pieces go around it.
-
-    Every value is checked, and ``json``'s text built, before this returns.
-    """
-    spliced = {}
-    if isinstance(payload, dict):
-        spliced = {key: _records_chunks(value) for key, value in payload.items()
-                   if isinstance(value, Records)}
-        if spliced:
-            payload = {**payload, **dict.fromkeys(spliced)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps({**payload, key: None}, indent=2, sort_keys=True)
     # ``json`` escapes every newline inside a string, so a line that starts with
     # two spaces and a quote is a top-level entry, and each key has one.
-    cuts = []  # (where a Records value's "null" starts, its chunks)
-    for key, records in spliced.items():
-        line = "\n  " + encode_basestring_ascii(key) + ": "
-        cuts.append((text.index(line + "null") + len(line), records))
-    cuts.sort(key=lambda cut: cut[0])
-
-    def chunks() -> Iterator[str]:
-        start = 0
-        for at, records in cuts:
-            yield text[start:at]
-            yield from records
-            start = at + len("null")
-        yield text[start:] + "\n"
-
-    return chunks()
+    line = "\n  " + json.dumps(key) + ": "
+    at = text.index(line + "null") + len(line)
+    return chain([text[:at]], chunks, [text[at + len("null"):] + "\n"])
 
 
 def dump_json(payload) -> str:
-    """``json_chunks(payload)`` as one string."""
-    return "".join(json_chunks(payload))
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def file_fingerprint(*paths: str | Path) -> str:
@@ -727,6 +566,51 @@ def _pair_renderer(ids: np.ndarray) -> Callable[..., str]:
         return "".join(chain.from_iterable(zip(*parts)))
 
     return render
+
+
+# Rows of report's positives rendered per chunk: the text of one block is held at a time.
+POSITIVES_BLOCK_ROWS = 4096
+
+
+def positives_chunks(node_ids: Sequence[int], node_texts: Sequence[str], origin_at: np.ndarray,
+                     dest_at: np.ndarray, decisions: np.ndarray, bucket: np.ndarray,
+                     bucket_names: Sequence[Optional[str]]) -> Iterator[str]:
+    """The text ``json.dumps(indent=2, sort_keys=True)`` writes for report's
+    ``predicted_positives`` as a top-level value, in blocks of
+    ``POSITIVES_BLOCK_ROWS`` rows.  Row i is ``{"bucket": bucket_names[bucket[i]],
+    "decision": decisions[i], "dest": node_ids[dest_at[i]], "dest_text":
+    node_texts[dest_at[i]], "origin": ..., "origin_text": ...}``.
+
+    Each bucket is rendered once, with the keys up to the decision, and each
+    node once as a dest and once as an origin fragment, so a row is a join of
+    three looked-up fragments and the decision's ``float.__repr__``, what
+    ``json`` writes for a finite float.  A decision that is not finite raises
+    ValueError before the first chunk.
+    """
+    if not np.isfinite(decisions).all():
+        raise ValueError("a predicted positive's decision is not finite")
+    opens = [',\n    {\n      "bucket": ' + json.dumps(name) + ',\n      "decision": '
+             for name in bucket_names]
+    dest = [f',\n      "dest": {json.dumps(node)},\n      "dest_text": {json.dumps(text)}'
+            for node, text in zip(node_ids, node_texts)]
+    origin = [f',\n      "origin": {json.dumps(node)},\n      "origin_text": {json.dumps(text)}'
+              '\n    }' for node, text in zip(node_ids, node_texts)]
+
+    def chunks() -> Iterator[str]:
+        if not len(decisions):
+            yield "[]"
+            return
+        for start in range(0, len(decisions), POSITIVES_BLOCK_ROWS):
+            stop = start + POSITIVES_BLOCK_ROWS
+            text = "".join(chain.from_iterable(zip(
+                map(opens.__getitem__, bucket[start:stop].tolist()),
+                map(float.__repr__, decisions[start:stop].tolist()),
+                map(dest.__getitem__, dest_at[start:stop].tolist()),
+                map(origin.__getitem__, origin_at[start:stop].tolist()))))
+            yield "[" + text[1:] if start == 0 else text
+        yield "\n  ]"
+
+    return chunks()
 
 
 def label_columns(

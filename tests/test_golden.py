@@ -159,7 +159,7 @@ def test_artifacts_beyond_one_window_match_row_by_row_references(tmp_path, capsy
 
     # sorted() is stable, so equal decisions keep their file order.
     positives = sorted((row for row in scored_rows if row[2] >= 0.0), key=lambda row: -row[2])
-    assert len(positives) > storage.RECORDS_BLOCK_ROWS
+    assert len(positives) > storage.POSITIVES_BLOCK_ROWS
     blocks, buckets = dagfile.blocks, dagfile.buckets
     records = [{"origin": o, "dest": d, "origin_text": blocks[o].raw_text,
                 "dest_text": blocks[d].raw_text, "decision": v,

@@ -273,8 +273,26 @@ class TestSeededColumns:
 
         monkeypatch.setattr(gridsearch, "train_svm", capped)
         grid = GridSpec(c_values=(1.0, 2.0), kernels=("rbf", "poly"), gamma_values=(0.5,))
-        _, surface = grid_search_min_fn(*separable(), grid)
+        best, surface = grid_search_min_fn(*separable(), grid)
         assert [cell.converged for cell in surface] == [False] * 4
+        # with no converged cell, the best unconverged one still wins
+        assert best == min(surface, key=lambda cell: (cell.fn, cell.fp)).params
+
+    def test_converged_cell_outranks_an_unconverged_one_with_fewer_false_negatives(
+            self, monkeypatch):
+        def capped(x, y, params, start=None):
+            if params.c == 1.0:
+                params = dataclasses.replace(params, max_passes=1)
+            return train_svm(x, y, params, start=start)
+
+        monkeypatch.setattr(gridsearch, "train_svm", capped)
+        # separable() but for one positive deep among the negatives
+        x, y = arrays([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0], [1, -1, -1, -1, 1, 1, 1, 1])
+        grid = GridSpec(c_values=(1.0, 2.0), kernels=("rbf",), gamma_values=(0.1,))
+        best, surface = grid_search_min_fn(x, y, grid)
+        assert [(cell.fn, cell.fp, cell.converged) for cell in surface] == [
+            (0, 1, False), (1, 0, True)]
+        assert best.c == 2.0
 
 
 class TestEvaluate:

@@ -30,8 +30,6 @@ from attackdag.storage import (
     PREDICTIONS_DTYPE,
     PREDICTIONS_HEADER,
     DagFile,
-    Coded,
-    Records,
     append_annotation,
     csv_text,
     dump_json,
@@ -44,6 +42,7 @@ from attackdag.storage import (
     load_labels,
     load_model,
     load_predictions,
+    positives_chunks,
     read_prediction_rows,
     save_dag,
     save_labels,
@@ -91,17 +90,15 @@ class TestPrimitives:
         for case in cases:
             assert dump_json(case) == json.dumps(case, indent=2, sort_keys=True) + "\n"
 
-    def test_records_splice_lands_only_on_its_own_entry(self):
-        def cases(rows, more):
-            return [{"rows": rows, "a": 'x\n  "rows": null', "n": {"rows": None}},
-                    {"n": {"rows": None}, "rows": rows},
-                    {"rows": rows, "more": more}]
-
-        rows = [{"b": "x", "a": 1.5}, {"b": None, "a": -0.0}]
-        records = cases(Records({"b": ["x", None], "a": [1.5, -0.0]}),
-                        Records({"b": [None, "x"], "a": [-0.0, 1.5]}))
-        for case, plain in zip(records, cases(rows, rows[::-1])):
-            assert dump_json(case) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    def test_positives_splice_lands_only_on_its_own_entry(self):
+        """Only the top-level entry is replaced, not a string that spells it or a
+        nested key of the same name."""
+        columns = positive_columns([3, -1], ["x", "y"], [0, 1], [1, 0], [1.5, -0.0], [0, 1],
+                                   ("crypto", None))
+        spelled, nested = 'x\n  "predicted_positives": null', {"predicted_positives": None}
+        for payload in ({"a": spelled, "n": nested}, {"n": nested, "zz": spelled}, {}):
+            text, expected = spliced_report(payload, columns)
+            assert text == expected
 
     @pytest.mark.parametrize("container", [list, dict])
     def test_dump_json_rejects_circular_payloads(self, container):
@@ -202,159 +199,77 @@ def test_dump_json_repeated_and_mixed_keys_match_json(value):
         assert dump_json(value) == expected
 
 
-# Columns a Records may hold: str (with %, non-ASCII text and lone
-# surrogates), str and None, int, and float (Python or numpy, with the
-# specials json writes as NaN and Infinity).
 PERCENT_TEXT = st.sampled_from(["%", "%s", "%%d", "100%", "\u00e9\u2603", "\ud800"])
-RECORD_COLUMNS = [
-    st.text() | PERCENT_TEXT,
-    st.text(st.characters(exclude_categories=())),
-    st.none() | st.text(max_size=3) | PERCENT_TEXT,
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats() | st.floats().map(np.float64)
-    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, np.float64(-0.0)]),
-]
+NODE_TEXTS = st.text(st.characters(exclude_categories=())) | PERCENT_TEXT  # lone surrogates too
+INT64_IDS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+
+
+def positive_columns(node_ids, node_texts, origin_at, dest_at, decisions, bucket, bucket_names):
+    """``positives_chunks``' arguments, as report passes them, from lists."""
+    return (node_ids, node_texts, np.array(origin_at, dtype=np.intp),
+            np.array(dest_at, dtype=np.intp), np.array(decisions, dtype=float),
+            np.array(bucket, dtype=np.int8), bucket_names)
+
+
+def spliced_report(payload, columns):
+    """``json_chunks`` of ``payload`` with ``positives_chunks(*columns)`` spliced in as
+    its predicted_positives, and json.dumps of the rows those columns stand for,
+    built one by one."""
+    node_ids, node_texts, origin_at, dest_at, decisions, bucket, bucket_names = columns
+    rows = [{"bucket": bucket_names[b], "decision": v, "dest": node_ids[d],
+             "dest_text": node_texts[d], "origin": node_ids[o], "origin_text": node_texts[o]}
+            for o, d, v, b in zip(origin_at.tolist(), dest_at.tolist(), decisions.tolist(),
+                                  bucket.tolist())]
+    text = "".join(json_chunks(payload, "predicted_positives", positives_chunks(*columns)))
+    plain = {**payload, "predicted_positives": rows}
+    return text, json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 @st.composite
-def record_tables(draw):
-    """Columns of 0 to 6 rows under 1 to 5 str keys, and the rows they stand for."""
-    keys = draw(st.lists(st.text(max_size=3) | PERCENT_TEXT, min_size=1, max_size=5,
-                         unique=True))
+def positive_tables(draw):
+    """Up to 4 nodes and 3 buckets, and 0 to 6 rows of positions into them."""
+    k = draw(st.integers(1, 4))
+    node_ids = draw(st.lists(INT64_IDS, min_size=k, max_size=k))
+    node_texts = draw(st.lists(NODE_TEXTS, min_size=k, max_size=k))
+    names = draw(st.lists(st.none() | st.text(max_size=3) | PERCENT_TEXT, min_size=1, max_size=3))
     n = draw(st.integers(0, 6))
-    columns = {k: draw(st.lists(draw(st.sampled_from(RECORD_COLUMNS)), min_size=n, max_size=n))
-               for k in keys}
-    return columns, [{k: column[i] for k, column in columns.items()} for i in range(n)]
+    at = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    return positive_columns(node_ids, node_texts, draw(at), draw(at),
+                            draw(st.lists(FINITE, min_size=n, max_size=n)),
+                            draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)),
+                            tuple(names))
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=record_tables(), key=st.text(max_size=3), other=JSON_VALUES)
-def test_dump_json_flat_records_match_json(table, key, other):
-    """A top-level Records is written as json writes its list of dicts, wherever
-    its key sorts among the others."""
-    columns, rows = table
-    payload, plain = {key: other}, {key: other}
-    payload["rows"], plain["rows"] = Records(columns), rows
-    assert dump_json(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+@given(columns=positive_tables(), key=st.text(max_size=3), other=JSON_VALUES)
+def test_positives_match_json(columns, key, other):
+    """The renderer writes what json writes for the list of dicts, wherever the
+    key sorts among the others."""
+    text, expected = spliced_report({key: other}, columns)
+    assert text == expected
 
 
-def test_flat_records_take_the_column_path():
-    columns = {"b": ["x%s", "y"], "a": [1.5, np.float64(-0.0)], "%": [None, "z"]}
-    rows = [{"b": "x%s", "a": 1.5, "%": None}, {"b": "y", "a": -0.0, "%": "z"}]
-    for n in (0, 1, 2):
-        cut = Records({k: v[:n] for k, v in columns.items()})
-        assert dump_json({"rows": cut}) == json.dumps({"rows": rows[:n]}, indent=2,
-                                                     sort_keys=True) + "\n"
-    assert dump_json({"rows": Records({})}) == '{\n  "rows": []\n}\n'
-    for ragged in ({"a": [1, 2], "b": [1]}, {"a": [], "b": ["x"]}):
-        with pytest.raises(ValueError, match="shorter|longer"):
-            dump_json({"rows": Records(ragged)})
-    for key in (1, None):
-        with pytest.raises(TypeError):
-            dump_json({"rows": Records({key: [1]})})
-        with pytest.raises(TypeError):
-            dump_json({key: Records({"a": [1]})})
-    for mixed in ([1.5, 1], [1, True], ["x", 1], [[1]], [np.int64(1)]):
-        with pytest.raises(TypeError, match="one kind of scalar"):
-            dump_json({"rows": Records({"a": mixed})})
-    # Anywhere but as the value of a top-level key, json rejects a Records.
-    for nested in ({"n": {"rows": Records(columns)}}, {"n": [Records(columns)]},
-                   [Records(columns)], Records(columns)):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            dump_json(nested)
-
-
-@pytest.mark.parametrize("block", [1, 2])
-def test_records_in_blocks_match_json(monkeypatch, block):
-    """0 rows, 1 row, exactly one block and one block more, each as json writes them."""
-    monkeypatch.setattr(storage_module, "RECORDS_BLOCK_ROWS", block)
-    columns = {"b": ["x", None, "y%s"], "a": [1.5, -0.0, float("inf")], "n": [3, -4, 2**70]}
-    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    for n in sorted({0, 1, block, block + 1}):
-        payload = {"z": 1, "rows": Records({k: v[:n] for k, v in columns.items()}),
-                   "a": {"rows": None}, "more": Records({"k": list(range(n))})}
-        plain = {"z": 1, "rows": rows[:n], "a": {"rows": None},
-                 "more": [{"k": k} for k in range(n)]}
-        expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
-        assert dump_json(payload) == "".join(json_chunks(payload)) == expected
-        # three pieces of json's text; per Records, one chunk a block and its closer, or "[]"
-        assert len(list(json_chunks(payload))) == 5 + 2 * -(-n // block)
-
-
-@st.composite
-def coded_tables(draw):
-    """Plain and Coded columns of 0 to 6 rows under 1 to 6 keys, the coded ones
-    taking their codes from up to three code arrays, lists or integer arrays,
-    that several keys may share; and the rows they stand for."""
-    n = draw(st.integers(0, 6))
-    pool = []  # (number of values, codes)
-    for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(1, 4))
-        codes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-        dtype = draw(st.sampled_from([None, np.int8, np.uint16, np.int64]))
-        pool.append((k, codes if dtype is None else np.array(codes, dtype=dtype)))
-    keys = draw(st.lists(st.text(max_size=3) | PERCENT_TEXT, min_size=1, max_size=6,
-                         unique=True))
-    columns = {}
-    for key in keys:
-        values = draw(st.sampled_from(RECORD_COLUMNS))
-        if draw(st.booleans()):
-            k, codes = draw(st.sampled_from(pool))
-            columns[key] = Coded(codes, draw(st.lists(values, min_size=k, max_size=k)))
-            continue
-        column = draw(st.lists(values, min_size=n, max_size=n))
-        if all(isinstance(v, float) for v in column) and draw(st.booleans()):
-            column = np.array(column, dtype=np.float64)
-        columns[key] = column
-    rows = [{key: column.values[column.codes[i]] if isinstance(column, Coded) else column[i]
-             for key, column in columns.items()} for i in range(n)]
-    return columns, rows
-
-
-@settings(max_examples=400, deadline=None)
-@given(table=coded_tables(), key=st.text(max_size=3), other=JSON_VALUES)
-def test_dump_json_coded_records_match_json(table, key, other):
-    """Coded columns, shared by adjacent keys or not, are written as json writes
-    the list of dicts they stand for."""
-    columns, rows = table
-    payload, plain = {key: other}, {key: other}
-    payload["rows"], plain["rows"] = Records(columns), rows
-    assert dump_json(payload) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["0-rows", "block-1", "block", "block+1"])
-def test_coded_records_across_blocks_match_json(offset):
-    """A report-like mix of coded and plain columns at 0 rows and at one block of
-    rows less one, exactly one, and one more: node codes shared by two adjacent
-    keys and by one key further on, bucket codes, a float array and a str column."""
-    n = 0 if offset is None else storage_module.RECORDS_BLOCK_ROWS + offset
+@pytest.mark.parametrize("offset", [None, 1 - storage_module.POSITIVES_BLOCK_ROWS, -1, 0, 1],
+                         ids=["0-rows", "1-row", "block-1", "block", "block+1"])
+def test_positives_across_blocks_match_json(offset):
+    """0 rows, 1 row, and one block of rows less one, exactly one and one more,
+    over int64-extreme ids, texts json must escape, a None bucket and the
+    decisions whose repr is shortest or longest."""
+    n = 0 if offset is None else storage_module.POSITIVES_BLOCK_ROWS + offset
     rng = np.random.default_rng(n)
-    node_ids, texts = [-5, 0, 7, 2**40], ["a%sb", "\u00e9\u2603", "\ud800 lone", "100%"]
-    buckets = ("crypto", None, "%d")
-    origin, dest = rng.integers(0, 4, n), rng.integers(0, 4, n).tolist()
-    bucket = rng.integers(0, 3, n).astype(np.int8)
-    decision = rng.normal(size=n)
-    decision[: min(n, 2)] = -0.0
-    notes = [None if i % 3 else f"row {i}%" for i in range(n)]
-    columns = {
-        "bucket": Coded(bucket, buckets),
-        "decision": decision,
-        "dest": Coded(dest, node_ids),
-        "dest_text": Coded(dest, texts),
-        "note": notes,
-        "origin": Coded(origin, node_ids),
-        "origin_text": Coded(origin, texts),
-        "weight": Coded(dest, [0.5, -0.0, 1e16, 5e-324]),
-    }
-    rows = [{"bucket": buckets[bucket[i]], "decision": float(decision[i]),
-             "dest": node_ids[dest[i]], "dest_text": texts[dest[i]], "note": notes[i],
-             "origin": node_ids[origin[i]], "origin_text": texts[origin[i]],
-             "weight": [0.5, -0.0, 1e16, 5e-324][dest[i]]} for i in range(n)]
-    payload = {"a": 1, "rows": Records(columns), "z": [None]}
-    expected = json.dumps({"a": 1, "rows": rows, "z": [None]}, indent=2, sort_keys=True) + "\n"
-    assert dump_json(payload) == expected
-    blocks = -(-n // storage_module.RECORDS_BLOCK_ROWS)
-    assert len(list(json_chunks(payload))) == 2 + (blocks + 1 if n else 1)
+    node_ids = [-(2**63), -5, 0, 7, 2**63 - 1]
+    node_texts = ["a%sb", "\u00e9\u2603", "\ud800 lone", 'say "hi" \\ 100%', ""]
+    decisions = rng.normal(size=n)
+    decisions[:3] = [-0.0, 5e-324, 1e16][:n]
+    columns = positive_columns(node_ids, node_texts, rng.integers(0, 5, n), rng.integers(0, 5, n),
+                               decisions, rng.integers(0, 3, n), ("crypto", None, "%d"))
+    text, expected = spliced_report({"a": 1, "z": [None]}, columns)
+    assert text == expected
+    blocks = -(-n // storage_module.POSITIVES_BLOCK_ROWS)
+    chunks = json_chunks({"a": 1}, "predicted_positives", positives_chunks(*columns))
+    # json's text before and after, and one chunk a block and the closer, or "[]"
+    assert len(list(chunks)) == 2 + (blocks + 1 if n else 1)
 
 
 class TestChunkedWriter:
@@ -392,28 +307,22 @@ class TestChunkedWriter:
         assert target.read_bytes() == before
         assert list(tmp_path.iterdir()) == [target]
 
-    @pytest.mark.parametrize("records, error", [
-        (Records({"a": [1, 2], "b": [1]}), ValueError),
-        (Records({"a": [], "b": ["x"]}), ValueError),
-        (Records({"a": [1.5, 1]}), TypeError),
-        (Records({"a": ["x", 1]}), TypeError),
-        (Records({"a": Coded([0, 2], ["x", "y"])}), ValueError),
-        (Records({"a": Coded(np.array([0, -1]), ["x", "y"])}), ValueError),
-        (Records({"a": Coded([0.0, 1.0], ["x", "y"])}), ValueError),
-        (Records({"a": [1, 2, 3], "b": Coded([0, 0], [5])}), ValueError),
-        (Records({"a": Coded(np.zeros(4, np.int8), [5]), "b": [1, 2, 3]}), ValueError),
-        (Records({"a": Coded([0, 0, 0], [1.5, 1])}), TypeError),
-    ], ids=["ragged", "ragged-empty", "float-int", "str-int", "code-beyond-values",
-            "negative-code", "float-codes", "short-codes", "long-codes", "coded-float-int"])
-    def test_bad_records_raise_before_anything_is_written(self, tmp_path, monkeypatch,
-                                                          records, error):
-        monkeypatch.setattr(storage_module, "RECORDS_BLOCK_ROWS", 1)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_decision_raises_before_anything_is_written(self, tmp_path, monkeypatch,
+                                                                  bad):
+        monkeypatch.setattr(storage_module, "POSITIVES_BLOCK_ROWS", 1)
+        columns = positive_columns([0, 1], ["a", "b"], [0, 1], [1, 0], [0.5, bad], [0, 0],
+                                   ("crypto",))
+        with pytest.raises(ValueError, match="not finite"):
+            positives_chunks(*columns)
         target = tmp_path / "report.json"
         write_text_atomic(target, "old\n")
-        with pytest.raises(error):
-            json_chunks({"first": 1, "rows": Records({"ok": [1, 2, 3]}), "z": records})
-        with pytest.raises(error):
-            write_chunks_atomic(target, json_chunks({"z": records}))
+
+        def chunks():  # the renderer called once the file is open
+            yield from json_chunks({"first": 1}, "predicted_positives", positives_chunks(*columns))
+
+        with pytest.raises(ValueError, match="not finite"):
+            write_chunks_atomic(target, chunks())
         assert target.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [target]
 
