@@ -26,7 +26,6 @@ from .model import (
     VulnerabilityCategory,
     block,
     concat,
-    expr_blocks,
     find_cycle,
     format_ratio,
     normalize_description,

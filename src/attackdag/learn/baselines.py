@@ -238,12 +238,3 @@ def train_sgd_svm(
                 w = (1.0 - step * lam) * w
     return SgdSvmModel(weights=w, bias=b)
 
-
-def hinge_objective(
-    weights: np.ndarray, bias: float, x: np.ndarray, y: np.ndarray, c: float = 1.0
-) -> float:
-    """Regularized mean hinge loss the SGD trainer descends."""
-    x, y = check_labeled(x, y)
-    lam = 1.0 / (c * len(y))
-    margins = 1.0 - y * (x @ weights + bias)
-    return float(lam / 2.0 * (weights @ weights) + np.mean(np.maximum(margins, 0.0)))

@@ -135,23 +135,44 @@ def gram_matrix(kind: str, a: np.ndarray, b: np.ndarray, gamma: float) -> np.nda
         raise DimensionMismatch(f"matrices of shape {a.shape} and {b.shape}")
     if kind == "rbf":
         # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), written over the one
-        # GEMM output.  The elementwise steps run RBF_CHUNK_ROWS rows at a
-        # time through one reused buffer that stays in L2 cache, in the
-        # formula's order, so every entry is bit-identical to evaluating the
-        # formula directly.
+        # GEMM output in halved norms: (-2 gamma) * max(h, 0) with
+        # h = (|a|^2/2 + |b|^2/2) - a.b.  Scaling by a power of two is exact,
+        # so h is bit for bit half the direct formula's operand and every
+        # entry is the direct formula's, provided -2 gamma is finite, the
+        # squared norms are far from overflow (8 times the largest is
+        # finite) and each halves exactly (it is 0, at least 2**-1021, or an
+        # even multiple of the least subnormal).  A call outside that domain
+        # takes the unhalved steps in the same loop.
+        # The norm sums come from a rank-2 product, [n_a, 1] @ [1; n_b]: each
+        # entry sums two exact products, so it rounds once to n_a + n_b in
+        # any summation order, in under a third of a broadcast add's time.
+        # The steps run RBF_CHUNK_ROWS rows at a time through one reused
+        # buffer that stays in L2 cache.
         ab = a @ b.T
-        a_sq = np.sum(a * a, axis=1)[:, None]
-        b_sq = np.sum(b * b, axis=1)[None, :]
+        a_sq = np.sum(a * a, axis=1)
+        b_sq = np.sum(b * b, axis=1)
+        norms = np.concatenate((a_sq, b_sq))
+        half = norms * 0.5
+        scale = -2.0 * float(gamma)
+        halved = (math.isfinite(scale) and math.isfinite(8.0 * float(norms.max(initial=0.0)))
+                  and (half + half == norms).all())
+        if not halved:
+            half, scale = norms, -gamma
+        left = np.ones((len(a), 2))
+        right = np.ones((2, len(b)))
+        left[:, 0] = half[:len(a)]
+        right[1] = half[len(a):]
         buf = np.empty((min(RBF_CHUNK_ROWS, len(a)), len(b)))
         for start in range(0, len(a), RBF_CHUNK_ROWS):
             out = ab[start:start + RBF_CHUNK_ROWS]
-            sq = buf[:len(out)]
-            out *= 2.0
-            np.add(a_sq[start:start + len(out)], b_sq, out=sq)
-            sq -= out
-            np.maximum(sq, 0.0, out=sq)
-            sq *= -gamma
-            np.exp(sq, out=out)
+            h = buf[:len(out)]
+            np.matmul(left[start:start + len(out)], right, out=h)
+            if not halved:
+                out *= 2.0
+            h -= out
+            np.maximum(h, 0.0, out=h)
+            h *= scale
+            np.exp(h, out=out)
         return ab
     if kind == "poly":
         return (gamma * (a @ b.T) + 1.0) ** 3
@@ -266,7 +287,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None,
             raise ValueError("start contains NaN or infinity")
         if (start < 0.0).any() or (start > c).any():
             raise ValueError(f"start multipliers must lie in [0, {c}]")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         k = gram_matrix(params.kernel, x, x, params.gamma)
     if not np.isfinite(k).all():
         raise NonFiniteKernel(f"the {params.kernel} kernel with gamma={params.gamma} "
@@ -416,19 +437,3 @@ def full_alphas(model: SvmModel) -> np.ndarray:
     out[np.array(model.sv_indices, dtype=np.intp)] = model.sv_alphas
     return out
 
-
-def kkt_violation(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Largest complementarity violation over the training set.
-
-    Per index: alpha == 0 requires y*f >= 1, free requires y*f == 1,
-    alpha == C requires y*f <= 1, each up to the returned slack.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alpha = full_alphas(model)
-    c = model.params.c
-    yf = y * model.decision_values(x)
-    bound_eps = 1e-9 * max(1.0, c)
-    slack = np.where(alpha <= bound_eps, 1.0 - yf,
-                     np.where(alpha >= c - bound_eps, yf - 1.0, np.abs(yf - 1.0)))
-    return float(np.max(slack, initial=0.0))

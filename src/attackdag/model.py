@@ -194,22 +194,6 @@ def union(left: AttackExpr, right: AttackExpr) -> UnionExpr:
     return UnionExpr(left, right)
 
 
-def expr_blocks(expr: AttackExpr) -> list[Block]:
-    """All Block leaves in left-to-right order."""
-    out: list[Block] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Block):
-            out.append(node)
-        elif isinstance(node, Star):
-            stack.append(node.inner)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
-
-
 @dataclass(frozen=True)
 class AttackRecord:
     """One documented attack: a name, its category labels, an expression."""

@@ -892,6 +892,11 @@ def _rows_hold(table: np.ndarray) -> bool:
     origin, dest, label, decision = (table[name] for name in PREDICTIONS_DTYPE.names)
     if not np.isfinite(decision).all() or (label != decision_labels(decision)).any():
         return False
+    # predict writes pairs in strictly ascending (origin, dest) order, which
+    # rules out a repeat in one pass; only another order needs the sort.
+    o_prev, o_next, d_prev, d_next = origin[:-1], origin[1:], dest[:-1], dest[1:]
+    if ((o_prev < o_next) | ((o_prev == o_next) & (d_prev < d_next))).all():
+        return True
     order = np.lexsort((dest, origin))
     origin, dest = origin[order], dest[order]
     return not ((origin[1:] == origin[:-1]) & (dest[1:] == dest[:-1])).any()

@@ -2,8 +2,11 @@
 
 Everything here is written for clarity over speed and shares no code with
 the package internals beyond kernel evaluation, the expression AST, token
-and error types, and the ``TreeModel`` node type (reusing the kernel is
-fine: the quantity under test is the optimizer, not the kernel arithmetic).
+and error types, the ``TreeModel`` node type, and a fitted model's
+``decision_values`` and ``full_alphas`` for the KKT check (reusing the
+kernel is fine: the quantity under test is the optimizer, not the kernel
+arithmetic).  It also holds the measures only the tests read: the KKT
+violation, the SGD objective and an expression's block leaves.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from attackdag.expr import (
     UnbalancedParens,
 )
 from attackdag.learn.baselines import TreeModel
-from attackdag.learn.svm import SvmParams, gram_matrix
+from attackdag.learn.svm import SvmModel, SvmParams, full_alphas, gram_matrix
 from attackdag.model import AttackExpr, Block, Concat, Star
 
 
@@ -196,6 +199,34 @@ def reference_smo(
     return alpha, bias, iterations, converged
 
 
+def kkt_violation(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Largest complementarity violation over the training set.
+
+    Per index: alpha == 0 requires y*f >= 1, free requires y*f == 1,
+    alpha == C requires y*f <= 1, each up to the returned slack.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    alpha = full_alphas(model)
+    c = model.params.c
+    yf = y * model.decision_values(x)
+    bound_eps = 1e-9 * max(1.0, c)
+    slack = np.where(alpha <= bound_eps, 1.0 - yf,
+                     np.where(alpha >= c - bound_eps, yf - 1.0, np.abs(yf - 1.0)))
+    return float(np.max(slack, initial=0.0))
+
+
+def hinge_objective(
+    weights: np.ndarray, bias: float, x: np.ndarray, y: np.ndarray, c: float = 1.0
+) -> float:
+    """Regularized mean hinge loss the SGD trainer descends."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    lam = 1.0 / (c * len(y))
+    margins = 1.0 - y * (x @ weights + bias)
+    return float(lam / 2.0 * (weights @ weights) + np.mean(np.maximum(margins, 0.0)))
+
+
 def reference_decisions(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -353,6 +384,22 @@ def tree_predict(node, probe) -> int:
         _, f, thr, left, right = node
         node = left if probe[f] <= thr else right
     return node[1]
+
+
+def expr_blocks(expr: AttackExpr) -> list[Block]:
+    """All Block leaves in left-to-right order."""
+    out: list[Block] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Block):
+            out.append(node)
+        elif isinstance(node, Star):
+            stack.append(node.inner)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
 def render_expression_recursive(expr: AttackExpr) -> str:

@@ -35,7 +35,6 @@ from attackdag.learn import (
     train_svm,
     full_alphas,
     grid_search_min_fn,
-    kkt_violation,
     knn_predict,
     search_space_reduction,
     train_gnb,
@@ -50,6 +49,7 @@ from oracles import (
     dual_qp_reference,
     exhaustive_tree,
     gnb_log_posterior,
+    kkt_violation,
     knn_scan,
     reference_decisions,
     tree_predict,

@@ -9,7 +9,6 @@ import pytest
 from attackdag.learn import (
     EmptyData,
     NonFiniteFeature,
-    hinge_objective,
     knn_predict,
     train_gnb,
     train_sgd_svm,
@@ -17,7 +16,14 @@ from attackdag.learn import (
 )
 from attackdag.learn.baselines import VAR_FLOOR, TreeModel
 
-from oracles import exhaustive_tree, gnb_log_posterior, knn_scan, tree_by_masks, tree_predict
+from oracles import (
+    exhaustive_tree,
+    gnb_log_posterior,
+    hinge_objective,
+    knn_scan,
+    tree_by_masks,
+    tree_predict,
+)
 
 N_FEATURES = 20
 

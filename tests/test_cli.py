@@ -855,6 +855,23 @@ class TestExitCodes:
         assert "error: the poly kernel with gamma=1e+120 overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rbf_kernel_whose_norms_overflow_fails_train_with_one_error_line(
+            self, work, tmp_path, capsys):
+        # |x|^2 + |x|^2 overflows for node 0's branches, so their kernel
+        # entries are NaN; the intermediate inf - inf must not warn.
+        lines = work["attrs"].read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[ATTRS_CSV_HEADER.index("mean_depth")] = "1e154"
+        lines[1] = ",".join(cells)
+        attrs = tmp_path / "attributes.csv"
+        attrs.write_text("\n".join(lines))
+        out = tmp_path / "model.json"
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(attrs),
+                     "--labels", str(work["labels"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the rbf kernel with gamma=0.0556 overflows on these features\n")
+        assert not out.exists()
+
     def test_grid_cell_whose_kernel_overflows_is_recorded_as_failed(self, work, tmp_path,
                                                                     capsys):
         out = tmp_path / "surface.json"

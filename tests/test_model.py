@@ -12,7 +12,6 @@ from attackdag.model import (
     Metrics,
     block,
     concat,
-    expr_blocks,
     find_cycle,
     format_ratio,
     normalize_description,
@@ -20,6 +19,8 @@ from attackdag.model import (
     union,
     validate_dag,
 )
+
+from oracles import expr_blocks
 
 
 class TestNormalize:

@@ -15,7 +15,7 @@ from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
 from attackdag.learn.svm import decision_labels
-from attackdag.model import expr_blocks, normalize_description
+from attackdag.model import normalize_description
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
     ANNOTATIONS_HEADER,
@@ -51,6 +51,8 @@ from attackdag.storage import (
     write_chunks_atomic,
     write_text_atomic,
 )
+
+from oracles import expr_blocks
 
 
 def prediction_columns(rows):
@@ -99,27 +101,6 @@ class TestPrimitives:
         for payload in ({"a": spelled, "n": nested}, {"n": nested, "zz": spelled}, {}):
             text, expected = spliced_report(payload, columns)
             assert text == expected
-
-    @pytest.mark.parametrize("container", [list, dict])
-    def test_dump_json_rejects_circular_payloads(self, container):
-        if container is list:
-            loop = [1]
-            loop.append(loop)
-        else:
-            loop = {"a": 1}
-            loop["self"] = loop
-        for payload in ({"k": loop}, loop):
-            with pytest.raises(ValueError, match="Circular reference"):
-                json.dumps(payload, indent=2, sort_keys=True)
-            with pytest.raises(ValueError, match="Circular reference"):
-                dump_json(payload)
-
-    @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", np.int64(3), object(), {(1, 2): 0}])
-    def test_dump_json_rejects_what_json_rejects(self, bad):
-        with pytest.raises(TypeError):
-            json.dumps({"k": [bad]}, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            dump_json({"k": [bad]})
 
     def test_fingerprint_sensitive_to_content_and_order(self, tmp_path):
         f1 = tmp_path / "a"
@@ -175,28 +156,6 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=40,
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(value=JSON_VALUES)
-def test_dump_json_equals_json_dumps(value):
-    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-@settings(max_examples=100, deadline=None)
-@given(value=st.lists(st.dictionaries(st.text(max_size=2) | st.integers(0, 3),
-                                      JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3),
-                                      max_size=4), max_size=4))
-def test_dump_json_repeated_and_mixed_keys_match_json(value):
-    """Dicts sharing key tuples, with or without list values, encode alike; mixed
-    str/int keys raise alike."""
-    try:
-        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
-    except TypeError:
-        with pytest.raises(TypeError):
-            dump_json(value)
-    else:
-        assert dump_json(value) == expected
 
 
 PERCENT_TEXT = st.sampled_from(["%", "%s", "%%d", "100%", "\u00e9\u2603", "\ud800"])
@@ -889,6 +848,18 @@ class TestPredictionsReader:
         expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
         with mock.patch.object(storage_module, "PARSE_BLOCK_CHARS", block):
             assert self.outcome(lambda: load_predictions(path).tolist()) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12),
+           arrange=st.sampled_from(["ascending", "descending", "unique", "as drawn"]))
+    def test_rows_hold_rejects_exactly_a_repeated_pair(self, pairs, arrange):
+        # Ascending rows take the one-pass order check, the others the sort.
+        pairs = {"ascending": sorted(set(pairs)),
+                 "descending": sorted(set(pairs), reverse=True),
+                 "unique": list(dict.fromkeys(pairs)),
+                 "as drawn": pairs}[arrange]
+        table = np.array([(o, d, 1, 0.5) for o, d in pairs], dtype=PREDICTIONS_DTYPE)
+        assert storage_module._rows_hold(table) == (len(set(pairs)) == len(pairs))
 
 
 # Any JSON value, with a few that are nearly right for a dag.json entry.

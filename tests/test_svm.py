@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import attackdag.learn.svm as svm_module
 from attackdag.learn import (
@@ -16,17 +17,31 @@ from attackdag.learn import (
     full_alphas,
     gram_matrix,
     kernel_eval,
-    kkt_violation,
     train_svm,
 )
 from attackdag.learn.svm import decision_labels
 
 from oracles import (
     dual_qp_reference,
+    kkt_violation,
     rbf_gram_three_temporaries,
     reference_decisions,
     reference_smo,
 )
+
+# A node row as the CLI's features hold it: nine 0/1 bits and a mean depth.
+NODE_DEPTHS = st.one_of(
+    st.sampled_from((0.0, 1e-160, 2.0 ** -537)),
+    st.integers(0, 2_000).map(lambda k: k / 2),
+    st.floats(0.0, 1e3),
+)
+NODE_ROWS = st.lists(
+    st.tuples(st.lists(st.sampled_from((0.0, 1.0)), min_size=9, max_size=9), NODE_DEPTHS),
+    min_size=1, max_size=12,
+)
+GAMMAS = st.one_of(st.floats(1e-300, 1e300), st.integers(-300, 300).map(lambda e: 10.0 ** e))
+RBF_ROW_COUNTS = (0, 1, svm_module.RBF_CHUNK_ROWS - 1, svm_module.RBF_CHUNK_ROWS,
+                  svm_module.RBF_CHUNK_ROWS + 1)
 
 
 class TestKernels:
@@ -75,6 +90,46 @@ class TestKernels:
                 got = gram_matrix("rbf", probes, sv, gamma)
                 assert got.shape == (rows, len(sv))
                 assert np.array_equal(got, rbf_gram_three_temporaries(probes, sv, gamma))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=NODE_ROWS, gamma=GAMMAS, n_sv=st.integers(1, 12),
+           rows=st.sampled_from(RBF_ROW_COUNTS), seed=st.integers(0, 2**32 - 1))
+    def test_rbf_gram_equals_direct_formula_bit_for_bit(self, nodes, gamma, n_sv, rows, seed):
+        # Branch rows as the CLI builds them, an origin node's row then a
+        # destination's; a quarter of the probes repeat a support vector,
+        # so those distances are exactly zero.
+        table = np.array([bits + [depth] for bits, depth in nodes])
+        rng = np.random.default_rng(seed)
+
+        def branches(count: int) -> np.ndarray:
+            pairs = rng.integers(0, len(table), size=(count, 2))
+            return np.hstack([table[pairs[:, 0]], table[pairs[:, 1]]])
+
+        sv = branches(n_sv)
+        probes = branches(rows)
+        repeat = rng.random(rows) < 0.25
+        probes[repeat] = sv[rng.integers(0, n_sv, size=int(repeat.sum()))]
+        with np.errstate(over="ignore"):
+            got = gram_matrix("rbf", probes, sv, gamma)
+            want = rbf_gram_three_temporaries(probes, sv, gamma)
+        assert got.shape == want.shape == (rows, n_sv)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("a, b, gamma", [
+        # A squared norm of one least subnormal does not halve exactly;
+        # halved, this entry would read 1.0.
+        ([[2.0 ** -537]], [[0.0]], 8e307),
+        # -2 gamma overflows; halved, the zero distance would give NaN.
+        ([[1.0, 3.0]], [[1.0, 3.0], [0.0, 0.0]], 1.5e308),
+        # |a|^2 + |b|^2 overflows; halved, both entries would be finite.
+        ([[1e154, 0.0]], [[1e154, 0.0], [0.0, 1.0]], 0.0556),
+    ])
+    def test_rbf_gram_outside_halved_domain_equals_direct_formula(self, a, b, gamma):
+        a, b = np.array(a), np.array(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = gram_matrix("rbf", a, b, gamma)
+            want = rbf_gram_three_temporaries(a, b, gamma)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
