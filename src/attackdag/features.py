@@ -30,6 +30,8 @@ ATTRS_CSV_HEADER = ("node_id",) + ATTRIBUTE_NAMES + ("provenance",)
 
 PROVENANCE_VALUES = ("published", "reconstructed")
 
+DEPTH_TOL = 1e-9  # how far check_against lets a mean depth sit from the dag's
+
 
 class SelfBranch(ValueError):
     pass
@@ -125,8 +127,8 @@ class AttributeTable:
         labels = None if label is None else np.full(len(at), label)
         return BranchFrame(self, at, labels)
 
-    def check_against(self, dag: AttackDag, tol: float = 1e-9) -> list[str]:
-        """Coverage plus head/leaf/depth consistency with the dag."""
+    def check_against(self, dag: AttackDag) -> list[str]:
+        """Coverage plus head/leaf/depth consistency with the dag, depths within DEPTH_TOL."""
         ids = self.ids.tolist()
         problems = [f"node {n} has no attribute row" for n in sorted(dag.nodes.difference(ids))]
         problems += [f"attribute row for unknown node {n}" for n in ids if n not in dag.nodes]
@@ -138,7 +140,7 @@ class AttributeTable:
                 problems.append(f"node {node}: head bit {int(head)}, dag says {want_head}")
             if leaf != want_leaf:
                 problems.append(f"node {node}: leaf bit {int(leaf)}, dag says {want_leaf}")
-            if not math.isclose(depth, want_depth, rel_tol=0.0, abs_tol=tol):
+            if not math.isclose(depth, want_depth, rel_tol=0.0, abs_tol=DEPTH_TOL):
                 problems.append(f"node {node}: mean_depth {depth!r}, dag says {want_depth!r}")
         return problems
 

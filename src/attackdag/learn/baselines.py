@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..model import FrozenNode
 from .svm import EmptyData, check_labeled, decision_labels
 
 
@@ -76,33 +75,28 @@ def train_gnb(x: np.ndarray, y: np.ndarray) -> GaussianNbModel:
 # --- CART decision tree --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TreeModel(FrozenNode):
-    """A split node, or a leaf where ``feature`` is -1; ==, hash() and repr()
-    walk the tree without recursion, as ``predict`` and ``depth`` do."""
+@dataclass(frozen=True, eq=False)
+class TreeModel:
+    """A CART tree as four arrays with one entry per node in pre-order, root
+    first.  A split's left child is the next node, ``t + 1``, and its right
+    child is ``right[t]``; a leaf has ``feature`` -1 and its label in ``label``."""
 
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    label: int = 0
-    left: "TreeModel | None" = None
-    right: "TreeModel | None" = None
+    feature: np.ndarray  # intp, -1 at a leaf
+    threshold: np.ndarray  # float64, 0.0 at a leaf
+    right: np.ndarray  # intp, -1 at a leaf
+    label: np.ndarray  # int64, ±1 at a leaf and 0 at a split
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        labels = []
-        for row in np.asarray(x, dtype=float):
-            node = self
-            while node.feature >= 0:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            labels.append(node.label)
-        return np.array(labels, dtype=int)
-
-    def depth(self) -> int:
-        depth, level = -1, [self]
-        while level:
-            depth += 1
-            level = [child for node in level if node.feature >= 0
-                     for child in (node.left, node.right)]
-        return depth
+        """The ±1 label of each row of x; each pass moves the rows not at a leaf one level."""
+        x = np.asarray(x, dtype=float)
+        at = np.zeros(len(x), dtype=np.intp)
+        rows = np.flatnonzero(self.feature[at] >= 0)
+        while len(rows):
+            node = at[rows]
+            left = x[rows, self.feature[node]] <= self.threshold[node]
+            at[rows] = np.where(left, node + 1, self.right[node])
+            rows = rows[self.feature[at[rows]] >= 0]
+        return self.label[at]
 
 
 def _majority(y: np.ndarray) -> int:
@@ -164,38 +158,41 @@ def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
     """
     x, y = check_labeled(x, y)
 
-    def split(idx: np.ndarray) -> TreeModel | tuple[int, float, np.ndarray, np.ndarray]:
-        """The leaf for the rows idx, or their best split and its two row sets."""
+    def split(idx: np.ndarray) -> int | tuple[int, float, np.ndarray, np.ndarray]:
+        """The leaf label for the rows idx, or their best split and its two row sets."""
         labels = y[idx]
         if np.all(labels == labels[0]):
-            return TreeModel(label=int(labels[0]))
+            return int(labels[0])
         pos = np.count_nonzero(labels == 1)
         parent = float(_gini(pos, len(idx))) * len(idx)
         best = _best_split(x[idx], labels)
         if best is None or best[0] >= parent - 1e-12:
-            return TreeModel(label=_majority(labels))
+            return _majority(labels)
         _, f, thr = best
         mask = x[idx, f] <= thr
         return f, thr, idx[mask], idx[~mask]
 
     # An explicit stack, not recursion, so the depth is bounded only by the rows.
-    # A split's (feature, threshold) waits under its two row sets until both
-    # subtrees are built.
-    todo: list[np.ndarray | tuple[int, float]] = [np.arange(len(y))]
-    built: list[TreeModel] = []
+    # Nodes are appended as popped, left subtree first, which is pre-order; a
+    # right child fills in its parent's ``right`` entry.
+    nodes: list[list] = []  # each node's [feature, threshold, right, label], in pre-order
+    todo = [(np.arange(len(y)), -1)]  # (rows, the split whose right child they are)
     while todo:
-        item = todo.pop()
-        if isinstance(item, tuple):
-            right, left = built.pop(), built.pop()
-            built.append(TreeModel(feature=item[0], threshold=item[1], left=left, right=right))
-            continue
-        plan = split(item)
-        if isinstance(plan, TreeModel):
-            built.append(plan)
+        idx, parent = todo.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
+        plan = split(idx)
+        if isinstance(plan, int):
+            nodes.append([-1, 0.0, -1, plan])
             continue
         f, thr, left_rows, right_rows = plan
-        todo += [(f, thr), right_rows, left_rows]  # the left subtree is built first
-    return built[0]
+        todo += [(right_rows, len(nodes)), (left_rows, -1)]
+        nodes.append([f, thr, -1, 0])
+    feature, threshold, right, label = zip(*nodes)
+    return TreeModel(feature=np.array(feature, dtype=np.intp),
+                     threshold=np.array(threshold, dtype=np.float64),
+                     right=np.array(right, dtype=np.intp),
+                     label=np.array(label, dtype=np.int64))
 
 
 # --- SGD linear SVM -------------------------------------------------------------

@@ -71,7 +71,7 @@ class FrozenNode:
     """Structural ==, hash() and repr() of a tree of frozen dataclass nodes, as
     a frozen dataclass would define them, each walking the tree with an
     explicit stack, so a tree of any depth compares, hashes and prints
-    without recursion.  Expressions and ``learn.baselines.TreeModel`` use it.
+    without recursion.  Only the four expression node classes use it.
 
     A node's fields are its ``__match_args__``; a field holding a node is
     walked, any other is compared, hashed or repr'd as it is.
@@ -371,13 +371,13 @@ class Metrics:
                    precision=precision, recall=recall, fpr=fpr, f1=f1)
 
 
-def format_ratio(value: Optional[float], digits: int = 3) -> str:
+def format_ratio(value: Optional[float]) -> str:
     """Presentation helper: 3 significant figures, explicit 'undefined'."""
     if value is None:
         return "undefined"
     if value == 0:
         return "0.0"
-    return f"{value:.{digits}g}"
+    return f"{value:.3g}"
 
 
 @dataclass(frozen=True)

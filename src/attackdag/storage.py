@@ -40,8 +40,8 @@ block's text to the file as it arrives.
 
 ``load_predictions`` returns one structured array (``PREDICTIONS_DTYPE``):
 numpy's ``loadtxt`` parses the rows a block of lines at a time
-(``PARSE_BLOCK_CHARS``), the blocks are concatenated and the columns are
-checked at once, and the per-row reader (``read_prediction_rows``,
+(``PARSE_BLOCK_CHARS``) into one table sized by the line count, the
+columns are checked at once, and the per-row reader (``read_prediction_rows``,
 ``read_csv`` under the same rule) runs over the whole text only to locate
 an error or to accept a spelling numpy rejects that ``int()`` or
 ``float()`` takes.
@@ -873,18 +873,24 @@ def _line_blocks(text: str, start: int) -> Iterator[list[str]]:
 def _parsed_rows(text: str, start: int) -> np.ndarray | None:
     """numpy's parse of the predictions rows of ``text`` from offset ``start``
     on, a block of lines at a time; None where a line, its "\\n" included, is
-    longer than ``csv``'s field size limit or numpy rejects a row."""
+    longer than ``csv``'s field size limit or numpy rejects a row.
+
+    Each block is copied into one table sized by the line count, so only one
+    block's parse is alive next to it; blank lines leave its tail unused."""
     limit = csv.field_size_limit()
-    blocks = []
+    table = np.empty(text.count("\n", start) + 1, dtype=PREDICTIONS_DTYPE)
+    filled = 0
     for lines in _line_blocks(text, start):
         if max(map(len, lines)) >= limit:
             return None
         try:
-            blocks.append(np.loadtxt(lines, delimiter=",", comments=None,
-                                     dtype=PREDICTIONS_DTYPE, ndmin=1))
+            block = np.loadtxt(lines, delimiter=",", comments=None,
+                               dtype=PREDICTIONS_DTYPE, ndmin=1)
         except ValueError:
             return None
-    return np.concatenate(blocks)
+        table[filled:filled + len(block)] = block
+        filled += len(block)
+    return table[:filled]
 
 
 def _rows_hold(table: np.ndarray) -> bool:

@@ -2,11 +2,11 @@
 
 Everything here is written for clarity over speed and shares no code with
 the package internals beyond kernel evaluation, the expression AST, token
-and error types, the ``TreeModel`` node type, and a fitted model's
-``decision_values`` and ``full_alphas`` for the KKT check (reusing the
-kernel is fine: the quantity under test is the optimizer, not the kernel
-arithmetic).  It also holds the measures only the tests read: the KKT
-violation, the SGD objective and an expression's block leaves.
+and error types, and a fitted model's ``decision_values`` and
+``full_alphas`` for the KKT check (reusing the kernel is fine: the quantity
+under test is the optimizer, not the kernel arithmetic).  It also holds the
+measures only the tests read: the KKT violation, the SGD objective and an
+expression's block leaves.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from attackdag.expr import (
     ExpressionSyntaxError,
     UnbalancedParens,
 )
-from attackdag.learn.baselines import TreeModel
 from attackdag.learn.svm import SvmModel, SvmParams, full_alphas, gram_matrix
 from attackdag.model import AttackExpr, Block, Concat, Star
 
@@ -339,9 +338,11 @@ def exhaustive_tree(x: np.ndarray, y: np.ndarray):
     return grow(list(range(len(y))))
 
 
-def tree_by_masks(x: np.ndarray, y: np.ndarray) -> TreeModel:
+def tree_by_masks(x: np.ndarray, y: np.ndarray) -> list[tuple[int, float, int]]:
     """``train_tree`` by its former split search, O(d·m²) per node: every
-    threshold of every feature scored with two boolean masks.
+    threshold of every feature scored with two boolean masks.  Each node is a
+    ``(feature, threshold, label)`` tuple in pre-order, root first; a leaf has
+    feature -1 and threshold 0.0, and a split label 0.
 
     The same floats in the same order as the package's cumulative-count
     search, so the two must build equal trees, thresholds bit for bit.
@@ -355,10 +356,10 @@ def tree_by_masks(x: np.ndarray, y: np.ndarray) -> TreeModel:
         p = np.mean(labels == 1)
         return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
-    def grow(idx: np.ndarray) -> TreeModel:
+    def grow(idx: np.ndarray) -> list[tuple[int, float, int]]:
         labels = y[idx]
         if np.all(labels == labels[0]):
-            return TreeModel(label=int(labels[0]))
+            return [(-1, 0.0, int(labels[0]))]
         parent = gini(labels) * len(idx)
         best = None  # (weighted gini, feature, threshold)
         for f in range(x.shape[1]):
@@ -371,10 +372,10 @@ def tree_by_masks(x: np.ndarray, y: np.ndarray) -> TreeModel:
                     best = (weighted, f, thr)
         if best is None or best[0] >= parent - 1e-12:
             pos = int(np.sum(labels == 1))
-            return TreeModel(label=1 if pos > len(labels) - pos else -1)
+            return [(-1, 0.0, 1 if pos > len(labels) - pos else -1)]
         _, f, thr = best
         mask = x[idx, f] <= thr
-        return TreeModel(feature=f, threshold=thr, left=grow(idx[mask]), right=grow(idx[~mask]))
+        return [(f, float(thr), 0)] + grow(idx[mask]) + grow(idx[~mask])
 
     return grow(np.arange(len(y)))
 

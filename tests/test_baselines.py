@@ -12,9 +12,10 @@ from attackdag.learn import (
     knn_predict,
     train_gnb,
     train_sgd_svm,
+    train_svm,
     train_tree,
 )
-from attackdag.learn.baselines import VAR_FLOOR, TreeModel
+from attackdag.learn.baselines import VAR_FLOOR
 
 from oracles import (
     exhaustive_tree,
@@ -37,15 +38,12 @@ def arrays(*rows):
     return np.array([pad(v) for v, _ in rows]).reshape(-1, N_FEATURES), np.array([l for _, l in rows])
 
 
-def tree_nodes(tree) -> list[tuple[int, str, int]]:
-    """Each node's (feature, threshold bits, leaf label), depth first, left first."""
-    out, todo = [], [tree]
-    while todo:
-        node = todo.pop()
-        out.append((node.feature, float(node.threshold).hex(), node.label))
-        if node.feature >= 0:
-            todo += [node.right, node.left]
-    return out
+def tree_depth(tree) -> int:
+    """The number of splits on the longest root-to-leaf path of a ``TreeModel``."""
+    depth = [0] * len(tree.feature)
+    for t in np.flatnonzero(tree.feature >= 0):  # in pre-order a node precedes its children
+        depth[t + 1] = depth[tree.right[t]] = depth[t] + 1
+    return max(depth)
 
 
 def random_samples(rng, n):
@@ -161,8 +159,34 @@ class TestDecisionTree:
                  rng.choice(extremes, size=(n, dim)))[trial % 3]
             y = np.where(rng.random(n) < 0.5, 1, -1)
             with np.errstate(over="ignore"):
-                want = tree_by_masks(x, y)
-            assert tree_nodes(train_tree(x, y)) == tree_nodes(want), trial
+                want = [(f, thr.hex(), label) for f, thr, label in tree_by_masks(x, y)]
+            tree = train_tree(x, y)
+            got = list(zip(tree.feature.tolist(), map(float.hex, tree.threshold.tolist()),
+                           tree.label.tolist()))
+            assert got == want, trial
+
+    def test_level_scoring_matches_a_row_walk_at_ties_and_specials(self):
+        # Probes sit exactly on thresholds, on training values and at NaN, +-inf
+        # and -0.0: a tie goes left, NaN and +inf right, as the oracle's walk goes.
+        rng = np.random.default_rng(43)
+        specials = [np.nan, np.inf, -np.inf, -0.0]
+        for trial in range(40):
+            n, dim = int(rng.integers(3, 14)), int(rng.integers(1, 4))
+            x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5], size=(n, dim))
+            y = np.where(rng.random(n) < 0.5, 1, -1)
+            y[0], y[1] = 1, -1
+            tree = train_tree(x, y)
+            splits = np.flatnonzero(tree.feature >= 0)
+            assert all(t + 1 < tree.right[t] < len(tree.feature) for t in splits), trial
+            leaves = tree.feature == -1
+            assert set(tree.label[leaves].tolist()) <= {1, -1}
+            assert (tree.right[leaves] == -1).all() and len(splits) + 1 == leaves.sum()
+            pool = np.concatenate([x.ravel(), tree.threshold[splits], specials])
+            on_thresholds = x[rng.integers(0, n, size=len(splits))].copy()
+            on_thresholds[np.arange(len(splits)), tree.feature[splits]] = tree.threshold[splits]
+            probes = np.vstack([x, on_thresholds, rng.choice(pool, size=(60, dim))])
+            want = exhaustive_tree(x, y)
+            assert tree.predict(probes).tolist() == [tree_predict(want, row) for row in probes]
 
     def test_alternating_rows_train_fast(self):
         # Every node of this chain splits on one of twenty columns; scoring each
@@ -173,29 +197,29 @@ class TestDecisionTree:
         start = time.perf_counter()
         tree = train_tree(x, y)
         assert time.perf_counter() - start < 5.0
-        assert tree.depth() == 1099
+        assert tree_depth(tree) == 1099
         assert tree.predict(x).tolist() == y.tolist()
 
     def test_pure_set_is_single_leaf(self):
         # purity check happens before class validation elsewhere; tree only
         # needs labels, so a one-class set is legal here
         tree = train_tree(*arrays(([0.0], 1), ([5.0], 1)))
-        assert tree.feature == -1
-        assert tree.label == 1
-        assert tree.depth() == 0
+        assert tree.feature.tolist() == [-1]
+        assert tree.label.tolist() == [1]
 
     def test_unsplittable_set_majority_to_infeasible(self):
         # identical feature vectors with opposing labels: no split candidates,
         # 1 vs 1 majority tie falls to -1
         tree = train_tree(*arrays(([1.0], 1), ([1.0], -1)))
-        assert tree.feature == -1
-        assert tree.label == -1
+        assert tree.feature.tolist() == [-1]
+        assert tree.label.tolist() == [-1]
 
     def test_separable_line_produces_midpoint_split(self):
         tree = train_tree(*arrays(([0.0], -1), ([1.0], -1), ([3.0], 1), ([4.0], 1)))
-        assert tree.feature == 0
-        assert tree.threshold == pytest.approx(2.0)
-        assert tree.depth() == 1
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.right.tolist() == [2, -1, -1]
+        assert tree.threshold[0] == pytest.approx(2.0)
+        assert tree.label.tolist() == [0, -1, 1]
         assert tree.predict(np.array([pad([1.9]), pad([2.1])])).tolist() == [-1, 1]
 
     def test_chain_deeper_than_the_recursion_limit(self):
@@ -207,36 +231,12 @@ class TestDecisionTree:
         sys.setrecursionlimit(len(inspect.stack(0)) + 50)
         try:
             tree = train_tree(x, y)
-            depth = tree.depth()
+            depth = tree_depth(tree)
             labels = tree.predict(x)
         finally:
             sys.setrecursionlimit(limit)
         assert depth == 199
         assert labels.tolist() == y.tolist()
-
-    def test_chain_compares_hashes_and_prints_without_recursion(self):
-        def chain(last_label):
-            node = TreeModel(label=last_label)
-            for k in range(1100):
-                node = TreeModel(feature=0, threshold=float(k), left=TreeModel(label=-1),
-                                 right=node)
-            return node
-
-        a, b, other = chain(1), chain(1), chain(-1)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
-        try:
-            same, differs, hashes, text = a == b, a != other, {hash(a), hash(b)}, repr(a)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert same and differs and len(hashes) == 1
-        assert text.count("TreeModel(") == 2201
-        assert text.startswith("TreeModel(feature=0, threshold=1099.0, label=0, left=TreeModel(")
-        assert text.endswith("label=1, left=None, right=None)" + ")" * 1100)
-        assert repr(TreeModel(label=1)) == (
-            "TreeModel(feature=-1, threshold=0.0, label=1, left=None, right=None)")
-        assert TreeModel(label=1) != TreeModel(label=-1)
-        assert TreeModel(feature=0, left=TreeModel(), right=None) != TreeModel(feature=0)
 
     def test_equal_gain_prefers_lowest_feature(self):
         # two features carry identical separations; the split must use feature 0
@@ -246,8 +246,8 @@ class TestDecisionTree:
             ([2.0, 2.0], 1),
             ([2.0, 2.0], 1),
         ))
-        assert tree.feature == 0
-        assert tree.threshold == pytest.approx(1.0)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(1.0)
 
 
 class TestSgdSvm:
@@ -290,3 +290,16 @@ class TestSgdSvm:
     def test_empty_rejected(self):
         with pytest.raises(EmptyData):
             train_sgd_svm(*arrays())
+
+
+@pytest.mark.parametrize("train", [train_svm, train_gnb, train_tree, train_sgd_svm],
+                         ids=["svm", "gaussian nb", "decision tree", "sgd linear svm"])
+def test_predict_returns_one_label_of_plus_or_minus_one_per_row(train):
+    x, y = random_samples(np.random.default_rng(47), 30)
+    model = train(x, y)
+    probes = np.vstack([x, np.random.default_rng(48).uniform(-2, 6, size=(10, N_FEATURES))])
+    for m in (0, 1, len(probes)):
+        got = model.predict(probes[:m])
+        assert got.shape == (m,)
+        assert np.issubdtype(got.dtype, np.integer)
+        assert set(got.tolist()) <= {1, -1}
