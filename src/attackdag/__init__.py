@@ -11,7 +11,6 @@ from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
     AttackExpr,
-    AttackRecord,
     BasicBlock,
     Block,
     Cdfg,
@@ -25,12 +24,10 @@ from .model import (
     UnionExpr,
     VulnerabilityCategory,
     block,
-    concat,
     find_cycle,
     format_ratio,
     normalize_description,
     star,
-    union,
     validate_dag,
 )
 from .expr import (

@@ -69,6 +69,7 @@ from .negatives import (
 )
 from .storage import (
     EXPLOIT_BUCKETS,
+    VERDICTS,
     DagFile,
     FingerprintMismatch,
     dump_json,
@@ -160,7 +161,7 @@ def cmd_ingest(args: argparse.Namespace) -> None:
         raise InvariantViolation("; ".join(problems))
     save_dag(args.out, DagFile(dag, corpus.blocks, corpus.buckets, args.attrs_ref))
     print(
-        f"ingested {len(corpus.records)} attacks: "
+        f"ingested {len(corpus.cdfgs)} attacks: "
         f"{len(dag.nodes)} nodes, {len(dag.edges)} edges, "
         f"{len(dag.heads)} heads, {len(dag.leaves)} leaves"
     )
@@ -361,7 +362,7 @@ def cmd_project(args: argparse.Namespace) -> None:
     by_norm = {blk.norm_text: blk.id for blk in dagfile.blocks.values()}
     keep: set[int] = set()
     for token in tokens:
-        if token.lstrip("-").isdigit():
+        if token.removeprefix("-").isdecimal():
             keep.add(int(token))
         else:
             norm = normalize_description(token)
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--annotations", required=True)
     a.add_argument("--origin", type=_node_id_arg, required=True)
     a.add_argument("--dest", type=_node_id_arg, required=True)
-    a.add_argument("--verdict", choices=("feasible", "infeasible"), required=True)
+    a.add_argument("--verdict", choices=VERDICTS, required=True)
     a.add_argument("--annotator", required=True)
     a.add_argument("--note", default="")
     a.set_defaults(func=cmd_annotate_add)

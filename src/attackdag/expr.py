@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AttackExpr, Block, Concat, Star, UnionExpr, block, concat, star, union
+from .model import AttackExpr, Block, Concat, Star, UnionExpr, block, star
 
 
 class ExpressionSyntaxError(ValueError):
@@ -169,14 +169,14 @@ class _Parser:
         node = self.term()
         while (tok := self.peek()) is not None and tok.kind == PLUS:
             self.pos += 1
-            node = union(node, self.term())
+            node = UnionExpr(node, self.term())
         return node
 
     def term(self) -> AttackExpr:
         node = self.factor()
         while (tok := self.peek()) is not None and tok.kind == DOT:
             self.pos += 1
-            node = concat(node, self.factor())
+            node = Concat(node, self.factor())
         return node
 
     def factor(self) -> AttackExpr:

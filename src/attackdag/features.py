@@ -236,7 +236,7 @@ class BranchFrame:
 
     nodes: AttributeTable
     at: np.ndarray  # (len, 2) intp: positions in nodes of each origin and destination
-    labels: Optional[np.ndarray] = None  # (len,) int64 of +1/-1, or None when unlabeled
+    labels: Optional[np.ndarray]  # (len,) int64 of +1/-1, or None when unlabeled
 
     def __len__(self) -> int:
         return len(self.at)

@@ -20,7 +20,6 @@ from .model import (
     Concat,
     Star,
     find_cycle,
-    normalize_description,
 )
 
 
@@ -50,30 +49,17 @@ class MissingProvenance(ValueError):
     """An edge given to ``build_dag`` without a provenance entry."""
 
 
-def _local_interner() -> Callable[[str], int]:
-    seen: dict[str, int] = {}
-
-    def id_for(raw: str) -> int:
-        norm = normalize_description(raw)
-        return seen.setdefault(norm, len(seen))
-
-    return id_for
-
-
-def cdfg_from_expression(expr: AttackExpr, id_for: Callable[[str], int] | None = None) -> Cdfg:
+def cdfg_from_expression(expr: AttackExpr, id_for: Callable[[str], int]) -> Cdfg:
     """Compile one expression to its control/data-flow graph.
 
-    id_for maps a raw description to a node id; pass a corpus-wide interner
-    so ids line up across attacks, or leave None for a graph-local one.
+    id_for maps a raw description to a node id; a corpus-wide interner
+    makes ids line up across attacks.
 
     Construction rules: a block is a single node; concatenation draws an
     edge from every exit of the left part to every entry of the right part;
     union is disjoint alternatives; star contributes no edges at all (no
     self-loop, no bypass).
     """
-    if id_for is None:
-        id_for = _local_interner()
-
     # Post-order over an explicit stack, so an expression's depth is not
     # bounded by the recursion limit.  Each finished part leaves its
     # (entries, exits) on `done`; nodes and edges accumulate globally.

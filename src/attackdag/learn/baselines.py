@@ -197,6 +197,10 @@ def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
 
 # --- SGD linear SVM -------------------------------------------------------------
 
+SGD_EPOCHS = 20
+SGD_C = 1.0
+SGD_SEED = 0
+
 
 @dataclass(frozen=True)
 class SgdSvmModel:
@@ -207,23 +211,18 @@ class SgdSvmModel:
         return decision_labels(np.asarray(x, dtype=float) @ self.weights + self.bias)
 
 
-def train_sgd_svm(
-    x: np.ndarray,
-    y: np.ndarray,
-    epochs: int = 20,
-    c: float = 1.0,
-    seed: int = 0,
-) -> SgdSvmModel:
-    """Hinge loss + L2, lambda = 1/(c*n), step 1/(lambda*t), shuffled epochs."""
+def train_sgd_svm(x: np.ndarray, y: np.ndarray) -> SgdSvmModel:
+    """Hinge loss + L2, lambda = 1/(SGD_C*n), step 1/(lambda*t), SGD_EPOCHS epochs
+    shuffled by a generator seeded with SGD_SEED."""
     x, y = check_labeled(x, y)
     n = len(y)
-    lam = 1.0 / (c * n)
+    lam = 1.0 / (SGD_C * n)
     w = np.zeros(x.shape[1])
     b = 0.0
     t = 0
-    rng = random.Random(seed)
+    rng = random.Random(SGD_SEED)
     order = list(range(n))
-    for _ in range(epochs):
+    for _ in range(SGD_EPOCHS):
         rng.shuffle(order)
         for i in order:
             t += 1

@@ -66,7 +66,7 @@ class CellResult:
 def grid_search_min_fn(
     x: np.ndarray,
     y: np.ndarray,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     eval_data: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SvmParams, list[CellResult]]:
     """Train every cell on (x, y), score FN/FP on eval_data (default: (x, y)).
@@ -75,8 +75,6 @@ def grid_search_min_fn(
     can inspect or plot all of it.  If every cell failed, raises the first
     cell's error.
     """
-    if grid is None:
-        grid = GridSpec()
     eval_x, eval_y = (x, y) if eval_data is None else eval_data
     cells = grid.cells()
     columns: dict[tuple[str, float], list[int]] = {}

@@ -216,7 +216,7 @@ class SvmModel:
     sv_alphas: np.ndarray
     sv_labels: np.ndarray
     n_samples: int
-    converged: bool = True
+    converged: bool
     fingerprint: str = ""
     iterations: int = field(default=0, compare=False)
 
@@ -259,7 +259,7 @@ def _penalties(up: Sequence[bool], down: Sequence[bool]) -> tuple[np.ndarray, np
     return np.where(up, 0.0, -np.inf), np.where(down, 0.0, np.inf)
 
 
-def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None,
+def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
               start: np.ndarray | None = None) -> SvmModel:
     """Fit the SVM to feature rows x labeled y (+1/-1).
 
@@ -270,8 +270,6 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams | None = None,
     is convex, and the fit reaches the same optimum within the tolerance
     from any feasible start.
     """
-    if params is None:
-        params = SvmParams()
     x, y = check_labeled(x, y)
     if len(np.unique(y)) < 2:
         raise SingleClassData("training data has only one class")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -58,7 +58,7 @@ class BasicBlock:
     raw_text: str
     norm_text: str
     category: VulnerabilityCategory
-    socially_delivered: bool = False
+    socially_delivered: bool
 
 
 # --- attack expression AST ---------------------------------------------------
@@ -184,23 +184,6 @@ def star(inner: AttackExpr) -> AttackExpr:
     while isinstance(inner, Star):
         inner = inner.inner
     return Star(inner)
-
-
-def concat(left: AttackExpr, right: AttackExpr) -> Concat:
-    return Concat(left, right)
-
-
-def union(left: AttackExpr, right: AttackExpr) -> UnionExpr:
-    return UnionExpr(left, right)
-
-
-@dataclass(frozen=True)
-class AttackRecord:
-    """One documented attack: a name, its category labels, an expression."""
-
-    name: str
-    categories: tuple[str, ...]
-    expression: AttackExpr
 
 
 # --- graphs ------------------------------------------------------------------
@@ -341,11 +324,11 @@ class Metrics:
     fp: int
     tn: int
     fn: int
-    accuracy: Optional[float] = field(default=None)
-    precision: Optional[float] = field(default=None)
-    recall: Optional[float] = field(default=None)
-    fpr: Optional[float] = field(default=None)
-    f1: Optional[float] = field(default=None)
+    accuracy: Optional[float]
+    precision: Optional[float]
+    recall: Optional[float]
+    fpr: Optional[float]
+    f1: Optional[float]
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":

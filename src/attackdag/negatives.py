@@ -62,7 +62,7 @@ class InsufficientData(ValueError):
 
 
 def categories_independent(
-    a: VC, b: VC, a_socially_delivered: bool = False, b_socially_delivered: bool = False
+    a: VC, b: VC, a_socially_delivered: bool, b_socially_delivered: bool
 ) -> bool:
     if frozenset({a, b}) in PLAIN_INDEPENDENCE_PAIRS:
         return True
@@ -139,7 +139,7 @@ def generate_negative_candidates(
     dag: AttackDag,
     table: AttributeTable,
     blocks: Mapping[int, BasicBlock],
-    exceptions: ExceptionList | None = None,
+    exceptions: ExceptionList | None,
     thresholds: NegativeFilterThresholds | None = None,
 ) -> BranchFrame:
     """Candidate infeasible branches, labeled -1, sorted by (origin, dest).

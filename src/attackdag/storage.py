@@ -81,7 +81,7 @@ from .learn.svm import SvmModel, SvmParams, decision_labels
 from .model import (
     ATTRIBUTE_NAMES,
     AttackDag,
-    AttackRecord,
+    AttackExpr,
     BasicBlock,
     Cdfg,
     EmptyDescription,
@@ -185,10 +185,9 @@ def _read_json(path: str | Path, error_type: type[ValueError]):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A loaded attack corpus: its records, each attack's name and CDFG, and the
-    interned blocks and exploit buckets, keyed by node id as in a ``DagFile``."""
+    """A loaded attack corpus: each attack's name and CDFG, and the interned
+    blocks and exploit buckets, keyed by node id as in a ``DagFile``."""
 
-    records: tuple[AttackRecord, ...]
     cdfgs: tuple[tuple[str, Cdfg], ...]
     blocks: Mapping[int, BasicBlock]
     buckets: Mapping[int, str]
@@ -200,16 +199,18 @@ class Corpus:
 def _locate_expression(raw_file: str, expression: str, offset: int) -> tuple[int, int]:
     """Best-effort (line, col) of an offset inside an expression within a file.
 
-    The corpus stores each expression as a single JSON string; when the raw
-    text appears verbatim (no JSON escaping needed) its file position is
-    exact, otherwise we fall back to position within the expression alone.
+    The corpus stores each expression as a single JSON string.  When that
+    string needs no escapes, its quoted literal after an "expression" key
+    is found in the file, and the position is exact; the quotes and the key
+    keep it from matching inside a longer expression or in a name.
+    Otherwise it is the position within the expression alone.
     """
-    at = raw_file.find(expression)
-    if at < 0:
-        line, col = line_col(expression, offset)
-        return line, col
-    line, col = line_col(raw_file, at + offset)
-    return line, col
+    literal = '"' + expression + '"'
+    if json.dumps(expression, ensure_ascii=False) == literal:
+        found = re.search(r'"expression"\s*:\s*' + re.escape(literal), raw_file)
+        if found:
+            return line_col(raw_file, found.end() - len(expression) - 1 + offset)
+    return line_col(expression, offset)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -243,7 +244,7 @@ def load_corpus(path: str | Path) -> Corpus:
     socially = payload.get("socially_delivered", [])
     bucket_map_raw = payload.get("bucket_map", {})
 
-    records: list[AttackRecord] = []
+    parsed: list[tuple[str, VulnerabilityCategory, AttackExpr]] = []
     names: set[str] = set()
     for index, entry in enumerate(attacks):
         if type(entry) is not dict:
@@ -276,7 +277,7 @@ def load_corpus(path: str | Path) -> Corpus:
             raw_file = path.read_text(encoding="utf-8")
             line, col = _locate_expression(raw_file, source_text, exc.position)
             raise ExpressionParseFailure(str(exc), name, str(path), line, col) from exc
-        records.append(AttackRecord(name=name, categories=categories, expression=expression))
+        parsed.append((name, category_map[categories[0]], expression))
 
     overrides: dict[str, VulnerabilityCategory] = {}
     for norm, value in overrides_raw.items():
@@ -310,12 +311,11 @@ def load_corpus(path: str | Path) -> Corpus:
         return ids[norm]
 
     cdfgs: list[tuple[str, Cdfg]] = []
-    for record in records:
-        category = category_map[record.categories[0]]  # read by id_for
+    for name, category, expression in parsed:  # category is read by id_for
         try:
-            cdfgs.append((record.name, cdfg_from_expression(record.expression, id_for)))
+            cdfgs.append((name, cdfg_from_expression(expression, id_for)))
         except EmptyDescription as exc:
-            raise CorpusLoadError(f"{path}: attack {record.name!r}: {exc}") from exc
+            raise CorpusLoadError(f"{path}: attack {name!r}: {exc}") from exc
 
     for norm in sorted(social_set - ids.keys()):
         raise CorpusLoadError(f"{path}: socially_delivered lists unknown node {norm!r}")
@@ -330,7 +330,7 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusLoadError(f"{path}: bucket_map lists unknown node {norm!r}")
         buckets[ids[norm]] = bucket
 
-    return Corpus(records=tuple(records), cdfgs=tuple(cdfgs), blocks=blocks, buckets=buckets)
+    return Corpus(cdfgs=tuple(cdfgs), blocks=blocks, buckets=buckets)
 
 
 # --- dag file --------------------------------------------------------------------
@@ -638,7 +638,7 @@ def save_labels(path: str | Path, ids: np.ndarray, at: np.ndarray, labels: np.nd
 
 
 def append_annotation(
-    path: str | Path, origin: int, dest: int, verdict: str, annotator: str, note: str = ""
+    path: str | Path, origin: int, dest: int, verdict: str, annotator: str, note: str
 ) -> None:
     """Append one verdict row; the annotation log is never rewritten."""
     if verdict not in VERDICTS:

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from attackdag import AttributeTable, labeled_frame, load_corpus
 from attackdag.cli import main
+from attackdag.expr import parse_expression
 from attackdag.storage import load_labels
 
 REPO = Path(__file__).resolve().parent.parent
@@ -16,6 +18,13 @@ DATA = REPO / "data"
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus(DATA / "corpus.json")
+
+
+@pytest.fixture(scope="session")
+def corpus_expressions():
+    """Each bundled attack's name and parsed expression, in file order."""
+    attacks = json.loads((DATA / "corpus.json").read_text(encoding="utf-8"))["attacks"]
+    return [(attack["name"], parse_expression(attack["expression"])) for attack in attacks]
 
 
 @pytest.fixture(scope="session")

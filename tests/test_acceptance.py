@@ -236,9 +236,9 @@ def test_criterion_07_baselines_against_oracles(criterion):
         values = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
         lx = np.array([pad([v]) for v in values])
         ly = np.array([1 if v > 0 else -1 for v in values])
-        sgd = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
+        sgd = train_sgd_svm(lx, ly)
         assert sgd.predict(lx).tolist() == ly.tolist()
-        again = train_sgd_svm(lx, ly, epochs=20, c=1.0, seed=0)
+        again = train_sgd_svm(lx, ly)
         assert np.array_equal(sgd.weights, again.weights)
         assert sgd.bias == again.bias
 
@@ -285,11 +285,11 @@ def test_criterion_08_rule_classifier_boundaries(criterion, dag, table, labeled,
         assert counts == (tp, fp, tn, fn)
 
 
-def test_criterion_09_expression_round_trips(criterion, corpus):
+def test_criterion_09_expression_round_trips(criterion, corpus_expressions):
     with criterion(9):
-        for record in corpus.records:
-            rendered = render_expression(record.expression)
-            assert parse_expression(rendered) == record.expression
+        for _, expression in corpus_expressions:
+            rendered = render_expression(expression)
+            assert parse_expression(rendered) == expression
 
         rng = random.Random(20260819)
         for _ in range(1000):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import sys
@@ -9,13 +10,15 @@ import pytest
 from attackdag.learn import (
     EmptyData,
     NonFiniteFeature,
+    SvmParams,
     knn_predict,
     train_gnb,
     train_sgd_svm,
     train_svm,
     train_tree,
 )
-from attackdag.learn.baselines import VAR_FLOOR
+import attackdag.learn.baselines as baselines
+from attackdag.learn.baselines import SGD_C, VAR_FLOOR
 
 from oracles import (
     exhaustive_tree,
@@ -257,42 +260,48 @@ class TestSgdSvm:
 
     def test_perfect_accuracy_on_separable_line(self):
         x, y = self.separable_samples()
-        model = train_sgd_svm(x, y, epochs=20, c=1.0, seed=0)
+        model = train_sgd_svm(x, y)
         assert model.predict(x).tolist() == y.tolist()
 
-    def test_bit_reproducible_under_fixed_seed(self):
+    def test_bit_reproducible_under_fixed_seed(self, monkeypatch):
+        monkeypatch.setattr(baselines, "SGD_EPOCHS", 15)
+        monkeypatch.setattr(baselines, "SGD_SEED", 42)
         x, y = self.separable_samples()
-        a = train_sgd_svm(x, y, epochs=15, c=1.0, seed=42)
-        b = train_sgd_svm(x, y, epochs=15, c=1.0, seed=42)
+        a = train_sgd_svm(x, y)
+        b = train_sgd_svm(x, y)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_objective_near_coarse_grid_optimum(self):
+    def test_objective_near_coarse_grid_optimum(self, monkeypatch):
         # 1-D problem: sweep (w, b) on a fine grid and require the trained
         # objective within 5% of the best grid cell
+        monkeypatch.setattr(baselines, "SGD_EPOCHS", 200)
         x, y = self.separable_samples()
-        model = train_sgd_svm(x, y, epochs=200, c=1.0, seed=0)
-        trained = hinge_objective(model.weights, model.bias, x, y, c=1.0)
+        model = train_sgd_svm(x, y)
+        trained = hinge_objective(model.weights, model.bias, x, y, c=SGD_C)
         best = min(
-            hinge_objective(np.asarray([w] + [0.0] * (N_FEATURES - 1)), b, x, y, c=1.0)
+            hinge_objective(np.asarray([w] + [0.0] * (N_FEATURES - 1)), b, x, y, c=SGD_C)
             for w in np.linspace(0.0, 3.0, 121)
             for b in np.linspace(-1.5, 1.5, 61)
         )
         assert trained <= best * 1.05 + 1e-9
 
-    def test_objective_beats_zero_model(self):
+    def test_objective_beats_zero_model(self, monkeypatch):
         rng = np.random.default_rng(8)
         x, y = random_samples(rng, 30)
-        model = train_sgd_svm(x, y, epochs=20, c=1.0, seed=1)
-        at_zero = hinge_objective(np.zeros(N_FEATURES), 0.0, x, y, c=1.0)
-        assert hinge_objective(model.weights, model.bias, x, y, c=1.0) < at_zero
+        at_zero = hinge_objective(np.zeros(N_FEATURES), 0.0, x, y, c=SGD_C)
+        for seed in (0, 1):  # the shipped seed, and another
+            monkeypatch.setattr(baselines, "SGD_SEED", seed)
+            model = train_sgd_svm(x, y)
+            assert hinge_objective(model.weights, model.bias, x, y, c=SGD_C) < at_zero, seed
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyData):
             train_sgd_svm(*arrays())
 
 
-@pytest.mark.parametrize("train", [train_svm, train_gnb, train_tree, train_sgd_svm],
+@pytest.mark.parametrize("train", [functools.partial(train_svm, params=SvmParams()), train_gnb,
+                                   train_tree, train_sgd_svm],
                          ids=["svm", "gaussian nb", "decision tree", "sgd linear svm"])
 def test_predict_returns_one_label_of_plus_or_minus_one_per_row(train):
     x, y = random_samples(np.random.default_rng(47), 30)

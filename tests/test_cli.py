@@ -24,6 +24,7 @@ from attackdag.learn.svm import KERNELS
 from attackdag.negatives import NegativeFilterThresholds, categories_independent
 from attackdag.storage import (
     EXPLOIT_BUCKETS,
+    VERDICTS,
     load_dag,
     load_labels,
     load_model,
@@ -288,6 +289,14 @@ class TestParser:
                                               "--kernel", kernel])
             assert cli._svm_params(args).kernel == kernel
 
+    def test_verdict_choices_are_the_storage_verdicts(self):
+        add = ("annotate", "add", "--annotations", "a.csv", "--origin", "0", "--dest", "1",
+               "--annotator", "alice", "--verdict")
+        for verdict in VERDICTS:
+            assert build_parser().parse_args([*add, verdict]).verdict == verdict
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*add, "maybe"])
+
     def test_readme_walkthrough_commands_parse(self):
         text = (REPO / "README.md").read_text().replace("\\\n", " ")
         commands = re.findall(r"^python3 -m attackdag (.+)$", text, flags=re.MULTILINE)
@@ -320,6 +329,87 @@ def test_only_main_maps_outcomes_to_exit_codes():
     assert commands == len({name for name in vars(cli) if name.startswith("cmd_")})
 
 
+# Every defaulted parameter and dataclass field default under src/attackdag, with
+# the reason it stays: the CLI takes its defaults from it, perfbench calls without
+# it, or a second caller outside tests/ leaves it out.  A default that only tests
+# rely on is a knob nothing uses; declare a new one here with its reason.
+DECLARED_DEFAULTS = {
+    "cli.py:main(argv)": "second caller: `python -m attackdag` and the `attackdag` script",
+    "expr.py:ExpressionSyntaxError.__init__(expected)": "second caller: the group depth error",
+    "features.py:AttributeTable.frame(label)": "second caller: enumerate_candidates",
+    "features.py:AttributeTable.from_csv(source)": "perfbench call: checks.py",
+    "features.py:AttributeTable.from_rows(provenance)":
+        "second caller: scripts/build_corpus_artifacts.py",
+    "graph.py:enumerate_attack_paths(cap)": "second caller: cmd_report",
+    "learn/gridsearch.py:CellResult.converged": "second caller: a failed cell",
+    "learn/gridsearch.py:CellResult.error": "second caller: a fitted cell",
+    "learn/gridsearch.py:GridSpec.c_values": "CLI default owner: grid-search --c-values",
+    "learn/gridsearch.py:GridSpec.gamma_values": "CLI default owner: grid-search --gamma-values",
+    "learn/gridsearch.py:GridSpec.kernels": "CLI default owner: grid-search --kernels",
+    "learn/gridsearch.py:grid_search_min_fn(eval_data)":
+        "second caller to come: held-out scoring (ROADMAP item 1)",
+    "learn/svm.py:SvmModel.fingerprint": "second caller: train_svm",
+    "learn/svm.py:SvmModel.iterations": "second caller: load_model",
+    "learn/svm.py:SvmParams.c": "CLI default owner: train --c",
+    "learn/svm.py:SvmParams.gamma": "CLI default owner: train --gamma",
+    "learn/svm.py:SvmParams.kernel": "CLI default owner: train --kernel",
+    "learn/svm.py:SvmParams.max_passes": "CLI default owner: train --max-passes",
+    "learn/svm.py:SvmParams.seed": "every caller: stored model.json files carry it",
+    "learn/svm.py:SvmParams.shrinking": "CLI default owner: train --no-shrinking",
+    "learn/svm.py:SvmParams.tolerance": "CLI default owner: train --tolerance",
+    "learn/svm.py:train_svm(start)": "second caller: cmd_train",
+    "negatives.py:ExceptionList.from_csv(source)": "perfbench call: checks.py",
+    "negatives.py:NegativeFilterThresholds.head_to_leaf": "CLI default owner; perfbench call",
+    "negatives.py:NegativeFilterThresholds.ht_diff_above": "CLI default owner; perfbench call",
+    "negatives.py:NegativeFilterThresholds.ht_diff_below": "CLI default owner; perfbench call",
+    "negatives.py:NegativeFilterThresholds.leaf_to_leaf": "CLI default owner; perfbench call",
+    "negatives.py:NegativeFilterThresholds.min_hamming": "CLI default owner; perfbench call",
+    "negatives.py:generate_negative_candidates(thresholds)":
+        "second caller: scripts/build_corpus_artifacts.py",
+    "storage.py:DagFile.attrs_ref": "second caller: cmd_project",
+    "storage.py:_pair_renderer.render(decisions)": "second caller: save_labels",
+    "storage.py:load_model(expected_fingerprint)": "perfbench call: checks.py",
+    "storage.py:load_model(force)": "perfbench call: checks.py",
+    "storage.py:parse_node_id(name)": "second caller: the CLI's node id arguments",
+}
+
+
+def declared_defaults(root: Path) -> list[str]:
+    """Each defaulted parameter, as "file:qualname(param)", and each dataclass field
+    default, as "file:Class.field", in the Python files under root."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def is_dataclass(decorator: ast.expr) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass"
+
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        todo = [(ast.parse(path.read_text(encoding="utf-8")), "")]
+        while todo:
+            node, scope = todo.pop()
+            name = scope + (node.name if isinstance(node, scopes) else "<lambda>")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+                found += [f"{where}:{name}({arg.arg})" for arg in defaulted]
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                found += [f"{where}:{name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and item.value is not None]
+            inner = name + "." if isinstance(node, scopes) else scope
+            todo += [(child, inner) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_every_default_in_the_package_is_declared():
+    found = declared_defaults(Path(cli.__file__).parent)
+    assert found == sorted(DECLARED_DEFAULTS)
+    assert all(DECLARED_DEFAULTS.values())
+
+
 class TestProjection:
     def test_project_then_refresh(self, work, capsys):
         sub_dag = work["root"] / "sub.json"
@@ -347,6 +437,18 @@ class TestProjection:
         assert main(["project", "--dag", str(work["dag"]),
                      "--keep", "no such node anywhere", "--out",
                      str(work["root"] / "nope.json")]) == 3
+
+    @pytest.mark.parametrize("token", ["--5", "\u00b2"])
+    def test_project_token_that_int_rejects_is_unknown_node(self, work, tmp_path, capsys,
+                                                             token):
+        # "--5" and a superscript two are no node id: int() rejects both
+        keep_file, out = tmp_path / "keep.txt", tmp_path / "sub.json"
+        keep_file.write_text(f"0\n{token}\n", encoding="utf-8")
+        for keep in (["--keep", f"0,{token}"], ["--keep-file", str(keep_file)]):
+            assert main(["project", "--dag", str(work["dag"]), *keep, "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                f"invariant violation: keep list references unknown node {token!r}\n")
+        assert not out.exists()
 
     def test_project_without_keep_is_usage_error(self, work, capsys):
         for keep in ([], ["--keep", " , "]):

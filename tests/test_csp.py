@@ -115,7 +115,7 @@ class TestFactsFromGraph:
         }
         table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
         # ids 0..2 are also their row positions
-        frame = BranchFrame(table, np.array([[0, 2], [2, 2], [1, 2]]))
+        frame = BranchFrame(table, np.array([[0, 2], [2, 2], [1, 2]]), None)
         return dag, table, frame
 
     def test_terminal_flags_use_dag_degrees(self):
@@ -151,7 +151,7 @@ def worlds(draw):
     dag = build_dag(set(in_dag), edges, {e: {"a"} for e in edges})
     pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20))
     at = np.searchsorted(table.ids, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    return dag, table, BranchFrame(table, at)
+    return dag, table, BranchFrame(table, at, None)
 
 
 class TestRulesAsMasks:
@@ -175,7 +175,7 @@ class TestRulesAsMasks:
         head, leaf = dag_terminals(table, dag)
         grid = pair_facts(table, rows[:, None], rows[None, :], head, leaf)
         at = np.argwhere(np.ones((len(rows), len(rows)), dtype=bool))
-        framed = csp_facts(BranchFrame(table, at), dag)
+        framed = csp_facts(BranchFrame(table, at, None), dag)
         for name in ("hamming", "ht_diff", "head_to_leaf", "leaf_to_leaf"):
             on_grid, on_frame = getattr(grid, name), getattr(framed, name)
             assert on_grid.shape == (len(rows), len(rows))

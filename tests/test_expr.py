@@ -14,7 +14,7 @@ from attackdag.expr import (
     render_expression,
     tokenize,
 )
-from attackdag.model import Block, Concat, Star, UnionExpr, block, concat, star, union
+from attackdag.model import Block, Concat, Star, UnionExpr, block, star
 
 from oracles import render_expression_recursive, tokenize_by_character
 
@@ -65,17 +65,17 @@ class TestParse:
 
     def test_star_binds_tightest(self):
         ast = parse_expression("bb_i(a).bb_j(b)*")
-        assert ast == concat(block("a"), star(block("b")))
+        assert ast == Concat(block("a"), star(block("b")))
 
     def test_group_star(self):
         ast = parse_expression("(bb_i(a).bb_j(b))*")
-        assert ast == star(concat(block("a"), block("b")))
+        assert ast == star(Concat(block("a"), block("b")))
 
     def test_left_associative(self):
         ast = parse_expression("bb_i(a).bb_j(b).bb_k(c)")
-        assert ast == concat(concat(block("a"), block("b")), block("c"))
+        assert ast == Concat(Concat(block("a"), block("b")), block("c"))
         ast = parse_expression("bb_i(a)+bb_j(b)+bb_k(c)")
-        assert ast == union(union(block("a"), block("b")), block("c"))
+        assert ast == UnionExpr(UnionExpr(block("a"), block("b")), block("c"))
 
     def test_identifier_is_discarded(self):
         assert parse_expression("bb_alpha(x)") == parse_expression("bb_9(x)")
@@ -122,34 +122,34 @@ class TestParse:
 
 class TestRender:
     def test_explicit_dots_and_sequential_ids(self):
-        ast = concat(concat(block("a"), block("b")), block("c"))
+        ast = Concat(Concat(block("a"), block("b")), block("c"))
         assert render_expression(ast) == "bb_1(a).bb_2(b).bb_3(c)"
 
     def test_union_inside_concat_parenthesized(self):
-        ast = concat(union(block("a"), block("b")), block("c"))
+        ast = Concat(UnionExpr(block("a"), block("b")), block("c"))
         assert render_expression(ast) == "(bb_1(a)+bb_2(b)).bb_3(c)"
 
     def test_union_inside_star_parenthesized(self):
-        ast = star(union(block("a"), block("b")))
+        ast = star(UnionExpr(block("a"), block("b")))
         assert render_expression(ast) == "(bb_1(a)+bb_2(b))*"
 
     def test_concat_inside_star_parenthesized(self):
-        ast = star(concat(block("a"), block("b")))
+        ast = star(Concat(block("a"), block("b")))
         assert render_expression(ast) == "(bb_1(a).bb_2(b))*"
 
     def test_no_redundant_parens(self):
-        ast = union(concat(block("a"), star(block("b"))), block("c"))
+        ast = UnionExpr(Concat(block("a"), star(block("b"))), block("c"))
         assert render_expression(ast) == "bb_1(a).bb_2(b)*+bb_3(c)"
 
     def test_right_nested_concat_keeps_parens(self):
         # concat(a, concat(b, c)) must not render as a.b.c, which would
         # re-parse left-associatively into a different tree.
-        ast = concat(block("a"), concat(block("b"), block("c")))
+        ast = Concat(block("a"), Concat(block("b"), block("c")))
         rendered = render_expression(ast)
         assert parse_expression(rendered) == ast
 
     def test_right_nested_union_keeps_parens(self):
-        ast = union(block("a"), union(block("b"), block("c")))
+        ast = UnionExpr(block("a"), UnionExpr(block("b"), block("c")))
         rendered = render_expression(ast)
         assert parse_expression(rendered) == ast
 
@@ -162,7 +162,7 @@ def random_ast(rng: random.Random, depth: int):
         return star(random_ast(rng, depth - 1))
     left = random_ast(rng, depth - 1)
     right = random_ast(rng, depth - 1)
-    return concat(left, right) if roll < 0.8 else union(left, right)
+    return Concat(left, right) if roll < 0.8 else UnionExpr(left, right)
 
 
 class TestRoundTrip:
@@ -223,10 +223,10 @@ class TestRoundTrip:
         assert rendered == src
         assert render_expression(parse_expression(rendered)) == rendered
 
-    def test_bundled_corpus_round_trips(self, corpus):
-        for record in corpus.records:
-            rendered = render_expression(record.expression)
-            assert parse_expression(rendered) == record.expression
+    def test_bundled_corpus_round_trips(self, corpus_expressions):
+        for _, expression in corpus_expressions:
+            rendered = render_expression(expression)
+            assert parse_expression(rendered) == expression
 
 
 class TestLineCol:

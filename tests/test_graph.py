@@ -18,7 +18,7 @@ from attackdag.graph import (
     merge_cdfgs,
     project_subgraph,
 )
-from attackdag.model import validate_dag
+from attackdag.model import normalize_description, validate_dag
 from attackdag.storage import load_corpus
 
 
@@ -57,6 +57,13 @@ def cdfg_paths(cdfg):
     return enumerate_attack_paths(merge_cdfgs([("a", cdfg)]))
 
 
+def local_cdfg(src):
+    """The CDFG of one expression, its ids numbered by first appearance in it alone."""
+    seen = {}
+    return cdfg_from_expression(parse_expression(src),
+                                lambda raw: seen.setdefault(normalize_description(raw), len(seen)))
+
+
 def random_dag(rng, max_nodes=12):
     n = rng.randint(1, max_nodes)
     nodes = list(range(n))
@@ -69,48 +76,46 @@ def random_dag(rng, max_nodes=12):
 
 class TestCdfgFromExpression:
     def test_chain(self):
-        cdfg = cdfg_from_expression(parse_expression("bb_i(a)*.bb_j(b).bb_k(c)"))
+        cdfg = local_cdfg("bb_i(a)*.bb_j(b).bb_k(c)")
         assert cdfg.edges == frozenset({(0, 1), (1, 2)})
         assert cdfg_paths(cdfg) == [(0, 1, 2)]
 
     def test_star_adds_no_edges(self):
-        cdfg = cdfg_from_expression(parse_expression("(bb_i(a).bb_j(b))*"))
+        cdfg = local_cdfg("(bb_i(a).bb_j(b))*")
         assert cdfg.edges == frozenset({(0, 1)})
 
     def test_union_disjoint(self):
-        cdfg = cdfg_from_expression(parse_expression("bb_i(a)+bb_j(b)"))
+        cdfg = local_cdfg("bb_i(a)+bb_j(b)")
         assert cdfg.edges == frozenset()
         assert cdfg_paths(cdfg) == [(0,), (1,)]
 
     def test_union_arm_feeding_another_arm_is_no_head(self):
         # b enters the second arm but the first arm's exit feeds it
-        cdfg = cdfg_from_expression(parse_expression("bb_i(a).bb_j(b)+bb_k(b).bb_l(c)"))
+        cdfg = local_cdfg("bb_i(a).bb_j(b)+bb_k(b).bb_l(c)")
         assert cdfg_paths(cdfg) == [(0, 1, 2)]
 
     def test_concat_of_unions_is_cross_product(self):
-        cdfg = cdfg_from_expression(
-            parse_expression("(bb_i(a)+bb_j(b)).(bb_k(c)+bb_l(d))")
-        )
+        cdfg = local_cdfg("(bb_i(a)+bb_j(b)).(bb_k(c)+bb_l(d))")
         assert cdfg.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
 
     def test_duplicate_description_is_one_node(self):
-        cdfg = cdfg_from_expression(parse_expression("bb_i(a)+bb_j(A)"))
+        cdfg = local_cdfg("bb_i(a)+bb_j(A)")
         assert cdfg.nodes == frozenset({0})
         assert cdfg.edges == frozenset()
 
     def test_duplicate_description_cycle_rejected(self):
         with pytest.raises(CycleIntroduced):
-            cdfg_from_expression(parse_expression("bb_i(a).bb_j(b).bb_k(a)"))
+            local_cdfg("bb_i(a).bb_j(b).bb_k(a)")
 
     def test_self_loop_silently_dropped(self):
-        cdfg = cdfg_from_expression(parse_expression("bb_i(a).bb_j(a)"))
+        cdfg = local_cdfg("bb_i(a).bb_j(a)")
         assert cdfg.edges == frozenset()
         assert cdfg.nodes == frozenset({0})
 
     def test_normalization_merges_case_and_spacing(self):
-        cdfg = cdfg_from_expression(parse_expression("bb_i(Weak  Password).bb_j(other)"))
+        cdfg = local_cdfg("bb_i(Weak  Password).bb_j(other)")
         assert len(cdfg.nodes) == 2
-        one = cdfg_from_expression(parse_expression("bb_i(weak password).bb_j(WEAK PASSWORD)"))
+        one = local_cdfg("bb_i(weak password).bb_j(WEAK PASSWORD)")
         assert len(one.nodes) == 1
 
 
@@ -171,8 +176,8 @@ class TestBuildAndMerge:
         assert str(exc.value) == "edges without provenance: [(1, 2)]"
 
     def test_merge_unions_provenance(self):
-        a = cdfg_from_expression(parse_expression("bb_i(x).bb_j(y)"))
-        b = cdfg_from_expression(parse_expression("bb_i(x).bb_j(y)"))
+        a = local_cdfg("bb_i(x).bb_j(y)")
+        b = local_cdfg("bb_i(x).bb_j(y)")
         dag = merge_cdfgs([("first", a), ("second", b)])
         assert dag.edge_provenance[(0, 1)] == frozenset({"first", "second"})
 

@@ -216,7 +216,7 @@ def same_fit(a, b):
 class TestSeededColumns:
     def test_every_cell_scores_as_a_cold_fit_on_bundled_labels(self, labeled):
         x, y = labeled.features, labeled.labels
-        best, surface = grid_search_min_fn(x, y)
+        best, surface = grid_search_min_fn(x, y, GridSpec())
         assert [cell.params for cell in surface] == GridSpec().cells()
         for cell in surface:
             metrics = evaluate(train_svm(x, y, cell.params).predict(x), y)
@@ -229,7 +229,7 @@ class TestSeededColumns:
         x, y = labeled.features, labeled.labels
         log = []
         monkeypatch.setattr(gridsearch, "train_svm", recording_trainer(log))
-        grid_search_min_fn(x, y)
+        grid_search_min_fn(x, y, GridSpec())
         fits = {(p.kernel, p.gamma, p.c): (start, model) for p, start, model in log}
         assert len(fits) == len(log) == 45
         seeded = 0

@@ -6,17 +6,17 @@ from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.model import (
     ATTRIBUTE_NAMES,
     AttackDag,
+    Concat,
     CorpusStats,
     EmptyDescription,
     InvalidCounts,
     Metrics,
+    UnionExpr,
     block,
-    concat,
     find_cycle,
     format_ratio,
     normalize_description,
     star,
-    union,
     validate_dag,
 )
 
@@ -56,7 +56,7 @@ class TestAstConstructors:
         assert star(star(star(b))) == star(b)
 
     def test_expr_blocks_order(self):
-        e = concat(union(block("a"), block("b")), star(block("c")))
+        e = Concat(UnionExpr(block("a"), block("b")), star(block("c")))
         assert [b.description for b in expr_blocks(e)] == ["a", "b", "c"]
 
 

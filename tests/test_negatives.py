@@ -20,33 +20,25 @@ def pairs_of(frame):
 
 class TestIndependence:
     def test_plain_pairs_symmetric(self):
-        assert categories_independent(VC.MEMORY, VC.NETWORK_PROTOCOL)
-        assert categories_independent(VC.NETWORK_PROTOCOL, VC.MEMORY)
-        assert categories_independent(VC.MEMORY, VC.SOCIAL_ENGINEERING)
-        assert categories_independent(VC.NETWORK_PROTOCOL, VC.SOCIAL_ENGINEERING)
+        assert categories_independent(VC.MEMORY, VC.NETWORK_PROTOCOL, False, False)
+        assert categories_independent(VC.NETWORK_PROTOCOL, VC.MEMORY, False, False)
+        assert categories_independent(VC.MEMORY, VC.SOCIAL_ENGINEERING, False, False)
+        assert categories_independent(VC.NETWORK_PROTOCOL, VC.SOCIAL_ENGINEERING, False, False)
 
     def test_non_pairs(self):
-        assert not categories_independent(VC.MEMORY, VC.MEMORY)
-        assert not categories_independent(VC.MEMORY, VC.WEAK_CRYPTO_AUTH)
-        assert not categories_independent(VC.MEMORY, VC.MALWARE)
-        assert not categories_independent(VC.NETWORK_PROTOCOL, VC.MALWARE)
+        assert not categories_independent(VC.MEMORY, VC.MEMORY, False, False)
+        assert not categories_independent(VC.MEMORY, VC.WEAK_CRYPTO_AUTH, False, False)
+        assert not categories_independent(VC.MEMORY, VC.MALWARE, False, False)
+        assert not categories_independent(VC.NETWORK_PROTOCOL, VC.MALWARE, False, False)
 
     def test_composite_requires_social_delivery_flag(self):
-        assert not categories_independent(VC.WEAK_CRYPTO_AUTH, VC.MALWARE)
-        assert categories_independent(
-            VC.WEAK_CRYPTO_AUTH, VC.MALWARE, b_socially_delivered=True
-        )
-        assert categories_independent(
-            VC.MALWARE, VC.WEAK_CRYPTO_AUTH, a_socially_delivered=True
-        )
-        assert categories_independent(
-            VC.WEAK_CRYPTO_AUTH, VC.SOCIAL_ENGINEERING, b_socially_delivered=True
-        )
+        assert not categories_independent(VC.WEAK_CRYPTO_AUTH, VC.MALWARE, False, False)
+        assert categories_independent(VC.WEAK_CRYPTO_AUTH, VC.MALWARE, False, True)
+        assert categories_independent(VC.MALWARE, VC.WEAK_CRYPTO_AUTH, True, False)
+        assert categories_independent(VC.WEAK_CRYPTO_AUTH, VC.SOCIAL_ENGINEERING, False, True)
 
     def test_composite_flag_on_wrong_side_does_not_count(self):
-        assert not categories_independent(
-            VC.WEAK_CRYPTO_AUTH, VC.MALWARE, a_socially_delivered=True
-        )
+        assert not categories_independent(VC.WEAK_CRYPTO_AUTH, VC.MALWARE, True, False)
 
 
 def tiny_world():
@@ -61,9 +53,9 @@ def tiny_world():
     }
     table = AttributeTable.from_rows(rows, {n: "reconstructed" for n in rows})
     blocks = {
-        0: BasicBlock(0, "A", "a", VC.MEMORY),
-        1: BasicBlock(1, "B", "b", VC.NETWORK_PROTOCOL),
-        2: BasicBlock(2, "C", "c", VC.WEAK_CRYPTO_AUTH),
+        0: BasicBlock(0, "A", "a", VC.MEMORY, socially_delivered=False),
+        1: BasicBlock(1, "B", "b", VC.NETWORK_PROTOCOL, socially_delivered=False),
+        2: BasicBlock(2, "C", "c", VC.WEAK_CRYPTO_AUTH, socially_delivered=False),
         3: BasicBlock(3, "D", "d", VC.MALWARE, socially_delivered=True),
     }
     return dag, table, blocks
@@ -72,12 +64,12 @@ def tiny_world():
 class TestGenerateNegatives:
     def test_dag_edges_never_candidates(self):
         dag, table, blocks = tiny_world()
-        got = generate_negative_candidates(dag, table, blocks)
+        got = generate_negative_candidates(dag, table, blocks, None)
         assert (0, 1) not in set(pairs_of(got))
 
     def test_exceptions_removed(self):
         dag, table, blocks = tiny_world()
-        baseline = set(pairs_of(generate_negative_candidates(dag, table, blocks)))
+        baseline = set(pairs_of(generate_negative_candidates(dag, table, blocks, None)))
         assert (1, 0) in baseline  # memory x network, reverse direction
         exceptions = ExceptionList(notes={(1, 0): "observed downstream"})
         got = set(pairs_of(generate_negative_candidates(dag, table, blocks, exceptions)))
@@ -86,7 +78,7 @@ class TestGenerateNegatives:
     def test_independence_only_mode(self):
         dag, table, blocks = tiny_world()
         got = generate_negative_candidates(
-            dag, table, blocks, thresholds=NegativeFilterThresholds.disabled()
+            dag, table, blocks, None, thresholds=NegativeFilterThresholds.disabled()
         )
         pairs = set(pairs_of(got))
         # memory(0) x network(1) both ways minus the dag edge; wca(2) x
@@ -95,7 +87,7 @@ class TestGenerateNegatives:
 
     def test_all_labeled_minus_one_and_sorted(self):
         dag, table, blocks = tiny_world()
-        got = generate_negative_candidates(dag, table, blocks)
+        got = generate_negative_candidates(dag, table, blocks, None)
         assert got.labels.tolist() == [-1] * len(got)
         pairs = pairs_of(got)
         assert pairs == sorted(pairs)
@@ -103,10 +95,10 @@ class TestGenerateNegatives:
     def test_head_to_leaf_filter(self):
         dag, table, blocks = tiny_world()
         # node 0 is a head, node 3 a leaf, same-category pressure absent
-        got = set(pairs_of(generate_negative_candidates(dag, table, blocks)))
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, None)))
         assert (0, 3) in got
         relaxed = set(pairs_of(generate_negative_candidates(
-            dag, table, blocks,
+            dag, table, blocks, None,
             thresholds=NegativeFilterThresholds(
                 ht_diff_below=None, ht_diff_above=None, min_hamming=None,
                 head_to_leaf=False, leaf_to_leaf=True),
@@ -122,14 +114,15 @@ class TestGenerateNegatives:
         strict = NegativeFilterThresholds(
             ht_diff_below=None, ht_diff_above=None, min_hamming=7,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, thresholds=strict)))
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, None,
+                                                        thresholds=strict)))
         assert (0, 2) not in got  # 6 < 7; independence pairs alone survive
         assert got == {(1, 0), (2, 3), (3, 2)}
 
         at_boundary = NegativeFilterThresholds(
             ht_diff_below=None, ht_diff_above=None, min_hamming=6,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = set(pairs_of(generate_negative_candidates(dag, table, blocks,
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, None,
                                                         thresholds=at_boundary)))
         # hamming == 6 pairs pass a >= 6 threshold in both directions
         assert {(0, 2), (2, 0), (1, 2), (2, 1)} <= got
@@ -140,7 +133,7 @@ class TestGenerateNegatives:
         thresholds = NegativeFilterThresholds(
             ht_diff_below=-0.09, ht_diff_above=2.0, min_hamming=None,
             head_to_leaf=False, leaf_to_leaf=False)
-        got = set(pairs_of(generate_negative_candidates(dag, table, blocks,
+        got = set(pairs_of(generate_negative_candidates(dag, table, blocks, None,
                                                         thresholds=thresholds)))
         # (1, 2): ht = 0.0 - 1.0 = -1.0 < -0.09 -> candidate
         assert (1, 2) in got
@@ -215,7 +208,7 @@ class TestCorpusStats:
         rows, table = stats_fixture()
         frame = labeled_frame(rows, table)
         with pytest.raises(InsufficientData):
-            corpus_stats(BranchFrame(frame.nodes, frame.at))
+            corpus_stats(BranchFrame(frame.nodes, frame.at, None))
 
     def test_ratio_none_when_no_feasible_terminal(self):
         rows = {

@@ -287,17 +287,17 @@ class TestChunkedWriter:
 
 
 class TestCorpusLoader:
-    def test_bundled_corpus_loads(self, corpus, data_dir):
-        assert len(corpus.records) == 27
+    def test_bundled_corpus_loads(self, corpus, corpus_expressions):
+        assert len(corpus.cdfgs) == 27
         assert list(corpus.blocks) == list(range(49))
         assert all(corpus.blocks[node].id == node for node in corpus.blocks)
-        assert [name for name, _ in corpus.cdfgs] == [r.name for r in corpus.records]
-        # interning is first-appearance: ids follow record order, then leaf order
+        assert [name for name, _ in corpus.cdfgs] == [name for name, _ in corpus_expressions]
+        # interning is first-appearance: ids follow attack order, then leaf order
         norms = [normalize_description(leaf.description)
-                 for record in corpus.records for leaf in expr_blocks(record.expression)]
+                 for _, expression in corpus_expressions for leaf in expr_blocks(expression)]
         assert [blk.norm_text for blk in corpus.blocks.values()] == list(dict.fromkeys(norms))
 
-    def test_each_leaf_is_normalized_once(self, data_dir, monkeypatch):
+    def test_each_leaf_is_normalized_once(self, data_dir, corpus_expressions, monkeypatch):
         calls = []
 
         def counted(text):
@@ -305,9 +305,9 @@ class TestCorpusLoader:
             return normalize_description(text)
 
         monkeypatch.setattr(storage_module, "normalize_description", counted)
-        corpus = load_corpus(data_dir / "corpus.json")
-        assert calls == [leaf.description for record in corpus.records
-                         for leaf in expr_blocks(record.expression)]
+        load_corpus(data_dir / "corpus.json")
+        assert calls == [leaf.description for _, expression in corpus_expressions
+                         for leaf in expr_blocks(expression)]
 
     def test_cycle_within_one_attack_raises_while_loading(self, tmp_path):
         path = write_corpus(tmp_path, corpus_json([
@@ -366,6 +366,32 @@ class TestCorpusLoader:
         assert str(path) in message
         assert "broken" in message
         assert f":{err.value.line}:{err.value.col}:" in message
+        assert (err.value.line, err.value.col) == (11, 27)  # just past "bb_i(p)."
+
+    @pytest.mark.parametrize("first, second", [("first", "second"), ("x", "bb_1(a")],
+                             ids=["prefix of an earlier expression", "equal to its name"])
+    def test_expression_error_points_into_its_own_attack(self, tmp_path, first, second):
+        # the broken text "bb_1(a" appears earlier in the file
+        path = write_corpus(tmp_path, (
+            '{"category_map": {"x": "memory"}, "attacks": [\n'
+            f' {{"name": "{first}", "categories": ["x"],\n'
+            '  "expression": "bb_1(a).bb_2(b)"},\n'
+            f' {{"name": "{second}", "categories": ["x"],\n'
+            '  "expression": "bb_1(a"}\n'
+            ']}\n'))
+        with pytest.raises(ExpressionParseFailure) as err:
+            load_corpus(path)
+        assert (err.value.line, err.value.col) == (5, 22)  # the unclosed "("
+        assert str(err.value).startswith(f"{path}:5:22: attack {second!r}: ")
+
+    def test_escaped_expression_error_is_placed_within_the_expression(self, tmp_path):
+        # the file holds \" where the expression has ", so offsets do not map
+        path = write_corpus(tmp_path, corpus_json([
+            {"name": "quoted", "categories": ["x"], "expression": 'bb_1(say "a").bb_2(b'},
+        ]))
+        with pytest.raises(ExpressionParseFailure) as err:
+            load_corpus(path)
+        assert (err.value.line, err.value.col) == (1, 19)  # bb_2's "("
 
     def test_override_changes_node_category(self, tmp_path):
         path = write_corpus(tmp_path, corpus_json(
@@ -481,7 +507,7 @@ class TestAnnotations:
     def test_append_only_log(self, tmp_path):
         path = tmp_path / "ann.csv"
         append_annotation(path, 0, 1, "feasible", "alice", "checked by hand")
-        append_annotation(path, 0, 1, "infeasible", "bob")
+        append_annotation(path, 0, 1, "infeasible", "bob", "")
         rows = load_annotations(path)
         assert rows == [
             (0, 1, "feasible", "alice", "checked by hand"),
@@ -493,7 +519,7 @@ class TestAnnotations:
 
     def test_bad_verdict(self, tmp_path):
         with pytest.raises(ValueError):
-            append_annotation(tmp_path / "ann.csv", 0, 1, "maybe", "alice")
+            append_annotation(tmp_path / "ann.csv", 0, 1, "maybe", "alice", "")
 
 
 def branch_rows(rows: list[list[float]]) -> np.ndarray:

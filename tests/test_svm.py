@@ -592,6 +592,7 @@ class TestModelSurface:
             sv_alphas=np.array([0.0]),
             sv_labels=np.array([1.0]),
             n_samples=1,
+            converged=True,
         )
         assert model.decision_values([[3.0]]).tolist() == [0.0]
         assert model.predict(np.array([[3.0]])).tolist() == [1]
