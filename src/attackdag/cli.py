@@ -311,9 +311,8 @@ def cmd_predict(args: argparse.Namespace) -> None:
         for start in range(0, len(candidates), block):
             window = candidates.window(start, start + block)
             decisions = model.decision_values(window.features)
-            labels = decision_labels(decisions)
-            positives += int(np.count_nonzero(labels == 1))
-            yield window.at, labels, decisions
+            positives += int(np.count_nonzero(decision_labels(decisions) == 1))
+            yield window.at, decisions
 
     save_predictions(args.out, candidates.nodes.ids, scored_windows())
     reduction = format_reduction(positives, len(candidates)) if len(candidates) else "undefined"

@@ -16,9 +16,9 @@ discarded.  Blocks are matched by description, never by identifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import AttackExpr, Block, Concat, Star, UnionExpr, block, star
+from .model import AttackExpr, Block, Concat, Star, UnionExpr, star
 
 
 class ExpressionSyntaxError(ValueError):
@@ -57,8 +57,7 @@ DOT = "."
 MAX_GROUP_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class ExprToken:
+class ExprToken(NamedTuple):
     kind: str
     text: str
     start: int
@@ -191,8 +190,10 @@ class _Parser:
         if tok is None:
             raise self.fail("expected a block or '('", frozenset({BLOCK_OPEN, LPAREN}))
         if tok.kind == BLOCK_OPEN:
+            # The tokenizer has checked what block() would: the text is not
+            # blank and its parentheses balance.
             self.pos += 1
-            return block(tok.text)
+            return Block(tok.text)
         if tok.kind == LPAREN:
             open_tok = tok
             if self.depth == MAX_GROUP_DEPTH:

@@ -29,9 +29,11 @@ labels and predictions, hold only numbers, which ``csv.writer`` never
 quotes, so they are written from columns to the same bytes by one row
 renderer: the caller passes an id column and each row as a pair of
 positions in it (a ``BranchFrame``'s ``nodes.ids`` and ``at``), each id is
-rendered once per call, the label comes from a two-entry table and the
-decision is ``float.__repr__``, what ``%r`` writes.  A row is then a join
-of looked-up fragments; ``label_columns`` gives the columns of a list of
+rendered once per call, and a label comes from a two-entry table.  A
+predictions row's ``label,decision`` text is made once per distinct
+decision bit pattern in a block: its ``float.__repr__``, what ``%r``
+writes, after ``decision_labels``' label.  A row is then a join of
+looked-up fragments; ``label_columns`` gives the columns of a list of
 ``(origin, dest, label)`` rows.  Rows are rendered a block at a time, so
 only one block's rows are ever Python objects: ``save_labels`` renders
 ``LABEL_BLOCK_ROWS`` at a time and writes one string, and
@@ -52,8 +54,9 @@ in pure Python, and the report's tens of thousands of predicted positives
 took twice as long there as rendered from columns.  So ``positives_chunks``
 renders that one list, from node positions as the pair tables are
 rendered: each bucket and each node's two fragments are rendered once, and
-a row is a join of three looked-up fragments and its decision's
-``float.__repr__``, ``POSITIVES_BLOCK_ROWS`` rows at a time.
+a row is a join of four looked-up fragments, ``POSITIVES_BLOCK_ROWS`` rows
+at a time, the fourth its decision's ``float.__repr__``, made once per
+distinct value in the block.
 ``json_chunks`` splices those blocks into ``json``'s text of the rest of
 the report, and ``write_chunks_atomic`` writes the pieces as they come, so
 the report's text is never whole in memory.
@@ -538,34 +541,42 @@ def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
                     "labels")
 
 
-# A label's text in the last field of a labels row, and before a decision.
+# A label's text in the last field of a labels row.
 _LABEL_TEXT = {1: "1", -1: "-1"}
-_LABEL_FIELD = {1: "1,", -1: "-1,"}
 
 
-def _pair_renderer(ids: np.ndarray) -> Callable[..., str]:
-    """``render(at, labels, decisions=None)``: the text of labels or predictions
-    rows ``ids[at[i, 0]], ids[at[i, 1]], labels[i]`` (each 1 or -1), then
-    ``decisions[i]`` if given, each line opened by its "\\n".
+def _pair_renderer(ids: np.ndarray) -> Callable[[np.ndarray, Iterable[str]], str]:
+    """``render(at, last)``: the text of pair table rows ``ids[at[i, 0]],
+    ids[at[i, 1]]`` and the i-th text of ``last``, each line opened by its "\\n".
 
-    Each id is rendered once, here, and every row is joined from looked-up
-    fragments and the decision's ``float.__repr__``; that is what
-    ``csv.writer`` writes, as it never quotes a number, and what ``%r`` writes.
+    Each id is rendered once, here, so a row is a join of looked-up fragments:
+    what ``csv.writer`` writes, as it never quotes a number, and what ``%r`` writes.
     """
     dest = [f"{node}," for node in ids.tolist()]
     origin = ["\n" + text for text in dest]
 
-    def render(at: np.ndarray, labels: np.ndarray, decisions: Optional[np.ndarray] = None) -> str:
-        parts = [map(origin.__getitem__, at[:, 0].tolist()),
-                 map(dest.__getitem__, at[:, 1].tolist())]
-        if decisions is None:
-            parts.append(map(_LABEL_TEXT.__getitem__, labels.tolist()))
-        else:
-            parts.append(map(_LABEL_FIELD.__getitem__, labels.tolist()))
-            parts.append(map(float.__repr__, decisions.tolist()))
-        return "".join(chain.from_iterable(zip(*parts)))
+    def render(at: np.ndarray, last: Iterable[str]) -> str:
+        return "".join(chain.from_iterable(zip(map(origin.__getitem__, at[:, 0].tolist()),
+                                               map(dest.__getitem__, at[:, 1].tolist()), last)))
 
     return render
+
+
+def _once_per_value(decisions: np.ndarray, render: Callable) -> Iterator[str]:
+    """``render(distinct)``'s text for each of a block's float64 ``decisions``, with
+    each bit pattern among them once in ``distinct``: the key is not the value, as
+    0.0 and -0.0 are equal but print apart."""
+    patterns, inverse = np.unique(decisions.view(np.int64), return_inverse=True)
+    texts = render(patterns.view(np.float64))
+    return map(texts.__getitem__, inverse.tolist())
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(float.__repr__, values.tolist()))
+
+
+def _prediction_fields(decisions: np.ndarray) -> list[str]:  # a row's "label,decision"
+    return list(map("{},{}".format, decision_labels(decisions).tolist(), _reprs(decisions)))
 
 
 # Rows of report's positives rendered per chunk: the text of one block is held at a time.
@@ -584,8 +595,9 @@ def positives_chunks(node_ids: Sequence[int], node_texts: Sequence[str], origin_
     Each bucket is rendered once, with the keys up to the decision, and each
     node once as a dest and once as an origin fragment, so a row is a join of
     three looked-up fragments and the decision's ``float.__repr__``, what
-    ``json`` writes for a finite float.  A decision that is not finite raises
-    ValueError before the first chunk.
+    ``json`` writes for a finite float, made once per distinct value in a
+    block.  A decision that is not finite raises ValueError before the first
+    chunk.
     """
     if not np.isfinite(decisions).all():
         raise ValueError("a predicted positive's decision is not finite")
@@ -604,7 +616,7 @@ def positives_chunks(node_ids: Sequence[int], node_texts: Sequence[str], origin_
             stop = start + POSITIVES_BLOCK_ROWS
             text = "".join(chain.from_iterable(zip(
                 map(opens.__getitem__, bucket[start:stop].tolist()),
-                map(float.__repr__, decisions[start:stop].tolist()),
+                _once_per_value(decisions[start:stop], _reprs),
                 map(dest.__getitem__, dest_at[start:stop].tolist()),
                 map(origin.__getitem__, origin_at[start:stop].tolist()))))
             yield "[" + text[1:] if start == 0 else text
@@ -632,7 +644,8 @@ def save_labels(path: str | Path, ids: np.ndarray, at: np.ndarray, labels: np.nd
     """Write the labels rows ``ids[at[i, 0]], ids[at[i, 1]], labels[i]``, the bytes
     ``csv_text(LABELS_HEADER, rows)`` gives for them, as one string."""
     render = _pair_renderer(ids)
-    texts = [render(at[start:start + LABEL_BLOCK_ROWS], labels[start:start + LABEL_BLOCK_ROWS])
+    texts = [render(at[start:start + LABEL_BLOCK_ROWS],
+                    map(_LABEL_TEXT.__getitem__, labels[start:start + LABEL_BLOCK_ROWS].tolist()))
              for start in range(0, len(at), LABEL_BLOCK_ROWS)]
     write_text_atomic(path, "".join([",".join(LABELS_HEADER), *texts, "\n"]))
 
@@ -682,12 +695,16 @@ def save_model(path: str | Path, model: SvmModel, fingerprint: str) -> None:
     write_text_atomic(path, dump_json(payload))
 
 
-def _finite(value) -> bool:
-    """A JSON number (not a bool) that is a finite float."""
+def _floats(values) -> Optional[np.ndarray]:
+    """``values`` as a float array, or None unless it is a list of JSON numbers
+    (not bools) that are finite floats."""
+    if type(values) is not list or not {int, float}.issuperset(map(type, values)):
+        return None
     try:
-        return type(value) in (int, float) and math.isfinite(value)
+        array = np.array(values, dtype=float)
     except OverflowError:  # an int beyond the float range
-        return False
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 # A branch's feature row: its origin's attribute row, then its destination's.
@@ -739,7 +756,7 @@ def load_model(
         if key not in stored_params:
             raise bad("params", f"has no field {key!r}")
         value = stored_params[key]
-        if not (_finite(value) if kind == "float" else type(value).__name__ == kind):
+        if _floats([value]) is None if kind == "float" else type(value).__name__ != kind:
             kind_name = "finite number" if kind == "float" else kind
             raise bad("params", f"field {key!r} is not a {kind_name}: {value!r}")
     try:
@@ -749,22 +766,23 @@ def load_model(
 
     def numbers(key: str, length: int) -> np.ndarray:
         values = entry(key)
-        if type(values) is not list or not all(_finite(v) for v in values):
+        if (array := _floats(values)) is None:
             raise bad(key, "is not a list of finite numbers")
         if len(values) != length:
             raise bad(key, f"has {len(values)} entries, expected {length}, "
                            "one per support vector")
-        return np.asarray(values, dtype=float)
+        return array
 
     rows = entry("support_vectors")
     if type(rows) is not list or not rows or not all(type(r) is list and r for r in rows):
         raise bad("support_vectors", "is not a non-empty list of non-empty rows")
-    if len({len(r) for r in rows}) != 1 or not all(_finite(v) for r in rows for v in r):
+    flat = _floats(list(chain.from_iterable(rows)))
+    if len({len(r) for r in rows}) != 1 or flat is None:
         raise bad("support_vectors", "rows are not all finite numbers of one length")
     if len(rows[0]) != BRANCH_WIDTH:
         raise bad("support_vectors", f"rows have {len(rows[0])} features, expected "
                                      f"{BRANCH_WIDTH} (origin and destination attributes)")
-    support_vectors = np.asarray(rows, dtype=float)
+    support_vectors = flat.reshape(len(rows), -1)
     n_sv = len(rows)
     sv_alphas = numbers("sv_alphas", n_sv)
     sv_labels = numbers("sv_labels", n_sv)
@@ -784,7 +802,7 @@ def load_model(
             or len(set(indices)) != n_sv):
         raise bad("sv_indices", f"is not {n_sv} distinct integers in [0, n_samples)")
     bias = entry("bias")
-    if not _finite(bias):
+    if _floats([bias]) is None:
         raise bad("bias", f"is not a finite number: {bias!r}")
     converged = entry("converged")
     if type(converged) is not bool:
@@ -808,15 +826,17 @@ PREDICTIONS_HEADER = ("origin", "dest", "label", "decision")
 
 
 def save_predictions(path: str | Path, ids: np.ndarray,
-                     blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    """Write blocks of predictions rows, each block ``(at, labels, decisions)``
-    with ``at`` as positions in ``ids``, as ``_pair_renderer`` renders them.
+                     blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write blocks of predictions rows, each block ``(at, decisions)`` with
+    ``at`` as positions in ``ids``, as ``_pair_renderer`` renders them; each
+    row's label is ``decision_labels`` of its decision.
 
     Each block's text is written as the block arrives, so a caller that
     yields blocks lazily never holds more than one block's rows or text.
     """
     render = _pair_renderer(ids)
-    texts = (render(at, labels, decisions) for at, labels, decisions in blocks)
+    texts = (render(at, _once_per_value(decisions, _prediction_fields))
+             for at, decisions in blocks)
     write_chunks_atomic(path, chain([",".join(PREDICTIONS_HEADER)], texts, ["\n"]))
 
 

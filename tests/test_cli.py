@@ -367,7 +367,6 @@ DECLARED_DEFAULTS = {
     "negatives.py:generate_negative_candidates(thresholds)":
         "second caller: scripts/build_corpus_artifacts.py",
     "storage.py:DagFile.attrs_ref": "second caller: cmd_project",
-    "storage.py:_pair_renderer.render(decisions)": "second caller: save_labels",
     "storage.py:load_model(expected_fingerprint)": "perfbench call: checks.py",
     "storage.py:load_model(force)": "perfbench call: checks.py",
     "storage.py:parse_node_id(name)": "second caller: the CLI's node id arguments",

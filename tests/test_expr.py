@@ -257,6 +257,20 @@ def outcome(scan, src):
 
 @settings(max_examples=500, deadline=None)
 @given(src=DSL_SOURCES)
+def test_block_token_text_passes_block_checks(src):
+    """The parser builds a Block from a "bb_" token's text unchecked, as the
+    tokenizer has made every check ``block()`` makes."""
+    try:
+        tokens = tokenize(src)
+    except ExpressionSyntaxError:
+        return
+    for tok in tokens:
+        if tok.kind == "bb_":
+            assert block(tok.text) == Block(tok.text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(src=DSL_SOURCES)
 def test_parse_expression_fuzz(src):
     """Every string parses or raises the typed parse error; tokens and errors match
     the character-at-a-time scanner's."""

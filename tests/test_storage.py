@@ -14,7 +14,7 @@ import attackdag.storage as storage_module
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
-from attackdag.learn.svm import decision_labels
+from attackdag.learn.svm import SCORE_BLOCK_ROWS, decision_labels
 from attackdag.model import normalize_description
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
@@ -56,9 +56,10 @@ from oracles import expr_blocks
 
 
 def prediction_columns(rows):
-    """``save_predictions``' id column and one block for (origin, dest, label, decision) rows."""
-    ids, at, labels = label_columns([row[:3] for row in rows])
-    return ids, [(at, labels, np.array([row[3] for row in rows], dtype=float))]
+    """``save_predictions``' id column and one block for (origin, dest, label, decision)
+    rows; the writer labels each row from its decision."""
+    ids, at, _ = label_columns([row[:3] for row in rows])
+    return ids, [(at, np.array([row[3] for row in rows], dtype=float))]
 
 
 class TestPrimitives:
@@ -254,11 +255,11 @@ class TestChunkedWriter:
     def test_failing_prediction_blocks_keep_the_old_file(self, tmp_path):
         target = tmp_path / "preds.csv"
         ids = np.array([0, 1])
-        save_predictions(target, ids, [(np.array([[0, 1]]), np.array([1]), np.array([0.5]))])
+        save_predictions(target, ids, [(np.array([[0, 1]]), np.array([0.5]))])
         before = target.read_bytes()
 
         def blocks():
-            yield np.array([[0, 1], [1, 0]]), np.array([1, -1]), np.array([0.5, -0.5])
+            yield np.array([[0, 1], [1, 0]]), np.array([0.5, -0.5])
             raise ValueError("scoring failed")
 
         with pytest.raises(ValueError, match="scoring failed"):
@@ -583,6 +584,24 @@ class TestModelFile:
                 load_model(path)
 
 
+    @pytest.mark.parametrize("value", [True, 10**400, float("nan")], ids=["true", "10**400", "nan"])
+    @pytest.mark.parametrize("key, message", [
+        ("support_vectors", "rows are not all finite numbers of one length"),
+        ("sv_alphas", "is not a list of finite numbers"),
+    ])
+    def test_number_lists_reject_bools_huge_ints_and_nan(self, tmp_path, value, key, message):
+        path = tmp_path / "model.json"
+        save_model(path, self.make_model(), "f" * 64)
+        payload = json.loads(path.read_text())
+        if key == "support_vectors":
+            payload[key][0][1] = value
+        else:
+            payload[key][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelLoadError, match=f"^{re.escape(f'{path}: {key!r} {message}')}$"):
+            load_model(path)
+
+
 class TestPredictions:
     def test_round_trip_preserves_exact_floats(self, tmp_path):
         rows = [(0, 1, 1, 0.1 + 0.2), (2, 3, -1, -1.2345678901234567e-05)]
@@ -608,9 +627,9 @@ class TestPredictions:
         for origin, dest, label, decision in rows:
             writer.writerow([origin, dest, label, repr(float(decision))])
         path = tmp_path / "preds.csv"
-        ids, [(at, labels, decisions)] = prediction_columns(rows)
-        save_predictions(path, ids, [(at[:3], labels[:3], decisions[:3]), (at[3:3], labels[3:3],
-                                     decisions[3:3]), (at[3:], labels[3:], decisions[3:])])
+        ids, [(at, decisions)] = prediction_columns(rows)
+        save_predictions(path, ids, [(at[:3], decisions[:3]), (at[3:3], decisions[3:3]),
+                                     (at[3:], decisions[3:])])
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
         assert load_predictions(path).tolist() == rows
 
@@ -751,8 +770,81 @@ def test_save_predictions_matches_per_row_format(fuzz_dir, table):
     ids, blocks = table
     lines = ["%d,%d,%d,%r\n" % row for block in blocks for row in pair_rows(ids, *block)]
     path = fuzz_dir / "predictions.csv"
-    save_predictions(path, ids, iter(blocks))
+    save_predictions(path, ids, ((at, decisions) for at, _, decisions in blocks))
     assert path.read_bytes() == (",".join(PREDICTIONS_HEADER) + "\n" + "".join(lines)).encode()
+
+
+# A small pool, so decisions repeat within a block and across blocks: 0.0 and
+# -0.0 are equal but print apart, and the rest print shortest, longest, in
+# exponent form at both ends, and as a sum that is not its decimal.
+REPEATED_DECISIONS = [0.0, -0.0, 5e-324, 1e16, 1e-05, -1e-05, 0.1 + 0.2, -2.5]
+NODE_TEXT_COLUMN = ["a%sb", "\u00e9\u2603", "\ud800 lone", 'say "hi" \\ 100%', ""]
+
+
+def per_row_predictions(ids, blocks):
+    """predictions.csv's bytes for ``(at, decisions)`` blocks, each row formatted alone."""
+    ids = ids.tolist()
+    lines = ["%d,%d,%d,%r\n" % (ids[o], ids[d], 1 if v >= 0.0 else -1, v)
+             for at, decisions in blocks for (o, d), v in zip(at.tolist(), decisions.tolist())]
+    return (",".join(PREDICTIONS_HEADER) + "\n" + "".join(lines)).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_repeated_decisions_match_per_row_format(fuzz_dir, data):
+    """Blocks whose decisions repeat within and across blocks, the first holding
+    both 0.0 and -0.0, are written as each row formatted alone."""
+    ids = np.array(data.draw(NODE_IDS), dtype=np.int64)
+    position = st.integers(0, len(ids) - 1)
+    blocks = []
+    for first in [True] + data.draw(st.lists(st.just(False), max_size=3)):
+        decisions = data.draw(st.permutations(
+            [0.0, -0.0] * first + data.draw(st.lists(st.sampled_from(REPEATED_DECISIONS),
+                                                     max_size=8))))
+        at = data.draw(st.lists(st.tuples(position, position), min_size=len(decisions),
+                                max_size=len(decisions)))
+        blocks.append((np.array(at, dtype=np.intp).reshape(-1, 2),
+                       np.array(decisions, dtype=float)))
+    path = fuzz_dir / "predictions.csv"
+    save_predictions(path, ids, iter(blocks))
+    assert path.read_bytes() == per_row_predictions(ids, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_repeated_positives_match_json(data):
+    """Positives whose decisions repeat within and across blocks of 2 to 5 rows,
+    the first block holding both 0.0 and -0.0, are what json writes."""
+    n = data.draw(st.integers(0, 14))
+    decisions = [0.0, -0.0] + data.draw(st.lists(st.sampled_from(REPEATED_DECISIONS),
+                                                 min_size=n, max_size=n))
+    at = st.lists(st.integers(0, 4), min_size=n + 2, max_size=n + 2)
+    columns = positive_columns([-(2**63), -5, 0, 7, 2**63 - 1], NODE_TEXT_COLUMN, data.draw(at),
+                               data.draw(at), decisions, [0] * (n + 2), ("crypto",))
+    with mock.patch.object(storage_module, "POSITIVES_BLOCK_ROWS", data.draw(st.integers(2, 5))):
+        text, expected = spliced_report({"a": 1}, columns)
+    assert text == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, SCORE_BLOCK_ROWS + 1])
+def test_repeated_decisions_across_full_blocks(tmp_path, offset):
+    """One block of rows less one, exactly one, one more, and two and one more,
+    with decisions from a small pool: predictions.csv in SCORE_BLOCK_ROWS windows
+    as predict writes it, and the positives in POSITIVES_BLOCK_ROWS blocks."""
+    assert SCORE_BLOCK_ROWS == storage_module.POSITIVES_BLOCK_ROWS
+    n = SCORE_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    ids = np.array([-(2**63), -5, 0, 7, 2**63 - 1], dtype=np.int64)
+    at, decisions = rng.integers(0, 5, (n, 2)), rng.choice(REPEATED_DECISIONS, n)
+    blocks = [(at[start:start + SCORE_BLOCK_ROWS], decisions[start:start + SCORE_BLOCK_ROWS])
+              for start in range(0, n, SCORE_BLOCK_ROWS)]
+    path = tmp_path / "predictions.csv"
+    save_predictions(path, ids, iter(blocks))
+    assert path.read_bytes() == per_row_predictions(ids, blocks)
+    columns = positive_columns(ids.tolist(), NODE_TEXT_COLUMN, at[:, 0], at[:, 1], decisions,
+                               rng.integers(0, 3, n), ("crypto", None, "%d"))
+    text, expected = spliced_report({"a": 1, "z": [None]}, columns)
+    assert text == expected
 
 
 class TestCsvLoadersFuzz:
