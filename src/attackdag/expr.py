@@ -120,20 +120,11 @@ def tokenize(src: str) -> list[ExprToken]:
             tokens.append(ExprToken(BLOCK_OPEN, src[i:close], start, close + 1))
             i = close + 1
             continue
-        if ch == "(":
-            tokens.append(ExprToken(LPAREN, "(", i, i + 1))
-        elif ch == ")":
-            tokens.append(ExprToken(RPAREN, ")", i, i + 1))
-        elif ch == "*":
-            tokens.append(ExprToken(STAR, "*", i, i + 1))
-        elif ch == "+":
-            tokens.append(ExprToken(PLUS, "+", i, i + 1))
-        elif ch == ".":
-            tokens.append(ExprToken(DOT, ".", i, i + 1))
-        else:
+        if ch not in "()*+.":  # LPAREN, RPAREN, STAR, PLUS, DOT: each kind is its character
             raise ExpressionSyntaxError(
                 f"unexpected character {ch!r}", i, frozenset({BLOCK_OPEN, LPAREN})
             )
+        tokens.append(ExprToken(ch, ch, i, i + 1))
         i += 1
     return tokens
 

@@ -26,8 +26,6 @@ from .model import (
 class CycleIntroduced(ValueError):
     def __init__(self, cycle: Sequence[int]):
         super().__init__("cycle: " + " -> ".join(str(n) for n in cycle))
-        self.cycle = tuple(cycle)
-        self.edge = (self.cycle[-2], self.cycle[-1]) if len(self.cycle) >= 2 else None
 
 
 # The most head-to-leaf paths a dag may have before enumerating them raises PathExplosion.
@@ -37,7 +35,6 @@ PATH_CAP = 1_000_000
 class PathExplosion(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"more than {cap} head-to-leaf paths")
-        self.cap = cap
 
 
 class UnknownNode(KeyError):

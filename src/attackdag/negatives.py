@@ -32,7 +32,7 @@ from .model import (
     N_BINARY_ATTRIBUTES,
     VulnerabilityCategory as VC,
 )
-from .storage import csv_text, parse_node_id, read_csv
+from .storage import parse_node_id, read_csv
 
 # Unordered category pairs with no believed enabling relation.  The fourth
 # pair is conditional: weak crypto/auth on one side, and on the other a
@@ -104,10 +104,6 @@ class ExceptionList:
 
         return cls(notes=dict(read_csv(text, EXCEPTIONS_CSV_HEADER, source, parse,
                                        "exception-list")))
-
-    def to_csv(self) -> str:
-        return csv_text(EXCEPTIONS_CSV_HEADER,
-                        ((u, v, note) for (u, v), note in sorted(self.notes.items())))
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,8 @@ only one block's rows are ever Python objects: ``save_labels`` renders
 block's text to the file as it arrives.
 
 ``load_predictions`` returns one structured array (``PREDICTIONS_DTYPE``):
-numpy's ``loadtxt`` parses the rows a block of lines at a time
-(``PARSE_BLOCK_CHARS``) into one table sized by the line count, the
-columns are checked at once, and the per-row reader (``read_prediction_rows``,
+numpy's ``loadtxt`` parses the rows from the open file, the columns are
+checked at once, and the per-row reader (``read_prediction_rows``,
 ``read_csv`` under the same rule) runs over the whole text only to locate
 an error or to accept a spelling numpy rejects that ``int()`` or
 ``float()`` takes.
@@ -109,7 +108,6 @@ class CorpusLoadError(ValueError):
 class ExpressionParseFailure(CorpusLoadError):
     def __init__(self, message: str, attack: str, path: str, line: int, col: int):
         super().__init__(f"{path}:{line}:{col}: attack {attack!r}: {message}")
-        self.attack = attack
         self.line = line
         self.col = col
 
@@ -873,46 +871,6 @@ def read_prediction_rows(text: str, source: str) -> list[tuple[int, int, int, fl
     return read_csv(text, PREDICTIONS_HEADER, source, parse, "predictions")
 
 
-# Characters of the predictions body numpy parses per call: about 32k rows.
-PARSE_BLOCK_CHARS = 1 << 20
-
-
-def _line_blocks(text: str, start: int) -> Iterator[list[str]]:
-    """The lines of ``text`` from offset ``start`` on, split on "\\n" alone, in
-    blocks of about ``PARSE_BLOCK_CHARS`` characters that hold at least one
-    non-empty line."""
-    while start < len(text):
-        stop = text.find("\n", start + PARSE_BLOCK_CHARS)
-        stop = len(text) if stop < 0 else stop + 1
-        block = text[start:stop].strip("\n")
-        if block:  # numpy warns about a block with no data, and skips empty lines
-            yield block.split("\n")
-        start = stop
-
-
-def _parsed_rows(text: str, start: int) -> np.ndarray | None:
-    """numpy's parse of the predictions rows of ``text`` from offset ``start``
-    on, a block of lines at a time; None where a line, its "\\n" included, is
-    longer than ``csv``'s field size limit or numpy rejects a row.
-
-    Each block is copied into one table sized by the line count, so only one
-    block's parse is alive next to it; blank lines leave its tail unused."""
-    limit = csv.field_size_limit()
-    table = np.empty(text.count("\n", start) + 1, dtype=PREDICTIONS_DTYPE)
-    filled = 0
-    for lines in _line_blocks(text, start):
-        if max(map(len, lines)) >= limit:
-            return None
-        try:
-            block = np.loadtxt(lines, delimiter=",", comments=None,
-                               dtype=PREDICTIONS_DTYPE, ndmin=1)
-        except ValueError:
-            return None
-        table[filled:filled + len(block)] = block
-        filled += len(block)
-    return table[:filled]
-
-
 def _rows_hold(table: np.ndarray) -> bool:
     """Whether ``table`` keeps every rule ``read_prediction_rows`` checks."""
     origin, dest, label, decision = (table[name] for name in PREDICTIONS_DTYPE.names)
@@ -932,22 +890,33 @@ def load_predictions(path: str | Path) -> np.ndarray:
     """The rows of a predictions file as one ``PREDICTIONS_DTYPE`` array, in file
     order, under the rules of ``read_prediction_rows``.
 
-    numpy parses the rows first, one block of lines at a time, and the whole
+    numpy's ``loadtxt`` parses the rows from the open file, and the whole
     columns are checked at once.
     ``read_prediction_rows`` reads the text only where numpy cannot be trusted
     to read it as ``csv`` and ``int()``/``float()`` would (text that is not
-    ASCII or holds one of ``_PER_ROW_ONLY``, a line beyond ``csv``'s field size
-    limit, a file with no data rows), where numpy rejects a row, or where a
-    check fails.  It then raises the located error, or accepts a spelling numpy
-    rejects (``1_0``, non-ASCII digits), so every file loads to the same values
-    either way.
+    ASCII or holds one of ``_PER_ROW_ONLY``, a line that may pass ``csv``'s
+    field size limit, a file with no data rows), where numpy rejects a row, or
+    where a check fails.  It then raises the located error, or accepts a
+    spelling numpy rejects (``1_0``, non-ASCII digits), so every file loads to
+    the same values either way.
     """
     text = Path(path).read_text(encoding="utf-8")
     header = ",".join(PREDICTIONS_HEADER) + "\n"
     body = len(header)  # the offset the rows start at
+    # A field beyond csv's size limit makes its line at least 2 * half + 1 long,
+    # so the line covers a whole span of half characters aligned at body + k * half:
+    # a "\n" in each such span rules it out, and a false alarm only costs the fallback.
+    half = csv.field_size_limit() // 2
     if (text.startswith(header) and len(text) - body > text.count("\n", body)
-            and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)):
-        table = _parsed_rows(text, body)
+            and text.isascii() and not any(char in text for char in _PER_ROW_ONLY)
+            and all(text.find("\n", at, at + half) >= 0
+                    for at in range(body, len(text) - half + 1, half))):
+        with open(path, encoding="utf-8") as fh:  # not the path: numpy gunzips "*.gz"
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                                   dtype=PREDICTIONS_DTYPE, ndmin=1)
+            except ValueError:
+                table = None
         if table is not None and _rows_hold(table):
             return table
     return np.array(read_prediction_rows(text, str(path)), dtype=PREDICTIONS_DTYPE)

@@ -1372,7 +1372,8 @@ def mutate_corpus(text: str, mutations) -> str:
                 side["ghost"] = "crypto" if arg[0] == "bucket_map" else "malware"
             elif type(side) is dict and side:
                 side[next(iter(side))] = "warp_drive"
-        elif type(attacks) is not list or type(attacks[arg[0] % len(attacks)]) is not dict:
+        elif (type(attacks) is not list or not attacks
+              or type(attacks[arg[0] % len(attacks)]) is not dict):
             continue
         else:
             attack = attacks[arg[0] % len(attacks)]
@@ -1403,6 +1404,7 @@ def mutate_corpus(text: str, mutations) -> str:
 @example(mutations=[("rename", 0, 1)])
 @example(mutations=[("class", "bucket_map")])
 @example(mutations=[("truncate", 100)])
+@example(mutations=[("retype", "attacks", []), ("drop-field", 0, "name")])
 @given(mutations=st.lists(CORPUS_MUTATIONS, min_size=1, max_size=3))
 def test_commands_on_mutated_corpus(work, command, mutations):
     """``ingest`` and ``paths --corpus`` end in exit 0, 2 or 3 on a mutated corpus

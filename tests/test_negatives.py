@@ -4,6 +4,7 @@ from attackdag.features import AttributeTable, BranchFrame, labeled_frame
 from attackdag.model import BasicBlock
 from attackdag.model import VulnerabilityCategory as VC
 from attackdag.negatives import (
+    EXCEPTIONS_CSV_HEADER,
     ExceptionList,
     InsufficientData,
     NegativeFilterThresholds,
@@ -12,6 +13,7 @@ from attackdag.negatives import (
     generate_negative_candidates,
 )
 from attackdag.graph import build_dag
+from attackdag.storage import csv_text
 
 
 def pairs_of(frame):
@@ -155,9 +157,11 @@ class TestGenerateNegatives:
 
 class TestExceptionListCsv:
     def test_round_trip(self):
-        ex = ExceptionList(notes={(4, 31): "note a", (26, 30): "note b"})
-        again = ExceptionList.from_csv(ex.to_csv())
-        assert again == ex
+        text = 'origin_node_id,dest_node_id,note\n4,31,"note, a"\n26,30,note b\n'
+        ex = ExceptionList.from_csv(text)
+        assert ex == ExceptionList(notes={(4, 31): "note, a", (26, 30): "note b"})
+        assert csv_text(EXCEPTIONS_CSV_HEADER,
+                        ((u, v, note) for (u, v), note in ex.notes.items())) == text
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

@@ -646,9 +646,7 @@ class TestPredictions:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)
 
-    @pytest.mark.parametrize("block", [1, 12, 40])
-    def test_blocks_keep_absolute_line_numbers(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
+    def test_blocks_keep_absolute_line_numbers(self, tmp_path):
         rows = [f"{i},{i + 1},1,0.{i + 1}" for i in range(8)]
         path = tmp_path / "preds.csv"
         path.write_text("origin,dest,label,decision\n" + "\n".join(rows) + "\n\n\n")
@@ -659,21 +657,16 @@ class TestPredictions:
         with pytest.raises(ValueError, match=re.escape(f"{path}:7: ")):
             load_predictions(path)
 
-    @pytest.mark.parametrize("block", [1, 12, 10**6])
-    def test_line_beyond_csv_limit_in_a_later_block_goes_to_the_row_reader(
-            self, tmp_path, monkeypatch, block):
+    def test_line_beyond_csv_limit_in_a_later_block_goes_to_the_row_reader(self, tmp_path):
         # numpy would read the padded field as 0.5; csv refuses it.
-        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
         path = tmp_path / "preds.csv"
         long_row = "4,5,1," + " " * csv.field_size_limit() + "0.5"
         path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n2,3,-1,-1.0\n{long_row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_predictions(path)
 
-    @pytest.mark.parametrize("block", [1, 12, 10**6])
-    def test_vertical_tab_and_form_feed_are_not_line_ends(self, tmp_path, monkeypatch, block):
+    def test_vertical_tab_and_form_feed_are_not_line_ends(self, tmp_path):
         # str.splitlines() would end a line at either; csv and numpy do not.
-        monkeypatch.setattr(storage_module, "PARSE_BLOCK_CHARS", block)
         path = tmp_path / "preds.csv"
         for sep in "\x0b\x0c":
             path.write_text(f"origin,dest,label,decision\n0,1,1,0.5{sep}\n{sep}2,3,-1,-1\n")
@@ -681,6 +674,33 @@ class TestPredictions:
             path.write_text(f"origin,dest,label,decision\n0,1,1,0.5\n2,3,1,1{sep}4,5,1,1\n")
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 4 fields")):
                 load_predictions(path)
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_line_beyond_csv_limit_at_any_offset_goes_to_the_row_reader(
+            self, tmp_path, place, shift, final_newline):
+        # The shortest over-limit line, starting one character before, at or
+        # after a boundary of the half-limit spans load_predictions checks.
+        limit = csv.field_size_limit()
+        half = limit // 2
+        header = "origin,dest,label,decision\n"
+        long_row = "4,5,1," + " " * (limit - 2) + "0.5"
+        lead = "" if place == "first" else "0,1,1,0.5\n2,3,-1,-1.0\n"
+        blanks = (shift - len(lead)) % half  # so the long row starts at len(header) + k * half + shift
+        tail = "6,7,1,0.5" if place == "middle" else ""
+        text = header + lead + "\n" * blanks + long_row + ("\n" + tail if tail else "")
+        path = tmp_path / "preds.csv"
+        path.write_text(text + ("\n" if final_newline else ""))
+        line = 2 + lead.count("\n") + blanks
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            load_predictions(path)
+
+    def test_path_ending_in_gz_is_read_as_plain_text(self, tmp_path):
+        rows = [(0, 1, 1, 0.5), (2, 3, -1, -1.0)]
+        path = tmp_path / "preds.csv.gz"
+        save_predictions(path, *prediction_columns(rows))
+        assert load_predictions(path).tolist() == rows
 
     def test_spellings_numpy_rejects_load_as_int_and_float_read_them(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -956,16 +976,6 @@ class TestPredictionsReader:
         text = path.read_text(encoding="utf-8")  # as load_predictions reads it
         expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
         assert self.outcome(lambda: load_predictions(path).tolist()) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(text=prediction_texts(), block=st.integers(1, 40))
-    def test_matches_per_row_reader_in_small_blocks(self, fuzz_dir, text, block):
-        path = fuzz_dir / "predictions.csv"
-        path.write_text(text, encoding="utf-8")
-        text = path.read_text(encoding="utf-8")
-        expected = self.outcome(lambda: read_prediction_rows(text, str(path)))
-        with mock.patch.object(storage_module, "PARSE_BLOCK_CHARS", block):
-            assert self.outcome(lambda: load_predictions(path).tolist()) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12),
