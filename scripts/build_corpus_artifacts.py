@@ -121,7 +121,7 @@ def curate_labels(dag, table, corpus) -> list[tuple[int, int, int]]:
             print(f"curation converged after {round_no} drop rounds: "
                   f"{len(positives)} positive, {len(negatives)} negative")
             return sorted(rows)
-        negative_x = x[len(positives):]
+        negative_x = labeled_frame(negatives, table).features  # sorted, as the pool is
         drop: set[tuple[int, int]] = set()
         for mv in missed:
             by_dist = sorted(

@@ -3,7 +3,7 @@
 Known attacks are written as regular expressions over described basic blocks,
 compiled into control/data-flow graphs, and merged into one aggregated DAG.
 Branches the corpus never exhibited are scored by a kernel SVM (trained with
-sequential minimal optimization) or by a small rule system, shrinking the set
+sequential minimal optimization) or by a small rule system, narrowing the set
 of node pairs an analyst must review.
 """
 

@@ -243,7 +243,6 @@ def _svm_params(args: argparse.Namespace) -> SvmParams:
         kernel=args.kernel,
         gamma=args.gamma,
         tolerance=args.tolerance,
-        shrinking=not args.no_shrinking,
         max_passes=args.max_passes,
     )
 
@@ -570,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=svm.kernel, choices=KERNELS)
     p.add_argument("--gamma", type=float, default=svm.gamma)
     p.add_argument("--tolerance", type=float, default=svm.tolerance)
-    p.add_argument("--no-shrinking", action="store_true")
     p.add_argument("--max-passes", type=int, default=svm.max_passes)
     p.set_defaults(func=cmd_train)
 

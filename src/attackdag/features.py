@@ -263,17 +263,20 @@ class BranchFrame:
 
 
 def labeled_frame(rows: Sequence[tuple[int, int, int]], table: AttributeTable) -> BranchFrame:
-    """(origin, dest, label) rows as one frame, in row order.
+    """(origin, dest, label) rows as one frame, sorted by (origin, dest).
 
     The first row that is a self pair or names a node without an attribute
-    row raises what branch_features raises for it.
+    row raises what branch_features raises for it.  Sorting gives every
+    learner one row order however the rows were listed: SMO's and k-NN's
+    lowest-index ties and SGD's seeded shuffle all read it.
     """
     pairs = _pair_array((o, d) for o, d, _ in rows)
     bad = (pairs[:, 0] == pairs[:, 1]) | ~np.isin(pairs, table.ids).all(axis=1)
     if bad.any():
         branch_features(*pairs[bad.argmax()].tolist(), table)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     labels = np.array([label for _, _, label in rows], dtype=np.int64)
-    return BranchFrame(table, np.searchsorted(table.ids, pairs), labels)
+    return BranchFrame(table, np.searchsorted(table.ids, pairs[order]), labels[order])
 
 
 def enumerate_candidates(

@@ -6,13 +6,8 @@ from the "can increase" set against the most violating from the "can
 decrease" set, lowest index on ties), applies the analytic two-variable
 update with box clipping to [0, C], and stops once the KKT violation gap
 falls below the tolerance.  Selection is deterministic, so training is
-bit-reproducible.  ``SvmParams.seed`` has no effect; it stays because
-stored ``model.json`` files carry it.
-
-Shrinking temporarily drops bound-stuck multipliers from pair selection.
-The full violation vector is maintained throughout and convergence is
-re-verified on the complete index set before stopping, so shrinking can
-only change how fast the fixed point is reached, never where it is.
+bit-reproducible.  ``SvmParams.seed`` and ``SvmParams.shrinking`` have no
+effect; they stay because stored ``model.json`` files carry them.
 
 The loop keeps ``viol = -y * grad`` (each index's optimal-bias estimate)
 as its state rather than the gradient, and two identities keep every
@@ -25,21 +20,14 @@ And rounding is symmetric under negation, so the step's
 ``y_i * grad_i - y_j * grad_j`` is exactly ``viol_j - viol_i``.
 Selection adds a penalty vector to ``viol`` and takes the argmax
 (argmin): ``up_pen``/``down_pen`` hold 0.0 where an index is in the
-active "can increase"/"can decrease" set and -inf/+inf elsewhere, which
-gives the same extreme and lowest-index tie as reducing over the masked
-values.  The addition turns -0.0 into +0.0, which no comparison can tell
-apart.  The per-index state (``alpha`` and the ``can_up``, ``can_down``
-and ``active`` masks) lives in Python lists, since each step reads and
-writes only entries i and j; arrays are built from them only at a shrink
-step and at the end.  One ordering is load-bearing: the shrink step
-judges every index against the masks and extremes from the top of its
-iteration, so the i/j refresh of masks and penalties comes after it.
-A penalty entry is a function of its flag and ``active``, and ``active``
-changes only where both penalty vectors are rebuilt from the flags (a
-shrink step or a reactivation), so the refresh writes an entry only when
-its flag flips.  A shrink step rebuilds from the flags of the top of its
-iteration, the same ones the refresh compares against, so this holds
-there too.
+"can increase"/"can decrease" set and -inf/+inf elsewhere, which gives
+the same extreme and lowest-index tie as reducing over the masked values.
+The addition turns -0.0 into +0.0, which no comparison can tell apart.
+The per-index state (``alpha`` and the ``can_up`` and ``can_down``
+masks) lives in Python lists, since each step reads and writes only
+entries i and j; an array is built from ``alpha`` only at the end.  A
+penalty entry is a function of its flag alone, so the refresh writes an
+entry only when its flag flips.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
@@ -254,11 +242,6 @@ def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
     return can_up, can_down
 
 
-def _penalties(up: Sequence[bool], down: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
-    """0.0 where an index may be selected from the up / down set, -inf / +inf elsewhere."""
-    return np.where(up, 0.0, -np.inf), np.where(down, 0.0, np.inf)
-
-
 def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
               start: np.ndarray | None = None) -> SvmModel:
     """Fit the SVM to feature rows x labeled y (+1/-1).
@@ -303,19 +286,16 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
     viol = y - k @ (start * y)
     alpha = start.tolist()
     can_up, can_down = (m.tolist() for m in _movable(start, y, c, bound_eps))
-    active = [True] * n
-    all_active = True
-    up_pen, down_pen = _penalties(can_up, can_down)
+    inf, ninf = np.inf, -np.inf
+    up_pen, down_pen = np.where(can_up, 0.0, ninf), np.where(can_down, 0.0, inf)
     up_viol = np.empty(n)
     down_viol = np.empty(n)
     step = np.empty(n)
     step_j = np.empty(n)
     add, multiply = np.add, np.multiply
-    shrinking, max_passes = params.shrinking, params.max_passes
-    inf, ninf = np.inf, -np.inf
+    max_passes = params.max_passes
     converged = False
     iterations = 0
-    shrink_period = 100
 
     while iterations < max_passes:
         add(viol, up_pen, up_viol)
@@ -325,14 +305,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
         m_val = up_viol.item(i)
         m_low = down_viol.item(j)
         if m_val - m_low <= tol:
-            if all_active:
-                converged = True
-                break
-            # Shrunk set converged: reactivate everything and re-verify.
-            active = [True] * n
-            all_active = True
-            up_pen, down_pen = _penalties(can_up, can_down)
-            continue
+            converged = True
+            break
 
         # Analytic two-variable step on (i, j).  Each comparison below picks
         # the operand that max()/min() would, ties included.
@@ -365,22 +339,6 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
         add(viol, step, viol)
         iterations += 1
 
-        if shrinking and iterations % shrink_period == 0:
-            # Keep every free multiplier; drop bound-stuck indices whose
-            # violation value sits strictly inside the current extremes.
-            # The masks and extremes are still those this iteration selected
-            # with: entries i and j are refreshed only below.
-            at = np.array(alpha)
-            up, down = np.array(can_up), np.array(can_down)
-            stuck = ((at <= bound_eps) | (at >= c_inner)) & (
-                (up & ~down & (viol < m_low)) | (down & ~up & (viol > m_val))
-            )
-            if stuck.all():
-                stuck.fill(False)
-            all_active = not stuck.any()
-            active = (~stuck).tolist()
-            up_pen, down_pen = _penalties(up & ~stuck, down & ~stuck)
-
         # Only alpha[i] and alpha[j] moved, so only their flags can flip, and
         # only a flipped flag's penalty entry is written (see the docstring).
         if yi > 0:
@@ -389,20 +347,20 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
             rise, fall = ai > bound_eps, ai < c_inner
         if rise != can_up[i]:
             can_up[i] = rise
-            up_pen[i] = 0.0 if rise and active[i] else ninf
+            up_pen[i] = 0.0 if rise else ninf
         if fall != can_down[i]:
             can_down[i] = fall
-            down_pen[i] = 0.0 if fall and active[i] else inf
+            down_pen[i] = 0.0 if fall else inf
         if yj > 0:
             rise, fall = aj < c_inner, aj > bound_eps
         else:
             rise, fall = aj > bound_eps, aj < c_inner
         if rise != can_up[j]:
             can_up[j] = rise
-            up_pen[j] = 0.0 if rise and active[j] else ninf
+            up_pen[j] = 0.0 if rise else ninf
         if fall != can_down[j]:
             can_down[j] = fall
-            down_pen[j] = 0.0 if fall and active[j] else inf
+            down_pen[j] = 0.0 if fall else inf
 
     alpha = np.clip(np.array(alpha), 0.0, c)
     free = (alpha > bound_eps) & (alpha < c_inner)

@@ -107,10 +107,9 @@ def reference_smo(
     ``train_svm`` must reproduce it bit for bit.  Returns (alphas, bias,
     iterations, converged), with the multipliers at or below the bound
     tolerance set to zero, as the model keeps them.  With ``steps`` given,
-    each iteration appends ``(i, j, alpha_i, alpha_j, active_i, active_j)``:
-    the pair it selected, their new multipliers, and whether each is still
-    active after that iteration's shrink step.  ``start`` gives the
-    multipliers to begin from (default: zeros).
+    each iteration appends ``(i, j, alpha_i, alpha_j)``: the pair it
+    selected and their new multipliers.  ``start`` gives the multipliers to
+    begin from (default: zeros).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,28 +124,20 @@ def reference_smo(
     # its viol = -y * grad from.  From zeros it is exactly -1.
     grad = -y * (y - k @ (alpha * y))
     bound_eps = 1e-12 * max(1.0, c)
-    active = np.ones(n, dtype=bool)
     converged = False
     iterations = 0
-    shrink_period = 100
 
     while iterations < params.max_passes:
         viol = -y * grad  # per-index optimal-bias estimate
         can_up = ((y > 0) & (alpha < c - bound_eps)) | ((y < 0) & (alpha > bound_eps))
         can_down = ((y > 0) & (alpha > bound_eps)) | ((y < 0) & (alpha < c - bound_eps))
-        up = can_up & active
-        down = can_down & active
-        m_val = np.max(viol[up]) if up.any() else -np.inf
-        m_low = np.min(viol[down]) if down.any() else np.inf
+        m_val = np.max(viol[can_up]) if can_up.any() else -np.inf
+        m_low = np.min(viol[can_down]) if can_down.any() else np.inf
         if m_val - m_low <= tol:
-            if active.all():
-                converged = True
-                break
-            # Shrunk set converged: reactivate everything and re-verify.
-            active[:] = True
-            continue
-        i = int(np.argmax(np.where(up, viol, -np.inf)))
-        j = int(np.argmin(np.where(down, viol, np.inf)))
+            converged = True
+            break
+        i = int(np.argmax(np.where(can_up, viol, -np.inf)))
+        j = int(np.argmin(np.where(can_down, viol, np.inf)))
 
         # Analytic two-variable step on (i, j).
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
@@ -166,22 +157,8 @@ def reference_smo(
         alpha[i], alpha[j] = ai, aj
         grad += q[:, i] * (ai - ai_old) + q[:, j] * (aj - aj_old)
         iterations += 1
-
-        if params.shrinking and iterations % shrink_period == 0:
-            # Keep every free multiplier; drop bound-stuck indices whose
-            # violation value sits strictly inside the current extremes.
-            viol = -y * grad
-            at_bound = (alpha <= bound_eps) | (alpha >= c - bound_eps)
-            up_only = can_up & ~can_down
-            down_only = can_down & ~can_up
-            stuck = at_bound & (
-                (up_only & (viol < m_low)) | (down_only & (viol > m_val))
-            )
-            active = ~stuck
-            if not active.any():
-                active[:] = True
         if steps is not None:
-            steps.append((i, j, alpha[i], alpha[j], bool(active[i]), bool(active[j])))
+            steps.append((i, j, alpha[i], alpha[j]))
 
     np.clip(alpha, 0.0, c, out=alpha)
     viol = -y * grad

@@ -134,6 +134,20 @@ class TestPipeline:
                      "--out", str(again)]) == 0
         assert again.read_bytes() == work["preds"].read_bytes()
 
+    def test_stored_shrinking_flag_has_no_effect(self, work, tmp_path):
+        # model.json still carries SvmParams.shrinking; either value loads and
+        # predicts the same rows.
+        text = work["model"].read_text()
+        assert text.count('"shrinking": true') == 1
+        stored = tmp_path / "model.json"
+        stored.write_text(text.replace('"shrinking": true', '"shrinking": false'))
+        assert load_model(stored).params.shrinking is False
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "--model", str(stored), "--dag", str(work["dag"]),
+                     "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == work["preds"].read_bytes()
+
     def test_eval_with_baselines(self, work, capsys):
         assert main(["eval", "--model", str(work["model"]), "--dag", str(work["dag"]),
                      "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
@@ -355,7 +369,7 @@ DECLARED_DEFAULTS = {
     "learn/svm.py:SvmParams.kernel": "CLI default owner: train --kernel",
     "learn/svm.py:SvmParams.max_passes": "CLI default owner: train --max-passes",
     "learn/svm.py:SvmParams.seed": "every caller: stored model.json files carry it",
-    "learn/svm.py:SvmParams.shrinking": "CLI default owner: train --no-shrinking",
+    "learn/svm.py:SvmParams.shrinking": "every caller: stored model.json files carry it",
     "learn/svm.py:SvmParams.tolerance": "CLI default owner: train --tolerance",
     "learn/svm.py:train_svm(start)": "second caller: cmd_train",
     "negatives.py:ExceptionList.from_csv(source)": "perfbench call: checks.py",
@@ -515,6 +529,9 @@ class TestExitCodes:
         assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
                      "--labels", str(work["labels"]), "--out", "m.json",
                      "--seed", "0"]) == 1  # retired: training is deterministic
+        assert main(["train", "--dag", str(work["dag"]), "--attrs", str(work["attrs"]),
+                     "--labels", str(work["labels"]), "--out", "m.json",
+                     "--no-shrinking"]) == 1  # retired: SMO has one selection loop
 
     @pytest.mark.parametrize("option", [
         ("--gamma", "nan"), ("--c", "inf"), ("--tolerance", "nan"), ("--max-passes", "0"),
@@ -1699,3 +1716,72 @@ def test_fuzzed_argv_through_main(fuzz_inputs, argv):
         after = _tree(root)
         assert not [name for name in after if name.endswith(".tmp")], argv
         assert code == 0 or after == before, argv
+
+
+LABEL_LINES = (DATA / "labels.csv").read_text().splitlines(keepends=True)
+ATTR_LINES = (DATA / "attributes.csv").read_text().splitlines(keepends=True)
+
+
+def labeled_outputs(inputs: Path, dag: Path) -> dict[str, str]:
+    """The stdout and artifacts of the commands that read labels.csv, run on the
+    files in ``inputs``, less the fingerprints (which hash the files' bytes) and
+    the report's timestamp."""
+    model, preds = str(inputs / "model.json"), str(inputs / "predictions.csv")
+    scored = ["--dag", str(dag), "--attrs", str(inputs / "attributes.csv"),
+              "--labels", str(inputs / "labels.csv")]
+    runs = {
+        "train": ["train", *scored, "--out", model],
+        "predict": ["predict", "--model", model, *scored, "--out", preds],
+        "eval": ["eval", "--model", model, *scored, "--baselines"],
+        "grid-search": ["grid-search", *scored, "--out", str(inputs / "surface.json")],
+        "csp": ["csp", *scored, "--out", str(inputs / "csp.csv")],
+        "report": ["report", "--model", model, *scored, "--predictions", preds,
+                   "--corpus", str(DATA / "corpus.json"), "--out", str(inputs / "report.json")],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0, name
+        outputs[name] = stdout.getvalue().replace(str(inputs), "<inputs>")
+    for name in ("predictions.csv", "surface.json", "csp.csv"):
+        outputs[name] = (inputs / name).read_text()
+    stored = json.loads((inputs / "model.json").read_text())
+    del stored["corpus_fingerprint"]
+    report = json.loads((inputs / "report.json").read_text())
+    del report["run"]["corpus_fingerprint"], report["run"]["timestamp"]
+    outputs["model.json"], outputs["report.json"] = json.dumps(stored), json.dumps(report)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def listed_order(tmp_path_factory):
+    """The bundled dag, and the labeled outputs with the rows as the files list them."""
+    root = tmp_path_factory.mktemp("row-order")
+    dag = root / "dag.json"
+    assert main(["ingest", "--corpus", str(DATA / "corpus.json"), "--out", str(dag)]) == 0
+    inputs = root / "inputs"
+    inputs.mkdir()
+    for name in ("labels.csv", "attributes.csv"):
+        shutil.copy(DATA / name, inputs / name)
+    return dag, labeled_outputs(inputs, dag)
+
+
+@settings(max_examples=10, deadline=None)
+@example(labels=list(range(len(LABEL_LINES) - 2, -1, -1)),
+         attrs=list(range(len(ATTR_LINES) - 2, -1, -1)))
+@given(labels=st.permutations(range(len(LABEL_LINES) - 1)),
+       attrs=st.permutations(range(len(ATTR_LINES) - 1)))
+def test_row_order_of_labels_and_attributes_changes_no_output(listed_order, labels, attrs):
+    """labels.csv and attributes.csv carry the same information in any row order,
+    so every learner's output, and every artifact, is the same for each order."""
+    dag, want = listed_order
+    with tempfile.TemporaryDirectory() as scratch:
+        inputs = Path(scratch)
+        for name, lines, order in (("labels.csv", LABEL_LINES, labels),
+                                   ("attributes.csv", ATTR_LINES, attrs)):
+            (inputs / name).write_text(lines[0] + "".join(lines[1 + k] for k in order))
+        got = labeled_outputs(inputs, dag)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == want[name], name

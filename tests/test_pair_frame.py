@@ -139,6 +139,7 @@ def test_labeled_frame_matches_branch_features(world, data):
             labeled_frame(rows, table)
         return
     got = labeled_frame(rows, table)
+    rows = sorted(rows, key=lambda row: row[:2])
     assert got.labels.tolist() == [label for _, _, label in rows]
     assert_frame_is(got, [(u, v) for u, v, _ in rows], table)
 
@@ -151,6 +152,7 @@ def test_corpus_stats_match_per_pair_loop(world, data):
     labeled = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([1, -1])))
                         if pairs else st.just([]))
     frame = labeled_frame([(u, v, label) for (u, v), label in labeled], table)
+    labeled.sort(key=lambda row: row[0])  # the frame's order, so the sums below match it
     by_label = {1: [], -1: []}
     for (u, v), label in labeled:
         o, d = table.row(u), table.row(v)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -332,23 +331,6 @@ class TestOptimizerProperties:
                 assert obj == pytest.approx(ref_obj, abs=1e-6)
                 start = alphas
 
-    def test_shrinking_reaches_same_fixed_point(self):
-        rng = np.random.default_rng(99)
-        # overlapping blobs force enough iterations for shrinking to engage
-        n = 80
-        x = np.vstack([
-            rng.normal(loc=0.0, scale=1.0, size=(n // 2, 2)),
-            rng.normal(loc=1.0, scale=1.0, size=(n // 2, 2)),
-        ])
-        y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-        base = dict(c=5.0, kernel="rbf", gamma=0.5, tolerance=1e-6)
-        shrunk = train_svm(x, y, SvmParams(shrinking=True, **base))
-        plain = train_svm(x, y, SvmParams(shrinking=False, **base))
-        assert shrunk.converged and plain.converged
-        assert max(shrunk.iterations, plain.iterations) >= 100  # shrink path exercised
-        probes = np.vstack([x, rng.uniform(-2, 3, size=(10, 2))])
-        assert np.max(np.abs(shrunk.decision_values(probes) - plain.decision_values(probes))) <= 1e-5
-
     def test_deterministic_retrain(self):
         rng = np.random.default_rng(3)
         x, y = random_problem(rng, 8, 3)
@@ -389,18 +371,15 @@ def assert_same_fit(x, y, params, steps=None, start=None):
 
 
 class TestBitIdentityWithReferenceLoop:
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_bundled_grid_cells(self, labeled, shrinking):
+    def test_bundled_grid_cells(self, labeled):
         x, y = labeled.features, labeled.labels
         iterations = [
-            assert_same_fit(x, y, dataclasses.replace(params, shrinking=shrinking)).iterations
-            for params in GridSpec().cells()
+            assert_same_fit(x, y, params).iterations for params in GridSpec().cells()
         ]
         assert len(iterations) == 45
-        assert max(iterations) >= 200  # the shrink step runs more than once
+        assert max(iterations) >= 200  # some cells take hundreds of steps
 
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_bundled_grid_columns_seeded(self, labeled, shrinking):
+    def test_bundled_grid_columns_seeded(self, labeled):
         # Every kernel's column, sigmoid's too: the oracle takes any start.
         x, y = labeled.features, labeled.labels
         seeded = []
@@ -408,20 +387,19 @@ class TestBitIdentityWithReferenceLoop:
             for gamma in GridSpec().gamma_values:
                 start = None
                 for c in (1.0, 2.0, 3.0):
-                    params = SvmParams(c=c, kernel=kernel, gamma=gamma, shrinking=shrinking)
+                    params = SvmParams(c=c, kernel=kernel, gamma=gamma)
                     model = assert_same_fit(x, y, params, start=start)
                     if start is not None:
                         seeded.append(model.iterations)
                     start = full_alphas(model)
         assert len(seeded) == 30
-        assert max(seeded) >= 200  # the shrink step runs in seeded fits too
+        assert max(seeded) >= 200  # seeded fits take hundreds of steps too
         assert 0 in seeded  # a start that already meets the tolerance
 
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_seeded_random_sweeps(self, shrinking):
+    def test_seeded_random_sweeps(self):
         # Rounded features tie violations; C repeats, so some fits start at
         # the bound C itself, and the pass caps stop some fits early.
-        rng = np.random.default_rng(20261020 + shrinking)
+        rng = np.random.default_rng(20261020)
         fits = []
         for trial in range(30):
             x, y = rounded_problem(int(rng.integers(1 << 30)))
@@ -432,15 +410,14 @@ class TestBitIdentityWithReferenceLoop:
             start = None
             for c in sorted(rng.choice([0.01, 0.5, 2.0, 8.0], size=3)):
                 params = SvmParams(c=float(c), kernel=kernel, gamma=gamma, tolerance=tolerance,
-                                   shrinking=shrinking, max_passes=max_passes)
+                                   max_passes=max_passes)
                 fits.append(assert_same_fit(x, y, params, start=start))
                 start = full_alphas(fits[-1])
         assert sum(m.converged for m in fits) >= 20
         assert sum(not m.converged for m in fits) >= 20
         assert sum(m.iterations > 200 for m in fits) >= 10
 
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_random_problems(self, shrinking):
+    def test_random_problems(self):
         rng = np.random.default_rng(20261018)
         kernels = ("rbf", "poly", "sigmoid")
         for trial in range(24):
@@ -450,7 +427,6 @@ class TestBitIdentityWithReferenceLoop:
                 kernel=kernels[trial % 3],
                 gamma=float(rng.choice([0.1, 0.5, 2.0])),
                 tolerance=float(rng.choice([1e-3, 1e-6])),
-                shrinking=shrinking,
             )
             assert_same_fit(x, y, params)
 
@@ -461,48 +437,13 @@ class TestBitIdentityWithReferenceLoop:
         alphas = full_alphas(assert_same_fit(x, y, params))
         assert np.all((alphas == 0.0) | (alphas == params.c))
 
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_duplicate_rows_tie_in_violation(self, shrinking):
+    def test_duplicate_rows_tie_in_violation(self):
         rng = np.random.default_rng(8)
         base, labels = random_problem(rng, 12, 2)
         x = np.vstack([base, base, base[:6]])
         y = np.concatenate([labels, labels, labels[:6]])
         for c in (0.5, 10.0):
-            assert_same_fit(x, y, SvmParams(c=c, gamma=1.0, tolerance=1e-6,
-                                            shrinking=shrinking))
-
-    @pytest.mark.parametrize("seed, c, gamma", [(1000195, 1.0, 2.0), (1002703, 0.1, 0.05)])
-    def test_shrink_step_reads_the_masks_it_selected_with(self, seed, c, gamma):
-        # In these sigmoid problems i or j lands on a bound at a shrink step.
-        # Judged with its refreshed (one-sided) masks it would be shrunk, and
-        # the iteration count changes; judged with the masks of the top of the
-        # iteration, as the reference does, it stays active.
-        x, y = rounded_problem(seed)
-        model = assert_same_fit(x, y, SvmParams(c=c, kernel="sigmoid", gamma=gamma,
-                                                tolerance=1e-8, max_passes=3000))
-        assert model.iterations >= 100
-
-    def test_shrink_step_deactivates_an_index_it_selected(self):
-        # The 100th step moves one multiplier of its pair from one bound to
-        # the other, and the shrink step of that iteration drops that index.
-        # Its flag flips, so its penalty entry is written after the shrink
-        # step, and the write must keep the now inactive index unselectable.
-        # Rare: a search over this generator found 4 such shrink steps in
-        # 73,098 poly and sigmoid fits, all with one-dimensional features.
-        x, y = rounded_problem(3000885)
-        c = 0.1
-        steps = []
-        assert_same_fit(x, y, SvmParams(c=c, kernel="poly", gamma=0.5, tolerance=1e-8,
-                                        max_passes=3000), steps)
-        before = {}
-        for i, j, ai, aj, _, _ in steps[:99]:
-            before[i], before[j] = ai, aj
-        i, j, ai, aj, active_i, active_j = steps[99]
-        dropped = [(t, a) for t, a, active in ((i, ai, active_i), (j, aj, active_j))
-                   if not active]
-        assert dropped
-        for t, a in dropped:
-            assert {bound_of(before.get(t, 0.0), c), bound_of(a, c)} == {"0", "C"}
+            assert_same_fit(x, y, SvmParams(c=c, gamma=1.0, tolerance=1e-6))
 
     @pytest.mark.parametrize("c, bound", [(1.0, "C"), (10.0, "0")])
     def test_multiplier_leaves_its_bound_and_returns(self, c, bound):
@@ -513,7 +454,7 @@ class TestBitIdentityWithReferenceLoop:
         steps = []
         assert_same_fit(x, y, SvmParams(c=c, gamma=0.5), steps)
         visits = {}
-        for i, j, ai, aj, _, _ in steps:
+        for i, j, ai, aj in steps:
             for t, a in ((i, ai), (j, aj)):
                 path, where = visits.setdefault(t, ["0"]), bound_of(a, c)
                 if path[-1] != where:
@@ -521,12 +462,11 @@ class TestBitIdentityWithReferenceLoop:
         assert any(path[k:k + 3] == [bound, "free", bound]
                    for path in visits.values() for k in range(len(path)))
 
-    @pytest.mark.parametrize("shrinking", [True, False], ids=["shrinking", "no-shrinking"])
-    def test_seeded_sweep_with_tied_violations(self, shrinking):
+    def test_seeded_sweep_with_tied_violations(self):
         # Integer-rounded features repeat rows, so violation values tie and
         # the lowest-index rule decides; C spans 1e-4 to 20 and the pass caps
-        # stop some fits between shrink steps and some on one.
-        rng = np.random.default_rng(20261019 + shrinking)
+        # stop some fits early.
+        rng = np.random.default_rng(20261019)
         fits = []
         for trial in range(100):
             n, dim = int(rng.integers(4, 151)), int(rng.integers(1, 5))
@@ -538,7 +478,6 @@ class TestBitIdentityWithReferenceLoop:
                 kernel=svm_module.KERNELS[trial % 3],
                 gamma=float(rng.choice([0.05, 0.5, 2.0])),
                 tolerance=float(rng.choice([1e-3, 1e-8])),
-                shrinking=shrinking,
                 max_passes=int(rng.choice([1, 37, 100, 250, 450, 2000])),
             )
             fits.append(assert_same_fit(x, y, params))
