@@ -148,6 +148,25 @@ class TestPipeline:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == work["preds"].read_bytes()
 
+    def test_report_carries_the_stored_shrinking_flag(self, work, tmp_path):
+        # report.json's params echo the stored flag; nothing else changes.
+        stored = tmp_path / "model.json"
+        stored.write_text(work["model"].read_text().replace('"shrinking": true',
+                                                            '"shrinking": false'))
+        reports = []
+        for model in (work["model"], stored):
+            out = tmp_path / f"report-{len(reports)}.json"
+            assert main(["report", "--model", str(model), "--dag", str(work["dag"]),
+                         "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),
+                         "--predictions", str(work["preds"]), "--corpus", str(work["corpus"]),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        flags = [report["run"]["params"].pop("shrinking") for report in reports]
+        assert flags == [True, False]
+        for report in reports:
+            del report["run"]["timestamp"]
+        assert reports[0] == reports[1]
+
     def test_eval_with_baselines(self, work, capsys):
         assert main(["eval", "--model", str(work["model"]), "--dag", str(work["dag"]),
                      "--attrs", str(work["attrs"]), "--labels", str(work["labels"]),

@@ -144,6 +144,23 @@ def test_labeled_frame_matches_branch_features(world, data):
     assert_frame_is(got, [(u, v) for u, v, _ in rows], table)
 
 
+def test_labeled_frame_sorts_rows_by_origin_then_dest():
+    # Ids sort as numbers, and each label moves with its pair.
+    table = AttributeTable.from_rows({n: (0,) * 9 + (float(n),) for n in (3, 7, 12)})
+    frame = labeled_frame([(12, 3, -1), (7, 12, 1), (3, 12, -1), (7, 3, 1), (3, 7, 1)], table)
+    assert list(zip(frame.origins.tolist(), frame.dests.tolist(), frame.labels.tolist())) == [
+        (3, 7, 1), (3, 12, -1), (7, 3, 1), (7, 12, 1), (12, 3, -1)]
+
+
+def test_labeled_frame_raises_for_the_first_listed_bad_row():
+    # The self pair (0, 0) sorts first; the row listed first decides the error.
+    table = AttributeTable.from_rows({n: (0,) * 9 + (1.0,) for n in (0, 1)})
+    with pytest.raises(UnknownNode):
+        labeled_frame([(1, 0, 1), (9, 1, 1), (0, 0, -1)], table)
+    with pytest.raises(SelfBranch):
+        labeled_frame([(1, 0, 1), (0, 0, -1), (9, 1, 1)], table)
+
+
 @settings(max_examples=100, deadline=None)
 @given(world=worlds(), data=st.data())
 def test_corpus_stats_match_per_pair_loop(world, data):

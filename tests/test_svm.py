@@ -331,6 +331,25 @@ class TestOptimizerProperties:
                 assert obj == pytest.approx(ref_obj, abs=1e-6)
                 start = alphas
 
+    @pytest.mark.parametrize("kernel", svm_module.KERNELS)
+    def test_stored_shrinking_flag_changes_no_fit(self, kernel):
+        # SvmParams.shrinking only rides along in stored model.json files.
+        # Overlapping blobs make every kernel's fit run hundreds of steps.
+        rng = np.random.default_rng(99)
+        n = 80
+        x = np.vstack([
+            rng.normal(loc=0.0, scale=1.0, size=(n // 2, 2)),
+            rng.normal(loc=1.0, scale=1.0, size=(n // 2, 2)),
+        ])
+        y = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+        base = dict(c=5.0, kernel=kernel, gamma=0.5, tolerance=1e-6)
+        on = train_svm(x, y, SvmParams(shrinking=True, **base))
+        off = train_svm(x, y, SvmParams(shrinking=False, **base))
+        assert on.converged and on.iterations >= 500
+        assert on.sv_indices == off.sv_indices
+        assert np.array_equal(on.sv_alphas, off.sv_alphas)
+        assert (on.bias, on.iterations, on.converged) == (off.bias, off.iterations, off.converged)
+
     def test_deterministic_retrain(self):
         rng = np.random.default_rng(3)
         x, y = random_problem(rng, 8, 3)
@@ -461,6 +480,39 @@ class TestBitIdentityWithReferenceLoop:
                     path.append(where)
         assert any(path[k:k + 3] == [bound, "free", bound]
                    for path in visits.values() for k in range(len(path)))
+
+    def test_reference_steps_replay_to_its_multipliers(self):
+        # One record per iteration: a pair of two indices and their new
+        # multipliers, which replayed from zeros give the fitted ones.
+        x, y = rounded_problem(3000885)
+        params = SvmParams(c=0.1, kernel="poly", gamma=0.5, tolerance=1e-8, max_passes=3000)
+        steps = []
+        model = assert_same_fit(x, y, params, steps)
+        assert len(steps) == model.iterations >= 100
+        alphas = np.zeros(len(y))
+        for i, j, ai, aj in steps:
+            assert i != j
+            alphas[i], alphas[j] = ai, aj
+        alphas = np.clip(alphas, 0.0, params.c)
+        alphas[alphas <= 1e-12 * max(1.0, params.c)] = 0.0
+        assert np.array_equal(full_alphas(model), alphas)
+
+    @pytest.mark.parametrize("seed, kernel, c", [
+        (3000005, "rbf", 1.0), (3000002, "poly", 0.1), (3000037, "sigmoid", 0.1)])
+    def test_multiplier_drops_from_c_to_zero_in_one_step(self, seed, kernel, c):
+        # Both of the index's flags flip in that step, so the i/j refresh
+        # writes both of its penalty entries.
+        x, y = rounded_problem(seed)
+        steps = []
+        model = assert_same_fit(x, y, SvmParams(c=c, kernel=kernel, gamma=0.5, tolerance=1e-8,
+                                                max_passes=3000), steps)
+        assert model.converged and model.iterations >= 100
+        last, drops = {}, 0
+        for i, j, ai, aj in steps:
+            for t, a in ((i, ai), (j, aj)):
+                drops += bound_of(last.get(t, 0.0), c) == "C" and bound_of(a, c) == "0"
+                last[t] = a
+        assert drops >= 1
 
     def test_seeded_sweep_with_tied_violations(self):
         # Integer-rounded features repeat rows, so violation values tie and
