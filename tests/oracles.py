@@ -12,6 +12,7 @@ expression's block leaves.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 from scipy.optimize import minimize
@@ -203,6 +204,35 @@ def hinge_objective(
     return float(lam / 2.0 * (weights @ weights) + np.mean(np.maximum(margins, 0.0)))
 
 
+def reference_sgd(x: np.ndarray, y: np.ndarray, epochs: int, c: float, seed: int
+                  ) -> tuple[np.ndarray, float]:
+    """(weights, bias) of hinge-loss SGD with a new weight array every step.
+
+    lambda = 1/(c*n), step 1/(lambda*t), ``epochs`` passes over the rows in
+    an order that ``random.Random(seed)`` shuffles before each pass.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    lam = 1.0 / (c * n)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    t = 0
+    rng = random.Random(seed)
+    order = list(range(n))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for i in order:
+            t += 1
+            step = 1.0 / (lam * t)
+            if y[i] * (w @ x[i] + b) < 1.0:
+                w = (1.0 - step * lam) * w + step * y[i] * x[i]
+                b += step * y[i]
+            else:
+                w = (1.0 - step * lam) * w
+    return w, float(b)
+
+
 def reference_decisions(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -231,16 +261,21 @@ def rbf_gram_three_temporaries(a: np.ndarray, b: np.ndarray, gamma: float) -> np
 def knn_scan(x: np.ndarray, y: np.ndarray, probe: np.ndarray, k: int) -> int:
     """k nearest neighbors by repeated linear scan, no sorting library calls.
 
-    Ties on distance go to the lower index; a vote tie is resolved to -1.
+    Ties on Euclidean distance go to the lower index; a vote tie is resolved
+    to -1.  Two squared distances that differ can round to one distance.
     """
     x = np.asarray(x, dtype=float)
     remaining = list(range(len(y)))
     votes = 0
+
+    def distance(idx: int) -> float:
+        return math.sqrt(float(np.sum((x[idx] - probe) ** 2)))
+
     for _ in range(k):
         best = remaining[0]
-        best_d = float(np.sum((x[best] - probe) ** 2))
+        best_d = distance(best)
         for idx in remaining[1:]:
-            d = float(np.sum((x[idx] - probe) ** 2))
+            d = distance(idx)
             if d < best_d:
                 best, best_d = idx, d
         remaining.remove(best)

@@ -18,13 +18,14 @@ from attackdag.learn import (
     train_tree,
 )
 import attackdag.learn.baselines as baselines
-from attackdag.learn.baselines import SGD_C, VAR_FLOOR
+from attackdag.learn.baselines import SGD_C, SGD_EPOCHS, SGD_SEED, VAR_FLOOR
 
 from oracles import (
     exhaustive_tree,
     gnb_log_posterior,
     hinge_objective,
     knn_scan,
+    reference_sgd,
     tree_by_masks,
     tree_predict,
 )
@@ -71,6 +72,15 @@ class TestKnn:
         assert knn_predict(x, y, pad([1.0]), 1) == 1
         # same geometry with labels swapped picks the new index-0 label
         assert knn_predict(x, -y, pad([1.0]), 1) == -1
+
+    def test_tie_on_rounded_distance_prefers_lower_index(self):
+        # Squared distances 1 + 2**-52 and 1 both round to the distance 1.0,
+        # so the lower index wins even though its squared distance is larger.
+        x, y = arrays(([1.0, 2.0 ** -26], 1), ([1.0], -1))
+        probe = pad([])
+        assert np.sum((x[0] - probe) ** 2) > np.sum((x[1] - probe) ** 2)
+        assert knn_predict(x, y, probe, 1) == 1
+        assert knn_scan(x, y, probe, 1) == 1
 
     def test_vote_tie_resolves_to_infeasible(self):
         x, y = arrays(([0.0], 1), ([2.0], -1))
@@ -298,6 +308,26 @@ class TestSgdSvm:
     def test_empty_rejected(self):
         with pytest.raises(EmptyData):
             train_sgd_svm(*arrays())
+
+    def test_matches_allocating_reference_bit_for_bit(self, labeled):
+        # The bundled rows; uniform rows; rows repeated many times over; and
+        # repeated rows under both labels, where no step can clear the margin
+        # for both copies, so every epoch keeps updating.
+        rng = np.random.default_rng(53)
+        problems = [(labeled.features, labeled.labels)]
+        for trial in range(12):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 25))
+            x = rng.normal(scale=(0.01, 1.0, 50.0)[trial % 3], size=(n, d))
+            y = np.where(rng.random(n) < 0.5, 1, -1)
+            problems.append((x, y))
+            repeated = x[rng.integers(0, min(n, 3), size=n)]
+            problems.append((repeated, y))
+            problems.append((np.vstack([repeated, repeated]), np.concatenate([y, -y])))
+        for case, (x, y) in enumerate(problems):
+            model = train_sgd_svm(x, y)
+            weights, bias = reference_sgd(x, y, SGD_EPOCHS, SGD_C, SGD_SEED)
+            assert model.weights.tobytes() == weights.tobytes(), case
+            assert float(model.bias).hex() == bias.hex(), case
 
 
 @pytest.mark.parametrize("train", [functools.partial(train_svm, params=SvmParams()), train_gnb,
