@@ -15,7 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .svm import EmptyData, check_labeled, decision_labels
+from .svm import DimensionMismatch, EmptyData, check_labeled, decision_labels
+
+
+def _rows(x: np.ndarray, n_features: int) -> np.ndarray:
+    """x as an ``(m, n_features)`` float array; raises DimensionMismatch otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise DimensionMismatch(f"rows of shape {x.shape}, model has {n_features} features")
+    return x
 
 
 # --- k nearest neighbors ------------------------------------------------------
@@ -26,9 +34,13 @@ def knn_predict(x: np.ndarray, y: np.ndarray, features: Sequence[float], k: int)
     if not 1 <= k <= len(y):
         raise ValueError(f"k={k} outside 1..{len(y)}")
     probe = np.asarray(features, dtype=float)
-    dists = np.sqrt(np.sum((x - probe) ** 2, axis=1))
-    order = np.argsort(dists, kind="stable")  # ties go to the lower index
-    if y[order[:k]].sum() > 0:
+    if probe.shape != x.shape[1:]:
+        raise DimensionMismatch(f"probe of shape {probe.shape}, samples have {x.shape[1]} features")
+    d = x - probe
+    d *= d
+    # Ties on the rounded distance, not on its square, go to the lower index.
+    order = np.sqrt(d.sum(axis=1)).argsort(kind="stable")
+    if sum(y[order[:k]].tolist()) > 0:  # +1/-1 labels sum exactly in any order
         return 1
     return -1
 
@@ -46,8 +58,8 @@ class GaussianNbModel:
 
     def log_posterior(self, x: np.ndarray, label: int) -> np.ndarray:
         """The log posterior of ``label``, up to the shared evidence term, per row of x."""
-        x = np.asarray(x, dtype=float)
         mu = self.means[label]
+        x = _rows(x, len(mu))
         var = self.variances[label]
         dens = -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
         return self.log_priors[label] + np.sum(dens, axis=1)
@@ -78,17 +90,19 @@ def train_gnb(x: np.ndarray, y: np.ndarray) -> GaussianNbModel:
 @dataclass(frozen=True, eq=False)
 class TreeModel:
     """A CART tree as four arrays with one entry per node in pre-order, root
-    first.  A split's left child is the next node, ``t + 1``, and its right
-    child is ``right[t]``; a leaf has ``feature`` -1 and its label in ``label``."""
+    first, and the number of features it was trained on.  A split's left
+    child is the next node, ``t + 1``, and its right child is ``right[t]``;
+    a leaf has ``feature`` -1 and its label in ``label``."""
 
     feature: np.ndarray  # intp, -1 at a leaf
     threshold: np.ndarray  # float64, 0.0 at a leaf
     right: np.ndarray  # intp, -1 at a leaf
     label: np.ndarray  # int64, ±1 at a leaf and 0 at a split
+    n_features: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The ±1 label of each row of x; each pass moves the rows not at a leaf one level."""
-        x = np.asarray(x, dtype=float)
+        x = _rows(x, self.n_features)
         at = np.zeros(len(x), dtype=np.intp)
         rows = np.flatnonzero(self.feature[at] >= 0)
         while len(rows):
@@ -192,7 +206,8 @@ def train_tree(x: np.ndarray, y: np.ndarray) -> TreeModel:
     return TreeModel(feature=np.array(feature, dtype=np.intp),
                      threshold=np.array(threshold, dtype=np.float64),
                      right=np.array(right, dtype=np.intp),
-                     label=np.array(label, dtype=np.int64))
+                     label=np.array(label, dtype=np.int64),
+                     n_features=x.shape[1])
 
 
 # --- SGD linear SVM -------------------------------------------------------------
@@ -208,7 +223,7 @@ class SgdSvmModel:
     bias: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return decision_labels(np.asarray(x, dtype=float) @ self.weights + self.bias)
+        return decision_labels(_rows(x, len(self.weights)) @ self.weights + self.bias)
 
 
 def train_sgd_svm(x: np.ndarray, y: np.ndarray) -> SgdSvmModel:
@@ -222,15 +237,27 @@ def train_sgd_svm(x: np.ndarray, y: np.ndarray) -> SgdSvmModel:
     t = 0
     rng = random.Random(SGD_SEED)
     order = list(range(n))
+    # The step updates w in place with the products and sum that
+    # ``w = shrink * w + scale * x[i]`` forms: each factor goes into a 0-d
+    # array, which numpy takes faster than a Python float.
+    rows, labels = list(x), y.tolist()
+    shrink, scale = np.empty(()), np.empty(())
+    scaled = np.empty(x.shape[1])
+    add, multiply = np.add, np.multiply
     for _ in range(SGD_EPOCHS):
         rng.shuffle(order)
         for i in order:
             t += 1
             step = 1.0 / (lam * t)
-            if y[i] * (w @ x[i] + b) < 1.0:
-                w = (1.0 - step * lam) * w + step * y[i] * x[i]
-                b += step * y[i]
+            row, yi = rows[i], labels[i]
+            shrink[()] = 1.0 - step * lam
+            if yi * (float(w.dot(row)) + b) < 1.0:
+                multiply(w, shrink, w)
+                scale[()] = step * yi
+                multiply(row, scale, scaled)
+                add(w, scaled, w)
+                b += step * yi
             else:
-                w = (1.0 - step * lam) * w
+                multiply(w, shrink, w)
     return SgdSvmModel(weights=w, bias=b)
 

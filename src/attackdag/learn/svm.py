@@ -18,16 +18,23 @@ columns ``cols[c] = -y_c * k[:, c]`` (contiguous, no second n x n array),
 summing the two step terms before adding them as the gradient form does.
 And rounding is symmetric under negation, so the step's
 ``y_i * grad_i - y_j * grad_j`` is exactly ``viol_j - viol_i``.
-Selection adds a penalty vector to ``viol`` and takes the argmax
-(argmin): ``up_pen``/``down_pen`` hold 0.0 where an index is in the
-"can increase"/"can decrease" set and -inf/+inf elsewhere, which gives
-the same extreme and lowest-index tie as reducing over the masked values.
-The addition turns -0.0 into +0.0, which no comparison can tell apart.
+Selection reads two masked copies of ``viol``: ``up_viol`` holds it where
+an index is in the "can increase" set and -inf elsewhere, ``down_viol``
+where it is in the "can decrease" set and +inf elsewhere, so their argmax
+(argmin) gives the same extreme and lowest-index tie as reducing over the
+masked values.  Each step adds its sum to both copies; an unmasked entry
+thus gets the very addition the gradient form makes, and a masked one
+stays infinite while the steps are finite.  Only i and j move, so only
+their flags can flip, and the refresh writes an entry only when its flag
+does.  i was in the "can increase" set and j in the "can decrease" set,
+so when i joins the "can decrease" set its entry is copied from
+``up_viol[i]``, and when j joins the "can increase" set from
+``down_viol[j]``, each read before that entry is masked.
 The per-index state (``alpha`` and the ``can_up`` and ``can_down``
 masks) lives in Python lists, since each step reads and writes only
-entries i and j; an array is built from ``alpha`` only at the end.  A
-penalty entry is a function of its flag alone, so the refresh writes an
-entry only when its flag flips.
+entries i and j; an array is built from ``alpha`` only at the end.
+Each step size goes into a 0-d array, which numpy takes with less
+per-call work than a Python float, for the same float64 product.
 ``tests/oracles.py::reference_smo`` keeps the loop that recomputes
 everything from the gradient each iteration, and the tests require the
 two to give bit-identical multipliers, bias, iteration counts and
@@ -87,7 +94,7 @@ def check_labeled(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise EmptyData("no training samples")
     if not np.isfinite(x).all():
         raise NonFiniteFeature("features contain NaN or infinity")
-    if not ((y == 1.0) | (y == -1.0)).all():
+    if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be +1 or -1")
     return x, y
 
@@ -138,7 +145,7 @@ def gram_matrix(kind: str, a: np.ndarray, b: np.ndarray, gamma: float) -> np.nda
         # buffer that stays in L2 cache.
         ab = a @ b.T
         a_sq = np.sum(a * a, axis=1)
-        b_sq = np.sum(b * b, axis=1)
+        b_sq = a_sq if b is a else np.sum(b * b, axis=1)
         norms = np.concatenate((a_sq, b_sq))
         half = norms * 0.5
         scale = -2.0 * float(gamma)
@@ -237,9 +244,8 @@ def _movable(alpha: np.ndarray, y: np.ndarray, c: float, bound_eps: float
     """Masks of the indices whose y * alpha can still rise / fall inside [0, C]."""
     below_c = alpha < c - bound_eps
     above_0 = alpha > bound_eps
-    can_up = ((y > 0) & below_c) | ((y < 0) & above_0)
-    can_down = ((y > 0) & above_0) | ((y < 0) & below_c)
-    return can_up, can_down
+    positive = y > 0  # y is +1 or -1
+    return np.where(positive, below_c, above_0), np.where(positive, above_0, below_c)
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
@@ -254,7 +260,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
     from any feasible start.
     """
     x, y = check_labeled(x, y)
-    if len(np.unique(y)) < 2:
+    if (y == y[0]).all():  # labels are +1 or -1, so one value means one class
         raise SingleClassData("training data has only one class")
 
     n = x.shape[0]
@@ -287,19 +293,18 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
     alpha = start.tolist()
     can_up, can_down = (m.tolist() for m in _movable(start, y, c, bound_eps))
     inf, ninf = np.inf, -np.inf
-    up_pen, down_pen = np.where(can_up, 0.0, ninf), np.where(can_down, 0.0, inf)
-    up_viol = np.empty(n)
-    down_viol = np.empty(n)
+    up_viol = np.where(can_up, viol, ninf)
+    down_viol = np.where(can_down, viol, inf)
     step = np.empty(n)
     step_j = np.empty(n)
+    move_i = np.empty(())  # the step sizes, as 0-d operands (see the docstring)
+    move_j = np.empty(())
     add, multiply = np.add, np.multiply
     max_passes = params.max_passes
     converged = False
     iterations = 0
 
     while iterations < max_passes:
-        add(viol, up_pen, up_viol)
-        add(viol, down_pen, down_viol)
         i = int(up_viol.argmax())
         j = int(down_viol.argmin())
         m_val = up_viol.item(i)
@@ -333,47 +338,51 @@ def train_svm(x: np.ndarray, y: np.ndarray, params: SvmParams,
             aj = hi
         ai = ai_old + yi * yj * (aj_old - aj)
         alpha[i], alpha[j] = ai, aj
-        multiply(cols[i], ai - ai_old, step)
-        multiply(cols[j], aj - aj_old, step_j)
+        move_i[()] = ai - ai_old
+        move_j[()] = aj - aj_old
+        multiply(cols[i], move_i, step)
+        multiply(cols[j], move_j, step_j)
         add(step, step_j, step)
-        add(viol, step, viol)
+        add(up_viol, step, up_viol)
+        add(down_viol, step, down_viol)
         iterations += 1
 
-        # Only alpha[i] and alpha[j] moved, so only their flags can flip, and
-        # only a flipped flag's penalty entry is written (see the docstring).
+        # Only alpha[i] and alpha[j] moved, so only their flags can flip.  i
+        # could rise and j fall before the step, so up_viol[i] and
+        # down_viol[j] hold their viol; each is read before it is masked.
         if yi > 0:
             rise, fall = ai < c_inner, ai > bound_eps
         else:
             rise, fall = ai > bound_eps, ai < c_inner
-        if rise != can_up[i]:
-            can_up[i] = rise
-            up_pen[i] = 0.0 if rise else ninf
         if fall != can_down[i]:
             can_down[i] = fall
-            down_pen[i] = 0.0 if fall else inf
+            down_viol[i] = up_viol.item(i) if fall else inf
+        if not rise:
+            can_up[i] = False
+            up_viol[i] = ninf
         if yj > 0:
             rise, fall = aj < c_inner, aj > bound_eps
         else:
             rise, fall = aj > bound_eps, aj < c_inner
         if rise != can_up[j]:
             can_up[j] = rise
-            up_pen[j] = 0.0 if rise else ninf
-        if fall != can_down[j]:
-            can_down[j] = fall
-            down_pen[j] = 0.0 if fall else inf
+            up_viol[j] = down_viol.item(j) if rise else ninf
+        if not fall:
+            can_down[j] = False
+            down_viol[j] = inf
 
     alpha = np.clip(np.array(alpha), 0.0, c)
     free = (alpha > bound_eps) & (alpha < c_inner)
     if free.any():
-        bias = float(np.mean(viol[free]))
+        bias = float(np.mean(up_viol[free]))
     else:
         can_up, can_down = _movable(alpha, y, c, bound_eps)
-        hi = np.max(viol[can_up]) if can_up.any() else 0.0
-        lo = np.min(viol[can_down]) if can_down.any() else 0.0
+        hi = np.max(up_viol[can_up]) if can_up.any() else 0.0
+        lo = np.min(down_viol[can_down]) if can_down.any() else 0.0
         bias = float((hi + lo) / 2.0)
 
     sv = alpha > bound_eps
-    idx = tuple(int(t) for t in np.flatnonzero(sv))
+    idx = tuple(np.flatnonzero(sv).tolist())
     return SvmModel(
         params=params,
         support_vectors=x[sv].copy(),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from attackdag.learn import (
+    DimensionMismatch,
     EmptyData,
     NonFiniteFeature,
     SvmParams,
@@ -342,3 +343,20 @@ def test_predict_returns_one_label_of_plus_or_minus_one_per_row(train):
         assert got.shape == (m,)
         assert np.issubdtype(got.dtype, np.integer)
         assert set(got.tolist()) <= {1, -1}
+
+
+@pytest.mark.parametrize("predict", [
+    lambda x, y, rows: [knn_predict(x, y, row, 3) for row in rows],
+    lambda x, y, rows: train_gnb(x, y).predict(rows),
+    lambda x, y, rows: train_tree(x, y).predict(rows),
+    lambda x, y, rows: train_sgd_svm(x, y).predict(rows),
+    lambda x, y, rows: train_svm(x, y, SvmParams()).predict(rows),
+], ids=["knn", "gaussian nb", "decision tree", "sgd linear svm", "svm"])
+def test_predict_rejects_rows_of_another_width(predict):
+    # The labels follow feature 0 alone, so the tree splits on it alone and
+    # could answer for any width that keeps feature 0.
+    x = np.random.default_rng(59).uniform(0, 4, size=(30, N_FEATURES))
+    y = np.where(x[:, 0] > 2.0, 1, -1)
+    for rows in (x[:, :3], x[:, :1], np.hstack([x, x[:, :1]])):
+        with pytest.raises(DimensionMismatch):
+            predict(x, y, rows)
