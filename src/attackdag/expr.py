@@ -28,7 +28,7 @@ class ExpressionSyntaxError(ValueError):
     the token kinds that would have been legal there.
     """
 
-    def __init__(self, message: str, position: int, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, position: int, expected: frozenset[str]):
         super().__init__(f"{message} at offset {position}")
         self.position = position
         self.expected = expected
@@ -52,9 +52,7 @@ STAR = "*"
 PLUS = "+"
 DOT = "."
 
-# Each group costs the recursive-descent parser four frames, so nesting is
-# capped well inside the interpreter's recursion limit.
-MAX_GROUP_DEPTH = 100
+_ATOM_START = frozenset({BLOCK_OPEN, LPAREN})
 
 
 class ExprToken(NamedTuple):
@@ -129,81 +127,62 @@ def tokenize(src: str) -> list[ExprToken]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str, tokens: list[ExprToken]):
-        self.src = src
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> ExprToken | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _offset(self) -> int:
-        tok = self.peek()
-        return tok.start if tok else len(self.src)
-
-    def fail(self, message: str, expected: frozenset[str]) -> ExpressionSyntaxError:
-        return ExpressionSyntaxError(message, self._offset(), expected)
-
-    def parse(self) -> AttackExpr:
-        result = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            if tok.kind == RPAREN:
-                raise UnbalancedParens("unmatched ')'", tok.start)
-            raise self.fail(f"unexpected {tok.kind!r}", frozenset({PLUS, DOT, STAR}))
-        return result
-
-    def expr(self) -> AttackExpr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == PLUS:
-            self.pos += 1
-            node = UnionExpr(node, self.term())
-        return node
-
-    def term(self) -> AttackExpr:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind == DOT:
-            self.pos += 1
-            node = Concat(node, self.factor())
-        return node
-
-    def factor(self) -> AttackExpr:
-        node = self.atom()
-        if (tok := self.peek()) is not None and tok.kind == STAR:
-            self.pos += 1
-            node = star(node)
-        return node
-
-    def atom(self) -> AttackExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("expected a block or '('", frozenset({BLOCK_OPEN, LPAREN}))
-        if tok.kind == BLOCK_OPEN:
-            # The tokenizer has checked what block() would: the text is not
-            # blank and its parentheses balance.
-            self.pos += 1
-            return Block(tok.text)
-        if tok.kind == LPAREN:
-            open_tok = tok
-            if self.depth == MAX_GROUP_DEPTH:
-                raise ExpressionSyntaxError(
-                    f"groups nested deeper than {MAX_GROUP_DEPTH}", tok.start)
-            self.pos += 1
-            self.depth += 1
-            node = self.expr()
-            self.depth -= 1
-            closing = self.peek()
-            if closing is None or closing.kind != RPAREN:
-                raise UnbalancedParens("unclosed group", open_tok.start)
-            self.pos += 1
-            return node
-        raise self.fail(f"unexpected {tok.kind!r}", frozenset({BLOCK_OPEN, LPAREN}))
-
-
 def parse_expression(src: str) -> AttackExpr:
-    return _Parser(src, tokenize(src)).parse()
+    """The expression tree of source text, read in one pass over its tokens.
+
+    The pass keeps an explicit stack of open groups, each entry the union
+    and the term read so far around the group and the group's "(" token,
+    so groups nest to any depth without recursion.
+    """
+    tokens = tokenize(src)
+    end = len(tokens)
+    groups: list[tuple[AttackExpr | None, AttackExpr | None, ExprToken]] = []
+    union: AttackExpr | None = None  # the innermost open group's union so far
+    term: AttackExpr | None = None  # and the term it is reading
+    i = 0
+    while True:
+        # An atom is due: a block, or the "(" of a group.
+        if i == end:
+            raise ExpressionSyntaxError("expected a block or '('", len(src), _ATOM_START)
+        tok = tokens[i]
+        i += 1
+        if tok.kind == LPAREN:
+            groups.append((union, term, tok))
+            union = term = None
+            continue
+        if tok.kind != BLOCK_OPEN:
+            raise ExpressionSyntaxError(f"unexpected {tok.kind!r}", tok.start, _ATOM_START)
+        # The tokenizer has checked what block() would: the text is not
+        # blank and its parentheses balance.
+        node: AttackExpr = Block(tok.text)
+        # End the factor, then the term unless a "." follows, then the union
+        # unless a "+" follows; a ")" then closes a group, whose union is a
+        # factor of the group around it.
+        while True:
+            if i < end and tokens[i].kind == STAR:
+                node = star(node)
+                i += 1
+            term = node if term is None else Concat(term, node)
+            kind = tokens[i].kind if i < end else None
+            if kind == DOT:
+                break
+            union = term if union is None else UnionExpr(union, term)
+            term = None
+            if kind == PLUS:
+                break
+            if not groups:
+                if kind is None:
+                    return union
+                if kind == RPAREN:
+                    raise UnbalancedParens("unmatched ')'", tokens[i].start)
+                raise ExpressionSyntaxError(
+                    f"unexpected {kind!r}", tokens[i].start, frozenset({PLUS, DOT, STAR}))
+            node = union
+            union, term, open_tok = groups.pop()
+            if kind != RPAREN:
+                raise UnbalancedParens("unclosed group", open_tok.start)
+            i += 1
+        i += 1  # past the "." or "+"
 
 
 # Rendering uses minimal parentheses.  Right-nested unions/concats are

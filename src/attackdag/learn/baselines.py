@@ -15,15 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .svm import DimensionMismatch, EmptyData, check_labeled, decision_labels
-
-
-def _rows(x: np.ndarray, n_features: int) -> np.ndarray:
-    """x as an ``(m, n_features)`` float array; raises DimensionMismatch otherwise."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != n_features:
-        raise DimensionMismatch(f"rows of shape {x.shape}, model has {n_features} features")
-    return x
+from .svm import DimensionMismatch, EmptyData, check_labeled, check_rows, decision_labels
 
 
 # --- k nearest neighbors ------------------------------------------------------
@@ -59,7 +51,7 @@ class GaussianNbModel:
     def log_posterior(self, x: np.ndarray, label: int) -> np.ndarray:
         """The log posterior of ``label``, up to the shared evidence term, per row of x."""
         mu = self.means[label]
-        x = _rows(x, len(mu))
+        x = check_rows(x, len(mu))
         var = self.variances[label]
         dens = -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
         return self.log_priors[label] + np.sum(dens, axis=1)
@@ -102,7 +94,7 @@ class TreeModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The ±1 label of each row of x; each pass moves the rows not at a leaf one level."""
-        x = _rows(x, self.n_features)
+        x = check_rows(x, self.n_features)
         at = np.zeros(len(x), dtype=np.intp)
         rows = np.flatnonzero(self.feature[at] >= 0)
         while len(rows):
@@ -223,7 +215,7 @@ class SgdSvmModel:
     bias: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return decision_labels(_rows(x, len(self.weights)) @ self.weights + self.bias)
+        return decision_labels(check_rows(x, len(self.weights)) @ self.weights + self.bias)
 
 
 def train_sgd_svm(x: np.ndarray, y: np.ndarray) -> SgdSvmModel:

@@ -99,6 +99,17 @@ def check_labeled(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, y
 
 
+def check_rows(x: np.ndarray, n_features: int) -> np.ndarray:
+    """x as an ``(m, n_features)`` float array; raises DimensionMismatch otherwise.
+
+    Every fitted model, the SVM and the baselines, checks its rows to score here.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise DimensionMismatch(f"rows of shape {x.shape}, model has {n_features} features")
+    return x
+
+
 def decision_labels(decisions: np.ndarray) -> np.ndarray:
     """+1 where a decision value is at least 0.0, else -1.
 
@@ -221,11 +232,7 @@ class SvmModel:
         return self.sv_alphas * self.sv_labels
 
     def decision_values(self, features: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(features, dtype=float))
-        if x.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"{x.shape[1]} features, model has {self.support_vectors.shape[1]}"
-            )
+        x = check_rows(features, self.support_vectors.shape[1])
         out = np.empty(len(x))
         coefs = self.dual_coefs
         for start in range(0, len(x), SCORE_BLOCK_ROWS):

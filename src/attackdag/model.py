@@ -69,9 +69,10 @@ class BasicBlock:
 
 class FrozenNode:
     """Structural ==, hash() and repr() of a tree of frozen dataclass nodes, as
-    a frozen dataclass would define them, each walking the tree with an
-    explicit stack, so a tree of any depth compares, hashes and prints
-    without recursion.  Only the four expression node classes use it.
+    a frozen dataclass would define them, walking the tree with an explicit
+    stack, so a tree of any depth compares, hashes and prints without
+    recursion.  == and hash() share one pre-order walk.  Only the four
+    expression node classes use it.
 
     A node's fields are its ``__match_args__``; a field holding a node is
     walked, any other is compared, hashed or repr'd as it is.
@@ -79,25 +80,7 @@ class FrozenNode:
 
     __match_args__: tuple[str, ...] = ()
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            for name in a.__match_args__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, FrozenNode):
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self) -> int:
+    def _preorder(self) -> tuple:
         # The pre-order sequence of node classes and leaf values determines
         # the tree, since each class has a fixed number of fields.
         items: list = []
@@ -109,7 +92,15 @@ class FrozenNode:
                 stack.extend(getattr(item, name) for name in reversed(item.__match_args__))
             else:
                 items.append(item)
-        return hash(tuple(items))
+        return tuple(items)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
 
     def __repr__(self) -> str:
         pieces: list[str] = []

@@ -385,9 +385,10 @@ def load_dag(path: str | Path) -> DagFile:
     """Read a dag file, checking every entry before the dag is built.
 
     A malformed entry raises DagLoadError naming the file and the entry, and
-    so do two nodes with one norm_text, an empty provenance list, a
-    provenance key that is not an edge and two keys that name one edge; a
-    cycle still raises CycleIntroduced from ``build_dag``.
+    so do an ``attrs_ref`` that is neither a string nor null, two nodes with
+    one norm_text, an empty provenance list, a provenance key that is not an
+    edge and two keys that name one edge; a cycle still raises
+    CycleIntroduced from ``build_dag``.
     """
     payload = _read_json(path, DagLoadError)
     if not isinstance(payload, dict):
@@ -398,6 +399,9 @@ def load_dag(path: str | Path) -> DagFile:
     for key, kind in (("nodes", list), ("edges", list), ("provenance", dict)):
         if type(payload.get(key, kind())) is not kind:
             raise DagLoadError(f"{path}: {key!r} is not a {kind.__name__}")
+    attrs_ref = payload.get("attrs_ref")
+    if attrs_ref is not None and type(attrs_ref) is not str:
+        raise DagLoadError(f"{path}: 'attrs_ref' is not a string or null: {attrs_ref!r}")
     blocks: dict[int, BasicBlock] = {}
     buckets: dict[int, str] = {}
     indices: dict[str, int] = {}  # the node index of each norm_text
@@ -462,7 +466,7 @@ def load_dag(path: str | Path) -> DagFile:
     if stray:
         raise DagLoadError(f"{path}: provenance '{stray[0][0]}->{stray[0][1]}' is not an edge")
     dag = build_dag(blocks.keys(), edges, provenance)
-    return DagFile(dag=dag, blocks=blocks, buckets=buckets, attrs_ref=payload.get("attrs_ref"))
+    return DagFile(dag=dag, blocks=blocks, buckets=buckets, attrs_ref=attrs_ref)
 
 
 # --- headed CSV tables -------------------------------------------------------------

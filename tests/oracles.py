@@ -31,7 +31,7 @@ from attackdag.expr import (
     UnbalancedParens,
 )
 from attackdag.learn.svm import SvmModel, SvmParams, full_alphas, gram_matrix
-from attackdag.model import AttackExpr, Block, Concat, Star
+from attackdag.model import AttackExpr, Block, Concat, Star, UnionExpr, star
 
 
 def dual_qp_reference(
@@ -500,6 +500,74 @@ def tokenize_by_character(src: str) -> list[ExprToken]:
             )
         i += 1
     return tokens
+
+
+def parse_expression_recursive(src: str) -> AttackExpr:
+    """The expression tree of source text by recursive descent, one function
+    per grammar rule over the character-at-a-time scanner's tokens.
+
+    Each group costs four frames, so keep nesting well inside the recursion
+    limit.
+    """
+    tokens = tokenize_by_character(src)
+    pos = 0
+
+    def peek() -> ExprToken | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def fail(message: str, expected: frozenset[str]) -> ExpressionSyntaxError:
+        tok = peek()
+        return ExpressionSyntaxError(message, tok.start if tok else len(src), expected)
+
+    def expr() -> AttackExpr:
+        nonlocal pos
+        node = term()
+        while (tok := peek()) is not None and tok.kind == PLUS:
+            pos += 1
+            node = UnionExpr(node, term())
+        return node
+
+    def term() -> AttackExpr:
+        nonlocal pos
+        node = factor()
+        while (tok := peek()) is not None and tok.kind == DOT:
+            pos += 1
+            node = Concat(node, factor())
+        return node
+
+    def factor() -> AttackExpr:
+        nonlocal pos
+        node = atom()
+        if (tok := peek()) is not None and tok.kind == STAR:
+            pos += 1
+            node = star(node)
+        return node
+
+    def atom() -> AttackExpr:
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise fail("expected a block or '('", frozenset({BLOCK_OPEN, LPAREN}))
+        if tok.kind == BLOCK_OPEN:
+            pos += 1
+            return Block(tok.text)
+        if tok.kind == LPAREN:
+            pos += 1
+            node = expr()
+            closing = peek()
+            if closing is None or closing.kind != RPAREN:
+                raise UnbalancedParens("unclosed group", tok.start)
+            pos += 1
+            return node
+        raise fail(f"unexpected {tok.kind!r}", frozenset({BLOCK_OPEN, LPAREN}))
+
+    result = expr()
+    tok = peek()
+    if tok is not None:
+        if tok.kind == RPAREN:
+            raise UnbalancedParens("unmatched ')'", tok.start)
+        raise fail(f"unexpected {tok.kind!r}", frozenset({PLUS, DOT, STAR}))
+    return result
 
 
 def rules_fired(hamming: int, ht_diff: float, head_to_leaf: bool,

@@ -357,6 +357,6 @@ def test_predict_rejects_rows_of_another_width(predict):
     # could answer for any width that keeps feature 0.
     x = np.random.default_rng(59).uniform(0, 4, size=(30, N_FEATURES))
     y = np.where(x[:, 0] > 2.0, 1, -1)
-    for rows in (x[:, :3], x[:, :1], np.hstack([x, x[:, :1]])):
+    for rows in (x[:, :3], x[:, :1], np.hstack([x, x[:, :1]]), x[0]):
         with pytest.raises(DimensionMismatch):
             predict(x, y, rows)

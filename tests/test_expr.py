@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attackdag.expr import (
-    MAX_GROUP_DEPTH,
     EmptyBlockDescription,
     ExpressionSyntaxError,
     UnbalancedParens,
@@ -16,7 +15,7 @@ from attackdag.expr import (
 )
 from attackdag.model import Block, Concat, Star, UnionExpr, block, star
 
-from oracles import render_expression_recursive, tokenize_by_character
+from oracles import parse_expression_recursive, render_expression_recursive, tokenize_by_character
 
 
 class TestTokenize:
@@ -112,12 +111,12 @@ class TestParse:
             parse_expression("bb_i(a).+bb_j(b)")
         assert exc.value.position == 8
 
-    def test_group_depth_is_capped(self):
-        deepest = "(" * MAX_GROUP_DEPTH + "bb_i(a)" + ")" * MAX_GROUP_DEPTH
+    def test_groups_nest_to_any_depth(self):
+        deepest = "(" * 100_000 + "bb_i(a)" + ")" * 100_000
         assert parse_expression(deepest) == Block("a")
-        with pytest.raises(ExpressionSyntaxError) as exc:
-            parse_expression("(" + deepest + ")")
-        assert exc.value.position == MAX_GROUP_DEPTH  # the first group too deep
+        with pytest.raises(UnbalancedParens) as exc:
+            parse_expression("(" + deepest)
+        assert exc.value.position == 0
 
 
 class TestRender:
@@ -280,3 +279,38 @@ def test_parse_expression_fuzz(src):
     except ExpressionSyntaxError:
         return
     assert parse_expression(render_expression(ast)) == ast
+
+
+@st.composite
+def nested_sources(draw):
+    """Expression text whose groups nest up to 99 deep, well formed or with one
+    piece dropped, inserted or replaced, so it nests at most 100 deep."""
+    limit = draw(st.integers(0, 99))
+    pieces: list[str] = []
+    depth = 0
+    for remaining in reversed(range(draw(st.integers(1, 8)))):
+        opens = draw(st.integers(0, limit - depth))
+        pieces += ["("] * opens + [draw(st.sampled_from(["bb_i(a)", "bb_j(b c)", "bb_k((x))"]))]
+        depth += opens
+        if draw(st.booleans()):
+            pieces.append("*")
+        closes = depth if not remaining else draw(st.integers(0, depth))
+        for _ in range(closes):
+            pieces += [")"] + (["*"] if draw(st.integers(0, 3)) == 0 else [])
+        depth -= closes
+        if remaining:
+            pieces.append(draw(st.sampled_from(".+")))
+    edit = draw(st.sampled_from(["none", "drop", "insert", "replace"]))
+    if edit != "none":
+        at = draw(st.integers(0, len(pieces) - (edit != "insert")))
+        piece = draw(st.sampled_from(["bb_z(q)", "(", ")", "*", "+", "."]))
+        pieces[at:at + (edit != "insert")] = [] if edit == "drop" else [piece]
+    return draw(st.sampled_from(["", " "])).join(pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(src=DSL_SOURCES | nested_sources())
+def test_parse_matches_recursive_descent(src):
+    """The one-pass parser gives the recursive-descent parser's tree, or raises
+    its error with the same type, message, position and expected set."""
+    assert outcome(parse_expression, src) == outcome(parse_expression_recursive, src)
