@@ -482,7 +482,7 @@ def cmd_report(args: argparse.Namespace) -> None:
                 "unexploited_paths": [[blocks[n].raw_text for n in p] for p in novel],
             }
 
-    write_chunks_atomic(args.out, json_chunks(payload, "predicted_positives", positives))
+    write_chunks_atomic(args.out, json_chunks(payload, {"predicted_positives": positives}))
     print(f"report written to {args.out}")
 
 

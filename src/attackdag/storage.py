@@ -28,11 +28,14 @@ written by ``csv_text``, through ``csv.writer``.  The two pair tables,
 labels and predictions, hold only numbers, which ``csv.writer`` never
 quotes, so they are written from columns to the same bytes by one row
 renderer: the caller passes an id column and each row as a pair of
-positions in it (a ``BranchFrame``'s ``nodes.ids`` and ``at``), each id is
-rendered once per call, and a label comes from a two-entry table.  A
-predictions row's ``label,decision`` text is made once per distinct
-decision bit pattern in a block: its ``float.__repr__``, what ``%r``
-writes, after ``decision_labels``' label.  A row is then a join of
+positions in it (a ``BranchFrame``'s ``nodes.ids`` and ``at``).  Each id is
+rendered once per call as an origin fragment and as two dest fragments,
+one ending in label 1 and one in -1, so the label costs a row no text of
+its own: a row picks its dest fragment by its position and its sign.
+``save_labels`` checks every label is 1 or -1 before it renders a row; a
+predictions row's label is ``decision_labels`` of its decision, and its
+decision's text, ``float.__repr__`` (what ``%r`` writes), is made once per
+distinct decision bit pattern in a block.  A row is then a join of
 looked-up fragments; ``label_columns`` gives the columns of a list of
 ``(origin, dest, label)`` rows.  Rows are rendered a block at a time, so
 only one block's rows are ever Python objects: ``save_labels`` renders
@@ -49,16 +52,20 @@ an error or to accept a spelling numpy rejects that ``int()`` or
 
 Every JSON artifact is ``json.dumps(payload, indent=2, sort_keys=True) +
 "\\n"``, which ``dump_json`` returns.  With ``indent`` set, ``json`` encodes
-in pure Python, and the report's tens of thousands of predicted positives
-took twice as long there as rendered from columns.  So ``positives_chunks``
-renders that one list, from node positions as the pair tables are
-rendered: each bucket and each node's two fragments are rendered once, and
-a row is a join of four looked-up fragments, ``POSITIVES_BLOCK_ROWS`` rows
-at a time, the fourth its decision's ``float.__repr__``, made once per
-distinct value in the block.
-``json_chunks`` splices those blocks into ``json``'s text of the rest of
-the report, and ``write_chunks_atomic`` writes the pieces as they come, so
-the report's text is never whole in memory.
+in pure Python, one value at a time, so the two artifacts with large
+arrays render those arrays themselves, to the same text.
+``positives_chunks`` renders the report's tens of thousands of predicted
+positives from node positions as the pair tables are rendered: each bucket
+and each node's two fragments are rendered once, and a row is a join of
+four looked-up fragments, ``POSITIVES_BLOCK_ROWS`` rows at a time, the
+fourth its decision's ``float.__repr__``, made once per distinct value in
+the block.  ``save_model`` renders its four float arrays (support vectors,
+dual coefficients, multipliers and labels) by ``_json_array``: each
+distinct value once, ``json``'s ``NaN``, ``Infinity`` and ``-Infinity``
+where it is not finite.  ``json_chunks`` splices such texts, each under
+its top-level key, into ``json``'s text of the rest of the payload; the
+report's pieces go to ``write_chunks_atomic`` as they come, so its text is
+never whole in memory, and the model's are joined into one string.
 """
 
 from __future__ import annotations
@@ -145,19 +152,25 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     write_chunks_atomic(path, (text,))
 
 
-def json_chunks(payload: Mapping, key: str, chunks: Iterable[str]) -> Iterator[str]:
+def json_chunks(payload: Mapping, spliced: Mapping[str, Iterable[str]]) -> Iterator[str]:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in pieces, with
-    ``chunks`` as the text of top-level ``key``'s value: ``json.dumps`` writes
-    ``null`` in its place, and the pieces go around it.
+    ``spliced[key]``'s chunks as the text of each top-level ``key``'s value:
+    ``json.dumps`` writes ``null`` in its place, and the pieces go around it.
 
     Every other value is checked, and ``json``'s text built, before this returns.
     """
-    text = json.dumps({**payload, key: None}, indent=2, sort_keys=True)
+    text = json.dumps({**payload, **dict.fromkeys(spliced)}, indent=2, sort_keys=True)
     # ``json`` escapes every newline inside a string, so a line that starts with
     # two spaces and a quote is a top-level entry, and each key has one.
-    line = "\n  " + json.dumps(key) + ": "
-    at = text.index(line + "null") + len(line)
-    return chain([text[:at]], chunks, [text[at + len("null"):] + "\n"])
+    chunks_at = {}  # each spliced value's chunks by the offset of its "null"
+    for key, chunks in spliced.items():
+        line = "\n  " + json.dumps(key) + ": "
+        chunks_at[text.index(line + "null") + len(line)] = chunks
+    pieces, start = [], 0
+    for at in sorted(chunks_at):
+        pieces += [[text[start:at]], chunks_at[at]]
+        start = at + len("null")
+    return chain(*pieces, [text[start:] + "\n"])
 
 
 def dump_json(payload) -> str:
@@ -297,8 +310,11 @@ def load_corpus(path: str | Path) -> Corpus:
     # attack raises CycleIntroduced here.
     blocks: dict[int, BasicBlock] = {}
     ids: dict[str, int] = {}
+    raw_ids: dict[str, int] = {}  # a raw text always normalizes to the same node
 
     def id_for(raw: str) -> int:
+        if raw in raw_ids:
+            return raw_ids[raw]
         norm = normalize_description(raw)
         if norm not in ids:
             ids[norm] = node = len(ids)
@@ -309,6 +325,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 category=overrides.get(norm, category),
                 socially_delivered=norm in social_set,
             )
+        raw_ids[raw] = ids[norm]
         return ids[norm]
 
     cdfgs: list[tuple[str, Cdfg]] = []
@@ -543,23 +560,23 @@ def load_labels(path: str | Path) -> list[tuple[int, int, int]]:
                     "labels")
 
 
-# A label's text in the last field of a labels row.
-_LABEL_TEXT = {1: "1", -1: "-1"}
+def _pair_renderer(ids: np.ndarray, sep: str) -> Callable[..., str]:
+    """``render(at, negative, *last)``: the text of pair table rows ``ids[at[i, 0]],
+    ids[at[i, 1]]``, the label (-1 where ``negative[i]``, else 1), ``sep`` and the
+    i-th text of each of ``last``, each line opened by its "\\n".
 
-
-def _pair_renderer(ids: np.ndarray) -> Callable[[np.ndarray, Iterable[str]], str]:
-    """``render(at, last)``: the text of pair table rows ``ids[at[i, 0]],
-    ids[at[i, 1]]`` and the i-th text of ``last``, each line opened by its "\\n".
-
-    Each id is rendered once, here, so a row is a join of looked-up fragments:
-    what ``csv.writer`` writes, as it never quotes a number, and what ``%r`` writes.
+    Each id is rendered once, here, as an origin and as a dest with either label,
+    so a row is a join of looked-up fragments: what ``csv.writer`` writes, as it
+    never quotes a number, and what ``%r`` writes.
     """
-    dest = [f"{node}," for node in ids.tolist()]
-    origin = ["\n" + text for text in dest]
+    nodes = ids.tolist()
+    origin = [f"\n{node}," for node in nodes]
+    dest = [f"{node},{label}{sep}" for node in nodes for label in (1, -1)]
 
-    def render(at: np.ndarray, last: Iterable[str]) -> str:
-        return "".join(chain.from_iterable(zip(map(origin.__getitem__, at[:, 0].tolist()),
-                                               map(dest.__getitem__, at[:, 1].tolist()), last)))
+    def render(at: np.ndarray, negative: np.ndarray, *last: Iterable[str]) -> str:
+        return "".join(chain.from_iterable(zip(
+            map(origin.__getitem__, at[:, 0].tolist()),
+            map(dest.__getitem__, (2 * at[:, 1] + negative).tolist()), *last)))
 
     return render
 
@@ -577,8 +594,25 @@ def _reprs(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
-def _prediction_fields(decisions: np.ndarray) -> list[str]:  # a row's "label,decision"
-    return list(map("{},{}".format, decision_labels(decisions).tolist(), _reprs(decisions)))
+# What json writes for a float whose repr is not a JSON number.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    return [_JSON_NONFINITE.get(text, text) for text in _reprs(values)]
+
+
+def _json_array(values: np.ndarray) -> str:
+    """The text ``json.dumps(indent=2)`` writes for float64 ``values.tolist()`` as
+    a top-level entry's value; each distinct value is rendered once."""
+    items = list(_once_per_value(values.ravel(), _json_floats))
+    for depth in range(values.ndim, 0, -1):  # the innermost lists first
+        width = values.shape[depth - 1]
+        sep = ",\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + "]"
+        items = ["[" + sep[1:] + sep.join(items[i * width:(i + 1) * width]) + close
+                 if width else "[]" for i in range(math.prod(values.shape[:depth - 1]))]
+    return items[0]
 
 
 # Rows of report's positives rendered per chunk: the text of one block is held at a time.
@@ -644,10 +678,13 @@ LABEL_BLOCK_ROWS = 4096
 
 def save_labels(path: str | Path, ids: np.ndarray, at: np.ndarray, labels: np.ndarray) -> None:
     """Write the labels rows ``ids[at[i, 0]], ids[at[i, 1]], labels[i]``, the bytes
-    ``csv_text(LABELS_HEADER, rows)`` gives for them, as one string."""
-    render = _pair_renderer(ids)
-    texts = [render(at[start:start + LABEL_BLOCK_ROWS],
-                    map(_LABEL_TEXT.__getitem__, labels[start:start + LABEL_BLOCK_ROWS].tolist()))
+    ``csv_text(LABELS_HEADER, rows)`` gives for them, as one string.  A label other
+    than 1 or -1 raises ValueError before anything is written."""
+    if not np.isin(labels, (1, -1)).all():
+        raise ValueError("label must be 1 or -1")
+    render = _pair_renderer(ids, "")
+    negative = labels < 0
+    texts = [render(at[start:start + LABEL_BLOCK_ROWS], negative[start:start + LABEL_BLOCK_ROWS])
              for start in range(0, len(at), LABEL_BLOCK_ROWS)]
     write_text_atomic(path, "".join([",".join(LABELS_HEADER), *texts, "\n"]))
 
@@ -682,19 +719,20 @@ def load_annotations(path: str | Path) -> list[tuple[int, int, str, str, str]]:
 
 
 def save_model(path: str | Path, model: SvmModel, fingerprint: str) -> None:
+    """Write ``dump_json`` of the model's fields, its float arrays as lists,
+    with each array's text rendered by ``_json_array``."""
     payload = {
         "params": asdict(model.params),
-        "support_vectors": model.support_vectors.tolist(),
-        "dual_coefs": model.dual_coefs.tolist(),
         "bias": model.bias,
         "sv_indices": list(model.sv_indices),
-        "sv_alphas": model.sv_alphas.tolist(),
-        "sv_labels": model.sv_labels.tolist(),
         "n_samples": model.n_samples,
         "converged": model.converged,
         "corpus_fingerprint": fingerprint,
     }
-    write_text_atomic(path, dump_json(payload))
+    arrays = {"support_vectors": model.support_vectors, "dual_coefs": model.dual_coefs,
+              "sv_alphas": model.sv_alphas, "sv_labels": model.sv_labels}
+    spliced = {key: [_json_array(values)] for key, values in arrays.items()}
+    write_text_atomic(path, "".join(json_chunks(payload, spliced)))
 
 
 def _floats(values) -> Optional[np.ndarray]:
@@ -836,8 +874,8 @@ def save_predictions(path: str | Path, ids: np.ndarray,
     Each block's text is written as the block arrives, so a caller that
     yields blocks lazily never holds more than one block's rows or text.
     """
-    render = _pair_renderer(ids)
-    texts = (render(at, _once_per_value(decisions, _prediction_fields))
+    render = _pair_renderer(ids, ",")
+    texts = (render(at, decision_labels(decisions) < 0, _once_per_value(decisions, _reprs))
              for at, decisions in blocks)
     write_chunks_atomic(path, chain([",".join(PREDICTIONS_HEADER)], texts, ["\n"]))
 

@@ -4,17 +4,18 @@ import json
 import math
 import re
 import struct
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import attackdag.storage as storage_module
 from attackdag.features import ATTRS_CSV_HEADER, AttributeTable
 from attackdag.graph import CycleIntroduced
 from attackdag.learn import SvmParams, train_svm
-from attackdag.learn.svm import SCORE_BLOCK_ROWS, decision_labels
+from attackdag.learn.svm import SCORE_BLOCK_ROWS, SvmModel, decision_labels
 from attackdag.model import normalize_description
 from attackdag.negatives import EXCEPTIONS_CSV_HEADER, ExceptionList
 from attackdag.storage import (
@@ -181,7 +182,7 @@ def spliced_report(payload, columns):
              "dest_text": node_texts[d], "origin": node_ids[o], "origin_text": node_texts[o]}
             for o, d, v, b in zip(origin_at.tolist(), dest_at.tolist(), decisions.tolist(),
                                   bucket.tolist())]
-    text = "".join(json_chunks(payload, "predicted_positives", positives_chunks(*columns)))
+    text = "".join(json_chunks(payload, {"predicted_positives": positives_chunks(*columns)}))
     plain = {**payload, "predicted_positives": rows}
     return text, json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
@@ -227,9 +228,26 @@ def test_positives_across_blocks_match_json(offset):
     text, expected = spliced_report({"a": 1, "z": [None]}, columns)
     assert text == expected
     blocks = -(-n // storage_module.POSITIVES_BLOCK_ROWS)
-    chunks = json_chunks({"a": 1}, "predicted_positives", positives_chunks(*columns))
+    chunks = json_chunks({"a": 1}, {"predicted_positives": positives_chunks(*columns)})
     # json's text before and after, and one chunk a block and the closer, or "[]"
     assert len(list(chunks)) == 2 + (blocks + 1 if n else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text("abc", max_size=2), JSON_VALUES, max_size=4),
+       spliced=st.dictionaries(st.text("abc", max_size=2), JSON_VALUES, min_size=2, max_size=3),
+       cut=st.integers(0, 6))
+@example(payload={"a": 1, "d": None}, spliced={"b": [1.5, None], "c": {"x": "y"}}, cut=1)
+@example(payload={"b": 1}, spliced={"a": [], "b": [[]], "c": {}}, cut=0)
+def test_json_chunks_splices_several_keys(payload, spliced, cut):
+    """Two or three top-level values given as text, adjacent or apart, among the
+    other keys or in place of one, land where json.dumps writes them."""
+    def chunks(value):  # the value's text as a top-level entry's, in two pieces
+        text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return [text[:cut], text[cut:]]
+
+    text = "".join(json_chunks(payload, {key: chunks(value) for key, value in spliced.items()}))
+    assert text == json.dumps({**payload, **spliced}, indent=2, sort_keys=True) + "\n"
 
 
 class TestChunkedWriter:
@@ -279,7 +297,8 @@ class TestChunkedWriter:
         write_text_atomic(target, "old\n")
 
         def chunks():  # the renderer called once the file is open
-            yield from json_chunks({"first": 1}, "predicted_positives", positives_chunks(*columns))
+            spliced = {"predicted_positives": positives_chunks(*columns)}
+            yield from json_chunks({"first": 1}, spliced)
 
         with pytest.raises(ValueError, match="not finite"):
             write_chunks_atomic(target, chunks())
@@ -298,7 +317,8 @@ class TestCorpusLoader:
                  for _, expression in corpus_expressions for leaf in expr_blocks(expression)]
         assert [blk.norm_text for blk in corpus.blocks.values()] == list(dict.fromkeys(norms))
 
-    def test_each_leaf_is_normalized_once(self, data_dir, corpus_expressions, monkeypatch):
+    def test_each_distinct_leaf_text_is_normalized_once(self, data_dir, corpus_expressions,
+                                                        monkeypatch):
         calls = []
 
         def counted(text):
@@ -307,8 +327,10 @@ class TestCorpusLoader:
 
         monkeypatch.setattr(storage_module, "normalize_description", counted)
         load_corpus(data_dir / "corpus.json")
-        assert calls == [leaf.description for _, expression in corpus_expressions
-                         for leaf in expr_blocks(expression)]
+        leaves = [leaf.description for _, expression in corpus_expressions
+                  for leaf in expr_blocks(expression)]
+        assert len(set(leaves)) < len(leaves)  # the corpus repeats leaf texts
+        assert calls == list(dict.fromkeys(leaves))
 
     def test_cycle_within_one_attack_raises_while_loading(self, tmp_path):
         path = write_corpus(tmp_path, corpus_json([
@@ -503,6 +525,13 @@ class TestLabels:
         with pytest.raises(ValueError, match="duplicate pair"):
             load_labels(path)
 
+    @pytest.mark.parametrize("labels", [[0], [2], [1, -1, 0], [0.5]])
+    def test_save_rejects_a_bad_label_before_writing(self, tmp_path, labels):
+        at = np.zeros((len(labels), 2), dtype=np.intp)
+        with pytest.raises(ValueError, match="^label must be 1 or -1$"):
+            save_labels(tmp_path / "labels.csv", np.array([1, 2]), at, np.array(labels))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAnnotations:
     def test_append_only_log(self, tmp_path):
@@ -600,6 +629,48 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelLoadError, match=f"^{re.escape(f'{path}: {key!r} {message}')}$"):
             load_model(path)
+
+
+# Model values: signed zeros, the extremes, values whose repr is in exponent
+# form or is not their decimal, and what json spells NaN, Infinity and -Infinity.
+MODEL_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2,
+                                              math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def models(draw):
+    """A model of 0 to 30 support vectors whose arrays hold any MODEL_FLOATS."""
+    n = draw(st.integers(0, 30))
+    width = draw(st.sampled_from([0, 1, BRANCH_WIDTH]))
+
+    def column(size):
+        return np.array(draw(st.lists(MODEL_FLOATS, min_size=size, max_size=size)), dtype=float)
+
+    return SvmModel(params=SvmParams(), support_vectors=column(n * width).reshape(n, width),
+                    bias=draw(MODEL_FLOATS), sv_indices=tuple(range(n)), sv_alphas=column(n),
+                    sv_labels=column(n), n_samples=n + 1, converged=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=models())
+def test_save_model_matches_dump_json(fuzz_dir, model):
+    path = fuzz_dir / "model.json"
+    # dual_coefs multiplies values that may overflow or meet inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        save_model(path, model, "f" * 64)
+        expected = dump_json({
+            "params": asdict(model.params),
+            "support_vectors": model.support_vectors.tolist(),
+            "dual_coefs": model.dual_coefs.tolist(),
+            "bias": model.bias,
+            "sv_indices": list(model.sv_indices),
+            "sv_alphas": model.sv_alphas.tolist(),
+            "sv_labels": model.sv_labels.tolist(),
+            "n_samples": model.n_samples,
+            "converged": model.converged,
+            "corpus_fingerprint": "f" * 64,
+        })
+    assert path.read_bytes() == expected.encode()
 
 
 class TestPredictions:
@@ -743,13 +814,13 @@ _INT64 = np.iinfo(np.int64)
 NODE_IDS = st.lists(st.integers(_INT64.min, _INT64.max)
                     | st.sampled_from([_INT64.min, _INT64.max, -1, 0, 7]), min_size=1, max_size=8)
 DECISIONS = (st.floats(allow_nan=False, allow_infinity=False)
-             | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05]))
+             | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, math.nan, math.inf, -math.inf]))
 
 
 @st.composite
 def pair_blocks(draw):
     """An id column and 0 to 4 windows of 0 to 5 rows: positions in the ids, and
-    decisions labeled as predict labels them (-0.0 takes label 1)."""
+    decisions labeled as predict labels them (-0.0 takes label 1, NaN label -1)."""
     ids = np.array(draw(NODE_IDS), dtype=np.int64)
     position = st.integers(0, len(ids) - 1)
     blocks = []
@@ -795,9 +866,12 @@ def test_save_predictions_matches_per_row_format(fuzz_dir, table):
 
 
 # A small pool, so decisions repeat within a block and across blocks: 0.0 and
-# -0.0 are equal but print apart, and the rest print shortest, longest, in
-# exponent form at both ends, and as a sum that is not its decimal.
-REPEATED_DECISIONS = [0.0, -0.0, 5e-324, 1e16, 1e-05, -1e-05, 0.1 + 0.2, -2.5]
+# -0.0 are equal but print apart, the finite rest print shortest, longest, in
+# exponent form at both ends, and as a sum that is not its decimal, and NaN
+# takes label -1.  A predicted positive's decision is finite.
+REPEATED_DECISIONS = [0.0, -0.0, 5e-324, 1e16, 1e-05, -1e-05, 0.1 + 0.2, -2.5,
+                      math.nan, math.inf, -math.inf]
+FINITE_DECISIONS = [value for value in REPEATED_DECISIONS if math.isfinite(value)]
 NODE_TEXT_COLUMN = ["a%sb", "\u00e9\u2603", "\ud800 lone", 'say "hi" \\ 100%', ""]
 
 
@@ -836,7 +910,7 @@ def test_repeated_positives_match_json(data):
     """Positives whose decisions repeat within and across blocks of 2 to 5 rows,
     the first block holding both 0.0 and -0.0, are what json writes."""
     n = data.draw(st.integers(0, 14))
-    decisions = [0.0, -0.0] + data.draw(st.lists(st.sampled_from(REPEATED_DECISIONS),
+    decisions = [0.0, -0.0] + data.draw(st.lists(st.sampled_from(FINITE_DECISIONS),
                                                  min_size=n, max_size=n))
     at = st.lists(st.integers(0, 4), min_size=n + 2, max_size=n + 2)
     columns = positive_columns([-(2**63), -5, 0, 7, 2**63 - 1], NODE_TEXT_COLUMN, data.draw(at),
@@ -861,8 +935,9 @@ def test_repeated_decisions_across_full_blocks(tmp_path, offset):
     path = tmp_path / "predictions.csv"
     save_predictions(path, ids, iter(blocks))
     assert path.read_bytes() == per_row_predictions(ids, blocks)
-    columns = positive_columns(ids.tolist(), NODE_TEXT_COLUMN, at[:, 0], at[:, 1], decisions,
-                               rng.integers(0, 3, n), ("crypto", None, "%d"))
+    columns = positive_columns(ids.tolist(), NODE_TEXT_COLUMN, at[:, 0], at[:, 1],
+                               rng.choice(FINITE_DECISIONS, n), rng.integers(0, 3, n),
+                               ("crypto", None, "%d"))
     text, expected = spliced_report({"a": 1, "z": [None]}, columns)
     assert text == expected
 
